@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 

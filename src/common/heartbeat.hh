@@ -22,8 +22,8 @@
  * and ROWSIM_STATS_JSON it bypasses the result store (a cache hit
  * emits no heartbeat), and it never changes simulated behaviour.
  * ROWSIM_HEARTBEAT_MS (default 250) sets the minimum wall-clock gap
- * between run events. tools/rowsim_top tails the stream into a live
- * per-job table.
+ * between run events. tools/rowsim_report renders the stream as a
+ * per-job table (--follow tails it live).
  */
 
 #ifndef ROWSIM_COMMON_HEARTBEAT_HH

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace rowsim
@@ -67,28 +68,6 @@ parseTraceCategories(const std::string &spec)
                          tok.c_str());
     }
     return mask;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 Trace &

@@ -231,9 +231,6 @@ class Trace
     std::size_t ringCount_ = 0;
 };
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 /**
  * Suffix an output path with a sweep job key: the key is inserted
  * before the last extension ("trace.json" + "j3" -> "trace.j3.json";

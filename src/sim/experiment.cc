@@ -10,6 +10,7 @@
 
 #include "common/heartbeat.hh"
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "sim/profiles.hh"
@@ -302,7 +303,7 @@ writeProfileRecord(const RunResult &r, const std::string &path)
 }
 
 /** Append a span-traced run's record as one JSON line to @p path
- *  ("-" = stdout) — the input format of tools/span_report. */
+ *  ("-" = stdout) — an input format of tools/rowsim_report. */
 void
 writeSpanRecord(const RunResult &r, const std::string &path)
 {
@@ -458,7 +459,7 @@ emitRunSinks(const RunResult &r)
     }
     // ROWSIM_PROFILE_JSON=<path>: append one profiler record per
     // profiled run ({"workload","config","cycles","profile"}), "-" for
-    // stdout — the input format of tools/profile_report. Inside a sweep
+    // stdout — an input format of tools/rowsim_report. Inside a sweep
     // worker the path carries the job key (like the trace sinks), so
     // concurrent jobs never interleave one file.
     if (const char *pj = std::getenv("ROWSIM_PROFILE_JSON");
@@ -469,7 +470,7 @@ emitRunSinks(const RunResult &r)
     }
     // ROWSIM_SPANS_JSON=<path>: append one span record per span-traced
     // run ({"workload","config","cycles","spans"}), "-" for stdout —
-    // the input format of tools/span_report.
+    // an input format of tools/rowsim_report.
     if (const char *sj = std::getenv("ROWSIM_SPANS_JSON");
         sj && *sj && !r.spanJson.empty()) {
         writeSpanRecord(r, std::strcmp(sj, "-") == 0

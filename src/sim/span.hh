@@ -28,7 +28,7 @@
  * other), so they are *not* part of the conservation sum; critical-path
  * extraction subtracts them from the miss window instead (the
  * "critical" object on every retained record; rendered by
- * tools/span_report).
+ * tools/rowsim_report).
  *
  * Modelled on the attribution profiler (src/sim/profile.hh): state is
  * per-System, the enable gate is a static thread-local flag that

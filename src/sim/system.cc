@@ -7,6 +7,7 @@
 
 #include "common/heartbeat.hh"
 #include "common/io.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/sha256.hh"
 #include "common/trace.hh"

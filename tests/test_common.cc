@@ -1,12 +1,18 @@
 /**
  * @file
  * Unit tests for common infrastructure: address helpers, logging,
- * micro-op classification, and configuration defaults (Table I).
+ * micro-op classification, configuration defaults (Table I), and the
+ * JSON reader every report path parses the simulator's sinks with.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <stdexcept>
+#include <string>
+
 #include "common/config.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "cpu/microop.hh"
@@ -119,4 +125,122 @@ TEST(Config, RowDefaultsMatchPaper)
     unsigned total_bits =
         rc.predictorEntries * rc.counterBits + 16 * (1 + 1 + 14);
     EXPECT_EQ(total_bits, 64u * 8);
+}
+
+namespace
+{
+
+/** @p s written as a JSON string literal, then read back. */
+std::string
+roundTrip(const std::string &s)
+{
+    std::string literal = "\"";
+    literal += jsonEscape(s);
+    literal += '"';
+    return parseJson(literal).str;
+}
+
+/** The message parseJson throws for @p text (empty if it parses). */
+std::string
+jsonError(const std::string &text)
+{
+    try {
+        parseJson(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return {};
+}
+
+} // namespace
+
+TEST(JsonReader, ReadsChromeTraceShape)
+{
+    const Json root = parseJson(
+        "{\"traceEvents\": [\n"
+        "  {\"name\": \"lock\", \"cat\": \"atomic\", \"ph\": \"X\","
+        " \"ts\": 12, \"dur\": 3.5, \"pid\": 0, \"tid\": 2,"
+        " \"args\": {\"line\": \"0x1040\", \"lazy\": true}},\n"
+        "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1,"
+        " \"args\": {\"name\": \"core1\"}, \"s\": null}\n"
+        "], \"displayTimeUnit\": \"ns\"}\n");
+    ASSERT_EQ(root.type, Json::Object);
+    const Json &events = root.at("traceEvents");
+    ASSERT_EQ(events.type, Json::Array);
+    ASSERT_EQ(events.arr.size(), 2u);
+    const Json &x = events.arr[0];
+    EXPECT_EQ(x.at("ph").str, "X");
+    EXPECT_EQ(x.at("ts").asU64(), 12u);
+    EXPECT_DOUBLE_EQ(x.at("dur").asDouble(), 3.5);
+    EXPECT_EQ(x.at("args").at("line").asU64(), 0x1040u);
+    EXPECT_TRUE(x.at("args").at("lazy").b);
+    EXPECT_EQ(events.arr[1].at("args").at("name").str, "core1");
+    EXPECT_TRUE(events.arr[1].has("s"));
+    EXPECT_EQ(events.arr[1].at("s").type, Json::Null);
+    EXPECT_EQ(root.at("missing").type, Json::Null);
+    EXPECT_NE(jsonError("{\"a\": 1} x").find("trailing characters"),
+              std::string::npos);
+}
+
+TEST(JsonReader, EscapeRoundTripsEveryAsciiByte)
+{
+    std::string all;
+    for (int c = 0x01; c <= 0x7f; ++c) {
+        const std::string s{'a', static_cast<char>(c), 'b'};
+        EXPECT_EQ(roundTrip(s), s) << c;
+        all.push_back(static_cast<char>(c));
+    }
+    EXPECT_EQ(roundTrip(all), all);
+    EXPECT_EQ(jsonEscape("a\x01" "b"), "a\\u0001b");
+}
+
+TEST(JsonReader, DecodesUnicodeEscapesToUtf8)
+{
+    EXPECT_EQ(parseJson("\"\\u0041\\u00e9\\u20AC\"").str,
+              "A\xc3\xa9\xe2\x82\xac");
+    EXPECT_NE(jsonError("\"\\u12\"").find("bad \\u escape"),
+              std::string::npos);
+    EXPECT_NE(jsonError("\"\\u12g4\"").find("bad \\u escape"),
+              std::string::npos);
+}
+
+TEST(JsonReader, RejectsMalformedNumbers)
+{
+    for (const char *bad : {"-", "1-2", "1.2.3", "1e", "+", "--1", "[1-2]"})
+        EXPECT_NE(jsonError(bad).find("JSON error"), std::string::npos)
+            << bad;
+    EXPECT_NE(jsonError("1.2.3").find("bad number '1.2.3'"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(parseJson("-1.5e3").num, -1500.0);
+    EXPECT_DOUBLE_EQ(parseJson("0").num, 0.0);
+    EXPECT_DOUBLE_EQ(parseJson("[1, -2.25]").arr[1].num, -2.25);
+}
+
+TEST(JsonReader, AsU64IsDefinedForEveryNumber)
+{
+    EXPECT_EQ(parseJson("42").asU64(), 42u);
+    EXPECT_EQ(parseJson("42.9").asU64(), 42u);
+    EXPECT_EQ(parseJson("-1").asU64(), 0u);
+    EXPECT_EQ(parseJson("-0.5").asU64(), 0u);
+    EXPECT_EQ(parseJson("1e30").asU64(), ULLONG_MAX);
+    EXPECT_EQ(parseJson("\"0x10\"").asU64(), 16u);
+    EXPECT_EQ(parseJson("true").asU64(), 0u);
+}
+
+TEST(JsonReader, DeepNestingIsAJsonError)
+{
+    const unsigned limit = jsonMaxDepth;
+    EXPECT_EQ(jsonError(std::string(limit, '[') + std::string(limit, ']')),
+              "");
+    EXPECT_NE(jsonError(std::string(limit + 1, '[') +
+                        std::string(limit + 1, ']'))
+                  .find("JSON error at offset 512: nesting deeper than"),
+              std::string::npos);
+    EXPECT_NE(jsonError(std::string(200000, '[')).find("nesting deeper than"),
+              std::string::npos);
+    std::string objects;
+    for (int i = 0; i < 200000; ++i)
+        objects += "{\"a\":";
+    EXPECT_NE(jsonError(objects).find("nesting deeper than"),
+              std::string::npos);
 }

@@ -8,8 +8,7 @@
  * machine, off-mode stats JSON must be byte-identical), sweep
  * determinism of the span summaries across thread counts, per-job
  * sink-file isolation under a concurrent sweep, restore-time span
- * truncation, the per-message-type network latency histograms, and the
- * span_report tool parsing its own toolchain's output.
+ * truncation, and the per-message-type network latency histograms.
  */
 
 #include <gtest/gtest.h>
@@ -357,37 +356,3 @@ TEST(SpanNetwork, PerMessageTypeLatencyHistogramsInStatsJson)
     EXPECT_LE(lat->percentile(0.50), lat->percentile(0.99));
     EXPECT_GE(lat->summary().max(), lat->summary().min());
 }
-
-#ifdef SPAN_REPORT_PATH
-TEST(SpanReport, ParsesItsOwnToolchainOutput)
-{
-    namespace fs = std::filesystem;
-    const std::string dir = "span-scratch-report";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string jsonl = dir + "/spans.jsonl";
-
-    ExpConfig cfg = lazyConfig();
-    cfg.spans = "on";
-    RunResult r = runExperiment("cq", cfg, 4, 60, 1, false);
-    ASSERT_FALSE(r.spanJson.empty());
-    {
-        std::ofstream out(jsonl);
-        out << "{\"workload\":\"cq\",\"config\":\"lazy\",\"cycles\":"
-            << r.cycles << ",\"spans\":" << r.spanJson << "}\n";
-    }
-
-    const std::string cmd = std::string(SPAN_REPORT_PATH) + " " + jsonl +
-                            " > " + dir + "/report.txt";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
-
-    std::ifstream in(dir + "/report.txt");
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("cq/lazy"), std::string::npos);
-    EXPECT_NE(text.find("Segment breakdown"), std::string::npos);
-    EXPECT_NE(text.find("critical path"), std::string::npos);
-    EXPECT_NE(text.find("aqWait"), std::string::npos);
-    fs::remove_all(dir);
-}
-#endif

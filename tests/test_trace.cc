@@ -8,14 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "common/json.hh"
 #include "common/trace.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
@@ -60,212 +58,6 @@ slurpFile(const std::string &path)
     std::fclose(f);
     return out;
 }
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser: enough to validate the Chrome trace output
-// without external dependencies. Throws std::runtime_error on any
-// syntax error, so a malformed trace fails the test.
-// ---------------------------------------------------------------------
-
-struct Json
-{
-    enum Type { Null, Bool, Number, String, Array, Object } type = Null;
-    bool b = false;
-    double num = 0;
-    std::string str;
-    std::vector<Json> arr;
-    std::map<std::string, Json> obj;
-
-    const Json &
-    at(const std::string &key) const
-    {
-        static const Json null;
-        auto it = obj.find(key);
-        return it == obj.end() ? null : it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s(text) {}
-
-    Json
-    parse()
-    {
-        Json v = value();
-        ws();
-        if (pos != s.size())
-            fail("trailing characters");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why)
-    {
-        throw std::runtime_error("JSON error at offset " +
-                                 std::to_string(pos) + ": " + why);
-    }
-
-    void
-    ws()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\n' || s[pos] == '\t' ||
-                s[pos] == '\r')) {
-            pos++;
-        }
-    }
-
-    char
-    peek()
-    {
-        if (pos >= s.size())
-            fail("unexpected end");
-        return s[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        pos++;
-    }
-
-    Json
-    value()
-    {
-        ws();
-        switch (peek()) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return literal("true", [] { Json j; j.type = Json::Bool; j.b = true; return j; }());
-          case 'f': return literal("false", [] { Json j; j.type = Json::Bool; return j; }());
-          case 'n': return literal("null", Json{});
-          default: return number();
-        }
-    }
-
-    Json
-    literal(const std::string &word, Json result)
-    {
-        if (s.compare(pos, word.size(), word) != 0)
-            fail("bad literal");
-        pos += word.size();
-        return result;
-    }
-
-    Json
-    object()
-    {
-        Json j;
-        j.type = Json::Object;
-        expect('{');
-        ws();
-        if (peek() == '}') {
-            pos++;
-            return j;
-        }
-        while (true) {
-            ws();
-            Json key = string();
-            ws();
-            expect(':');
-            j.obj[key.str] = value();
-            ws();
-            if (peek() == ',') {
-                pos++;
-                continue;
-            }
-            expect('}');
-            return j;
-        }
-    }
-
-    Json
-    array()
-    {
-        Json j;
-        j.type = Json::Array;
-        expect('[');
-        ws();
-        if (peek() == ']') {
-            pos++;
-            return j;
-        }
-        while (true) {
-            j.arr.push_back(value());
-            ws();
-            if (peek() == ',') {
-                pos++;
-                continue;
-            }
-            expect(']');
-            return j;
-        }
-    }
-
-    Json
-    string()
-    {
-        Json j;
-        j.type = Json::String;
-        expect('"');
-        while (true) {
-            char c = peek();
-            pos++;
-            if (c == '"')
-                return j;
-            if (c == '\\') {
-                char e = peek();
-                pos++;
-                switch (e) {
-                  case '"': j.str += '"'; break;
-                  case '\\': j.str += '\\'; break;
-                  case '/': j.str += '/'; break;
-                  case 'n': j.str += '\n'; break;
-                  case 't': j.str += '\t'; break;
-                  case 'r': j.str += '\r'; break;
-                  case 'u':
-                    if (pos + 4 > s.size())
-                        fail("bad \\u escape");
-                    pos += 4; // code point value not needed by the tests
-                    j.str += '?';
-                    break;
-                  default: fail("bad escape");
-                }
-            } else {
-                j.str += c;
-            }
-        }
-    }
-
-    Json
-    number()
-    {
-        std::size_t start = pos;
-        if (peek() == '-')
-            pos++;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-                s[pos] == '+' || s[pos] == '-')) {
-            pos++;
-        }
-        if (pos == start)
-            fail("expected number");
-        Json j;
-        j.type = Json::Number;
-        j.num = std::strtod(s.substr(start, pos - start).c_str(), nullptr);
-        return j;
-    }
-
-    const std::string &s;
-    std::size_t pos = 0;
-};
 
 } // namespace
 
@@ -395,7 +187,7 @@ TEST(TraceJson, EmitsWellFormedChromeTrace)
     t.counter(TraceCategory::Pipeline, 0, "occupancy", 400, 17.0);
     t.closeJson();
 
-    Json root = JsonParser(slurpFile(path)).parse();
+    Json root = parseJson(slurpFile(path));
     std::remove(path.c_str());
 
     ASSERT_EQ(root.type, Json::Object);
@@ -442,7 +234,7 @@ TEST(TraceJson, DisabledCategorySuppressesEvents)
     t.complete(TraceCategory::Atomic, 0, traceTidAtomics, "lock", 0, 10);
     t.closeJson();
 
-    Json root = JsonParser(slurpFile(path)).parse();
+    Json root = parseJson(slurpFile(path));
     std::remove(path.c_str());
     ASSERT_EQ(root.at("traceEvents").arr.size(), 1u);
     EXPECT_EQ(root.at("traceEvents").arr[0].at("name").str, "lock");
@@ -470,7 +262,7 @@ TEST(TraceIntegration, LockDurationsMatchRunReport)
     ASSERT_GT(r.atomicsUnlocked, 0u);
     ASSERT_GT(r.lockToUnlock, 0.0);
 
-    Json root = JsonParser(slurpFile(path)).parse();
+    Json root = parseJson(slurpFile(path));
     std::remove(path.c_str());
 
     double sum = 0;
@@ -510,7 +302,7 @@ TEST(TraceIntegration, StatsDumpIsValidJsonWithIntervals)
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     sys.dumpStatsJson(tmp);
-    Json root = JsonParser(slurp(tmp)).parse();
+    Json root = parseJson(slurp(tmp));
     std::fclose(tmp);
 
     EXPECT_GT(root.at("cycles").num, 0.0);
@@ -538,7 +330,7 @@ TEST(TraceIntegration, RunReportJsonParsesAndMatchesFields)
     ExpConfig cfg = eagerConfig();
     RunResult r = runExperiment("counter", cfg, /*num_cores=*/4,
                                 /*quota=*/20);
-    Json j = JsonParser(r.toJson()).parse();
+    Json j = parseJson(r.toJson());
     EXPECT_EQ(j.at("workload").str, "counter");
     EXPECT_EQ(j.at("config").str, "eager");
     EXPECT_DOUBLE_EQ(j.at("cycles").num, static_cast<double>(r.cycles));

@@ -15,10 +15,10 @@ Subcommands:
                                 for same-build double-runs (one CI job
                                 appending to one file); sim_cycles may
                                 legitimately change across commits.
-  profile-schema PROFILE_JSONL  tools/profile_report input records: run
+  profile-schema PROFILE_JSONL  tools/rowsim_report profile records: run
                                 labels, CPI-stack slot conservation,
                                 RoW decision totals, per-PC tables.
-  span-schema SPANS_JSONL       tools/span_report input records: run
+  span-schema SPANS_JSONL       tools/rowsim_report span records: run
                                 labels, span count accounting, segment
                                 conservation (segments exactly tile
                                 dispatch->commit for every retained span
@@ -161,7 +161,7 @@ def validate_history_stability(doc):
 
 
 def validate_profile_records(lines):
-    """Validate profiler JSONL records (tools/profile_report input)."""
+    """Validate profiler JSONL records (tools/rowsim_report input)."""
     n = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -209,7 +209,7 @@ SPAN_SEGS = {
 
 
 def validate_span_records(lines):
-    """Validate span-tracker JSONL records (tools/span_report input)."""
+    """Validate span-tracker JSONL records (tools/rowsim_report input)."""
     n = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
