@@ -16,6 +16,7 @@
  */
 
 #include "bench/bench_common.hh"
+#include "sim/profile.hh"
 
 using namespace rowsim;
 using namespace rowsim::bench;
@@ -30,7 +31,7 @@ ExpConfig
 profiled(ExpConfig c)
 {
     c.label += "+prof";
-    c.profile = "pcs";
+    c.profile = profMask(ProfCategory::Pcs);
     return c;
 }
 

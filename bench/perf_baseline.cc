@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/options.hh"
 #include "sim/profiles.hh"
 
 using namespace rowsim;
@@ -72,52 +73,39 @@ measure(const std::string &workload, std::uint64_t quota)
 std::string
 renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
 {
+    // The host stamp records each knob as the environment gave it.
+    const RunOptions opts = resolveRunOptions();
     std::string e = "  {\n    \"host\": {\n";
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "      \"hardware_concurrency\": %u,\n",
                   std::thread::hardware_concurrency());
     e += buf;
-    const char *ff = std::getenv("ROWSIM_FF");
-    std::snprintf(buf, sizeof(buf), "      \"fast_forward\": \"%s\",\n",
-                  ff && *ff ? ff : "default-on");
-    e += buf;
-    const char *prof = std::getenv("ROWSIM_PROFILE");
-    std::snprintf(buf, sizeof(buf), "      \"profile\": \"%s\",\n",
-                  prof && *prof ? prof : "off");
-    e += buf;
-    const char *spans = std::getenv("ROWSIM_SPANS");
-    std::snprintf(buf, sizeof(buf), "      \"spans\": \"%s\",\n",
-                  spans && *spans ? spans : "off");
-    e += buf;
-    // Warmup-checkpoint mode (ROWSIM_CKPT): sim_cycles stays bit-stable
-    // across modes by construction; wall_ms is expected to drop on
-    // checkpoint-restored runs, and this field says which is which.
-    const char *ckpt = std::getenv("ROWSIM_CKPT");
-    std::snprintf(buf, sizeof(buf), "      \"ckpt\": \"%s\",\n",
-                  ckpt && *ckpt ? ckpt : "off");
-    e += buf;
-    // Result-store mode (ROWSIM_RESULTS): a warm run served from the
-    // store reports the same bit-stable sim_cycles with a far lower
-    // wall_ms; this field keeps cold and warm entries tellable apart.
-    const char *results = std::getenv("ROWSIM_RESULTS");
-    std::snprintf(buf, sizeof(buf), "      \"results\": \"%s\",\n",
-                  results && *results ? results : "off");
-    e += buf;
-    // Execution mode (ROWSIM_MODE) and sampling layout (ROWSIM_SAMPLE):
-    // func and sampled runs legitimately report different sim_cycles
-    // than detail (the former counts functional bookkeeping ticks, the
-    // latter an extrapolated estimate), so the stability check groups
-    // history entries by these two fields — the detail/func/sampled
-    // perf triple lives in one file without tripping it.
-    const char *mode = std::getenv("ROWSIM_MODE");
-    std::snprintf(buf, sizeof(buf), "      \"mode\": \"%s\",\n",
-                  mode && *mode ? mode : "detail");
-    e += buf;
-    const char *sample = std::getenv("ROWSIM_SAMPLE");
-    std::snprintf(buf, sizeof(buf), "      \"sampled\": \"%s\",\n",
-                  sample && *sample ? sample : "off");
-    e += buf;
+    // Each knob that changes what an entry measures, as given (or what
+    // unset means). sim_cycles stays bit-stable across fast-forward,
+    // profiling, span, checkpoint (wall_ms drops on restored runs) and
+    // result-store modes (a warm run is served far faster); func and
+    // sampled runs legitimately report different sim_cycles than detail
+    // (functional bookkeeping ticks, an extrapolated estimate), so the
+    // stability check groups history entries by mode and sampling — the
+    // detail/func/sampled perf triple lives in one file without
+    // tripping it.
+    struct Stamp
+    {
+        const char *field, *knob, *unset;
+    };
+    for (const Stamp &st : {Stamp{"fast_forward", "ROWSIM_FF", "default-on"},
+                            Stamp{"profile", "ROWSIM_PROFILE", "off"},
+                            Stamp{"spans", "ROWSIM_SPANS", "off"},
+                            Stamp{"ckpt", "ROWSIM_CKPT", "off"},
+                            Stamp{"results", "ROWSIM_RESULTS", "off"},
+                            Stamp{"mode", "ROWSIM_MODE", "detail"},
+                            Stamp{"sampled", "ROWSIM_SAMPLE", "off"}}) {
+        const char *text = opts.envText(st.knob);
+        std::snprintf(buf, sizeof(buf), "      \"%s\": \"%s\",\n",
+                      st.field, text ? text : st.unset);
+        e += buf;
+    }
     // The iteration quota changes sim_cycles legitimately (longer run),
     // so the stability check also groups on it.
     if (quota)
@@ -131,10 +119,10 @@ renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
     // engine samples every stats interval and the heartbeat writes
     // progress lines. Neither may move sim_cycles; the wall_ms delta
     // between an off/on entry pair is the probe overhead.
-    const char *ts = std::getenv("ROWSIM_TS");
-    const char *hb = std::getenv("ROWSIM_HEARTBEAT");
-    const char *telemetry = ts && *ts ? (hb && *hb ? "ts+heartbeat" : "ts")
-                                      : (hb && *hb ? "heartbeat" : "off");
+    const char *ts = opts.envText("ROWSIM_TS");
+    const char *hb = opts.envText("ROWSIM_HEARTBEAT");
+    const char *telemetry = ts ? (hb ? "ts+heartbeat" : "ts")
+                               : (hb ? "heartbeat" : "off");
     std::snprintf(buf, sizeof(buf), "      \"telemetry\": \"%s\",\n",
                   telemetry);
     e += buf;

@@ -8,6 +8,7 @@
 #define ROWSIM_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/types.hh"
@@ -62,6 +63,30 @@ enum class PredictorUpdate : std::uint8_t
      *  evaluated and found inferior to the two above (§IV-D). Lazy when
      *  counter > threshold(=1). */
     TwoUpOneDown,
+};
+
+/** Execution mode of a run. */
+enum class ExecMode : std::uint8_t
+{
+    /** Cycle-accurate out-of-order pipeline. */
+    Detail,
+    /** Multi-instruction-per-tick functional interpreter that keeps
+     *  caches, directory state, and branch/RoW predictors warm while
+     *  skipping ROB/LSQ/AQ bookkeeping (src/sim/funcmode.cc). */
+    Func,
+};
+
+/** Convergence-bounded-run request: stop at the first interval
+ *  boundary where the batch-means CI half-width of @c metric, relative
+ *  to its mean, is <= relHalfwidth at the given confidence. Implies
+ *  the time-series engine; the iteration quota stays the upper bound. */
+struct ConvergeSpec
+{
+    bool active = false;
+    std::string metric;
+    /** Stop once halfwidth / |mean| <= relHalfwidth. */
+    double relHalfwidth = 0;
+    double confidence = 0.95;
 };
 
 /** Rush-or-Wait mechanism configuration (§IV). */
@@ -179,83 +204,34 @@ struct SystemParams
      * window. Simulated results are identical by construction (the skip
      * bound is conservative); auto-disabled under fault injection, whose
      * per-cycle RNG draws make the schedule depend on every tick.
-     * Env override: ROWSIM_FF=0 (off), 1 (on), check (tick through each
-     * predicted window and panic if anything would have happened).
+     * Unlike the fields below, ROWSIM_FF overrides this one.
      */
     bool idleFastForward = true;
 
-    // ---- observability (see src/common/trace.hh) ----
+    // ---- run options (src/sim/options.hh) ----
+    // Each field below, when set (non-empty, non-zero or engaged),
+    // overrides the ROWSIM_* knob it names; an unset field defers to the
+    // environment, then to the knob's default. The options module
+    // resolves them once per run; its table documents every knob.
 
-    /** Trace categories to enable, same syntax as the ROWSIM_TRACE env
-     *  var ("atomic,coherence", "all"; empty = env var / off). */
-    std::string traceCategories;
-    /** Chrome trace-event JSON output path (empty = ROWSIM_TRACE_JSON
-     *  env var, or "rowsim.trace.json" when tracing is on). */
+    std::string traceCategories;     ///< ROWSIM_TRACE
+    /** Chrome trace path of a run traced through traceCategories. */
     std::string traceJsonPath;
-    /** Interval-stats sampling period in cycles (0 = the
-     *  ROWSIM_STATS_INTERVAL env var, or off). */
-    Cycle statsInterval = 0;
-
-    // ---- self-checking & fault injection (src/sim/checker.hh,
-    // ---- src/sim/faults.hh) ----
-
-    /** Invariant-checker categories, same syntax as the ROWSIM_CHECK env
-     *  var ("swmr,locks", "all"; empty = env var / off). */
-    std::string checkCategories;
-    /** Cycles between whole-system checker sweeps (0 = the
-     *  ROWSIM_CHECK_INTERVAL env var, or 1024). */
-    Cycle checkInterval = 0;
-    /** Fault-injection categories, same syntax as the ROWSIM_FAULTS env
-     *  var ("netdelay,evict", "all"; empty = env var / off). */
-    std::string faultCategories;
-    /** Fault-injection RNG seed (0 = the ROWSIM_FAULTS_SEED env var, or
-     *  derived from `seed` — either way runs replay exactly). */
-    std::uint64_t faultSeed = 0;
-    /** Fault probability in events per 10k opportunities (0 = the
-     *  ROWSIM_FAULTS_RATE env var, or 50). */
-    unsigned faultRate = 0;
-
-    // ---- attribution profiler (src/sim/profile.hh) ----
-
-    /** Profiler categories, same syntax as the ROWSIM_PROFILE env var
-     *  ("cpi,lines,row,pcs", "check", "all"; empty = env var / off).
-     *  Unlike the masks above this one is re-applied on every System
-     *  construction, so sweep workers never inherit a stale mask. */
-    std::string profileCategories;
-
-    // ---- span tracing (src/sim/span.hh) ----
-
-    /** Atomic lifetime span tracing: "on"/"off" (and 0/1/yes/no
-     *  synonyms; empty = the ROWSIM_SPANS env var, or off). Re-applied
-     *  on every System construction, like profileCategories. */
-    std::string spans;
-
-    // ---- metric time series & convergence (src/common/timeseries.hh) ----
-
-    /** Metric time-series engine over the interval probes: "on"/"off"
-     *  (and 0/1/yes/no synonyms; empty = the ROWSIM_TS env var, or
-     *  off). Re-applied on every System construction, like
-     *  profileCategories. When on with no interval period configured, a
-     *  default period of 8192 cycles is used. */
-    std::string timeseries;
-    /** Convergence-bounded run: "<metric>:<rel_halfwidth>[:<confidence>]"
-     *  (empty = the ROWSIM_CONVERGE env var, or off). Implies the
-     *  time-series engine. The run stops at the first interval boundary
-     *  where the metric's batch-means CI half-width, relative to its
-     *  mean, is <= rel_halfwidth at the given confidence (default
-     *  0.95); the iteration quota stays the upper bound. */
-    std::string converge;
-
-    // ---- execution mode (src/sim/funcmode.cc) ----
-
-    /** Execution mode: "detail" (cycle-accurate out-of-order pipeline)
-     *  or "func" (multi-instruction-per-tick functional interpreter
-     *  that keeps caches, directory state, and branch/RoW predictors
-     *  warm while skipping ROB/LSQ/AQ bookkeeping). Empty = the
-     *  ROWSIM_MODE env var, or detail. Deliberately excluded from
-     *  configFingerprint: checkpoints written by a functional warm-up
-     *  restore into a detail run of the same architectural config. */
-    std::string mode;
+    Cycle statsInterval = 0;         ///< ROWSIM_STATS_INTERVAL
+    std::string checkCategories;     ///< ROWSIM_CHECK
+    Cycle checkInterval = 0;         ///< ROWSIM_CHECK_INTERVAL
+    std::string faultCategories;     ///< ROWSIM_FAULTS
+    std::uint64_t faultSeed = 0;     ///< ROWSIM_FAULTS_SEED
+    unsigned faultRate = 0;          ///< ROWSIM_FAULTS_RATE
+    /** ROWSIM_PROFILE, as a ProfCategory mask (sim/profile.hh). */
+    std::optional<std::uint32_t> profileCategories;
+    std::optional<bool> spans;       ///< ROWSIM_SPANS
+    std::optional<bool> timeseries;  ///< ROWSIM_TS
+    std::optional<ConvergeSpec> converge; ///< ROWSIM_CONVERGE
+    /** ROWSIM_MODE. Deliberately excluded from configFingerprint:
+     *  checkpoints written by a functional warm-up restore into a
+     *  detail run of the same architectural config. */
+    std::optional<ExecMode> mode;
 };
 
 } // namespace rowsim

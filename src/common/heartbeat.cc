@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
@@ -27,27 +26,9 @@ std::atomic<bool> sinkDisarmed{false};
 } // namespace
 
 bool
-Heartbeat::enabled()
+Heartbeat::enabled() const
 {
-    if (sinkDisarmed.load(std::memory_order_relaxed))
-        return false;
-    const char *env = std::getenv("ROWSIM_HEARTBEAT");
-    return env && *env;
-}
-
-std::string
-Heartbeat::path()
-{
-    const char *env = std::getenv("ROWSIM_HEARTBEAT");
-    return (env && *env) ? env : "";
-}
-
-std::uint64_t
-Heartbeat::periodMs()
-{
-    if (const char *env = std::getenv("ROWSIM_HEARTBEAT_MS"); env && *env)
-        return parseEnvU64("ROWSIM_HEARTBEAT_MS", env);
-    return 250;
+    return !path_.empty() && !sinkDisarmed.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -78,11 +59,11 @@ Heartbeat::rssKb()
 }
 
 void
-Heartbeat::emitLine(const std::string &json)
+Heartbeat::emitLine(const std::string &json) const
 {
-    const std::string p = path();
-    if (p.empty() || sinkDisarmed.load(std::memory_order_relaxed))
+    if (!enabled())
         return;
+    const std::string &p = path_;
     const std::string line = json + "\n";
     // One O_APPEND write per event: threads and forked sweep workers
     // sharing the sink interleave whole lines, never fragments.
@@ -103,7 +84,8 @@ Heartbeat::emitLine(const std::string &json)
 
 void
 Heartbeat::emitRun(Cycle cycle, std::uint64_t iters,
-                   std::uint64_t quotaTotal, double kcps, double etaMs)
+                   std::uint64_t quotaTotal, double kcps,
+                   double etaMs) const
 {
     const double frac =
         quotaTotal ? static_cast<double>(iters) /
@@ -126,7 +108,7 @@ Heartbeat::emitRun(Cycle cycle, std::uint64_t iters,
 void
 Heartbeat::emitJob(std::size_t index, const char *state,
                    const std::string &workload, const std::string &config,
-                   unsigned attempt, const char *status)
+                   unsigned attempt, const char *status) const
 {
     std::string j = strprintf(
         "{\"ev\":\"job\",\"wall\":%llu,\"job\":\"j%zu\",\"state\":\"%s\","
@@ -141,7 +123,7 @@ Heartbeat::emitJob(std::size_t index, const char *state,
 
 void
 Heartbeat::emitSweep(const char *state, std::size_t jobs, std::size_t ok,
-                     std::size_t failed, const char *isolation)
+                     std::size_t failed, const char *isolation) const
 {
     std::string j = strprintf(
         "{\"ev\":\"sweep\",\"wall\":%llu,\"state\":\"%s\",\"jobs\":%zu,"

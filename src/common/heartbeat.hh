@@ -31,22 +31,22 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/types.hh"
 
 namespace rowsim
 {
 
+/** The heartbeat sink of one run or sweep (its path comes from the
+ *  run options; an empty path is the sink turned off). */
 class Heartbeat
 {
   public:
-    /** True when ROWSIM_HEARTBEAT names a sink file. */
-    static bool enabled();
-    /** The sink path (empty when disabled). */
-    static std::string path();
-    /** Minimum wall-clock gap between run events in ms
-     *  (ROWSIM_HEARTBEAT_MS, default 250). */
-    static std::uint64_t periodMs();
+    explicit Heartbeat(std::string path = "") : path_(std::move(path)) {}
+
+    /** True when the sink has a path and has not been disarmed. */
+    bool enabled() const;
 
     /** Wall clock in ms since the Unix epoch. */
     static std::uint64_t wallMs();
@@ -56,24 +56,24 @@ class Heartbeat
     /** Append one complete JSON line (the newline is added here) with a
      *  single O_APPEND write. Best-effort: failures warn once and the
      *  sink disarms for the rest of the process. */
-    static void emitLine(const std::string &json);
+    void emitLine(const std::string &json) const;
 
     /** Periodic run-progress event. @p etaMs < 0 means unknown. */
-    static void emitRun(Cycle cycle, std::uint64_t iters,
-                        std::uint64_t quotaTotal, double kcps,
-                        double etaMs);
+    void emitRun(Cycle cycle, std::uint64_t iters,
+                 std::uint64_t quotaTotal, double kcps, double etaMs) const;
 
     /** Sweep-job lifecycle event; @p status may be null (non-terminal
      *  states). */
-    static void emitJob(std::size_t index, const char *state,
-                        const std::string &workload,
-                        const std::string &config, unsigned attempt,
-                        const char *status);
+    void emitJob(std::size_t index, const char *state,
+                 const std::string &workload, const std::string &config,
+                 unsigned attempt, const char *status) const;
 
     /** Sweep start/end event; ok/failed only meaningful at "end". */
-    static void emitSweep(const char *state, std::size_t jobs,
-                          std::size_t ok, std::size_t failed,
-                          const char *isolation);
+    void emitSweep(const char *state, std::size_t jobs, std::size_t ok,
+                   std::size_t failed, const char *isolation) const;
+
+  private:
+    std::string path_;
 };
 
 } // namespace rowsim

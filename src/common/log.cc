@@ -17,12 +17,9 @@ namespace
 std::atomic<LogLevel> &
 levelStorage()
 {
-    // Atomic so sweep workers can warn() while another thread calls
-    // setLogLevel (or is still inside first-use initialisation).
-    static std::atomic<LogLevel> level = [] {
-        const char *env = std::getenv("ROWSIM_LOG_LEVEL");
-        return env && *env ? parseLogLevel(env) : LogLevel::Info;
-    }();
+    // Atomic so sweep workers can warn() while another thread resolves
+    // run options (which sets the level).
+    static std::atomic<LogLevel> level{LogLevel::Info};
     return level;
 }
 

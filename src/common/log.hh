@@ -40,8 +40,8 @@ enum class LogLevel : std::uint8_t
     Info = 2,
 };
 
-/** Current level. Initialised once from ROWSIM_LOG_LEVEL
- *  ("silent"|"warn"|"info"; default info). */
+/** Current level (default info). Every resolution of the run options
+ *  sets it from ROWSIM_LOG_LEVEL ("silent"|"warn"|"info"). */
 LogLevel logLevel();
 void setLogLevel(LogLevel level);
 /** Parse a level name; fatal on unknown names. */

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/types.hh"
 
 namespace rowsim
@@ -130,17 +131,6 @@ class MetricSeries
     std::vector<Cycle> ringCycles_;
     std::vector<double> ringValues_;
     std::size_t ringHead_ = 0;
-};
-
-/** Convergence-bounded-run request (ROWSIM_CONVERGE /
- *  SystemParams::converge). */
-struct ConvergeSpec
-{
-    bool active = false;
-    std::string metric;
-    /** Stop once halfwidth / |mean| <= relHalfwidth. */
-    double relHalfwidth = 0;
-    double confidence = 0.95;
 };
 
 /** Parse "<metric>:<rel_halfwidth>[:<confidence>]"; empty spec returns

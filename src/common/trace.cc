@@ -84,15 +84,6 @@ Trace::~Trace()
     closeAll();
 }
 
-void
-Trace::disableThisThread()
-{
-    envInitDone_ = true;
-    mask_ = 0;
-    sinkMask_ = 0;
-    ringMask_ = 0;
-}
-
 std::string
 suffixJobPath(const std::string &path, const std::string &key)
 {
@@ -117,8 +108,6 @@ Trace::scopeToJob(const std::string &key)
     ringMask_ = 0;
     mask_ = 0;
     jobKey_ = key;
-    envInitDone_ = false;
-    initFromEnv();
 }
 
 const std::string &
@@ -128,35 +117,22 @@ Trace::jobKey()
 }
 
 void
-Trace::initFromEnv()
+Trace::setup(std::uint32_t mask, std::size_t ring,
+             const std::string &text_path, const std::string &json_path)
 {
-    if (envInitDone_)
+    configure(mask);
+    enableRing(ring);
+    if (mask == 0)
         return;
-    envInitDone_ = true;
-
-    Trace &t = instance();
-    if (const char *ring = std::getenv("ROWSIM_TRACE_RING"); ring && *ring)
-        t.enableRing(static_cast<std::size_t>(
-            parseEnvU64("ROWSIM_TRACE_RING", ring)));
-
-    const char *spec = std::getenv("ROWSIM_TRACE");
-    if (!spec || !*spec)
-        return;
-    t.configure(parseTraceCategories(spec));
-    if (sinkMask_ == 0)
-        return;
-
-    if (const char *path = std::getenv("ROWSIM_TRACE_FILE");
-        path && *path) {
-        const std::string p = suffixJobPath(path, jobKey_);
+    if (!text_path.empty() && !textSink_) {
+        const std::string p = suffixJobPath(text_path, jobKey_);
         std::FILE *f = std::fopen(p.c_str(), "w");
         if (!f)
             ROWSIM_FATAL("cannot open trace text file '%s'", p.c_str());
-        t.setTextSink(f, true);
+        setTextSink(f, true);
     }
-    const char *json = std::getenv("ROWSIM_TRACE_JSON");
-    t.openJson(suffixJobPath(json && *json ? json : "rowsim.trace.json",
-                             jobKey_));
+    if (!json_path.empty() && !json_)
+        openJson(suffixJobPath(json_path, jobKey_));
 }
 
 void

@@ -16,7 +16,8 @@
  *
  * Categories are selected with the ROWSIM_TRACE environment variable
  * (comma-separated, e.g. ROWSIM_TRACE=atomic,coherence or "all") or
- * programmatically via SystemParams::traceCategories.
+ * programmatically via SystemParams::traceCategories; every System
+ * applies its resolved run options through Trace::setup().
  */
 
 #ifndef ROWSIM_COMMON_TRACE_HH
@@ -82,32 +83,23 @@ class Trace
     }
 
     /**
-     * One-time initialisation from the environment (ROWSIM_TRACE,
-     * ROWSIM_TRACE_FILE, ROWSIM_TRACE_JSON); idempotent per thread.
-     * System calls this at construction so env-var tracing works for
-     * every bench and example without code changes. When ROWSIM_TRACE
-     * selects categories and ROWSIM_TRACE_JSON is unset, the Chrome
-     * trace defaults to "rowsim.trace.json" in the working directory.
+     * Per-System configuration (System's constructor, from its run
+     * options). The sink mask and the ring are re-applied on every call,
+     * so nothing one System selected leaks into the next on this
+     * thread. With a non-zero @p mask, a text sink file (@p text_path;
+     * empty = stderr) and a Chrome-trace sink (@p json_path; empty =
+     * none) open on first use and stay open for this thread or job
+     * scope, so every System of a process traces into one file; both
+     * paths carry the job key.
      */
-    static void initFromEnv();
-
-    /**
-     * Mark this thread's trace state as initialised-and-off, so a later
-     * initFromEnv() is a no-op. Sweep worker threads call this before
-     * constructing Systems: otherwise every worker would re-read
-     * ROWSIM_TRACE and open (and clobber) the same sink files
-     * concurrently. The main thread's sinks are unaffected — all trace
-     * state is thread-local.
-     */
-    static void disableThisThread();
+    void setup(std::uint32_t mask, std::size_t ring,
+               const std::string &text_path, const std::string &json_path);
 
     /**
      * Scope this thread's trace sinks to one sweep job: close any open
-     * sinks, then re-run env initialisation with @p key as the job key,
-     * so ROWSIM_TRACE_FILE / ROWSIM_TRACE_JSON paths are suffixed (see
-     * suffixJobPath) and concurrent jobs never clobber or interleave
-     * one file. Sweep workers call this per job instead of
-     * disableThisThread().
+     * sinks and take @p key as the job key, so the sinks the job's
+     * Systems open are suffixed (see suffixJobPath) and concurrent jobs
+     * never clobber or interleave one file.
      */
     static void scopeToJob(const std::string &key);
 
@@ -214,8 +206,6 @@ class Trace
     static inline thread_local std::uint32_t sinkMask_ = 0;
     static inline thread_local std::uint32_t ringMask_ = 0;
     static inline thread_local Cycle now_ = 0;
-    /** Per-thread "initFromEnv already ran" latch. */
-    static inline thread_local bool envInitDone_ = false;
     /** This thread's sweep job key ("" on the main thread). */
     static inline thread_local std::string jobKey_;
 

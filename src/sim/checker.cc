@@ -69,33 +69,6 @@ Checker::Checker(System *system, Cycle interval)
 }
 
 void
-Checker::initFromEnv()
-{
-    // Per-thread, like the mask itself: sweep workers re-run the env
-    // parse so ROWSIM_CHECK applies to their Systems too.
-    static thread_local bool done = false;
-    if (done)
-        return;
-    done = true;
-    if (const char *spec = std::getenv("ROWSIM_CHECK"); spec && *spec)
-        configure(parseCheckCategories(spec));
-}
-
-Cycle
-Checker::envInterval()
-{
-    static Cycle interval = [] {
-        if (const char *env = std::getenv("ROWSIM_CHECK_INTERVAL");
-            env && *env) {
-            return static_cast<Cycle>(
-                parseEnvU64("ROWSIM_CHECK_INTERVAL", env));
-        }
-        return static_cast<Cycle>(1024);
-    }();
-    return interval;
-}
-
-void
 Checker::sweep(Cycle now)
 {
     lastSweep_ = now;

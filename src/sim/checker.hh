@@ -80,15 +80,9 @@ class Checker
         return (mask_ & static_cast<std::uint32_t>(c)) != 0;
     }
 
-    /** Programmatic mask control (tests, SystemParams). */
+    /** Mask control (each System applies its run options; tests). */
     static void configure(std::uint32_t mask) { mask_ = mask; }
     static std::uint32_t mask() { return mask_; }
-
-    /** One-time env-var initialisation (ROWSIM_CHECK,
-     *  ROWSIM_CHECK_INTERVAL); idempotent. */
-    static void initFromEnv();
-    /** Sweep interval from ROWSIM_CHECK_INTERVAL (default 1024). */
-    static Cycle envInterval();
 
     /** Called every tick when any category is enabled; runs a sweep
      *  every `interval` cycles. */

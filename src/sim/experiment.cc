@@ -1,18 +1,15 @@
 #include "sim/experiment.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
-
-#include "common/heartbeat.hh"
 
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
+#include "sim/options.hh"
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
 #include "sim/sampling.hh"
@@ -100,26 +97,99 @@ RunResult::toJson() const
     return j;
 }
 
-void
-writeRunReport(const RunResult &r, const std::string &path)
+namespace
 {
-    // Sweep workers report concurrently; serialize so every JSON line
-    // lands intact (append-mode writes interleave at the stdio level).
-    static std::mutex reportMutex;
-    std::lock_guard<std::mutex> lock(reportMutex);
 
-    const std::string line = r.toJson();
+/** Append @p line to @p path ("-" = stdout). Sweep workers write
+ *  concurrently; serialize so every JSON line lands intact
+ *  (append-mode writes interleave at the stdio level). */
+void
+appendLine(const std::string &path, const std::string &line,
+           const char *what)
+{
+    static std::mutex appendMutex;
+    std::lock_guard<std::mutex> lock(appendMutex);
     if (path == "-") {
         std::fprintf(stdout, "%s\n", line.c_str());
         return;
     }
     std::FILE *f = std::fopen(path.c_str(), "a");
     if (!f) {
-        ROWSIM_WARN("cannot open run report file '%s'", path.c_str());
+        ROWSIM_WARN("cannot open %s file '%s'", what, path.c_str());
         return;
     }
     std::fprintf(f, "%s\n", line.c_str());
     std::fclose(f);
+}
+
+} // namespace
+
+void
+writeRunReport(const RunResult &r, const std::string &path)
+{
+    appendLine(path, r.toJson(), "run report");
+}
+
+CounterBaseline
+snapshotCounters(System &sys)
+{
+    CounterBaseline b;
+    b.cycle = sys.now();
+    b.insts = sys.totalInstructions();
+    b.atomics = sys.totalAtomics();
+    b.unlocked = sys.totalCounter("atomicsUnlocked");
+    b.detected = sys.totalCounter("atomicsDetectedContended");
+    b.oracle = sys.totalCounter("atomicsOracleContended");
+    b.forwarded = sys.totalCounter("atomicsForwarded");
+    b.promoted = sys.totalCounter("atomicsPromotedEager");
+    b.forced = sys.totalCounter("forcedUnlocks");
+    b.eager = sys.totalCounter("atomicsIssuedEager");
+    b.lazy = sys.totalCounter("atomicsIssuedLazy");
+    for (CoreId c = 0; c < sys.numCores(); c++) {
+        b.predUpdates +=
+            sys.core(c).predictor().stats().counterValue("updates");
+        b.predCorrect +=
+            sys.core(c).predictor().stats().counterValue("correct");
+    }
+    return b;
+}
+
+void
+collectMetrics(System &sys, const CounterBaseline &base, RunResult &r)
+{
+    const CounterBaseline now = snapshotCounters(sys);
+    r.instructions = now.insts - base.insts;
+    r.atomicsCommitted = now.atomics - base.atomics;
+    r.atomicsPer10k =
+        r.instructions ? 1e4 * static_cast<double>(r.atomicsCommitted) /
+                             static_cast<double>(r.instructions)
+                       : 0.0;
+    r.atomicsUnlocked = now.unlocked - base.unlocked;
+    r.detectedContended = now.detected - base.detected;
+    r.oracleContended = now.oracle - base.oracle;
+    r.contendedPct =
+        r.atomicsUnlocked
+            ? 100.0 * static_cast<double>(r.oracleContended) /
+                  static_cast<double>(r.atomicsUnlocked)
+            : 0.0;
+    r.atomicsForwarded = now.forwarded - base.forwarded;
+    r.atomicsPromoted = now.promoted - base.promoted;
+    r.forcedUnlocks = now.forced - base.forced;
+    r.eagerIssued = now.eager - base.eager;
+    r.lazyIssued = now.lazy - base.lazy;
+
+    r.missLatency = sys.meanCacheAverage("missLatency");
+    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
+    r.issueToLock = sys.meanAverage("atomicIssueToLock");
+    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
+    r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
+    r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
+
+    const std::uint64_t updates = now.predUpdates - base.predUpdates;
+    const std::uint64_t correct = now.predCorrect - base.predCorrect;
+    r.predAccuracy = updates ? 100.0 * static_cast<double>(correct) /
+                                   static_cast<double>(updates)
+                             : 0.0;
 }
 
 ExpConfig
@@ -226,22 +296,6 @@ makeParams(const ExpConfig &cfg, unsigned num_cores, std::uint64_t seed)
     return sp;
 }
 
-bool
-funcModeFor(const SystemParams &params)
-{
-    std::string m = params.mode;
-    if (m.empty()) {
-        if (const char *env = std::getenv("ROWSIM_MODE"); env && *env)
-            m = env;
-    }
-    if (m.empty() || m == "detail")
-        return false;
-    if (m == "func")
-        return true;
-    ROWSIM_FATAL("bad ROWSIM_MODE '%s' (valid: detail, func)", m.c_str());
-    return false;
-}
-
 namespace
 {
 
@@ -276,148 +330,49 @@ mergedPercentiles(System &sys, const char *name, double &p50, double &p90,
     p99 = merged.percentile(0.99);
 }
 
-/** Append a profiled run's record as one JSON line to @p path
- *  ("-" = stdout); same serialization discipline as writeRunReport. */
-void
-writeProfileRecord(const RunResult &r, const std::string &path)
-{
-    static std::mutex profileMutex;
-    std::lock_guard<std::mutex> lock(profileMutex);
-
-    const std::string line = strprintf(
-        "{\"workload\":\"%s\",\"config\":\"%s\",\"cycles\":%llu,"
-        "\"profile\":%s}",
-        r.workload.c_str(), r.config.c_str(),
-        static_cast<unsigned long long>(r.cycles), r.profileJson.c_str());
-    if (path == "-") {
-        std::fprintf(stdout, "%s\n", line.c_str());
-        return;
-    }
-    std::FILE *f = std::fopen(path.c_str(), "a");
-    if (!f) {
-        ROWSIM_WARN("cannot open profile JSON file '%s'", path.c_str());
-        return;
-    }
-    std::fprintf(f, "%s\n", line.c_str());
-    std::fclose(f);
-}
-
-/** Append a span-traced run's record as one JSON line to @p path
- *  ("-" = stdout) — an input format of tools/rowsim_report. */
-void
-writeSpanRecord(const RunResult &r, const std::string &path)
-{
-    static std::mutex spanMutex;
-    std::lock_guard<std::mutex> lock(spanMutex);
-
-    const std::string line = strprintf(
-        "{\"workload\":\"%s\",\"config\":\"%s\",\"cycles\":%llu,"
-        "\"spans\":%s}",
-        r.workload.c_str(), r.config.c_str(),
-        static_cast<unsigned long long>(r.cycles), r.spanJson.c_str());
-    if (path == "-") {
-        std::fprintf(stdout, "%s\n", line.c_str());
-        return;
-    }
-    std::FILE *f = std::fopen(path.c_str(), "a");
-    if (!f) {
-        ROWSIM_WARN("cannot open span JSON file '%s'", path.c_str());
-        return;
-    }
-    std::fprintf(f, "%s\n", line.c_str());
-    std::fclose(f);
-}
-
-/** Checkpoint file name for one (workload, config, run-shape) tuple.
- *  Everything that decides the warmup trajectory is part of the key, so
- *  a stale file can never be restored into the wrong run (and the
- *  config fingerprint embedded in the file backstops the rest). */
+/** One profile / span record line: {"workload","config","cycles",
+ *  "<key>"} — input formats of tools/rowsim_report. */
 std::string
-checkpointPath(const std::string &workload, const std::string &label,
-               unsigned num_cores, std::uint64_t seed, std::uint64_t quota,
-               std::uint64_t warm)
+recordLine(const RunResult &r, const char *key, const std::string &json)
 {
-    const char *dir_env = std::getenv("ROWSIM_CKPT_DIR");
-    const std::string dir =
-        (dir_env && *dir_env) ? dir_env : "rowsim-ckpt";
-    auto sanitize = [](const std::string &in) {
-        std::string out;
-        for (const char ch : in) {
-            out += std::isalnum(static_cast<unsigned char>(ch)) ? ch
-                                                                : '_';
-        }
-        return out;
-    };
-    return dir + "/" + sanitize(workload) + "-" + sanitize(label) +
-           strprintf("-c%u-s%llu-q%llu-w%llu.ckpt", num_cores,
-                     static_cast<unsigned long long>(seed),
-                     static_cast<unsigned long long>(quota),
-                     static_cast<unsigned long long>(warm));
+    return strprintf("{\"workload\":\"%s\",\"config\":\"%s\","
+                     "\"cycles\":%llu,\"%s\":%s}",
+                     r.workload.c_str(), r.config.c_str(),
+                     static_cast<unsigned long long>(r.cycles), key,
+                     json.c_str());
 }
 
 /**
  * sys.run(quota), optionally short-circuited through a warmup
- * checkpoint (ROWSIM_CKPT=save|restore|auto):
- *
- *  - save:    run to the warmup point, write the checkpoint, continue.
- *  - restore: resume from the checkpoint (missing file is fatal).
- *  - auto:    restore when the file exists, else run + save it.
- *
- * ROWSIM_CKPT_AT sets the warmup point in committed iterations per core
- * (default quota/4); ROWSIM_CKPT_DIR the directory (default
- * "rowsim-ckpt"). Because save→restore→run is bit-identical to an
- * uninterrupted run, every downstream metric and stats dump is
- * unaffected — only the wall-clock cost of re-simulating the warmup is.
+ * checkpoint (ROWSIM_CKPT, already cleared by the run rules when it
+ * cannot apply; CkptMode says what each mode does) at the warmup point
+ * ROWSIM_CKPT_AT under ROWSIM_CKPT_DIR. Because save→restore→run is
+ * bit-identical to an uninterrupted run, every downstream metric and
+ * stats dump is unaffected — only the wall-clock cost of re-simulating
+ * the warmup is.
  */
 Cycle
-runMaybeCheckpointed(System &sys, const std::string &workload,
-                     const std::string &label, std::uint64_t quota)
+runMaybeCheckpointed(System &sys, const RunOptions &opts,
+                     const std::string &workload, const std::string &label,
+                     std::uint64_t quota)
 {
-    const char *mode_env = std::getenv("ROWSIM_CKPT");
-    if (!mode_env || !*mode_env)
+    if (opts.ckpt == CkptMode::Off)
         return sys.run(quota);
-    const std::string mode = mode_env;
-    if (mode != "save" && mode != "restore" && mode != "auto") {
-        ROWSIM_FATAL("bad ROWSIM_CKPT '%s' (valid: save, restore, auto)",
-                     mode_env);
-    }
-    if (sys.profiler() && sys.profiler()->active()) {
-        ROWSIM_WARN("ROWSIM_CKPT ignored: the attribution profiler is "
-                    "active and the snapshot format does not carry its "
-                    "state");
-        return sys.run(quota);
-    }
-    if (sys.timeseries() && sys.timeseries()->converge().active) {
-        // A convergence-bounded run can stop before the warmup point,
-        // which would leave a checkpoint that no cold run reproduces;
-        // warmup therefore ignores convergence, and mixing the two
-        // would make the stop cycle depend on ROWSIM_CKPT. Refuse.
-        ROWSIM_WARN("ROWSIM_CKPT ignored: ROWSIM_CONVERGE bounds the "
-                    "run at a data-dependent cycle");
-        return sys.run(quota);
-    }
-
-    std::uint64_t warm = quota / 4;
-    if (const char *at = std::getenv("ROWSIM_CKPT_AT"); at && *at)
-        warm = parseEnvU64("ROWSIM_CKPT_AT", at);
-    if (warm == 0 || warm >= quota) {
-        ROWSIM_WARN("ROWSIM_CKPT ignored: warmup point %llu outside "
-                    "(0, quota %llu)",
-                    static_cast<unsigned long long>(warm),
-                    static_cast<unsigned long long>(quota));
-        return sys.run(quota);
-    }
-
-    const std::string path = checkpointPath(
-        workload, label, sys.numCores(), sys.params().seed, quota, warm);
+    const std::uint64_t warm = opts.warmPoint(quota);
+    const std::string path = checkpointFile(
+        opts.ckptDir, workload, label,
+        strprintf("-c%u-s%llu-q%llu-w%llu.ckpt", sys.numCores(),
+                  static_cast<unsigned long long>(sys.params().seed),
+                  static_cast<unsigned long long>(quota),
+                  static_cast<unsigned long long>(warm)));
 
     bool restored = false;
-    if (mode == "restore" || mode == "auto") {
+    if (opts.ckpt != CkptMode::Save) {
         std::error_code ec;
         if (std::filesystem::exists(path, ec)) {
             sys.restoreCheckpoint(path);
             restored = true;
-        } else if (mode == "restore") {
+        } else if (opts.ckpt == CkptMode::Restore) {
             ROWSIM_FATAL("ROWSIM_CKPT=restore: checkpoint '%s' not "
                          "found (populate it with ROWSIM_CKPT=save or "
                          "auto)",
@@ -448,34 +403,24 @@ runMaybeCheckpointed(System &sys, const std::string &workload,
  *  profile record, span record) — shared by live runs and result-store
  *  hits, so a warm rerun still feeds every figure script. */
 void
-emitRunSinks(const RunResult &r)
+emitRunSinks(const RunResult &r, const RunOptions &opts)
 {
-    // ROWSIM_REPORT=<path>: append a one-line JSON report per run (any
-    // bench or test), "-" for stdout. Lets figure scripts collect every
-    // run without touching the harness call sites.
-    if (const char *report = std::getenv("ROWSIM_REPORT");
-        report && *report) {
-        writeRunReport(r, report);
+    // The run report lets figure scripts collect every run without
+    // touching the harness call sites.
+    if (!opts.report.empty())
+        writeRunReport(r, opts.report);
+    // Inside a sweep worker the record paths carry the job key (like
+    // the trace sinks), so concurrent jobs never interleave one file.
+    auto jobPath = [](const std::string &path) {
+        return path == "-" ? path : suffixJobPath(path, Trace::jobKey());
+    };
+    if (!opts.profileJson.empty() && !r.profileJson.empty()) {
+        appendLine(jobPath(opts.profileJson),
+                   recordLine(r, "profile", r.profileJson), "profile JSON");
     }
-    // ROWSIM_PROFILE_JSON=<path>: append one profiler record per
-    // profiled run ({"workload","config","cycles","profile"}), "-" for
-    // stdout — an input format of tools/rowsim_report. Inside a sweep
-    // worker the path carries the job key (like the trace sinks), so
-    // concurrent jobs never interleave one file.
-    if (const char *pj = std::getenv("ROWSIM_PROFILE_JSON");
-        pj && *pj && !r.profileJson.empty()) {
-        writeProfileRecord(r, std::strcmp(pj, "-") == 0
-                                  ? std::string("-")
-                                  : suffixJobPath(pj, Trace::jobKey()));
-    }
-    // ROWSIM_SPANS_JSON=<path>: append one span record per span-traced
-    // run ({"workload","config","cycles","spans"}), "-" for stdout —
-    // an input format of tools/rowsim_report.
-    if (const char *sj = std::getenv("ROWSIM_SPANS_JSON");
-        sj && *sj && !r.spanJson.empty()) {
-        writeSpanRecord(r, std::strcmp(sj, "-") == 0
-                                ? std::string("-")
-                                : suffixJobPath(sj, Trace::jobKey()));
+    if (!opts.spansJson.empty() && !r.spanJson.empty()) {
+        appendLine(jobPath(opts.spansJson),
+                   recordLine(r, "spans", r.spanJson), "span JSON");
     }
 }
 
@@ -483,89 +428,53 @@ emitRunSinks(const RunResult &r)
 RunResult
 runAndCollect(const std::string &workload, const SystemParams &sp,
               const std::string &label, std::uint64_t quota,
-              bool capture_stats)
+              bool capture_stats, const std::string &store_dir)
 {
     const WorkloadProfile profile = profileFor(workload);
     if (quota == 0)
         quota = defaultQuota(workload);
 
-    // ROWSIM_SAMPLE=<n>:<warm>:<detail>: divert to SMARTS-style
-    // checkpointed sampling — functional warm-up to a checkpoint grid,
-    // short detail windows from each checkpoint (sweep jobs, so they
-    // cache and parallelize individually), batch-means aggregation. The
-    // windows go through the result store themselves; the aggregate
-    // bypasses it.
-    if (const SampleSpec sample = sampleSpecFromEnv(); sample.active) {
-        RunResult r = runSampled(workload, sp, label, quota, sample);
-        emitRunSinks(r);
+    // One resolution serves the whole run: the rules, the sampling
+    // diversion, the store key, the System and the sinks.
+    RunOptions opts = resolveRunOptions(sp, store_dir);
+    applyRunRules(opts, quota);
+
+    // SMARTS-style checkpointed sampling — functional warm-up to a
+    // checkpoint grid, short detail windows from each checkpoint (sweep
+    // jobs, so they cache and parallelize individually), batch-means
+    // aggregation. The windows go through the result store themselves;
+    // the aggregate bypasses it.
+    if (opts.sample.active) {
+        RunResult r = runSampled(workload, sp, opts, label, quota);
+        emitRunSinks(r, opts);
         return r;
     }
 
-    const bool funcMode = funcModeFor(sp);
-
-    // Content-addressed result store (ROWSIM_RESULTS=on): serve a prior
-    // identical run from disk instead of re-simulating. Bypassed when
-    // the caller needs live-System side artifacts a cached RunResult
-    // cannot reproduce (the full-stats sink or any trace sink). The
-    // trace env is normally parsed at System construction, which is
-    // after this decision — force it now so the first run of a traced
-    // process bypasses too instead of serving a hit that emits nothing.
-    Trace::initFromEnv();
-    std::unique_ptr<ResultStore> store = ResultStore::fromEnv();
-    const char *statsSink = std::getenv("ROWSIM_STATS_JSON");
-    // The heartbeat is a live sink like the trace / stats sinks: a
-    // store hit would silently emit no telemetry, so it bypasses too.
-    const bool bypassStore = (statsSink && *statsSink) ||
-                             Trace::anyEnabled() || Heartbeat::enabled();
+    // Content-addressed result store: serve a prior identical run from
+    // disk instead of re-simulating (the run rules already turned it
+    // off for runs with live sinks a cached RunResult cannot replay).
+    std::unique_ptr<ResultStore> store = ResultStore::open(opts);
     ResultKey key{};
-    if (store && !bypassStore) {
-        key = ResultStore::keyFor(sp, workload, label, quota);
+    if (store) {
+        key = ResultStore::keyFor(sp, opts, workload, label, quota);
         RunResult cached;
-        if (store->load(key, cached)) {
-            // An entry written by a no-stats run cannot serve a caller
-            // that wants statsJson — recompute (and upgrade the entry).
-            if (!capture_stats || !cached.statsJson.empty()) {
-                if (!capture_stats)
-                    cached.statsJson.clear();
-                cached.fromCache = true;
-                emitRunSinks(cached);
-                return cached;
-            }
+        if (store->serve(key, capture_stats, cached)) {
+            emitRunSinks(cached, opts);
+            return cached;
         }
     }
 
-    System sys(sp, makeStreams(profile, sp.numCores, sp.seed));
+    System sys(sp, opts, makeStreams(profile, sp.numCores, sp.seed));
 
     RunResult r;
     r.workload = workload;
     r.config = label;
-    // Functional fast mode retires the whole quota architecturally;
-    // the warmup-checkpoint shortcut is pointless there (the func run
-    // IS the fast path) and is ignored.
-    r.cycles = funcMode ? sys.runFunctional(quota)
-                        : runMaybeCheckpointed(sys, workload, label, quota);
+    // Functional fast mode retires the whole quota architecturally.
+    r.cycles = opts.funcMode
+                   ? sys.runFunctional(quota)
+                   : runMaybeCheckpointed(sys, opts, workload, label, quota);
 
-    r.instructions = sys.totalInstructions();
-    r.atomicsCommitted = sys.totalAtomics();
-    r.atomicsPer10k =
-        r.instructions
-            ? 1e4 * static_cast<double>(r.atomicsCommitted) /
-                  static_cast<double>(r.instructions)
-            : 0.0;
-
-    r.atomicsUnlocked = sys.totalCounter("atomicsUnlocked");
-    r.detectedContended = sys.totalCounter("atomicsDetectedContended");
-    r.oracleContended = sys.totalCounter("atomicsOracleContended");
-    r.contendedPct =
-        r.atomicsUnlocked
-            ? 100.0 * static_cast<double>(r.oracleContended) /
-                  static_cast<double>(r.atomicsUnlocked)
-            : 0.0;
-
-    r.missLatency = sys.meanCacheAverage("missLatency");
-    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
-    r.issueToLock = sys.meanAverage("atomicIssueToLock");
-    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
+    collectMetrics(sys, CounterBaseline{}, r);
     mergedPercentiles(sys, "atomicDispatchToIssueHist",
                       r.dispatchToIssueP50, r.dispatchToIssueP90,
                       r.dispatchToIssueP99);
@@ -573,38 +482,11 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
                       r.issueToLockP90, r.issueToLockP99);
     mergedPercentiles(sys, "atomicLockToUnlockHist", r.lockToUnlockP50,
                       r.lockToUnlockP90, r.lockToUnlockP99);
-    r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
-    r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
 
-    std::uint64_t updates = 0, correct = 0;
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        updates += sys.core(c).predictor().stats().counterValue("updates");
-        correct += sys.core(c).predictor().stats().counterValue("correct");
-    }
-    r.predAccuracy = updates ? 100.0 * static_cast<double>(correct) /
-                                   static_cast<double>(updates)
-                             : 0.0;
-
-    r.atomicsForwarded = sys.totalCounter("atomicsForwarded");
-    r.atomicsPromoted = sys.totalCounter("atomicsPromotedEager");
-    r.forcedUnlocks = sys.totalCounter("forcedUnlocks");
-    r.eagerIssued = sys.totalCounter("atomicsIssuedEager");
-    r.lazyIssued = sys.totalCounter("atomicsIssuedLazy");
-
-    if (capture_stats) {
-        // Render the full stats tree into memory while the System is
-        // still alive (sweeps compare these dumps byte-for-byte).
-        char *buf = nullptr;
-        std::size_t len = 0;
-        if (std::FILE *mem = open_memstream(&buf, &len)) {
-            sys.dumpStatsJson(mem);
-            std::fclose(mem);
-            r.statsJson.assign(buf, len);
-            std::free(buf);
-        } else {
-            ROWSIM_WARN("open_memstream failed; statsJson not captured");
-        }
-    }
+    // Render the full stats tree while the System is still alive
+    // (sweeps compare these dumps byte-for-byte).
+    if (capture_stats)
+        r.statsJson = sys.statsJson();
 
     if (const Profiler *prof = sys.profiler(); prof && prof->active())
         r.profileJson = prof->toJson();
@@ -623,21 +505,21 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
 
     // Persist the completed run before emitting sinks: once stored, a
     // rerun with the same key never simulates again.
-    if (store && !bypassStore)
+    if (store)
         store->store(key, r);
 
-    emitRunSinks(r);
-    // ROWSIM_STATS_JSON=<path>: the full stats tree (every group's
-    // counters/averages/formulas + interval series) of the most recent
-    // run, "-" for stdout.
-    if (statsSink && *statsSink) {
-        if (std::string(statsSink) == "-") {
-            sys.dumpStatsJson(stdout);
-        } else if (std::FILE *f = std::fopen(statsSink, "w")) {
+    emitRunSinks(r, opts);
+    // The full stats tree (every group's counters/averages/formulas +
+    // interval series) of the most recent run.
+    if (opts.statsJson == "-") {
+        sys.dumpStatsJson(stdout);
+    } else if (!opts.statsJson.empty()) {
+        if (std::FILE *f = std::fopen(opts.statsJson.c_str(), "w")) {
             sys.dumpStatsJson(f);
             std::fclose(f);
         } else {
-            ROWSIM_WARN("cannot open stats JSON file '%s'", statsSink);
+            ROWSIM_WARN("cannot open stats JSON file '%s'",
+                        opts.statsJson.c_str());
         }
     }
     return r;
@@ -648,10 +530,10 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
 RunResult
 runExperiment(const std::string &workload, const ExpConfig &cfg,
               unsigned num_cores, std::uint64_t quota, std::uint64_t seed,
-              bool capture_stats)
+              bool capture_stats, const std::string &store_dir)
 {
     return runAndCollect(workload, makeParams(cfg, num_cores, seed),
-                         cfg.label, quota, capture_stats);
+                         cfg.label, quota, capture_stats, store_dir);
 }
 
 RunResult
@@ -659,7 +541,7 @@ runExperimentParams(const std::string &workload, const SystemParams &params,
                     const std::string &label, std::uint64_t quota,
                     bool capture_stats)
 {
-    return runAndCollect(workload, params, label, quota, capture_stats);
+    return runAndCollect(workload, params, label, quota, capture_stats, "");
 }
 
 } // namespace rowsim

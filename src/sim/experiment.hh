@@ -9,6 +9,7 @@
 #define ROWSIM_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,22 +30,13 @@ struct ExpConfig
     bool localityPromotion = true;
     Cycle latencyThreshold = 400;
     unsigned predictorEntries = 64;
-    /** Profiler categories for this run ("cpi,lines,row,pcs,check" /
-     *  "all"); empty defers to the ROWSIM_PROFILE environment. */
-    std::string profile;
-    /** Span tracing for this run ("on"/"off" and synonyms); empty
-     *  defers to the ROWSIM_SPANS environment. */
-    std::string spans;
-    /** Metric time-series engine ("on"/"off" and synonyms); empty
-     *  defers to the ROWSIM_TS environment. */
-    std::string timeseries;
-    /** Convergence-bounded run spec
-     *  ("<metric>:<rel_halfwidth>[:<confidence>]"); empty defers to the
-     *  ROWSIM_CONVERGE environment. Implies the time-series engine. */
-    std::string converge;
-    /** Execution mode ("detail"/"func"); empty defers to the
-     *  ROWSIM_MODE environment. */
-    std::string mode;
+    // Run options; copied into the SystemParams fields of the same
+    // names (see there and sim/options.hh).
+    std::optional<std::uint32_t> profile; ///< ProfCategory mask
+    std::optional<bool> spans;
+    std::optional<bool> timeseries;
+    std::optional<ConvergeSpec> converge;
+    std::optional<ExecMode> mode;
 };
 
 /** Outcome of one run. Anything but Ok means the metric fields are
@@ -127,17 +119,16 @@ struct RunResult
     std::string statsJson;
 
     /** Profiler::toJson() of the run, captured whenever the run was
-     *  profiled (ROWSIM_PROFILE / ExpConfig::profile); empty otherwise. */
+     *  profiled; empty otherwise. */
     std::string profileJson;
 
     /** SpanTracker::toJson() of the run, captured whenever span tracing
-     *  was on (ROWSIM_SPANS / ExpConfig::spans); empty otherwise. */
+     *  was on; empty otherwise. */
     std::string spanJson;
 
     /** TimeSeriesEngine::toJson() of the run — per-metric series,
      *  online statistics, and batch-means CIs — captured whenever the
-     *  engine was on (ROWSIM_TS / ROWSIM_CONVERGE / ExpConfig); empty
-     *  otherwise. */
+     *  engine was on; empty otherwise. */
     std::string tsJson;
 
     /** Sampled-run summary (SMARTS-style checkpointed sampling,
@@ -167,6 +158,26 @@ struct RunResult
     std::string toJson() const;
 };
 
+class System;
+
+/** Additive counters of a System at one point, so a measured segment
+ *  reports deltas; the default baseline measures the whole run. */
+struct CounterBaseline
+{
+    Cycle cycle = 0;
+    std::uint64_t insts = 0, atomics = 0;
+    std::uint64_t unlocked = 0, detected = 0, oracle = 0;
+    std::uint64_t forwarded = 0, promoted = 0, forced = 0;
+    std::uint64_t eager = 0, lazy = 0;
+    std::uint64_t predUpdates = 0, predCorrect = 0;
+};
+
+CounterBaseline snapshotCounters(System &sys);
+
+/** Fill @p r's counters (deltas over @p base), the rates derived from
+ *  them, and the latency means (read whole) from @p sys. */
+void collectMetrics(System &sys, const CounterBaseline &base, RunResult &r);
+
 /** Append @p r as one JSON line to @p path ("-" = stdout). */
 void writeRunReport(const RunResult &r, const std::string &path);
 
@@ -183,21 +194,17 @@ std::vector<ExpConfig> fig9Configs();
  * Run @p workload under @p cfg.
  * @param quota per-core iterations (0: the workload's default)
  * @param capture_stats fill RunResult::statsJson with the full stats tree
+ * @param store_dir non-empty: serve from / persist to the result store
+ *        rooted there, whatever ROWSIM_RESULTS says (sweeps)
  */
 RunResult runExperiment(const std::string &workload, const ExpConfig &cfg,
                         unsigned num_cores = 32, std::uint64_t quota = 0,
-                        std::uint64_t seed = 1, bool capture_stats = false);
+                        std::uint64_t seed = 1, bool capture_stats = false,
+                        const std::string &store_dir = "");
 
 /** Build the SystemParams for a config (exposed for tests). */
 SystemParams makeParams(const ExpConfig &cfg, unsigned num_cores,
                         std::uint64_t seed);
-
-/** Resolve the execution mode for @p params — SystemParams::mode when
- *  set, else the ROWSIM_MODE environment, else detail. True means the
- *  functional fast-mode interpreter; anything but "detail"/"func" is a
- *  user error (fatal). Shared by the run path and the result-store key
- *  (the two must never disagree on what a key means). */
-bool funcModeFor(const SystemParams &params);
 
 /**
  * Run @p workload with explicit SystemParams — the entry point for

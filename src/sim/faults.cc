@@ -1,10 +1,8 @@
 #include "sim/faults.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "sim/snapshot.hh"
@@ -64,43 +62,6 @@ parseFaultCategories(const std::string &spec)
                          tok.c_str());
     }
     return mask;
-}
-
-FaultSetup
-resolveFaultSetup(const SystemParams &params)
-{
-    // Precedence mirrors the other gates: explicit params override the
-    // environment; the seed falls back to a splitmix of the system seed
-    // so fault schedules stay replayable without any env var set.
-    FaultSetup f;
-    if (!params.faultCategories.empty()) {
-        f.mask = parseFaultCategories(params.faultCategories);
-    } else if (const char *env = std::getenv("ROWSIM_FAULTS");
-               env && *env) {
-        f.mask = parseFaultCategories(env);
-    }
-    if (!f.mask)
-        return f;
-    f.seed = params.faultSeed;
-    if (f.seed == 0) {
-        if (const char *env = std::getenv("ROWSIM_FAULTS_SEED");
-            env && *env) {
-            f.seed = parseEnvU64("ROWSIM_FAULTS_SEED", env);
-        }
-    }
-    if (f.seed == 0)
-        f.seed = params.seed * 0x9e3779b97f4a7c15ULL + 1;
-    std::uint64_t rate = params.faultRate;
-    if (rate == 0) {
-        if (const char *env = std::getenv("ROWSIM_FAULTS_RATE");
-            env && *env) {
-            rate = parseEnvU64("ROWSIM_FAULTS_RATE", env);
-        }
-    }
-    if (rate == 0)
-        rate = 50;
-    f.rate = static_cast<unsigned>(rate);
-    return f;
 }
 
 FaultInjector::FaultInjector(System *system, std::uint32_t mask,

@@ -30,7 +30,6 @@ namespace rowsim
 class System;
 class Ser;
 class Deser;
-struct SystemParams;
 
 /** One bit per fault family; combined into the injection mask. */
 enum class FaultCategory : std::uint32_t
@@ -51,24 +50,14 @@ const char *faultCategoryName(FaultCategory c);
  */
 std::uint32_t parseFaultCategories(const std::string &spec);
 
-/** The fully-resolved fault-injection setup a System would run with:
- *  params override environment, seed defaults derive from the system
- *  seed, rate defaults to 50 per 10k. mask == 0 means no injector. */
+/** The resolved fault-injection setup of a run (sim/options.hh):
+ *  mask == 0 means no injector. */
 struct FaultSetup
 {
     std::uint32_t mask = 0;
     std::uint64_t seed = 0;
     unsigned rate = 0;
 };
-
-/**
- * Resolve @p params + the ROWSIM_FAULTS{,_SEED,_RATE} environment into
- * the exact FaultSetup `System`'s constructor would build an injector
- * from. Shared by System::setupSelfChecking and the standalone
- * configFingerprint(), so a fingerprint computed without a System can
- * never drift from one computed by it.
- */
-FaultSetup resolveFaultSetup(const SystemParams &params);
 
 /**
  * The injector. One per System; wired into Network::setDelayHook for the

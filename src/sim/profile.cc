@@ -81,18 +81,6 @@ parseProfileCategories(const std::string &spec)
     return mask;
 }
 
-std::uint32_t
-Profiler::envMask()
-{
-    // The environment cannot change mid-process; parse once, share
-    // across worker threads (function-local static is thread-safe).
-    static const std::uint32_t mask = [] {
-        const char *spec = std::getenv("ROWSIM_PROFILE");
-        return spec ? parseProfileCategories(spec) : 0u;
-    }();
-    return mask;
-}
-
 Profiler::Profiler(unsigned num_cores, unsigned commit_width)
     : numCores_(num_cores), commitWidth_(commit_width),
       activeMask_(mask_), cpi_(num_cores)
@@ -139,23 +127,6 @@ Profiler::rowTotals() const
 
 namespace
 {
-
-std::uint64_t
-topK()
-{
-    static const std::uint64_t k = [] {
-        const char *s = std::getenv("ROWSIM_PROFILE_TOPK");
-        if (!s || !*s)
-            return std::uint64_t{16};
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (!end || *end != '\0' || v == 0)
-            ROWSIM_FATAL("ROWSIM_PROFILE_TOPK: malformed value '%s' "
-                         "(expected a positive decimal number)", s);
-        return static_cast<std::uint64_t>(v);
-    }();
-    return k;
-}
 
 unsigned
 popcount64(std::uint64_t v)
@@ -212,7 +183,7 @@ Profiler::toJson() const
                                  b.second->holdCycles;
                       return a.first < b.first; // deterministic ties
                   });
-        const std::uint64_t k = topKOverride_ ? topKOverride_ : topK();
+        const std::uint64_t k = topK_;
         if (sorted.size() > k)
             sorted.resize(k);
         out += strprintf(",\"linesTracked\":%zu,\"lines\":[",

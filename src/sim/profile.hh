@@ -64,6 +64,13 @@ enum class ProfCategory : std::uint32_t
 
 constexpr std::uint32_t profCategoryAll = (1u << 5) - 1;
 
+/** The mask bit of @p c. */
+constexpr std::uint32_t
+profMask(ProfCategory c)
+{
+    return static_cast<std::uint32_t>(c);
+}
+
 const char *profCategoryName(ProfCategory c);
 
 /**
@@ -113,12 +120,15 @@ class Profiler
         return (mask_ & static_cast<std::uint32_t>(c)) != 0;
     }
 
-    /** Programmatic mask control (tests, SystemParams). */
-    static void configure(std::uint32_t mask) { mask_ = mask; }
+    /** Mask and top-K control (each System applies its run options;
+     *  tests). */
+    static void
+    configure(std::uint32_t mask, std::uint64_t top_k = kDefaultTopK)
+    {
+        mask_ = mask;
+        topK_ = top_k;
+    }
     static std::uint32_t mask() { return mask_; }
-
-    /** Mask from ROWSIM_PROFILE ("" => 0); parsed once per process. */
-    static std::uint32_t envMask();
 
     /** Mask captured at construction: what this instance collected. */
     std::uint32_t activeMask() const { return activeMask_; }
@@ -267,11 +277,12 @@ class Profiler
     const std::unordered_map<Addr, PcProf> &pcs() const { return pcs_; }
 
     /** Single-line JSON of everything collected (top-K lines by
-     *  holdCycles; K from ROWSIM_PROFILE_TOPK, default 16). */
+     *  holdCycles; K from ROWSIM_PROFILE_TOPK). */
     std::string toJson() const;
 
-    /** Top-K override hook (tests); 0 restores the env/default value. */
-    static void setTopK(std::uint64_t k) { topKOverride_ = k; }
+    static constexpr std::uint64_t kDefaultTopK = 16;
+    /** Top-K hook (tests); 0 restores the default. */
+    static void setTopK(std::uint64_t k) { topK_ = k ? k : kDefaultTopK; }
 
   private:
     unsigned numCores_;
@@ -286,7 +297,7 @@ class Profiler
     // Thread-local like the trace/check masks: each sweep worker gates
     // independently; setupProfiling resets it per System construction.
     static inline thread_local std::uint32_t mask_ = 0;
-    static inline std::uint64_t topKOverride_ = 0;
+    static inline thread_local std::uint64_t topK_ = kDefaultTopK;
 };
 
 } // namespace rowsim

@@ -1,17 +1,14 @@
 #include "sim/resultstore.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/config.hh"
 #include "common/io.hh"
 #include "common/log.hh"
 #include "common/sha256.hh"
-#include "common/timeseries.hh"
-#include "sim/profile.hh"
+#include "sim/options.hh"
 #include "sim/snapshot.hh"
-#include "sim/span.hh"
 
 namespace rowsim
 {
@@ -144,97 +141,59 @@ decodeResult(const std::vector<std::uint8_t> &payload)
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {}
 
 std::unique_ptr<ResultStore>
-ResultStore::fromEnv()
+ResultStore::open(const RunOptions &opts)
 {
-    const char *env = std::getenv("ROWSIM_RESULTS");
-    if (!env || !*env)
+    if (!opts.results)
         return nullptr;
-    const std::string v = env;
-    if (v == "off" || v == "0" || v == "no" || v == "false")
-        return nullptr;
-    if (v != "on" && v != "1" && v != "yes" && v != "true") {
-        ROWSIM_FATAL("bad ROWSIM_RESULTS '%s' (valid: on, off; directory "
-                     "via ROWSIM_RESULTS_DIR)",
-                     env);
-    }
-    const char *dir = std::getenv("ROWSIM_RESULTS_DIR");
-    return std::make_unique<ResultStore>(
-        (dir && *dir) ? dir : "rowsim-results");
+    return std::make_unique<ResultStore>(opts.resultsDir);
+}
+
+ResultKey
+ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
+                    const std::string &workload, const std::string &label,
+                    std::uint64_t quota)
+{
+    // The fingerprint covers everything that changes the simulated
+    // trajectory (architecture, seed, faults). On top of that, the key
+    // carries the knobs that change what a RunResult *contains* without
+    // changing the simulation — the profiler mask (pcs fills the
+    // percentile fields), the span gate (spanJson), the interval-stats
+    // period as requested (statsJson interval series), the time-series
+    // engine and its window (tsJson) — and the two that change the
+    // results themselves: the convergence spec (the run stops at the
+    // convergence cycle) and the execution mode, which is deliberately
+    // outside the fingerprint (checkpoints interchange between modes).
+    const ConvergeSpec &conv = opts.converge;
+    Ser s;
+    s.section("rowres-key");
+    s.u32(resultSchemaVersion);
+    s.u64(configFingerprint(params, opts.faults.mask, opts.faults.seed,
+                            opts.faults.rate));
+    s.str(workload);
+    s.str(label);
+    s.u64(quota);
+    s.u32(opts.profileMask);
+    s.b(opts.spans);
+    s.u64(opts.statsInterval);
+    s.b(opts.timeseries);
+    s.u64(opts.timeseries ? opts.tsWindow : 0);
+    s.b(conv.active);
+    s.str(conv.metric);
+    s.f64(conv.relHalfwidth);
+    s.f64(conv.confidence);
+    s.str(opts.funcMode ? "func" : "detail");
+
+    Sha256 h;
+    h.update(s.bytes().data(), s.bytes().size());
+    return h.digest();
 }
 
 ResultKey
 ResultStore::keyFor(const SystemParams &params, const std::string &workload,
                     const std::string &label, std::uint64_t quota)
 {
-    // The fingerprint covers everything that changes the simulated
-    // trajectory (architecture, seed, faults). On top of that, the key
-    // carries the knobs that change what a RunResult *contains* without
-    // changing the simulation: the profiler mask (pcs fills the
-    // percentile fields), the span gate (spanJson), and the
-    // interval-stats period (statsJson interval series). Resolution
-    // mirrors System::setupObservability: params override environment.
-    const std::uint32_t profMask =
-        params.profileCategories.empty()
-            ? Profiler::envMask()
-            : parseProfileCategories(params.profileCategories);
-    const bool spansOn = params.spans.empty()
-                             ? SpanTracker::envEnabled()
-                             : parseSpanSpec(params.spans);
-    std::uint64_t interval = params.statsInterval;
-    if (interval == 0) {
-        if (const char *env = std::getenv("ROWSIM_STATS_INTERVAL");
-            env && *env) {
-            interval = parseEnvU64("ROWSIM_STATS_INTERVAL", env);
-        }
-    }
-    // Time-series / convergence resolution, mirroring
-    // System::setupObservability. The convergence spec is special among
-    // observability knobs: it changes the *results* (the run stops at
-    // the convergence cycle), so it must key the store; the engine
-    // enable and window change what the RunResult contains (tsJson).
-    std::string convSpec = params.converge;
-    if (convSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_CONVERGE"); env && *env)
-            convSpec = env;
-    }
-    const ConvergeSpec conv = parseConvergeSpec("ROWSIM_CONVERGE",
-                                                convSpec);
-    std::string tsSpec = params.timeseries;
-    if (tsSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_TS"); env && *env)
-            tsSpec = env;
-    }
-    const bool tsOn =
-        conv.active ||
-        (!tsSpec.empty() && parseOnOffSpec("ROWSIM_TS", tsSpec));
-    std::uint64_t tsWindow = TimeSeriesEngine::kDefaultWindow;
-    if (const char *env = std::getenv("ROWSIM_TS_WINDOW"); env && *env)
-        tsWindow = parseEnvU64("ROWSIM_TS_WINDOW", env);
-
-    Ser s;
-    s.section("rowres-key");
-    s.u32(resultSchemaVersion);
-    s.u64(configFingerprint(params));
-    s.str(workload);
-    s.str(label);
-    s.u64(quota);
-    s.u32(profMask);
-    s.b(spansOn);
-    s.u64(interval);
-    s.b(tsOn);
-    s.u64(tsOn ? tsWindow : 0);
-    s.b(conv.active);
-    s.str(conv.metric);
-    s.f64(conv.relHalfwidth);
-    s.f64(conv.confidence);
-    // The execution mode is deliberately outside the fingerprint (so
-    // checkpoints interchange between modes) but changes every metric
-    // a run produces — it must key the store.
-    s.str(funcModeFor(params) ? "func" : "detail");
-
-    Sha256 h;
-    h.update(s.bytes().data(), s.bytes().size());
-    return h.digest();
+    return keyFor(params, resolveRunOptions(params), workload, label,
+                  quota);
 }
 
 std::string
@@ -343,6 +302,19 @@ ResultStore::load(const ResultKey &key, RunResult &out)
         return false;
     }
     hits_++;
+    return true;
+}
+
+bool
+ResultStore::serve(const ResultKey &key, bool need_stats, RunResult &out)
+{
+    RunResult cached;
+    if (!load(key, cached) || (need_stats && cached.statsJson.empty()))
+        return false;
+    if (!need_stats)
+        cached.statsJson.clear();
+    cached.fromCache = true;
+    out = std::move(cached);
     return true;
 }
 

@@ -22,7 +22,7 @@
  *
  * Enabled via ROWSIM_RESULTS=on (directory: ROWSIM_RESULTS_DIR,
  * default "rowsim-results"); the experiment layer consults it in
- * runExperiment / runExperimentParams (see ResultStore::fromEnv).
+ * runExperiment / runExperimentParams (see ResultStore::open).
  */
 
 #ifndef ROWSIM_SIM_RESULTSTORE_HH
@@ -39,6 +39,7 @@
 namespace rowsim
 {
 
+struct RunOptions;
 struct SystemParams;
 
 /** Version of the serialized RunResult payload. Bumped on any layout
@@ -68,21 +69,24 @@ class ResultStore
     /** Store rooted at @p dir (created lazily on first write). */
     explicit ResultStore(std::string dir);
 
-    /**
-     * The store the environment asks for: nullptr unless
-     * ROWSIM_RESULTS is on (on/1/yes/true; off/0/no/false/unset
-     * disable; anything else is a user error). ROWSIM_RESULTS_DIR
-     * overrides the default "rowsim-results" directory.
-     */
-    static std::unique_ptr<ResultStore> fromEnv();
+    /** The store run options ask for: nullptr unless their result
+     *  store is on. */
+    static std::unique_ptr<ResultStore> open(const RunOptions &opts);
 
     /**
-     * Key for one (params, workload, label, quota) run. Includes the
-     * config fingerprint (resolved exactly as a live System would —
-     * fault env vars and all), the result-schema version, and the
-     * effective profiler / span / interval-stats settings, since those
-     * change which RunResult fields are populated.
+     * Key for one (params, workload, label, quota) run with the
+     * resolved @p opts the run uses. Serialises the config fingerprint
+     * (with the resolved fault setup), the result-schema version, and
+     * the options that change what the RunResult contains or when the
+     * run stops: profiler mask, span gate, requested interval-stats
+     * period, time-series engine and window, convergence spec, and
+     * execution mode.
      */
+    static ResultKey keyFor(const SystemParams &params,
+                            const RunOptions &opts,
+                            const std::string &workload,
+                            const std::string &label, std::uint64_t quota);
+    /** keyFor() with the options @p params resolve to now. */
     static ResultKey keyFor(const SystemParams &params,
                             const std::string &workload,
                             const std::string &label, std::uint64_t quota);
@@ -100,6 +104,15 @@ class ResultStore
      * `<entry>.quarantined` and reported as a miss. Never throws.
      */
     bool load(const ResultKey &key, RunResult &out);
+
+    /**
+     * load() for a run that does (@p need_stats) or does not want
+     * statsJson. An entry written by a no-stats run cannot serve the
+     * former (a miss: the caller recomputes and upgrades the entry);
+     * the latter gets statsJson dropped. A served result is marked
+     * fromCache.
+     */
+    bool serve(const ResultKey &key, bool need_stats, RunResult &out);
 
     /**
      * Persist @p r under @p key (atomic write; concurrent writers on

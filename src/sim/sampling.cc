@@ -1,19 +1,16 @@
 #include "sim/sampling.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 
-#include "common/heartbeat.hh"
 #include "common/log.hh"
 #include "common/timeseries.hh"
-#include "common/trace.hh"
-#include "sim/profile.hh"
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
+#include "sim/snapshot.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -54,14 +51,6 @@ parseSampleSpec(const char *name, const std::string &spec)
     return s;
 }
 
-SampleSpec
-sampleSpecFromEnv()
-{
-    if (const char *env = std::getenv("ROWSIM_SAMPLE"); env && *env)
-        return parseSampleSpec("ROWSIM_SAMPLE", env);
-    return {};
-}
-
 std::vector<std::uint64_t>
 sampleGrid(std::uint64_t quota, unsigned n)
 {
@@ -73,66 +62,6 @@ sampleGrid(std::uint64_t quota, unsigned n)
 
 namespace
 {
-
-/** Additive counters snapshotted before the measured segment so the
- *  window reports deltas (the detail warm-up and — for the instruction
- *  counters — the functional prefix are both excluded). */
-struct CounterBaseline
-{
-    Cycle cycle = 0;
-    std::uint64_t insts = 0, atomics = 0;
-    std::uint64_t unlocked = 0, detected = 0, oracle = 0;
-    std::uint64_t forwarded = 0, promoted = 0, forced = 0;
-    std::uint64_t eager = 0, lazy = 0;
-    std::uint64_t predUpdates = 0, predCorrect = 0;
-};
-
-CounterBaseline
-snapshotCounters(System &sys)
-{
-    CounterBaseline b;
-    b.cycle = sys.now();
-    b.insts = sys.totalInstructions();
-    b.atomics = sys.totalAtomics();
-    b.unlocked = sys.totalCounter("atomicsUnlocked");
-    b.detected = sys.totalCounter("atomicsDetectedContended");
-    b.oracle = sys.totalCounter("atomicsOracleContended");
-    b.forwarded = sys.totalCounter("atomicsForwarded");
-    b.promoted = sys.totalCounter("atomicsPromotedEager");
-    b.forced = sys.totalCounter("forcedUnlocks");
-    b.eager = sys.totalCounter("atomicsIssuedEager");
-    b.lazy = sys.totalCounter("atomicsIssuedLazy");
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        b.predUpdates +=
-            sys.core(c).predictor().stats().counterValue("updates");
-        b.predCorrect +=
-            sys.core(c).predictor().stats().counterValue("correct");
-    }
-    return b;
-}
-
-/** Same filename discipline as the warmup-checkpoint path in
- *  experiment.cc: everything deciding the func-warm trajectory is in
- *  the name, the embedded config fingerprint backstops the rest. */
-std::string
-sampleCkptPath(const std::string &workload, const std::string &label,
-               unsigned num_cores, std::uint64_t seed,
-               std::uint64_t quota, unsigned n_ckpts, unsigned k)
-{
-    const char *dir_env = std::getenv("ROWSIM_CKPT_DIR");
-    const std::string dir = (dir_env && *dir_env) ? dir_env : "rowsim-ckpt";
-    auto sanitize = [](const std::string &in) {
-        std::string out;
-        for (const char ch : in) {
-            out += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
-        }
-        return out;
-    };
-    return dir + "/" + sanitize(workload) + "-" + sanitize(label) +
-           strprintf("-c%u-s%llu-q%llu-n%u-k%u.fckpt", num_cores,
-                     static_cast<unsigned long long>(seed),
-                     static_cast<unsigned long long>(quota), n_ckpts, k);
-}
 
 /** Window reporting label; also the store key's label component, so it
  *  encodes everything of the sampling layout the window depends on. */
@@ -248,67 +177,33 @@ constexpr MetricDef kSampledMetrics[] = {
      [](RunResult &r, double v) { r.predAccuracy = v; }, false},
 };
 
-/** Refuse observability setups the checkpoint format cannot carry /
- *  the sampling layout would distort. Resolution mirrors
- *  System::setupObservability (params override environment). */
-void
-checkSamplingCompatible(const SystemParams &params)
-{
-    const std::uint32_t profMask =
-        params.profileCategories.empty()
-            ? Profiler::envMask()
-            : parseProfileCategories(params.profileCategories);
-    if (profMask) {
-        ROWSIM_FATAL("ROWSIM_SAMPLE is incompatible with the attribution "
-                     "profiler (checkpoints do not carry its state); "
-                     "disable ROWSIM_PROFILE");
-    }
-    std::string convSpec = params.converge;
-    if (convSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_CONVERGE"); env && *env)
-            convSpec = env;
-    }
-    if (parseConvergeSpec("ROWSIM_CONVERGE", convSpec).active) {
-        ROWSIM_FATAL("ROWSIM_SAMPLE is incompatible with "
-                     "ROWSIM_CONVERGE (the stop cycle would depend on "
-                     "the sampling layout)");
-    }
-}
-
 } // namespace
 
 RunResult
-runDetailWindow(const SweepJob &job)
+runDetailWindow(const SweepJob &job, const std::string &storeDir)
 {
     SystemParams sp = job.windowParams;
-    sp.mode = "detail";
+    sp.mode = ExecMode::Detail;
     const std::uint64_t stop =
         job.windowStartIters + job.windowWarmIters + job.windowIters;
 
     // Windows are first-class store citizens: a sampled rerun with the
-    // same layout restores, at most, nothing. Same live-sink bypass
-    // rules as runAndCollect (a cached window emits no telemetry).
-    Trace::initFromEnv();
-    std::unique_ptr<ResultStore> store = ResultStore::fromEnv();
-    const char *statsSink = std::getenv("ROWSIM_STATS_JSON");
-    const bool bypassStore = (statsSink && *statsSink) ||
-                             Trace::anyEnabled() || Heartbeat::enabled();
+    // same layout restores, at most, nothing. Same rules as
+    // runAndCollect (a cached window emits no telemetry).
+    RunOptions opts = resolveRunOptions(sp, storeDir);
+    applyRunRules(opts, stop);
+    std::unique_ptr<ResultStore> store = ResultStore::open(opts);
     ResultKey key{};
-    if (store && !bypassStore) {
-        key = ResultStore::keyFor(sp, job.workload, job.cfg.label, stop);
+    if (store) {
+        key = ResultStore::keyFor(sp, opts, job.workload, job.cfg.label,
+                                  stop);
         RunResult cached;
-        if (store->load(key, cached)) {
-            if (!job.captureStatsJson || !cached.statsJson.empty()) {
-                if (!job.captureStatsJson)
-                    cached.statsJson.clear();
-                cached.fromCache = true;
-                return cached;
-            }
-        }
+        if (store->serve(key, job.captureStatsJson, cached))
+            return cached;
     }
 
     const WorkloadProfile profile = profileFor(job.workload);
-    System sys(sp, makeStreams(profile, sp.numCores, sp.seed));
+    System sys(sp, opts, makeStreams(profile, sp.numCores, sp.seed));
     sys.restoreCheckpoint(job.ckptPath);
     if (job.windowWarmIters)
         sys.runWarmup(stop, job.windowStartIters + job.windowWarmIters);
@@ -320,77 +215,27 @@ runDetailWindow(const SweepJob &job)
     r.workload = job.workload;
     r.config = job.cfg.label;
     r.cycles = end - base.cycle;
-    r.instructions = sys.totalInstructions() - base.insts;
-    r.atomicsCommitted = sys.totalAtomics() - base.atomics;
-    r.atomicsPer10k =
-        r.instructions ? 1e4 * static_cast<double>(r.atomicsCommitted) /
-                             static_cast<double>(r.instructions)
-                       : 0.0;
-    r.atomicsUnlocked = sys.totalCounter("atomicsUnlocked") - base.unlocked;
-    r.detectedContended =
-        sys.totalCounter("atomicsDetectedContended") - base.detected;
-    r.oracleContended =
-        sys.totalCounter("atomicsOracleContended") - base.oracle;
-    r.contendedPct =
-        r.atomicsUnlocked
-            ? 100.0 * static_cast<double>(r.oracleContended) /
-                  static_cast<double>(r.atomicsUnlocked)
-            : 0.0;
-    r.atomicsForwarded =
-        sys.totalCounter("atomicsForwarded") - base.forwarded;
-    r.atomicsPromoted =
-        sys.totalCounter("atomicsPromotedEager") - base.promoted;
-    r.forcedUnlocks = sys.totalCounter("forcedUnlocks") - base.forced;
-    r.eagerIssued = sys.totalCounter("atomicsIssuedEager") - base.eager;
-    r.lazyIssued = sys.totalCounter("atomicsIssuedLazy") - base.lazy;
-
     // Latency means are read whole: the timing stats were empty at the
     // func-written checkpoint, so they cover exactly this window's
     // detail-warm + measured segment (see the header contract).
-    r.missLatency = sys.meanCacheAverage("missLatency");
-    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
-    r.issueToLock = sys.meanAverage("atomicIssueToLock");
-    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
-    r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
-    r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
+    collectMetrics(sys, base, r);
 
-    std::uint64_t updates = 0, correct = 0;
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        updates += sys.core(c).predictor().stats().counterValue("updates");
-        correct += sys.core(c).predictor().stats().counterValue("correct");
-    }
-    updates -= base.predUpdates;
-    correct -= base.predCorrect;
-    r.predAccuracy = updates ? 100.0 * static_cast<double>(correct) /
-                                   static_cast<double>(updates)
-                             : 0.0;
+    if (job.captureStatsJson)
+        r.statsJson = sys.statsJson();
 
-    if (job.captureStatsJson) {
-        char *buf = nullptr;
-        std::size_t len = 0;
-        if (std::FILE *mem = open_memstream(&buf, &len)) {
-            sys.dumpStatsJson(mem);
-            std::fclose(mem);
-            r.statsJson.assign(buf, len);
-            std::free(buf);
-        } else {
-            ROWSIM_WARN("open_memstream failed; statsJson not captured");
-        }
-    }
-
-    if (store && !bypassStore)
+    if (store)
         store->store(key, r);
     return r;
 }
 
 RunResult
 runSampled(const std::string &workload, const SystemParams &params,
-           const std::string &label, std::uint64_t quota,
-           const SampleSpec &spec)
+           const RunOptions &opts, const std::string &label,
+           std::uint64_t quota)
 {
+    const SampleSpec &spec = opts.sample;
     ROWSIM_ASSERT(spec.active && quota > 0,
                   "runSampled needs an active spec and a resolved quota");
-    checkSamplingCompatible(params);
 
     const unsigned n = spec.checkpoints;
     const std::vector<std::uint64_t> grid = sampleGrid(quota, n);
@@ -402,17 +247,19 @@ runSampled(const std::string &workload, const SystemParams &params,
     std::vector<std::string> paths(n);
     bool allExist = true;
     for (unsigned k = 0; k < n; k++) {
-        paths[k] = sampleCkptPath(workload, label, params.numCores,
-                                  params.seed, quota, n, k);
+        paths[k] = checkpointFile(
+            opts.ckptDir, workload, label,
+            strprintf("-c%u-s%llu-q%llu-n%u-k%u.fckpt", params.numCores,
+                      static_cast<unsigned long long>(params.seed),
+                      static_cast<unsigned long long>(quota), n, k));
         std::error_code ec;
         if (!std::filesystem::exists(paths[k], ec))
             allExist = false;
     }
     if (!allExist) {
-        SystemParams fp = params;
-        fp.mode = "func";
         const WorkloadProfile profile = profileFor(workload);
-        System sys(fp, makeStreams(profile, fp.numCores, fp.seed));
+        System sys(params, opts,
+                   makeStreams(profile, params.numCores, params.seed));
         std::error_code ec;
         std::filesystem::create_directories(
             std::filesystem::path(paths[0]).parent_path(), ec);
@@ -424,7 +271,7 @@ runSampled(const std::string &workload, const SystemParams &params,
     }
 
     // Phase 2: the measurement windows, as ordinary sweep jobs under
-    // the environment's isolation / retry policy.
+    // the run's isolation / retry policy and result store.
     std::vector<SweepJob> jobs(n);
     for (unsigned k = 0; k < n; k++) {
         SweepJob &j = jobs[k];
@@ -438,7 +285,8 @@ runSampled(const std::string &workload, const SystemParams &params,
         j.windowWarmIters = spec.warmIters;
         j.windowIters = spec.detailIters;
     }
-    const std::vector<RunResult> wins = runSweep(jobs);
+    const std::vector<RunResult> wins =
+        SweepEngine(SweepOptions::from(opts)).run(jobs);
 
     RunResult r;
     r.workload = workload;

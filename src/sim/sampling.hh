@@ -23,7 +23,8 @@
  * Sampling is incompatible with the attribution profiler (checkpoints
  * do not carry its state), convergence-bounded runs (the stop cycle
  * would depend on the sampling layout), and fault injection (no
- * functional equivalent of per-tick fault draws); all three are fatal.
+ * functional equivalent of per-tick fault draws); all three are fatal
+ * (the first two are rules of sim/options.cc).
  * Latency-mean metrics (missLatency, phase means) include the short
  * detail warm-up segment of each window — the timing stats are empty
  * at every func-written checkpoint, so a window cannot be polluted by
@@ -42,43 +43,32 @@
 namespace rowsim
 {
 
-/** Parsed ROWSIM_SAMPLE spec: `<n_ckpts>:<warm>:<detail>[:<conf>]`
- *  (iterations per core; confidence defaults to 0.95). */
-struct SampleSpec
-{
-    bool active = false;
-    unsigned checkpoints = 0;
-    std::uint64_t warmIters = 0;
-    std::uint64_t detailIters = 0;
-    double confidence = 0.95;
-};
-
 /** Parse a sampling spec; empty = inactive, anything malformed
  *  (n < 1, detail < 1, confidence outside (0, 1), trailing junk) is a
  *  user error (fatal). @p name is the env var for error messages. */
 SampleSpec parseSampleSpec(const char *name, const std::string &spec);
 
-/** The ROWSIM_SAMPLE environment spec (inactive when unset). */
-SampleSpec sampleSpecFromEnv();
-
 /** Checkpoint marks m_k = floor(quota * k / n), k = 0..n-1. */
 std::vector<std::uint64_t> sampleGrid(std::uint64_t quota, unsigned n);
 
 /**
- * Run one (workload, params) experiment under sampling. @p quota must
- * already be resolved (non-zero). Returns the aggregated RunResult —
+ * Run one (workload, params) experiment under the sampling spec of
+ * @p opts, whose other options every window inherits (the cross-knob
+ * rules must already have passed). @p quota must already be resolved
+ * (non-zero). Returns the aggregated RunResult —
  * headline counters are whole-run estimates, latency means are window
  * means, and samplingJson holds the full grid / window / CI summary.
  * A failed window fails the whole sampled run (the sweep layer already
  * retried it if retries were configured).
  */
 RunResult runSampled(const std::string &workload,
-                     const SystemParams &params, const std::string &label,
-                     std::uint64_t quota, const SampleSpec &spec);
+                     const SystemParams &params, const RunOptions &opts,
+                     const std::string &label, std::uint64_t quota);
 
 /** Execute one measurement window (SweepJob::ckptPath non-empty);
- *  called by the sweep engine's executeJob. */
-RunResult runDetailWindow(const SweepJob &job);
+ *  called by the sweep engine's executeJob. A non-empty @p storeDir
+ *  selects the result store explicitly (SweepOptions::storeDir). */
+RunResult runDetailWindow(const SweepJob &job, const std::string &storeDir);
 
 } // namespace rowsim
 

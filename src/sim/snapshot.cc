@@ -1,5 +1,6 @@
 #include "sim/snapshot.hh"
 
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 
@@ -310,11 +311,18 @@ configFingerprint(const SystemParams &params, std::uint32_t fault_mask,
     return fp;
 }
 
-std::uint64_t
-configFingerprint(const SystemParams &params)
+std::string
+checkpointFile(const std::string &dir, const std::string &workload,
+               const std::string &label, const std::string &shape)
 {
-    const FaultSetup fs = resolveFaultSetup(params);
-    return configFingerprint(params, fs.mask, fs.seed, fs.rate);
+    auto sanitize = [](std::string s) {
+        for (char &ch : s) {
+            if (!std::isalnum(static_cast<unsigned char>(ch)))
+                ch = '_';
+        }
+        return s;
+    };
+    return dir + "/" + sanitize(workload) + "-" + sanitize(label) + shape;
 }
 
 void

@@ -180,20 +180,31 @@ struct SystemParams;
 /**
  * The canonical configuration fingerprint: every numeric architectural
  * parameter of @p params serialized in a fixed little-endian order and
- * hashed. The three-argument overload appends a resolved fault-injection
- * setup (mask/seed/rate) exactly as a live System with that injector
- * would; the one-argument overload resolves the fault setup from
- * @p params and the ROWSIM_FAULTS* environment first — so it matches
- * `System::configFingerprint()` for the System those params construct,
- * without building one. Observability knobs (tracing, profiling,
+ * hashed, followed by a resolved fault-injection setup (mask/seed/rate,
+ * RunOptions::faults) exactly as a live System with that injector
+ * would — so it matches `System::configFingerprint()` for the System
+ * those params and options construct, without building one.
+ * Observability knobs (tracing, profiling,
  * interval stats, checker cadence) are deliberately excluded: they
  * never change simulated behaviour.
  */
-std::uint64_t configFingerprint(const SystemParams &params);
 std::uint64_t configFingerprint(const SystemParams &params,
                                 std::uint32_t fault_mask,
                                 std::uint64_t fault_seed,
                                 std::uint32_t fault_rate);
+
+/**
+ * Checkpoint file `<dir>/<workload>-<label><shape>`, with every
+ * character of workload and label outside [A-Za-z0-9] replaced by '_'.
+ * The warmup and sampling checkpoints put everything that decides the
+ * warmed trajectory into the name, so a stale file can never be
+ * restored into the wrong run (the embedded config fingerprint
+ * backstops the rest).
+ */
+std::string checkpointFile(const std::string &dir,
+                           const std::string &workload,
+                           const std::string &label,
+                           const std::string &shape);
 
 /**
  * Write one checkpoint file: magic, format version, @p fingerprint,

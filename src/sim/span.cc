@@ -31,51 +31,6 @@ spanSegName(SpanSeg s)
     return "?";
 }
 
-bool
-parseSpanSpec(const std::string &spec)
-{
-    if (spec == "0" || spec == "off" || spec == "no" || spec == "false")
-        return false;
-    if (spec == "1" || spec == "on" || spec == "yes" || spec == "true")
-        return true;
-    ROWSIM_FATAL("bad span-tracing spec '%s' (valid: 0, off, no, false, "
-                 "1, on, yes, true)",
-                 spec.c_str());
-}
-
-bool
-SpanTracker::envEnabled()
-{
-    // The environment cannot change mid-process; parse once, share
-    // across worker threads (function-local static is thread-safe).
-    static const bool on = [] {
-        const char *s = std::getenv("ROWSIM_SPANS");
-        if (!s || !*s)
-            return false;
-        return parseSpanSpec(s);
-    }();
-    return on;
-}
-
-std::uint64_t
-SpanTracker::topK()
-{
-    if (topKOverride_)
-        return topKOverride_;
-    static const std::uint64_t k = [] {
-        const char *s = std::getenv("ROWSIM_SPANS_TOPK");
-        if (!s || !*s)
-            return std::uint64_t{64};
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (!end || *end != '\0' || v == 0)
-            ROWSIM_FATAL("ROWSIM_SPANS_TOPK: malformed value '%s' "
-                         "(expected a positive decimal number)", s);
-        return static_cast<std::uint64_t>(v);
-    }();
-    return k;
-}
-
 SpanTracker::SpanTracker(unsigned num_cores)
     : numCores_(num_cores), active_(enabled_)
 {

@@ -81,10 +81,6 @@ constexpr unsigned numSpanSegs = static_cast<unsigned>(SpanSeg::NumSegs);
 
 const char *spanSegName(SpanSeg s);
 
-/** Parse a span-tracing spec ("on"/"off" and synonyms); fatal on
- *  anything else. */
-bool parseSpanSpec(const std::string &spec);
-
 /**
  * The per-System span tracker. All state lives in the instance; only
  * the enable gate is static and thread-local so the hook sites cost one
@@ -97,16 +93,15 @@ class SpanTracker
 
     /** Fast inline gate for every hook site. */
     static bool enabled() { return enabled_; }
-    /** Programmatic gate control (System::setupSpans, tests). */
-    static void configure(bool on) { enabled_ = on; }
-    /** ROWSIM_SPANS gate ("" / "0" off, anything else on); parsed once
-     *  per process. */
-    static bool envEnabled();
-
-    /** Retained-record bound: ROWSIM_SPANS_TOPK (default 64). */
-    static std::uint64_t topK();
-    /** Top-K override hook (tests); 0 restores the env/default value. */
-    static void setTopK(std::uint64_t k) { topKOverride_ = k; }
+    /** Gate and retained-record bound (each System applies its run
+     *  options: ROWSIM_SPANS, ROWSIM_SPANS_TOPK; tests). */
+    static void
+    configure(bool on, std::uint64_t top_k = 64)
+    {
+        enabled_ = on;
+        topK_ = top_k;
+    }
+    static std::uint64_t topK() { return topK_; }
 
     /** Gate captured at construction: did this instance collect? */
     bool active() const { return active_; }
@@ -248,7 +243,7 @@ class SpanTracker
     // gates independently; setupSpans resets it per System
     // construction.
     static inline thread_local bool enabled_ = false;
-    static inline std::uint64_t topKOverride_ = 0;
+    static inline thread_local std::uint64_t topK_ = 64;
 };
 
 } // namespace rowsim

@@ -40,44 +40,29 @@ SweepEngine::SweepEngine(const SweepOptions &opts) : opts_(opts)
 unsigned
 SweepEngine::defaultThreads()
 {
-    if (const char *env = std::getenv("ROWSIM_SWEEP_THREADS");
-        env && *env) {
-        const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        return n ? n : 1;
-    }
+    return SweepOptions::fromEnv().threads;
+}
+
+SweepOptions
+SweepOptions::from(const RunOptions &o)
+{
+    SweepOptions s;
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    s.threads = o.sweepThreads ? std::max(*o.sweepThreads, 1u)
+                               : std::max(hw, 1u);
+    s.isolation = o.sweepIsolation;
+    s.timeoutMs = o.sweepTimeoutMs;
+    s.retries = o.sweepRetries;
+    s.backoffMs = o.sweepBackoffMs;
+    if (o.results)
+        s.storeDir = o.resultsDir;
+    return s;
 }
 
 SweepOptions
 SweepOptions::fromEnv()
 {
-    SweepOptions o;
-    if (const char *env = std::getenv("ROWSIM_SWEEP_ISOLATE");
-        env && *env) {
-        if (std::strcmp(env, "process") == 0)
-            o.isolation = SweepIsolation::Process;
-        else if (std::strcmp(env, "thread") == 0)
-            o.isolation = SweepIsolation::Thread;
-        else
-            ROWSIM_FATAL("bad ROWSIM_SWEEP_ISOLATE '%s' (valid: thread, "
-                         "process)",
-                         env);
-    }
-    if (const char *env = std::getenv("ROWSIM_SWEEP_TIMEOUT_MS");
-        env && *env) {
-        o.timeoutMs = parseEnvU64("ROWSIM_SWEEP_TIMEOUT_MS", env);
-    }
-    if (const char *env = std::getenv("ROWSIM_SWEEP_RETRIES");
-        env && *env) {
-        o.retries = static_cast<unsigned>(
-            parseEnvU64("ROWSIM_SWEEP_RETRIES", env));
-    }
-    if (const char *env = std::getenv("ROWSIM_SWEEP_BACKOFF_MS");
-        env && *env) {
-        o.backoffMs = parseEnvU64("ROWSIM_SWEEP_BACKOFF_MS", env);
-    }
-    return o;
+    return from(resolveRunOptions());
 }
 
 namespace
@@ -103,7 +88,8 @@ failedResult(const SweepJob &job, RunStatus status, std::string error,
  *  handled by the caller: only process isolation can survive a real
  *  abort, so thread mode degrades it to a thrown error. */
 RunResult
-executeJob(const SweepJob &job, std::size_t index)
+executeJob(const SweepJob &job, std::size_t index,
+           const std::string &storeDir)
 {
     // Scope the trace / profile / span / crash sinks to the job so
     // concurrent (or retried) jobs write disjoint suffixed files. The
@@ -115,9 +101,9 @@ executeJob(const SweepJob &job, std::size_t index)
             std::chrono::milliseconds(job.injectHangMs));
     }
     if (!job.ckptPath.empty())
-        return runDetailWindow(job);
+        return runDetailWindow(job, storeDir);
     return runExperiment(job.workload, job.cfg, job.numCores, job.quota,
-                         job.seed, job.captureStatsJson);
+                         job.seed, job.captureStatsJson, storeDir);
 }
 
 /** Non-strict completion report: name every failed job. */
@@ -154,14 +140,14 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
                 nextJob.fetch_add(1, std::memory_order_relaxed);
             if (i >= jobs.size())
                 return;
-            Heartbeat::emitJob(i, "started", jobs[i].workload,
-                               jobs[i].cfg.label, 1, nullptr);
+            hb_.emitJob(i, "started", jobs[i].workload,
+                        jobs[i].cfg.label, 1, nullptr);
             try {
                 if (jobs[i].injectCrash)
                     throw std::runtime_error(
                         "injected crash (thread isolation cannot contain "
                         "a real abort)");
-                results[i] = executeJob(jobs[i], i);
+                results[i] = executeJob(jobs[i], i, opts_.storeDir);
             } catch (const std::exception &e) {
                 errors[i] = std::current_exception();
                 results[i] = failedResult(jobs[i], RunStatus::Failed,
@@ -171,9 +157,9 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
                 results[i] = failedResult(jobs[i], RunStatus::Failed,
                                           "unknown exception", 1);
             }
-            Heartbeat::emitJob(i, "finished", jobs[i].workload,
-                               jobs[i].cfg.label, 1,
-                               runStatusName(results[i].status));
+            hb_.emitJob(i, "finished", jobs[i].workload,
+                        jobs[i].cfg.label, 1,
+                        runStatusName(results[i].status));
         }
     };
 
@@ -249,10 +235,10 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
             const bool retryable = status == RunStatus::Crashed ||
                                    status == RunStatus::TimedOut;
             if (retryable && w.number <= opts_.retries) {
-                Heartbeat::emitJob(w.job, "retrying",
-                                   jobs[w.job].workload,
-                                   jobs[w.job].cfg.label, w.number,
-                                   runStatusName(status));
+                hb_.emitJob(w.job, "retrying",
+                            jobs[w.job].workload,
+                            jobs[w.job].cfg.label, w.number,
+                            runStatusName(status));
                 // Exponential backoff: transient-looking failures
                 // (OOM-killed worker, a loaded machine tripping the
                 // timeout) get breathing room before the retry.
@@ -271,9 +257,9 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
             }
             results[w.job] = failedResult(jobs[w.job], status,
                                           std::move(error), w.number);
-            Heartbeat::emitJob(w.job, "finished", jobs[w.job].workload,
-                               jobs[w.job].cfg.label, w.number,
-                               runStatusName(status));
+            hb_.emitJob(w.job, "finished", jobs[w.job].workload,
+                        jobs[w.job].cfg.label, w.number,
+                        runStatusName(status));
         }
         std::remove(w.path.c_str());
     };
@@ -297,10 +283,10 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
                 if (r.ok()) {
                     results[w.job] = std::move(r);
                     std::remove(w.path.c_str());
-                    Heartbeat::emitJob(w.job, "finished",
-                                       jobs[w.job].workload,
-                                       jobs[w.job].cfg.label, w.number,
-                                       runStatusName(RunStatus::Ok));
+                    hb_.emitJob(w.job, "finished",
+                                jobs[w.job].workload,
+                                jobs[w.job].cfg.label, w.number,
+                                runStatusName(RunStatus::Ok));
                 } else {
                     // The worker failed in-simulator and said why;
                     // deterministic, so never retried.
@@ -359,7 +345,7 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
                     std::abort(); // resilience drill: a genuine SIGABRT
                 int code = 0;
                 try {
-                    RunResult r = executeJob(job, a.job);
+                    RunResult r = executeJob(job, a.job, opts_.storeDir);
                     atomicWriteFile(path, encodeResult(r));
                 } catch (const std::exception &e) {
                     code = 1;
@@ -379,8 +365,8 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
             }
             // Parent. Lifecycle events come from the scheduler, never
             // from executeJob — the forked worker would duplicate them.
-            Heartbeat::emitJob(a.job, "started", job.workload,
-                               job.cfg.label, a.number, nullptr);
+            hb_.emitJob(a.job, "started", job.workload,
+                        job.cfg.label, a.number, nullptr);
             Worker w;
             w.job = a.job;
             w.number = a.number;
@@ -456,23 +442,24 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
 {
     if (jobs.empty())
         return {};
+    hb_ = Heartbeat(resolveRunOptions().heartbeat);
     const bool isolated = opts_.isolation == SweepIsolation::Process;
     const char *iso = isolated ? "process" : "thread";
-    if (Heartbeat::enabled()) {
-        Heartbeat::emitSweep("start", jobs.size(), 0, 0, iso);
+    if (hb_.enabled()) {
+        hb_.emitSweep("start", jobs.size(), 0, 0, iso);
         for (std::size_t i = 0; i < jobs.size(); i++) {
-            Heartbeat::emitJob(i, "queued", jobs[i].workload,
-                               jobs[i].cfg.label, 1, nullptr);
+            hb_.emitJob(i, "queued", jobs[i].workload,
+                        jobs[i].cfg.label, 1, nullptr);
         }
     }
     std::vector<RunResult> results =
         isolated ? runIsolated(jobs) : runThreaded(jobs);
-    if (Heartbeat::enabled()) {
+    if (hb_.enabled()) {
         std::size_t ok = 0;
         for (const RunResult &r : results)
             ok += r.ok() ? 1 : 0;
-        Heartbeat::emitSweep("end", jobs.size(), ok, results.size() - ok,
-                             iso);
+        hb_.emitSweep("end", jobs.size(), ok, results.size() - ok,
+                      iso);
     }
     return results;
 }

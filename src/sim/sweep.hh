@@ -33,7 +33,9 @@
 #include <string>
 #include <vector>
 
+#include "common/heartbeat.hh"
 #include "sim/experiment.hh"
+#include "sim/options.hh"
 
 namespace rowsim
 {
@@ -77,13 +79,6 @@ struct SweepJob
     unsigned injectHangMs = 0;
 };
 
-/** Where a sweep job executes. */
-enum class SweepIsolation : std::uint8_t
-{
-    Thread,  ///< worker threads in this process (fastest)
-    Process, ///< one forked worker per job (crash/hang containment)
-};
-
 /** Execution policy for one sweep. */
 struct SweepOptions
 {
@@ -103,10 +98,14 @@ struct SweepOptions
      *  summary) for the first failed job in submission order, after
      *  every job has run. */
     bool strict = false;
+    /** Result store every job serves from and persists to; empty
+     *  leaves the choice to each job's run options. */
+    std::string storeDir;
 
-    /** Environment-driven policy: ROWSIM_SWEEP_ISOLATE (thread |
-     *  process), ROWSIM_SWEEP_TIMEOUT_MS, ROWSIM_SWEEP_RETRIES,
-     *  ROWSIM_SWEEP_BACKOFF_MS, threads via ROWSIM_SWEEP_THREADS. */
+    /** The policy of resolved run options: isolation, timeout, retries,
+     *  backoff and the threads knob, plus their result store. */
+    static SweepOptions from(const RunOptions &o);
+    /** from() of the options the environment resolves to now. */
     static SweepOptions fromEnv();
 };
 
@@ -145,9 +144,11 @@ class SweepEngine
     std::vector<RunResult> runIsolated(const std::vector<SweepJob> &jobs);
 
     SweepOptions opts_;
+    /** The heartbeat sink, resolved per run(). */
+    Heartbeat hb_;
 };
 
-/** Convenience: run @p jobs under the environment policy
+/** Convenience: run @p jobs under the environment's policy
  *  (SweepOptions::fromEnv()). */
 std::vector<RunResult> runSweep(const std::vector<SweepJob> &jobs);
 

@@ -18,7 +18,14 @@ namespace rowsim
 
 System::System(const SystemParams &params,
                std::vector<std::unique_ptr<InstStream>> streams)
-    : params_(params), memsys(params), streams_(std::move(streams))
+    : System(params, resolveRunOptions(params), std::move(streams))
+{
+}
+
+System::System(const SystemParams &params, const RunOptions &opts,
+               std::vector<std::unique_ptr<InstStream>> streams)
+    : params_(params), opts_(opts), memsys(params),
+      streams_(std::move(streams))
 {
     ROWSIM_ASSERT(streams_.size() == params.numCores,
                   "need one instruction stream per core (%u vs %zu)",
@@ -45,28 +52,13 @@ System::System(const SystemParams &params,
             });
     }
 
+    // Every thread-local gate (trace, checker, profiler, spans) is
+    // re-applied from this System's options, so no System inherits a
+    // mask an earlier one on the same thread selected.
     setupObservability();
     setupSelfChecking();
     setupProfiling();
     setupSpans();
-
-    // Idle fast-forward: params default, ROWSIM_FF env override, and a
-    // hard disable under fault injection (the injector draws from its
-    // RNG every cycle, so eliding ticks would change the fault
-    // schedule).
-    ffMode_ = params_.idleFastForward ? FastForward::On : FastForward::Off;
-    if (const char *env = std::getenv("ROWSIM_FF"); env && *env) {
-        if (std::strcmp(env, "0") == 0)
-            ffMode_ = FastForward::Off;
-        else if (std::strcmp(env, "1") == 0)
-            ffMode_ = FastForward::On;
-        else if (std::strcmp(env, "check") == 0)
-            ffMode_ = FastForward::Check;
-        else
-            ROWSIM_FATAL("bad ROWSIM_FF '%s' (valid: 0, 1, check)", env);
-    }
-    if (faults_)
-        ffMode_ = FastForward::Off;
 
     // Every panic — checker violation, watchdog fire, protocol assert —
     // dumps the diagnostics snapshot before unwinding.
@@ -86,17 +78,14 @@ System::~System()
 void
 System::setupObservability()
 {
-    // Tracing: env vars first (so every bench/example picks them up),
-    // then explicit SystemParams overrides.
-    Trace::initFromEnv();
-    if (!params_.traceCategories.empty()) {
-        Trace::instance().configure(
-            parseTraceCategories(params_.traceCategories));
-    }
-    if (Trace::anyEnabled() && !params_.traceJsonPath.empty() &&
-        !Trace::instance().jsonOpen()) {
-        Trace::instance().openJson(params_.traceJsonPath);
-    }
+    // Self-checking runs want post-mortem context: keep a retroactive
+    // trace ring so crash dumps can replay the events leading up to a
+    // violation, even with every trace sink off.
+    std::uint64_t ring = opts_.traceRing;
+    if (ring == 0 && (opts_.checkMask || opts_.faults.mask))
+        ring = 256;
+    Trace::instance().setup(opts_.traceMask, static_cast<std::size_t>(ring),
+                            opts_.traceFile, opts_.traceJson);
     if (Trace::instance().jsonOpen()) {
         Trace &t = Trace::instance();
         for (CoreId c = 0; c < params_.numCores; c++) {
@@ -113,35 +102,11 @@ System::setupObservability()
         t.nameProcess(tracePidNetwork, "network");
     }
 
-    // Interval sampler: params override, then env var.
-    Cycle period = params_.statsInterval;
-    if (period == 0) {
-        if (const char *env = std::getenv("ROWSIM_STATS_INTERVAL");
-            env && *env) {
-            period = parseEnvU64("ROWSIM_STATS_INTERVAL", env);
-        }
-    }
-
-    // Metric time-series engine + convergence monitor. Like the profile
-    // mask, both specs are re-resolved on every System construction
-    // (params override env), so sweep workers never inherit stale
-    // settings. An active convergence spec implies the engine.
-    std::string convSpec = params_.converge;
-    if (convSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_CONVERGE"); env && *env)
-            convSpec = env;
-    }
-    const ConvergeSpec conv = parseConvergeSpec("ROWSIM_CONVERGE",
-                                                convSpec);
-    std::string tsSpec = params_.timeseries;
-    if (tsSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_TS"); env && *env)
-            tsSpec = env;
-    }
-    const bool tsOn =
-        conv.active ||
-        (!tsSpec.empty() && parseOnOffSpec("ROWSIM_TS", tsSpec));
-    if (tsOn && period == 0)
+    // Interval sampler and the metric time-series engine over it (with
+    // its convergence monitor).
+    Cycle period = opts_.statsInterval;
+    const ConvergeSpec &conv = opts_.converge;
+    if (opts_.timeseries && period == 0)
         period = 8192; // default cadence when only the engine asked
     intervalStats_.configure(period);
     intervalStats_.addProbe(
@@ -164,18 +129,9 @@ System::setupObservability()
         },
         true);
 
-    if (tsOn) {
-        unsigned window = TimeSeriesEngine::kDefaultWindow;
-        if (const char *env = std::getenv("ROWSIM_TS_WINDOW");
-            env && *env) {
-            const std::uint64_t w = parseEnvU64("ROWSIM_TS_WINDOW", env);
-            if (w == 0 || w > (1u << 20))
-                ROWSIM_FATAL("bad ROWSIM_TS_WINDOW %llu (valid: 1 .. "
-                             "1048576)",
-                             static_cast<unsigned long long>(w));
-            window = static_cast<unsigned>(w);
-        }
-        ts_ = std::make_unique<TimeSeriesEngine>(period, window, conv);
+    if (opts_.timeseries) {
+        ts_ = std::make_unique<TimeSeriesEngine>(period, opts_.tsWindow,
+                                                 conv);
         for (const auto &p : intervalStats_.probes())
             ts_->addMetric(p.name);
         if (conv.active && !ts_->hasMetric(conv.metric)) {
@@ -192,11 +148,9 @@ System::setupObservability()
             });
     }
 
-    // Heartbeat sink: resolved once (env only — a live telemetry path
-    // is process-wide by nature), then polled from the run loop.
-    hbEnabled_ = Heartbeat::enabled();
-    if (hbEnabled_)
-        hbPeriodMs_ = Heartbeat::periodMs();
+    // Heartbeat sink, polled from the run loop.
+    hb_ = Heartbeat(opts_.heartbeat);
+    hbEnabled_ = hb_.enabled();
 
     // Derived whole-system statistics (Formula exercising).
     simStats_.formula("ipc") = [this] {
@@ -224,22 +178,15 @@ System::setupObservability()
 void
 System::setupSelfChecking()
 {
-    // Invariant checker: env vars first, then explicit params override
-    // (same precedence as tracing). The Checker object always exists;
-    // the static mask decides whether tick() ever calls into it.
-    Checker::initFromEnv();
-    if (!params_.checkCategories.empty())
-        Checker::configure(parseCheckCategories(params_.checkCategories));
-    checker_ = std::make_unique<Checker>(
-        this, params_.checkInterval ? params_.checkInterval
-                                    : Checker::envInterval());
+    // Invariant checker: the object always exists; the static mask
+    // decides whether tick() ever calls into it.
+    Checker::configure(opts_.checkMask);
+    checker_ = std::make_unique<Checker>(this, opts_.checkInterval);
 
     // Fault injector: only constructed when a category is selected, so
     // the per-tick cost with faults off is one null-pointer test. The
-    // setup resolution is shared with the standalone configFingerprint()
-    // (resolveFaultSetup), keeping store keys and live fingerprints in
-    // lockstep.
-    const FaultSetup fs = resolveFaultSetup(params_);
+    // store key fingerprints the same resolved setup.
+    const FaultSetup &fs = opts_.faults;
     if (fs.mask) {
         faults_ = std::make_unique<FaultInjector>(this, fs.mask, fs.seed,
                                                   fs.rate);
@@ -248,28 +195,12 @@ System::setupSelfChecking()
                 return faults_->extraDelay(msg, now);
             });
     }
-
-    // Self-checking runs want post-mortem context: keep a retroactive
-    // trace ring so crash dumps can replay the events leading up to a
-    // violation, even with every trace sink off.
-    if ((Checker::anyEnabled() || faults_) &&
-        Trace::instance().ringCapacity() == 0) {
-        Trace::instance().enableRing(256);
-    }
 }
 
 void
 System::setupProfiling()
 {
-    // Unlike the trace/check masks, the profile mask is unconditionally
-    // re-applied on every System construction: params override the env
-    // var, and an empty params spec restores the env value. A profiled
-    // sweep job therefore never leaks its mask into the next job that
-    // lands on the same worker thread.
-    Profiler::configure(
-        params_.profileCategories.empty()
-            ? Profiler::envMask()
-            : parseProfileCategories(params_.profileCategories));
+    Profiler::configure(opts_.profileMask, opts_.profileTopK);
     if (!Profiler::anyEnabled())
         return;
     profiler_ = std::make_unique<Profiler>(params_.numCores,
@@ -285,14 +216,7 @@ System::setupProfiling()
 void
 System::setupSpans()
 {
-    // Same discipline as the profile mask: the gate is unconditionally
-    // re-applied on every System construction (params override the env
-    // var, an empty params spec restores the env value), so a spans-on
-    // sweep job never leaks the gate into the next job that lands on
-    // the same worker thread.
-    SpanTracker::configure(params_.spans.empty()
-                               ? SpanTracker::envEnabled()
-                               : parseSpanSpec(params_.spans));
+    SpanTracker::configure(opts_.spans, opts_.spansTopK);
     if (!SpanTracker::enabled())
         return;
     spans_ = std::make_unique<SpanTracker>(params_.numCores);
@@ -378,7 +302,7 @@ System::maybeFastForward()
         return;
     }
     ffBackoffLen_ = 0;
-    if (ffMode_ == FastForward::Check) {
+    if (opts_.fastForward == FastForwardMode::Check) {
         auto &self = const_cast<System &>(*this);
         auto dumpAll = [&]() {
             std::string s;
@@ -626,7 +550,7 @@ System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
         // Deadlock detection lives in watchdogScan() (called from
         // tick()): per-core commit progress plus per-structure ages,
         // so a fire names the stuck component.
-        if (ffMode_ != FastForward::Off) {
+        if (opts_.fastForward != FastForwardMode::Off) {
             if (ffBackoff_ == 0)
                 maybeFastForward();
             else
@@ -639,7 +563,7 @@ void
 System::heartbeatProbe(std::uint64_t iter_quota)
 {
     const std::uint64_t now_ms = Heartbeat::wallMs();
-    if (hbLastMs_ != 0 && now_ms - hbLastMs_ < hbPeriodMs_)
+    if (hbLastMs_ != 0 && now_ms - hbLastMs_ < opts_.heartbeatMs)
         return;
     std::uint64_t iters = 0;
     for (const auto &c : cores)
@@ -658,7 +582,7 @@ System::heartbeatProbe(std::uint64_t iter_quota)
                  static_cast<double>(quota_total - iters) /
                  static_cast<double>(iters);
     }
-    Heartbeat::emitRun(currentCycle, iters, quota_total, kcps, eta_ms);
+    hb_.emitRun(currentCycle, iters, quota_total, kcps, eta_ms);
     hbLastMs_ = now_ms;
     hbLastCycle_ = currentCycle;
 }
@@ -979,9 +903,9 @@ System::dumpCrashDiagnostics(const char *reason)
     // sinks), so concurrently failing jobs — or the same job's retries
     // in different processes — write distinct files instead of
     // clobbering one shared path.
-    if (const char *path = std::getenv("ROWSIM_CRASH_JSON");
-        path && *path) {
-        const std::string dst = suffixJobPath(path, Trace::jobKey());
+    if (!opts_.crashJson.empty()) {
+        const std::string dst = suffixJobPath(opts_.crashJson,
+                                              Trace::jobKey());
         // Render in memory first: the dump must land atomically (the
         // sweep parent reads it while the dying child is still exiting)
         // and a panic inside a diagnostic printer must not leave a
@@ -1006,12 +930,12 @@ System::dumpCrashDiagnostics(const char *reason)
                          dst.c_str());
         }
     }
-    // Crash checkpoint (ROWSIM_CRASH_CKPT): reuse the snapshot layer to
-    // leave a resumable image behind. Best effort — a panic can fire
-    // mid-tick, and a failed save must not mask the original panic.
-    if (const char *ckpt = std::getenv("ROWSIM_CRASH_CKPT");
-        ckpt && *ckpt) {
-        const std::string dst = suffixJobPath(ckpt, Trace::jobKey());
+    // Crash checkpoint: reuse the snapshot layer to leave a resumable
+    // image behind. Best effort — a panic can fire mid-tick, and a
+    // failed save must not mask the original panic.
+    if (!opts_.crashCkpt.empty()) {
+        const std::string dst = suffixJobPath(opts_.crashCkpt,
+                                              Trace::jobKey());
         try {
             saveCheckpoint(dst);
             std::fprintf(stderr,
@@ -1135,6 +1059,23 @@ System::dumpStats(std::FILE *out) const
     for (unsigned b = 0; b < self.mem().numBanks(); b++)
         dumpGroup(out, self.mem().directory(b).stats());
     dumpGroup(out, self.mem().network().stats());
+}
+
+std::string
+System::statsJson() const
+{
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *mem = open_memstream(&buf, &len);
+    if (!mem) {
+        ROWSIM_WARN("open_memstream failed; statsJson not captured");
+        return "";
+    }
+    dumpStatsJson(mem);
+    std::fclose(mem);
+    std::string out(buf, len);
+    std::free(buf);
+    return out;
 }
 
 void

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/heartbeat.hh"
 #include "common/stats.hh"
 #include "common/timeseries.hh"
 #include "common/types.hh"
@@ -23,6 +24,7 @@
 #include "mem/memsystem.hh"
 #include "sim/checker.hh"
 #include "sim/faults.hh"
+#include "sim/options.hh"
 #include "sim/profile.hh"
 #include "sim/span.hh"
 
@@ -35,7 +37,12 @@ namespace rowsim
 class System
 {
   public:
+    /** A System configured by @p params and the environment (the run
+     *  options @p params resolve to now). */
     System(const SystemParams &params,
+           std::vector<std::unique_ptr<InstStream>> streams);
+    /** A System under run options already resolved for @p params. */
+    System(const SystemParams &params, const RunOptions &opts,
            std::vector<std::unique_ptr<InstStream>> streams);
     ~System();
 
@@ -150,6 +157,7 @@ class System
     MemSystem &mem() { return memsys; }
     Cycle now() const { return currentCycle; }
     const SystemParams &params() const { return params_; }
+    const RunOptions &options() const { return opts_; }
 
     /** Dump every statistic group (cores, caches, banks, network) in a
      *  gem5-style "group.stat value" format. */
@@ -159,9 +167,11 @@ class System
      *  sim totals, every group's counters/averages/formulas, and the
      *  interval-stats time series when sampling is enabled. */
     void dumpStatsJson(std::FILE *out) const;
+    /** dumpStatsJson() rendered into a string. */
+    std::string statsJson() const;
 
-    /** Interval sampler (enabled via SystemParams::statsInterval or the
-     *  ROWSIM_STATS_INTERVAL env var; see common/stats.hh). */
+    /** Interval sampler (enabled via ROWSIM_STATS_INTERVAL or the
+     *  time-series engine; see common/stats.hh). */
     IntervalStats &intervalStats() { return intervalStats_; }
     const IntervalStats &intervalStats() const { return intervalStats_; }
 
@@ -179,8 +189,8 @@ class System
     /** The span tracker; nullptr unless span tracing is enabled. */
     SpanTracker *spans() { return spans_.get(); }
     const SpanTracker *spans() const { return spans_.get(); }
-    /** The metric time-series engine; nullptr unless enabled (ROWSIM_TS
-     *  / SystemParams::timeseries, or implied by ROWSIM_CONVERGE). */
+    /** The metric time-series engine; nullptr unless enabled (ROWSIM_TS,
+     *  or implied by ROWSIM_CONVERGE). */
     TimeSeriesEngine *timeseries() { return ts_.get(); }
     const TimeSeriesEngine *timeseries() const { return ts_.get(); }
 
@@ -213,16 +223,6 @@ class System
     std::uint64_t totalAtomics() const;
 
   private:
-    /** Fast-forward operating mode (params + ROWSIM_FF env). */
-    enum class FastForward : std::uint8_t
-    {
-        Off,
-        On,
-        /** Equivalence-assert mode: tick through each predicted idle
-         *  window and panic if any instruction would have committed. */
-        Check,
-    };
-
     void tick();
     /** Shared body of run() / runWarmup(): run to @p iter_quota, or —
      *  when @p warm_iters is non-zero — return early (cores unhalted)
@@ -243,18 +243,16 @@ class System
     /** Jump currentCycle to just before the next event when the whole
      *  system is idle (run() only). */
     void maybeFastForward();
-    /** Apply trace/interval-stats configuration (params + env vars). */
+    /** Apply trace / interval-stats / time-series options. */
     void setupObservability();
     /** Heartbeat run-progress probe, entered from runLoop on a coarse
      *  cycle grid; emits when the wall-clock period elapsed. */
     void heartbeatProbe(std::uint64_t iter_quota);
-    /** Wire the invariant checker and fault injector (params + env). */
+    /** Wire the invariant checker and fault injector. */
     void setupSelfChecking();
-    /** Reset the profile mask (params override env, always re-applied)
-     *  and wire the Profiler into cores / caches / directory banks. */
+    /** Wire the Profiler into cores / caches / directory banks. */
     void setupProfiling();
-    /** Reset the span gate (params override env, always re-applied) and
-     *  wire the SpanTracker into cores / caches / banks / network. */
+    /** Wire the SpanTracker into cores / caches / banks / network. */
     void setupSpans();
     /** Per-core / per-structure forward-progress watchdog: panics naming
      *  the stuck component instead of a bare global "deadlock?". */
@@ -263,6 +261,7 @@ class System
     void emitCrashJson(std::FILE *out, const char *reason);
 
     SystemParams params_;
+    RunOptions opts_;
     MemSystem memsys;
     std::vector<std::unique_ptr<InstStream>> streams_;
     std::vector<std::unique_ptr<Core>> cores;
@@ -284,7 +283,6 @@ class System
     /** Next cycle any rare service (interval sample, checker sweep,
      *  watchdog scan) is due; 0 forces a recompute on the first tick. */
     Cycle nextServiceCycle_ = 0;
-    FastForward ffMode_ = FastForward::On;
     Cycle ffSkipped_ = 0;
     /** Ticks to wait before the next skip attempt. A failed attempt
      *  (something is schedulable next tick) costs an O(cores) scan, so
@@ -307,8 +305,8 @@ class System
     /** Heartbeat sink state (common/heartbeat.hh). The enable flag is
      *  resolved once per System; the run loop then pays one comparison
      *  per tick until the next coarse-grid probe. */
+    Heartbeat hb_;
     bool hbEnabled_ = false;
-    std::uint64_t hbPeriodMs_ = 250;
     std::uint64_t hbStartMs_ = 0;
     std::uint64_t hbLastMs_ = 0;
     Cycle hbLastCycle_ = 0;

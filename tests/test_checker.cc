@@ -184,3 +184,16 @@ TEST_F(CheckerTest, EventMacroGatesOnCategory)
         ROWSIM_CHECK_EVENT(CheckCategory::Locks, probe(), "gated off"));
     EXPECT_FALSE(evaluated);
 }
+
+TEST_F(CheckerTest, MaskDoesNotLeakIntoTheNextSystem)
+{
+    ::unsetenv("ROWSIM_CHECK");
+    // A checked System must not leave the next unchecked System on this
+    // thread sweeping: every System re-applies its own checker mask.
+    {
+        auto checked = makeCounterSystem(2, 1, "swmr", 64);
+        EXPECT_TRUE(Checker::anyEnabled());
+    }
+    auto plain = makeCounterSystem(2, 1, "", 0);
+    EXPECT_FALSE(Checker::anyEnabled());
+}

@@ -111,7 +111,7 @@ TEST(FastForward, IntervalSeriesIdenticalAcrossModes)
     // window tick-by-tick.
     ::setenv("ROWSIM_STATS_INTERVAL", "512", 1);
     ExpConfig cfg = lazyConfig();
-    cfg.timeseries = "on";
+    cfg.timeseries = true;
 
     RunResult off = runWithFF("0", "pc", cfg, 60);
     RunResult on = runWithFF("1", "pc", cfg, 60);

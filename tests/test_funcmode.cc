@@ -175,7 +175,7 @@ TEST(FuncMode, ModeSelectsTheFunctionalPath)
 
     // Params override the environment.
     ExpConfig cfg = eagerConfig();
-    cfg.mode = "detail";
+    cfg.mode = ExecMode::Detail;
     const RunResult forced = runExperiment("counter", cfg, 4, 80);
     EXPECT_EQ(forced.cycles, detail.cycles);
 
@@ -344,10 +344,8 @@ TEST(FuncMode, IncompatibleSetupsAreFatal)
 {
     ScopedEnv sample("ROWSIM_SAMPLE", "2:1:2");
     {
-        // Via the params route — Profiler::envMask() is parsed once per
-        // process, so flipping ROWSIM_PROFILE mid-test cannot stick.
         ExpConfig profiled = eagerConfig();
-        profiled.profile = "cpi";
+        profiled.profile = profMask(ProfCategory::Cpi);
         EXPECT_THROW(runExperiment("counter", profiled, 4, 60),
                      std::runtime_error);
     }

@@ -85,7 +85,8 @@ TEST(ProfileCpi, SlotConservationWithAndWithoutFastForward)
     for (const char *ff : {"0", "1", "check"}) {
         ::setenv("ROWSIM_FF", ff, 1);
         SystemParams sp = makeParams(lazyConfig(), 8, 1);
-        sp.profileCategories = "check";
+        sp.profileCategories =
+            profMask(ProfCategory::Check) | profMask(ProfCategory::Cpi);
         System sys(sp, makeStreams(profileFor("pc"), sp.numCores,
                                    sp.seed));
         const Cycle cycles = runProfiled(sys, 50);
@@ -118,7 +119,7 @@ TEST(ProfileCpi, SlotConservationWithAndWithoutFastForward)
 TEST(ProfileLines, PingPongLineTableHasKnownCounts)
 {
     SystemParams sp = makeParams(eagerConfig(), 2, 1);
-    sp.profileCategories = "lines";
+    sp.profileCategories = profMask(ProfCategory::Lines);
     System sys(sp, makeStreams(pingPongProfile(), sp.numCores, sp.seed));
     runProfiled(sys, 200);
     // run() returns the moment the quota commits; drain the in-flight
@@ -161,7 +162,7 @@ TEST(ProfileRow, AuditTotalsMatchPredictorCounters)
         rowConfig(ContentionDetector::RWDir,
                   PredictorUpdate::SaturateOnContention),
         8, 1);
-    sp.profileCategories = "row";
+    sp.profileCategories = profMask(ProfCategory::Row);
     System sys(sp, makeStreams(profileFor("pc"), sp.numCores, sp.seed));
     runProfiled(sys, 60);
 
@@ -190,7 +191,7 @@ TEST(ProfilePcs, HistogramsAndPercentilesOnlyWhenProfiled)
     ExpConfig off = eagerConfig();
     ExpConfig on = eagerConfig();
     on.label = "eager+pcs";
-    on.profile = "pcs";
+    on.profile = profMask(ProfCategory::Pcs);
 
     RunResult roff = runExperiment("pc", off, 8, 40, 1, true);
     RunResult ron = runExperiment("pc", on, 8, 40, 1, true);
@@ -216,7 +217,7 @@ TEST(ProfileOffOn, OffModeStatsJsonIsUntouchedAndMaskDoesNotLeak)
     ExpConfig off = eagerConfig();
     ExpConfig all = eagerConfig();
     all.label = "eager+all";
-    all.profile = "all";
+    all.profile = profCategoryAll;
 
     RunResult off1 = runExperiment("pc", off, 8, 40, 1, true);
     RunResult ron = runExperiment("pc", all, 8, 40, 1, true);

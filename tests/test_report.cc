@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/profile.hh"
 #include "sim/sweep.hh"
 
 using namespace rowsim;
@@ -117,7 +118,7 @@ TEST(RowsimReport, RendersProfileRecordsAndFoldedStacks)
 {
     Scratch s("profile");
     ExpConfig cfg = lazyConfig();
-    cfg.profile = "all";
+    cfg.profile = profCategoryAll;
     RunResult r = runExperiment("cq", cfg, 4, 60, 1, false);
     ASSERT_FALSE(r.profileJson.empty());
     const std::string in =
@@ -136,7 +137,7 @@ TEST(RowsimReport, RendersSpanRecords)
 {
     Scratch s("spans");
     ExpConfig cfg = lazyConfig();
-    cfg.spans = "on";
+    cfg.spans = true;
     RunResult r = runExperiment("cq", cfg, 4, 60, 1, false);
     ASSERT_FALSE(r.spanJson.empty());
     const std::string in =
@@ -154,7 +155,7 @@ TEST(RowsimReport, RendersTimeSeriesRunReport)
 {
     Scratch s("timeseries");
     ExpConfig cfg = eagerConfig();
-    cfg.converge = "instructions:0.5";
+    cfg.converge = ConvergeSpec{true, "instructions", 0.5};
     RunResult r = runExperiment("pc", cfg, 4, 60, 1, false);
     ASSERT_FALSE(r.tsJson.empty());
     // A run-report line (ROWSIM_REPORT) carries "timeseries" itself.
@@ -199,9 +200,9 @@ TEST(RowsimReport, MixedRecordRendersEverySectionInOrder)
 {
     Scratch s("mixed");
     ExpConfig cfg = lazyConfig();
-    cfg.profile = "all";
-    cfg.spans = "on";
-    cfg.timeseries = "on";
+    cfg.profile = profCategoryAll;
+    cfg.spans = true;
+    cfg.timeseries = true;
     RunResult r = runExperiment("cq", cfg, 4, 60, 1, true);
     ASSERT_FALSE(r.statsJson.empty());
 

@@ -68,7 +68,7 @@ makeSpanSystem(const WorkloadProfile &profile, const ExpConfig &cfg,
                unsigned cores, std::uint64_t seed)
 {
     SystemParams sp = makeParams(cfg, cores, seed);
-    sp.spans = "on";
+    sp.spans = true;
     return std::make_unique<System>(sp,
                                     makeStreams(profile, cores, seed));
 }
@@ -98,16 +98,17 @@ statsJsonOf(System &sys)
 
 TEST(SpanSpec, ParseAndReject)
 {
-    EXPECT_FALSE(parseSpanSpec("0"));
-    EXPECT_FALSE(parseSpanSpec("off"));
-    EXPECT_FALSE(parseSpanSpec("no"));
-    EXPECT_FALSE(parseSpanSpec("false"));
-    EXPECT_TRUE(parseSpanSpec("1"));
-    EXPECT_TRUE(parseSpanSpec("on"));
-    EXPECT_TRUE(parseSpanSpec("yes"));
-    EXPECT_TRUE(parseSpanSpec("true"));
-    EXPECT_THROW(parseSpanSpec("maybe"), std::runtime_error);
-    EXPECT_THROW(parseSpanSpec(""), std::runtime_error);
+    for (const char *off : {"0", "off", "no", "false"}) {
+        ScopedEnv env("ROWSIM_SPANS", off);
+        EXPECT_FALSE(resolveRunOptions().spans) << off;
+    }
+    for (const char *on : {"1", "on", "yes", "true"}) {
+        ScopedEnv env("ROWSIM_SPANS", on);
+        EXPECT_TRUE(resolveRunOptions().spans) << on;
+    }
+    ScopedEnv env("ROWSIM_SPANS", "maybe");
+    EXPECT_THROW(resolveRunOptions(), std::runtime_error);
+    EXPECT_THROW(parseOnOffSpec("ROWSIM_SPANS", ""), std::runtime_error);
 }
 
 TEST(SpanConservation, SegmentsTileDispatchToCommitAcrossFFModes)
@@ -180,7 +181,7 @@ TEST(SpanOffOn, OffModeIsByteIdenticalAndTracingDoesNotPerturb)
     ExpConfig off = eagerConfig();
     ExpConfig on = eagerConfig();
     on.label = "eager+spans";
-    on.spans = "on";
+    on.spans = true;
 
     RunResult off1 = runExperiment("pc", off, 8, 40, 1, true);
     RunResult ron = runExperiment("pc", on, 8, 40, 1, true);
@@ -211,7 +212,7 @@ TEST(SpanSweep, SummariesDeterministicAcrossThreadCounts)
             SweepJob j;
             j.workload = w;
             j.cfg = cfg;
-            j.cfg.spans = "on";
+            j.cfg.spans = true;
             j.numCores = 8;
             j.quota = 30;
             jobs.push_back(std::move(j));

@@ -273,7 +273,7 @@ TEST(TimeSeries, OffByDefaultAndByteIdentical)
     EXPECT_EQ(plain.toJson().find("converge"), std::string::npos);
 
     ExpConfig off = eagerConfig();
-    off.timeseries = "off";
+    off.timeseries = false;
     RunResult offRun = runExperiment("pc", off, 8, 40, 1, true);
     EXPECT_EQ(offRun.statsJson, plain.statsJson);
 }
@@ -282,7 +282,7 @@ TEST(TimeSeries, EngineSamplesEveryIntervalIntoTheStatsTree)
 {
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     ExpConfig cfg = eagerConfig();
-    cfg.timeseries = "on";
+    cfg.timeseries = true;
     RunResult r = runExperiment("pc", cfg, 8, 60, 1, true);
     EXPECT_NE(r.statsJson.find("\"timeseries\""), std::string::npos);
     ASSERT_FALSE(r.tsJson.empty());
@@ -299,7 +299,7 @@ TEST(TimeSeries, EngineSamplesEveryIntervalIntoTheStatsTree)
 TEST(TimeSeries, DefaultPeriodAppliesWhenIntervalUnset)
 {
     ExpConfig cfg = eagerConfig();
-    cfg.timeseries = "on";
+    cfg.timeseries = true;
     RunResult r = runExperiment("pc", cfg, 8, 200, 1, true);
     ASSERT_FALSE(r.tsJson.empty());
     EXPECT_NE(r.tsJson.find("\"period\": 8192"), std::string::npos);
@@ -308,7 +308,7 @@ TEST(TimeSeries, DefaultPeriodAppliesWhenIntervalUnset)
 TEST(TimeSeries, UnknownConvergeMetricIsFatalNamingTheValidSet)
 {
     ExpConfig cfg = eagerConfig();
-    cfg.converge = "nosuchmetric:0.1";
+    cfg.converge = ConvergeSpec{true, "nosuchmetric", 0.1};
     try {
         runExperiment("pc", cfg, 4, 20, 1, false);
         ADD_FAILURE() << "expected a fatal error";
@@ -326,7 +326,7 @@ TEST(TimeSeries, ConvergeStopsEarlyAtAnIntervalBoundary)
         runExperiment("pc", plain, 8, 4000, 1, false);
 
     ExpConfig conv = eagerConfig();
-    conv.converge = "instructions:0.2";
+    conv.converge = ConvergeSpec{true, "instructions", 0.2};
     RunResult bounded = runExperiment("pc", conv, 8, 4000, 1, false);
 
     ASSERT_TRUE(bounded.converged);
@@ -349,7 +349,7 @@ TEST(TimeSeries, ConvergeStopCycleInvariantAcrossFastForwardModes)
 {
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     ExpConfig conv = lazyConfig();
-    conv.converge = "instructions:0.2";
+    conv.converge = ConvergeSpec{true, "instructions", 0.2};
 
     RunResult byMode[3];
     const char *modes[] = {"0", "1", "check"};
@@ -368,7 +368,7 @@ TEST(TimeSeries, QuotaRemainsUpperBoundWhenCiNeverTightens)
 {
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     ExpConfig strict = eagerConfig();
-    strict.converge = "instructions:0.000001";
+    strict.converge = ConvergeSpec{true, "instructions", 0.000001};
     RunResult r = runExperiment("pc", strict, 8, 60, 1, false);
     EXPECT_FALSE(r.converged);
     EXPECT_GT(r.convergeAchieved, 0.000001);
@@ -391,9 +391,9 @@ TEST(TimeSeries, SweepDeterministicAcrossThreadCountsAndIsolation)
         SweepJob j;
         j.workload = w;
         j.cfg = eagerConfig();
-        j.cfg.timeseries = "on";
+        j.cfg.timeseries = true;
         if (std::string(w) == "cq")
-            j.cfg.converge = "instructions:0.25";
+            j.cfg.converge = ConvergeSpec{true, "instructions", 0.25};
         j.numCores = 8;
         j.quota = 40;
         j.captureStatsJson = true;
@@ -423,7 +423,7 @@ TEST(TimeSeries, SaveRestoreMidIntervalResumesBitIdentically)
 {
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     ExpConfig cfg = lazyConfig();
-    cfg.timeseries = "on";
+    cfg.timeseries = true;
     const unsigned cores = 4;
     const std::uint64_t seed = 3, quota = 200, warm = 50;
 
@@ -454,7 +454,7 @@ TEST(TimeSeries, RestoreRejectsEngineMismatch)
     // interval-stats layer and the refusal comes from the engine check.
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     ExpConfig on = eagerConfig();
-    on.timeseries = "on";
+    on.timeseries = true;
     auto src = makeSystem("pc", on, 4, 1);
     src->runWarmup(100, 20);
     Ser s;

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/options.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -137,13 +138,7 @@ TEST_P(Torture, CheckerCleanAndAtomicUnderChaos)
 unsigned
 tortureSeedCount()
 {
-    if (const char *env = std::getenv("ROWSIM_TORTURE_SEEDS");
-        env && *env) {
-        const unsigned long n = std::strtoul(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
-    return 16;
+    return resolveRunOptions().tortureSeeds;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Torture,

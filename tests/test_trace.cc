@@ -338,3 +338,23 @@ TEST(TraceIntegration, RunReportJsonParsesAndMatchesFields)
                      static_cast<double>(r.atomicsUnlocked));
     EXPECT_NEAR(j.at("lockToUnlock").num, r.lockToUnlock, 1e-4);
 }
+
+TEST(TraceOffOn, MaskDoesNotLeakIntoTheNextSystem)
+{
+    TraceGuard guard;
+    ::unsetenv("ROWSIM_TRACE");
+    ::unsetenv("ROWSIM_TRACE_RING");
+    // A System that traces (and, through its checker, keeps the
+    // retroactive ring) must not leave the next plain System on this
+    // thread tracing: every System re-applies its own trace options.
+    SystemParams traced = makeParams(eagerConfig(), 2, 1);
+    traced.traceCategories = "atomic";
+    traced.checkCategories = "swmr";
+    {
+        System a(traced, makeStreams(profileFor("pc"), 2, 1));
+        EXPECT_TRUE(Trace::anyEnabled());
+    }
+    const SystemParams plain = makeParams(eagerConfig(), 2, 1);
+    System b(plain, makeStreams(profileFor("pc"), 2, 1));
+    EXPECT_FALSE(Trace::anyEnabled());
+}

@@ -27,6 +27,7 @@
 
 #include "common/log.hh"
 #include "sim/experiment.hh"
+#include "sim/profile.hh"
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
 #include "sim/sweep.hh"
@@ -39,8 +40,6 @@ namespace
 struct CliOptions
 {
     std::string figure;
-    std::string storeDir;    ///< non-empty once --store is given
-    bool useStore = false;
     bool resume = false;
     bool list = false;
     bool expectCached = false;
@@ -49,6 +48,7 @@ struct CliOptions
     long injectHang = -1;
     std::uint64_t quota = 0;            ///< 0 = per-workload default
     std::vector<std::string> onlyWorkloads; ///< empty = full matrix
+    /** Environment policy; --store sets its storeDir. */
     SweepOptions sweep = SweepOptions::fromEnv();
 };
 
@@ -62,7 +62,7 @@ usage(FILE *out)
         "sweep backed by the content-addressed result store.\n"
         "\n"
         "  --store DIR          enable the result store rooted at DIR\n"
-        "                       (sets ROWSIM_RESULTS=on, ROWSIM_RESULTS_DIR)\n"
+        "                       (ROWSIM_RESULTS=on in that directory)\n"
         "  --resume             serve stored results without dispatching;\n"
         "                       only missing/invalid entries are computed\n"
         "  --jobs N             worker count (default: cores, or\n"
@@ -120,7 +120,7 @@ jobsFor(const std::string &figure)
         // tail percentiles need the "pcs" profiler category.
         for (const std::string &w : atomicIntensiveWorkloads()) {
             for (ExpConfig cfg : {eagerConfig(), lazyConfig()}) {
-                cfg.profile = "pcs";
+                cfg.profile = profMask(ProfCategory::Pcs);
                 cfg.label += "+prof";
                 SweepJob j;
                 j.workload = w;
@@ -152,8 +152,9 @@ parseArgs(int argc, char **argv)
             usage(stdout);
             std::exit(0);
         } else if (arg == "--store") {
-            o.useStore = true;
-            o.storeDir = next("--store");
+            o.sweep.storeDir = next("--store");
+            if (o.sweep.storeDir.empty())
+                ROWSIM_FATAL("rowsim_sweep: --store needs a directory");
         } else if (arg == "--resume") {
             o.resume = true;
         } else if (arg == "--jobs") {
@@ -217,14 +218,6 @@ main(int argc, char **argv)
 {
     const CliOptions opt = parseArgs(argc, argv);
 
-    // Wire the store through the environment so isolated worker
-    // processes (fork) and the in-process experiment layer see the same
-    // configuration.
-    if (opt.useStore) {
-        ::setenv("ROWSIM_RESULTS", "on", 1);
-        ::setenv("ROWSIM_RESULTS_DIR", opt.storeDir.c_str(), 1);
-    }
-
     std::vector<SweepJob> jobs = jobsFor(opt.figure);
     if (!opt.onlyWorkloads.empty()) {
         std::erase_if(jobs, [&](const SweepJob &j) {
@@ -271,8 +264,8 @@ main(int argc, char **argv)
     std::vector<RunResult> results(jobs.size());
     std::vector<bool> served(jobs.size(), false);
     std::size_t precached = 0;
-    std::unique_ptr<ResultStore> store = ResultStore::fromEnv();
-    if (opt.resume && store) {
+    if (opt.resume && !opt.sweep.storeDir.empty()) {
+        ResultStore store(opt.sweep.storeDir);
         for (std::size_t i = 0; i < jobs.size(); i++) {
             const SweepJob &j = jobs[i];
             if (j.injectCrash || j.injectHangMs)
@@ -282,11 +275,7 @@ main(int argc, char **argv)
             const ResultKey key = ResultStore::keyFor(
                 makeParams(j.cfg, j.numCores, j.seed), j.workload,
                 j.cfg.label, quota);
-            RunResult cached;
-            if (store->load(key, cached) &&
-                (!j.captureStatsJson || !cached.statsJson.empty())) {
-                cached.fromCache = true;
-                results[i] = std::move(cached);
+            if (store.serve(key, j.captureStatsJson, results[i])) {
                 served[i] = true;
                 precached++;
             }
