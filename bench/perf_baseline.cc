@@ -83,13 +83,12 @@ renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
     e += buf;
     // Each knob that changes what an entry measures, as given (or what
     // unset means). sim_cycles stays bit-stable across fast-forward,
-    // profiling, span, checkpoint (wall_ms drops on restored runs) and
-    // result-store modes (a warm run is served far faster); func and
-    // sampled runs legitimately report different sim_cycles than detail
-    // (functional bookkeeping ticks, an extrapolated estimate), so the
-    // stability check groups history entries by mode and sampling — the
-    // detail/func/sampled perf triple lives in one file without
-    // tripping it.
+    // profiling, span and result-store modes (a warm run is served far
+    // faster); func and sampled runs legitimately report different
+    // sim_cycles than detail (functional bookkeeping ticks, an
+    // extrapolated estimate), so the stability check groups history
+    // entries by mode and sampling — the detail/func/sampled perf
+    // triple lives in one file without tripping it.
     struct Stamp
     {
         const char *field, *knob, *unset;
@@ -97,7 +96,6 @@ renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
     for (const Stamp &st : {Stamp{"fast_forward", "ROWSIM_FF", "default-on"},
                             Stamp{"profile", "ROWSIM_PROFILE", "off"},
                             Stamp{"spans", "ROWSIM_SPANS", "off"},
-                            Stamp{"ckpt", "ROWSIM_CKPT", "off"},
                             Stamp{"results", "ROWSIM_RESULTS", "off"},
                             Stamp{"mode", "ROWSIM_MODE", "detail"},
                             Stamp{"sampled", "ROWSIM_SAMPLE", "off"}}) {

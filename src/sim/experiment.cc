@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <mutex>
 
 #include "common/json.hh"
@@ -13,7 +12,6 @@
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
 #include "sim/sampling.hh"
-#include "sim/snapshot.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -342,63 +340,6 @@ recordLine(const RunResult &r, const char *key, const std::string &json)
                      json.c_str());
 }
 
-/**
- * sys.run(quota), optionally short-circuited through a warmup
- * checkpoint (ROWSIM_CKPT, already cleared by the run rules when it
- * cannot apply; CkptMode says what each mode does) at the warmup point
- * ROWSIM_CKPT_AT under ROWSIM_CKPT_DIR. Because save→restore→run is
- * bit-identical to an uninterrupted run, every downstream metric and
- * stats dump is unaffected — only the wall-clock cost of re-simulating
- * the warmup is.
- */
-Cycle
-runMaybeCheckpointed(System &sys, const RunOptions &opts,
-                     const std::string &workload, const std::string &label,
-                     std::uint64_t quota)
-{
-    if (opts.ckpt == CkptMode::Off)
-        return sys.run(quota);
-    const std::uint64_t warm = opts.warmPoint(quota);
-    const std::string path = checkpointFile(
-        opts.ckptDir, workload, label,
-        strprintf("-c%u-s%llu-q%llu-w%llu.ckpt", sys.numCores(),
-                  static_cast<unsigned long long>(sys.params().seed),
-                  static_cast<unsigned long long>(quota),
-                  static_cast<unsigned long long>(warm)));
-
-    bool restored = false;
-    if (opts.ckpt != CkptMode::Save) {
-        std::error_code ec;
-        if (std::filesystem::exists(path, ec)) {
-            sys.restoreCheckpoint(path);
-            restored = true;
-        } else if (opts.ckpt == CkptMode::Restore) {
-            ROWSIM_FATAL("ROWSIM_CKPT=restore: checkpoint '%s' not "
-                         "found (populate it with ROWSIM_CKPT=save or "
-                         "auto)",
-                         path.c_str());
-        }
-    }
-    if (!restored) {
-        sys.runWarmup(quota, warm);
-        std::error_code ec;
-        std::filesystem::create_directories(
-            std::filesystem::path(path).parent_path(), ec);
-        sys.saveCheckpoint(path);
-    }
-    // Degenerate case: every core already reached the quota at the
-    // warmup point, so the run is over — run(quota) would tick once
-    // more and report one extra cycle.
-    bool done = true;
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        if (sys.core(c).committedIterations() < quota) {
-            done = false;
-            break;
-        }
-    }
-    return done ? sys.now() : sys.run(quota);
-}
-
 /** The per-run JSON sinks that need only the RunResult (run report,
  *  profile record, span record) — shared by live runs and result-store
  *  hits, so a warm rerun still feeds every figure script. */
@@ -437,7 +378,7 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     // One resolution serves the whole run: the rules, the sampling
     // diversion, the store key, the System and the sinks.
     RunOptions opts = resolveRunOptions(sp, store_dir);
-    applyRunRules(opts, quota);
+    applyRunRules(opts);
 
     // SMARTS-style checkpointed sampling — functional warm-up to a
     // checkpoint grid, short detail windows from each checkpoint (sweep
@@ -470,9 +411,7 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     r.workload = workload;
     r.config = label;
     // Functional fast mode retires the whole quota architecturally.
-    r.cycles = opts.funcMode
-                   ? sys.runFunctional(quota)
-                   : runMaybeCheckpointed(sys, opts, workload, label, quota);
+    r.cycles = opts.funcMode ? sys.runFunctional(quota) : sys.run(quota);
 
     collectMetrics(sys, CounterBaseline{}, r);
     mergedPercentiles(sys, "atomicDispatchToIssueHist",

@@ -102,16 +102,6 @@ const Knob kKnobs[] = {
      .parse = [](O &o, const Knob &k, const char *v) {
          o.sample = parseSampleSpec(k.name, v);
      }},
-    {.name = "ROWSIM_CKPT",
-     .parse = [](O &o, const Knob &k, const char *v) {
-         o.ckpt = static_cast<CkptMode>(
-             1 + choice(k, v, {"save", "restore", "auto"}));
-     }},
-    {.name = "ROWSIM_CKPT_AT",
-     .parse = [](O &o, const Knob &k, const char *v) {
-         o.ckptAt = numeric(k, v);
-     },
-     .hi = kU64Max},
     {.name = "ROWSIM_CKPT_DIR", .text = &O::ckptDir},
     {.name = "ROWSIM_RESULTS", .flag = &O::results},
     {.name = "ROWSIM_RESULTS_DIR", .text = &O::resultsDir},
@@ -178,71 +168,41 @@ rejectUnknownKnobs()
     }
 }
 
-/** A cross-knob rule: when it applies, a Fatal rule stops the run and
- *  the others turn off the knob @c ignore names, with a warning or
- *  silently. Messages are printf formats over (warmup point, quota). */
+/** A cross-knob rule: when it applies, a Fatal rule stops the run
+ *  with its message and a Silent one turns off the knob @c ignore
+ *  names. */
 struct RunRule
 {
-    enum Action { Fatal, Warn, Silent } action;
-    bool (*applies)(const O &o, std::uint64_t quota);
+    enum Action { Fatal, Silent } action;
+    bool (*applies)(const O &o);
     void (*ignore)(O &o);
     const char *message;
 };
 
-void
-ckptOff(O &o)
-{
-    o.ckpt = CkptMode::Off;
-}
-
 const RunRule kRunRules[] = {
     {RunRule::Fatal,
-     [](const O &o, std::uint64_t) {
-         return o.sample.active && o.profileMask;
-     },
+     [](const O &o) { return o.sample.active && o.profileMask; },
      nullptr,
      "ROWSIM_SAMPLE is incompatible with the attribution profiler "
      "(checkpoints do not carry its state); disable ROWSIM_PROFILE"},
     {RunRule::Fatal,
-     [](const O &o, std::uint64_t) {
-         return o.sample.active && o.converge.active;
-     },
+     [](const O &o) { return o.sample.active && o.converge.active; },
      nullptr,
      "ROWSIM_SAMPLE is incompatible with ROWSIM_CONVERGE (the stop cycle "
      "would depend on the sampling layout)"},
-    // A sampled run checkpoints its own grid, and a functional run is
-    // the fast path a warmup checkpoint would shortcut.
-    {RunRule::Silent,
-     [](const O &o, std::uint64_t) {
-         return o.ckpt != CkptMode::Off && (o.sample.active || o.funcMode);
+    // Sampling warms up in func mode, and the functional interpreter
+    // has no equivalent of the injector's per-tick RNG draws.
+    {RunRule::Fatal,
+     [](const O &o) {
+         return o.faults.mask && (o.sample.active || o.funcMode);
      },
-     ckptOff, ""},
-    {RunRule::Warn,
-     [](const O &o, std::uint64_t) {
-         return o.ckpt != CkptMode::Off && o.profileMask;
-     },
-     ckptOff,
-     "ROWSIM_CKPT ignored: the attribution profiler is active and the "
-     "snapshot format does not carry its state"},
-    // A convergence-bounded run can stop before the warmup point, which
-    // would leave a checkpoint that no cold run reproduces.
-    {RunRule::Warn,
-     [](const O &o, std::uint64_t) {
-         return o.ckpt != CkptMode::Off && o.converge.active;
-     },
-     ckptOff,
-     "ROWSIM_CKPT ignored: ROWSIM_CONVERGE bounds the run at a "
-     "data-dependent cycle"},
-    {RunRule::Warn,
-     [](const O &o, std::uint64_t quota) {
-         return o.ckpt != CkptMode::Off &&
-                (o.warmPoint(quota) == 0 || o.warmPoint(quota) >= quota);
-     },
-     ckptOff,
-     "ROWSIM_CKPT ignored: warmup point %llu outside (0, quota %llu)"},
+     nullptr,
+     "ROWSIM_FAULTS is incompatible with sampled (ROWSIM_SAMPLE) and "
+     "functional (ROWSIM_MODE=func) runs: fault injection has no "
+     "functional equivalent"},
     // A stored result replays no live sink.
     {RunRule::Silent,
-     [](const O &o, std::uint64_t) { return o.results && o.liveSinks(); },
+     [](const O &o) { return o.results && o.liveSinks(); },
      [](O &o) { o.results = false; }, ""},
 };
 
@@ -348,18 +308,13 @@ resolveRunOptions(const SystemParams &params, const std::string &store_dir)
 }
 
 void
-applyRunRules(RunOptions &o, std::uint64_t quota)
+applyRunRules(RunOptions &o)
 {
     for (const RunRule &rule : kRunRules) {
-        if (!rule.applies(o, quota))
+        if (!rule.applies(o))
             continue;
-        const std::string why = strprintf(
-            rule.message, static_cast<unsigned long long>(o.warmPoint(quota)),
-            static_cast<unsigned long long>(quota));
         if (rule.action == RunRule::Fatal)
-            ROWSIM_FATAL("%s", why.c_str());
-        if (rule.action == RunRule::Warn)
-            ROWSIM_WARN("%s", why.c_str());
+            ROWSIM_FATAL("%s", rule.message);
         rule.ignore(o);
     }
 }

@@ -45,15 +45,6 @@ enum class FastForwardMode : std::uint8_t
     Check,
 };
 
-/** Warmup-checkpoint mode (ROWSIM_CKPT). */
-enum class CkptMode : std::uint8_t
-{
-    Off,
-    Save,    ///< run to the warmup point, write the checkpoint, continue
-    Restore, ///< resume from the checkpoint (missing file is fatal)
-    Auto,    ///< restore when the file exists, else run + save it
-};
-
 /** Where a sweep job executes (ROWSIM_SWEEP_ISOLATE). */
 enum class SweepIsolation : std::uint8_t
 {
@@ -108,8 +99,6 @@ struct RunOptions
     bool funcMode = false;
     FastForwardMode fastForward = FastForwardMode::On;
     SampleSpec sample;
-    CkptMode ckpt = CkptMode::Off;
-    std::optional<std::uint64_t> ckptAt; ///< unset: quota / 4
     std::string ckptDir = "rowsim-ckpt";
 
     // Output sinks (empty = off; "-" = stdout where a sink allows it).
@@ -139,12 +128,6 @@ struct RunOptions
 
     /** The text the environment gave @p knob; nullptr when unset. */
     const char *envText(const char *knob) const;
-    /** The warmup-checkpoint point of a run of @p quota. */
-    std::uint64_t
-    warmPoint(std::uint64_t quota) const
-    {
-        return ckptAt ? *ckptAt : quota / 4;
-    }
     /** A live sink a stored result cannot replay is on. */
     bool
     liveSinks() const
@@ -165,13 +148,12 @@ RunOptions resolveRunOptions(const SystemParams &params = {},
                              const std::string &store_dir = "");
 
 /**
- * Apply the cross-knob rules to the options of one run of @p quota
- * iterations per core (sampling × profiler / convergence, warmup
- * checkpoint × sampling / func mode / profiler / convergence / warmup
- * point, result store × live sinks). A fatal rule throws; the others
- * warn or stay silent and turn the ignored knob off in @p o.
+ * Apply the cross-knob rules to the options of one run (sampling ×
+ * profiler / convergence, fault injection × sampling / func mode,
+ * result store × live sinks). A fatal rule throws; the others turn the
+ * ignored knob off in @p o silently.
  */
-void applyRunRules(RunOptions &o, std::uint64_t quota);
+void applyRunRules(RunOptions &o);
 
 /** One row of the knob table: the variable and the field it fills —
  *  a text, number or on/off field directly, anything else through

@@ -191,7 +191,7 @@ runDetailWindow(const SweepJob &job, const std::string &storeDir)
     // same layout restores, at most, nothing. Same rules as
     // runAndCollect (a cached window emits no telemetry).
     RunOptions opts = resolveRunOptions(sp, storeDir);
-    applyRunRules(opts, stop);
+    applyRunRules(opts);
     std::unique_ptr<ResultStore> store = ResultStore::open(opts);
     ResultKey key{};
     if (store) {

@@ -196,10 +196,9 @@ std::uint64_t configFingerprint(const SystemParams &params,
 /**
  * Checkpoint file `<dir>/<workload>-<label><shape>`, with every
  * character of workload and label outside [A-Za-z0-9] replaced by '_'.
- * The warmup and sampling checkpoints put everything that decides the
- * warmed trajectory into the name, so a stale file can never be
- * restored into the wrong run (the embedded config fingerprint
- * backstops the rest).
+ * Sampling checkpoints put everything that decides the warmed
+ * trajectory into the name, so a stale file can never be restored into
+ * the wrong run (the embedded config fingerprint backstops the rest).
  */
 std::string checkpointFile(const std::string &dir,
                            const std::string &workload,

@@ -303,7 +303,6 @@ System::maybeFastForward()
     }
     ffBackoffLen_ = 0;
     if (opts_.fastForward == FastForwardMode::Check) {
-        auto &self = const_cast<System &>(*this);
         auto dumpAll = [&]() {
             std::string s;
             auto addGroup = [&](const StatGroup &g) {
@@ -315,16 +314,7 @@ System::maybeFastForward()
                          std::to_string(kv.second.count()) + ":" +
                          std::to_string(kv.second.sum()) + "\n";
             };
-            addGroup(simStats_);
-            for (CoreId c = 0; c < cores.size(); c++) {
-                addGroup(self.core(c).stats());
-                addGroup(self.core(c).branchPredictor().stats());
-                addGroup(self.core(c).predictor().stats());
-                addGroup(self.mem().cache(c).stats());
-            }
-            for (unsigned b = 0; b < self.mem().numBanks(); b++)
-                addGroup(self.mem().directory(b).stats());
-            addGroup(self.mem().network().stats());
+            forEachStatGroup(addGroup);
             // Interval samples must land at the same cycles with the
             // same deltas whether the window is skipped or ticked
             // through — compare the full series, not just counters.
@@ -658,20 +648,9 @@ System::saveAux(Ser &s) const
 void
 System::saveStats(Ser &s) const
 {
-    // Groups travel in dumpStats/dumpStatsJson order, the one canonical
-    // walk of every group the simulator ever prints.
-    auto &self = const_cast<System &>(*this);
     s.section("stats");
-    self.simStats_.save(s);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        self.core(c).stats().save(s);
-        self.core(c).branchPredictor().stats().save(s);
-        self.core(c).predictor().stats().save(s);
-        self.mem().cache(c).stats().save(s);
-    }
-    for (unsigned b = 0; b < self.mem().numBanks(); b++)
-        self.mem().directory(b).stats().save(s);
-    self.mem().network().stats().save(s);
+    const_cast<System &>(*this).forEachStatGroup(
+        [&](StatGroup &g) { g.save(s); });
     intervalStats_.save(s);
     s.b(ts_ != nullptr);
     if (ts_)
@@ -720,16 +699,7 @@ System::restore(Deser &d)
     checker_->restoreSweepState(last_sweep, sweeps);
 
     d.section("stats");
-    simStats_.restore(d);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        core(c).stats().restore(d);
-        core(c).branchPredictor().stats().restore(d);
-        core(c).predictor().stats().restore(d);
-        mem().cache(c).stats().restore(d);
-    }
-    for (unsigned b = 0; b < mem().numBanks(); b++)
-        mem().directory(b).stats().restore(d);
-    mem().network().stats().restore(d);
+    forEachStatGroup([&](StatGroup &g) { g.restore(d); });
     intervalStats_.restore(d);
     const bool had_ts = d.b();
     if (had_ts != (ts_ != nullptr)) {
@@ -796,8 +766,8 @@ System::saveCheckpoint(const std::string &path) const
     if (profiler_ && profiler_->active()) {
         throw SnapshotError(
             "cannot checkpoint while the attribution profiler is "
-            "active (format v1 does not carry profiler state; rerun "
-            "with profiling off)");
+            "active (the snapshot format does not carry profiler "
+            "state; rerun with profiling off)");
     }
     Ser s;
     save(s);
@@ -810,8 +780,8 @@ System::restoreCheckpoint(const std::string &path)
     if (profiler_ && profiler_->active()) {
         throw SnapshotError(
             "cannot restore a checkpoint while the attribution "
-            "profiler is active (format v1 does not carry profiler "
-            "state; rerun with profiling off)");
+            "profiler is active (the snapshot format does not carry "
+            "profiler state; rerun with profiling off)");
     }
     const std::vector<std::uint8_t> payload =
         readSnapshotFile(path, configFingerprint());
@@ -953,37 +923,6 @@ System::dumpCrashDiagnostics(const char *reason)
 namespace
 {
 void
-dumpGroup(std::FILE *out, StatGroup &g)
-{
-    for (const auto &kv : g.counters()) {
-        std::fprintf(out, "%s.%s %llu\n", g.name().c_str(),
-                     kv.first.c_str(),
-                     static_cast<unsigned long long>(kv.second.value()));
-    }
-    for (const auto &kv : g.averages()) {
-        std::fprintf(out, "%s.%s mean=%.2f min=%.0f max=%.0f n=%llu\n",
-                     g.name().c_str(), kv.first.c_str(),
-                     kv.second.mean(), kv.second.min(), kv.second.max(),
-                     static_cast<unsigned long long>(kv.second.count()));
-    }
-    for (const auto &kv : g.formulas()) {
-        std::fprintf(out, "%s.%s %.4f\n", g.name().c_str(),
-                     kv.first.c_str(), kv.second.value());
-    }
-    for (const auto &kv : g.histograms()) {
-        const Histogram &h = kv.second;
-        std::fprintf(out,
-                     "%s.%s mean=%.2f p50=%.0f p90=%.0f p99=%.0f "
-                     "n=%llu\n",
-                     g.name().c_str(), kv.first.c_str(),
-                     h.summary().mean(), h.percentile(0.50),
-                     h.percentile(0.90), h.percentile(0.99),
-                     static_cast<unsigned long long>(
-                         h.summary().count()));
-    }
-}
-
-void
 dumpGroupJson(std::FILE *out, StatGroup &g, bool &first_group)
 {
     if (!first_group)
@@ -1039,28 +978,6 @@ dumpGroupJson(std::FILE *out, StatGroup &g, bool &first_group)
 }
 } // namespace
 
-void
-System::dumpStats(std::FILE *out) const
-{
-    auto &self = const_cast<System &>(*this);
-    std::fprintf(out, "sim.cycles %llu\n",
-                 static_cast<unsigned long long>(currentCycle));
-    std::fprintf(out, "sim.instructions %llu\n",
-                 static_cast<unsigned long long>(totalInstructions()));
-    std::fprintf(out, "sim.atomics %llu\n",
-                 static_cast<unsigned long long>(totalAtomics()));
-    dumpGroup(out, self.simStats_);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        dumpGroup(out, self.core(c).stats());
-        dumpGroup(out, self.core(c).branchPredictor().stats());
-        dumpGroup(out, self.core(c).predictor().stats());
-        dumpGroup(out, self.mem().cache(c).stats());
-    }
-    for (unsigned b = 0; b < self.mem().numBanks(); b++)
-        dumpGroup(out, self.mem().directory(b).stats());
-    dumpGroup(out, self.mem().network().stats());
-}
-
 std::string
 System::statsJson() const
 {
@@ -1081,7 +998,6 @@ System::statsJson() const
 void
 System::dumpStatsJson(std::FILE *out) const
 {
-    auto &self = const_cast<System &>(*this);
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"cycles\": %llu,\n",
                  static_cast<unsigned long long>(currentCycle));
@@ -1093,17 +1009,8 @@ System::dumpStatsJson(std::FILE *out) const
 
     std::fprintf(out, "  \"groups\": {\n");
     bool first_group = true;
-    dumpGroupJson(out, self.simStats_, first_group);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        dumpGroupJson(out, self.core(c).stats(), first_group);
-        dumpGroupJson(out, self.core(c).branchPredictor().stats(),
-                      first_group);
-        dumpGroupJson(out, self.core(c).predictor().stats(), first_group);
-        dumpGroupJson(out, self.mem().cache(c).stats(), first_group);
-    }
-    for (unsigned b = 0; b < self.mem().numBanks(); b++)
-        dumpGroupJson(out, self.mem().directory(b).stats(), first_group);
-    dumpGroupJson(out, self.mem().network().stats(), first_group);
+    const_cast<System &>(*this).forEachStatGroup(
+        [&](StatGroup &g) { dumpGroupJson(out, g, first_group); });
     std::fprintf(out, "\n  }");
 
     if (intervalStats_.enabled()) {

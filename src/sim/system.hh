@@ -159,11 +159,7 @@ class System
     const SystemParams &params() const { return params_; }
     const RunOptions &options() const { return opts_; }
 
-    /** Dump every statistic group (cores, caches, banks, network) in a
-     *  gem5-style "group.stat value" format. */
-    void dumpStats(std::FILE *out) const;
-
-    /** Dump the same statistics as one machine-readable JSON object:
+    /** Dump every statistic group as one machine-readable JSON object:
      *  sim totals, every group's counters/averages/formulas, and the
      *  interval-stats time series when sampling is enabled. */
     void dumpStatsJson(std::FILE *out) const;
@@ -232,6 +228,25 @@ class System
     void saveArch(Ser &s) const;
     void saveAux(Ser &s) const;
     void saveStats(Ser &s) const;
+    /** Call @p f on every statistic group in the one canonical order —
+     *  sim, then per core {core, branch predictor, RoW predictor, L1},
+     *  then per directory bank, then network — the order snapshots,
+     *  stats JSON and the fast-forward check all share. */
+    template <typename F>
+    void
+    forEachStatGroup(F &&f)
+    {
+        f(simStats_);
+        for (CoreId c = 0; c < cores.size(); c++) {
+            f(cores[c]->stats());
+            f(cores[c]->branchPredictor().stats());
+            f(cores[c]->predictor().stats());
+            f(memsys.cache(c).stats());
+        }
+        for (unsigned b = 0; b < memsys.numBanks(); b++)
+            f(memsys.directory(b).stats());
+        f(memsys.network().stats());
+    }
     /** Rare per-tick services (interval sample, checker sweep, watchdog
      *  scan), entered only when currentCycle reaches the precomputed
      *  nextServiceCycle_ — the common-case tick does one comparison. */

@@ -64,7 +64,7 @@ TEST(Options, TableListsEveryKnobOnce)
 {
     const std::set<std::string> names = tableNames();
     EXPECT_EQ(names.size(), knobs().size()) << "a knob is listed twice";
-    EXPECT_EQ(names.size(), 40u);
+    EXPECT_EQ(names.size(), 38u);
     for (const Knob &k : knobs()) {
         EXPECT_EQ(std::string(k.name).rfind("ROWSIM_", 0), 0u) << k.name;
         // Exactly one way to fill the field.
@@ -89,7 +89,6 @@ TEST(Options, DefaultsWithNoEnvironment)
     EXPECT_EQ(o.profileTopK, 16u);
     EXPECT_EQ(o.spansTopK, 64u);
     EXPECT_EQ(o.fastForward, FastForwardMode::On);
-    EXPECT_EQ(o.ckpt, CkptMode::Off);
     EXPECT_EQ(o.ckptDir, "rowsim-ckpt");
     EXPECT_FALSE(o.results);
     EXPECT_EQ(o.resultsDir, "rowsim-results");
@@ -169,7 +168,6 @@ TEST(Options, BadValuesAreFatalAndNameTheKnob)
         {"ROWSIM_LOG_LEVEL", "loud"},
         {"ROWSIM_MODE", "fast"},
         {"ROWSIM_FF", "2"},
-        {"ROWSIM_CKPT", "sometimes"},
         {"ROWSIM_SWEEP_ISOLATE", "fiber"},
         {"ROWSIM_RESULTS", "sideways"},
         {"ROWSIM_SPANS", "maybe"},
@@ -224,9 +222,14 @@ TEST(Options, MisspeltKnobIsFatalAndListsTheValidKnobs)
             }
         },
         "unknown environment variable ROWSIM_TRCE .*ROWSIM_TRACE,");
-    // A variable that merely shares the prefix of a knob is no knob.
-    ScopedEnv near("ROWSIM_TRACE_", "x");
-    EXPECT_NE(resolveError().find("ROWSIM_TRACE_ "), std::string::npos);
+    // A variable that merely shares the prefix of a knob is no knob,
+    // and neither is a retired knob.
+    for (const char *name : {"ROWSIM_TRACE_", "ROWSIM_CKPT"}) {
+        ScopedEnv env(name, "x");
+        const std::string error = resolveError();
+        EXPECT_NE(error.find(std::string(name) + " "), std::string::npos)
+            << error;
+    }
 }
 
 TEST(Options, RunRulesKeepTheirActions)
@@ -235,49 +238,36 @@ TEST(Options, RunRulesKeepTheirActions)
     RunOptions sampled;
     sampled.sample.active = true;
     sampled.profileMask = profCategoryAll;
-    EXPECT_THROW(applyRunRules(sampled, 100), std::runtime_error);
+    EXPECT_THROW(applyRunRules(sampled), std::runtime_error);
     sampled.profileMask = 0;
     sampled.converge = ConvergeSpec{true, "instructions", 0.1};
-    EXPECT_THROW(applyRunRules(sampled, 100), std::runtime_error);
+    EXPECT_THROW(applyRunRules(sampled), std::runtime_error);
 
-    // Warn and ignore: the warmup checkpoint under the profiler, under
-    // convergence, or outside the quota.
-    for (int which = 0; which < 3; which++) {
-        RunOptions o;
-        o.ckpt = CkptMode::Auto;
-        if (which == 0)
-            o.profileMask = profCategoryAll;
-        if (which == 1)
-            o.converge = ConvergeSpec{true, "instructions", 0.1};
-        if (which == 2)
-            o.ckptAt = 100;
-        ::testing::internal::CaptureStderr();
-        applyRunRules(o, 100);
-        const std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_EQ(o.ckpt, CkptMode::Off) << which;
-        EXPECT_NE(err.find("ROWSIM_CKPT ignored"), std::string::npos)
-            << which;
-    }
+    // Fatal: fault injection has no functional equivalent, so neither
+    // a sampled run (functional warm-up) nor a functional one takes it.
+    RunOptions faulted;
+    faulted.faults.mask = faultCategoryAll;
+    faulted.sample.active = true;
+    EXPECT_THROW(applyRunRules(faulted), std::runtime_error);
+    faulted.sample.active = false;
+    faulted.funcMode = true;
+    EXPECT_THROW(applyRunRules(faulted), std::runtime_error);
 
-    // Silently ignored: the checkpoint of a sampled or functional run,
-    // and the result store of a run with a live sink.
+    // Silently ignored: the result store of a run with a live sink.
     RunOptions o;
-    o.ckpt = CkptMode::Save;
-    o.funcMode = true;
     o.results = true;
     o.heartbeat = "/dev/null";
     ::testing::internal::CaptureStderr();
-    applyRunRules(o, 100);
+    applyRunRules(o);
     EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-    EXPECT_EQ(o.ckpt, CkptMode::Off);
     EXPECT_FALSE(o.results);
 
-    // A plain checkpointed, stored run passes untouched.
+    // A plain faulted, stored run passes untouched.
     RunOptions plain;
-    plain.ckpt = CkptMode::Restore;
+    plain.faults.mask = faultCategoryAll;
     plain.results = true;
-    applyRunRules(plain, 100);
-    EXPECT_EQ(plain.ckpt, CkptMode::Restore);
+    applyRunRules(plain);
+    EXPECT_EQ(plain.faults.mask, faultCategoryAll);
     EXPECT_TRUE(plain.results);
 }
 

@@ -163,40 +163,6 @@ TEST(Snapshot, CheckpointFileRoundTrip)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Snapshot, CkptEnvShortCircuitsRunsBitExactly)
-{
-    const std::string dir = scratchDir("env");
-    ScopedEnv mode("ROWSIM_CKPT", "auto");
-    ScopedEnv at("ROWSIM_CKPT_AT", "40");
-    ScopedEnv where("ROWSIM_CKPT_DIR", dir);
-
-    const ExpConfig cfg = rowConfig(ContentionDetector::RWDir,
-                                    PredictorUpdate::SaturateOnContention);
-    // Cold reference: same run with the checkpoint machinery off.
-    RunResult cold;
-    {
-        ::unsetenv("ROWSIM_CKPT");
-        cold = runExperiment("sps", cfg, 4, 160, 5, true);
-        ::setenv("ROWSIM_CKPT", "auto", 1);
-    }
-    // First auto run populates the checkpoint, second restores from it.
-    const RunResult populate = runExperiment("sps", cfg, 4, 160, 5, true);
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
-    const RunResult reuse = runExperiment("sps", cfg, 4, 160, 5, true);
-
-    EXPECT_EQ(populate.cycles, cold.cycles);
-    EXPECT_EQ(reuse.cycles, cold.cycles);
-    EXPECT_EQ(populate.statsJson, cold.statsJson);
-    EXPECT_EQ(reuse.statsJson, cold.statsJson);
-
-    // restore mode demands the file; a missing key is fatal, not silent.
-    ::setenv("ROWSIM_CKPT", "restore", 1);
-    EXPECT_THROW(runExperiment("sps", cfg, 4, 160, /*seed=*/977, true),
-                 std::runtime_error);
-
-    std::filesystem::remove_all(dir);
-}
-
 TEST(Snapshot, DamagedFilesFailWithNamedErrors)
 {
     const std::string dir = scratchDir("damage");
