@@ -157,6 +157,9 @@ class Deser
     void section(const char *tag);
 
     bool atEnd() const { return pos_ == size_; }
+    /** Bytes not yet read (bounds a count read from the image before
+     *  anything is sized by it). */
+    std::size_t remaining() const { return size_ - pos_; }
     /** Reject images with bytes left over after a full restore. */
     void expectEnd() const;
 
