@@ -157,7 +157,9 @@ struct MemParams
     unsigned l2Ways = 8;
     Cycle l2HitLatency = 12;
 
-    // Shared L3: 4MB per bank, 16 ways, 35-cycle hit.
+    // Shared L3: 4MB per bank, 16 ways, 35-cycle hit. Nominal: the set
+    // index aliases with the home-bank bits, so at 32 cores a bank
+    // reaches 128 of these sets (DESIGN.md section 5).
     unsigned l3SetsPerBank = 4096;
     unsigned l3Ways = 16;
     Cycle l3HitLatency = 35;

@@ -100,6 +100,7 @@ StatGroup::restore(Deser &d)
             "stat group mismatch: image has '%s', expected '%s'",
             name.c_str(), name_.c_str()));
     }
+    generation_++;
     counters_.clear();
     const std::uint64_t nCounters = d.u64();
     for (std::uint64_t i = 0; i < nCounters; i++) {

@@ -275,6 +275,10 @@ class StatGroup
   public:
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
+    /** Pinned in memory: stat handles (below) point into the group. */
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
+
     Counter &counter(const std::string &name);
     Average &average(const std::string &name);
     Formula &formula(const std::string &name);
@@ -298,9 +302,14 @@ class StatGroup
     void save(Ser &s) const;
     /** Replace counters/averages/histograms with the saved set (lazy
      *  stat creation is monotonic, so continuing a restored run yields
-     *  the same final name set as an uninterrupted one). Throws
+     *  the same final name set as an uninterrupted one). Bumps
+     *  generation(), so every handle re-binds on its next use. Throws
      *  SnapshotError if the group name differs. */
     void restore(Deser &d);
+
+    /** Starts at 1 and changes whenever the stat storage is replaced;
+     *  a handle bound under another generation re-binds. */
+    std::uint64_t generation() const { return generation_; }
 
     const std::string &name() const { return name_; }
     const std::map<std::string, Counter> &counters() const
@@ -326,6 +335,99 @@ class StatGroup
     std::map<std::string, Average> averages_;
     std::map<std::string, Formula> formulas_;
     std::map<std::string, Histogram> histograms_;
+    std::uint64_t generation_ = 1;
+};
+
+/**
+ * A statistic of one StatGroup, declared once as a member of its owner
+ * (gem5 declares its stats the same way) so the hot path pays no
+ * string-keyed lookup. A handle binds on its first dereference through
+ * the group's get-or-create call, so the stat enters counters(), stats
+ * JSON and snapshots exactly when a by-name call would have created it;
+ * a handle never dereferenced leaves no trace. It re-binds after
+ * StatGroup::restore replaced the storage. The owner holds the group,
+ * and both are pinned in memory. @p Self supplies `T &bind()`, the
+ * group's get-or-create call for the stat.
+ */
+template <typename T, typename Self>
+class StatHandle
+{
+  public:
+    StatHandle(const StatHandle &) = delete;
+    StatHandle &operator=(const StatHandle &) = delete;
+
+    T &
+    operator*()
+    {
+        if (gen_ != group_.generation()) {
+            stat_ = &static_cast<Self *>(this)->bind();
+            gen_ = group_.generation();
+        }
+        return *stat_;
+    }
+
+  protected:
+    StatHandle(StatGroup &group, const char *name)
+        : group_(group), name_(name)
+    {}
+
+    StatGroup &group_;
+    const char *name_;
+
+  private:
+    T *stat_ = nullptr;
+    std::uint64_t gen_ = 0; ///< generation stat_ was bound under
+};
+
+class CounterStat : public StatHandle<Counter, CounterStat>
+{
+  public:
+    CounterStat(StatGroup &group, const char *name)
+        : StatHandle(group, name)
+    {}
+
+    void operator++(int) { (**this)++; }
+
+  private:
+    friend StatHandle;
+    Counter &bind() { return group_.counter(name_); }
+};
+
+class AverageStat : public StatHandle<Average, AverageStat>
+{
+  public:
+    AverageStat(StatGroup &group, const char *name)
+        : StatHandle(group, name)
+    {}
+
+    void sample(double v) { (**this).sample(v); }
+
+  private:
+    friend StatHandle;
+    Average &bind() { return group_.average(name_); }
+};
+
+/** A histogram handle carries the geometry its first use fixes. */
+class HistogramStat : public StatHandle<Histogram, HistogramStat>
+{
+  public:
+    HistogramStat(StatGroup &group, const char *name, double lo, double hi,
+                  unsigned buckets)
+        : StatHandle(group, name), lo_(lo), hi_(hi), buckets_(buckets)
+    {}
+
+    void sample(double v) { (**this).sample(v); }
+
+  private:
+    friend StatHandle;
+    Histogram &
+    bind()
+    {
+        return group_.histogram(name_, lo_, hi_, buckets_);
+    }
+
+    double lo_, hi_;
+    unsigned buckets_;
 };
 
 } // namespace rowsim

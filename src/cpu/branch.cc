@@ -63,9 +63,9 @@ BranchPredictor::update(Addr pc, bool taken)
     history = (history << 1) | (taken ? 1 : 0);
 
     const bool correct = predicted == taken;
-    stats_.counter("lookups")++;
+    lookups_++;
     if (!correct)
-        stats_.counter("mispredicts")++;
+        mispredicts_++;
     return correct;
 }
 

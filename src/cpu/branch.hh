@@ -54,6 +54,8 @@ class BranchPredictor
     std::vector<std::uint8_t> chooser; ///< 2-bit: >=2 selects gshare
 
     StatGroup stats_;
+    CounterStat lookups_{stats_, "lookups"};
+    CounterStat mispredicts_{stats_, "mispredicts"};
 };
 
 } // namespace rowsim

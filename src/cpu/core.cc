@@ -162,7 +162,7 @@ Core::accessDone(const MemResult &r)
                       "store write completion mismatch (sq idx %u)", idx);
         s.written = true;
         s.writeInFlight = false;
-        stats_.counter("storeWrites")++;
+        storeWrites_++;
         storeWritten(s.seq, s.addr, r.doneCycle);
         return;
     }
@@ -177,8 +177,10 @@ Core::accessDone(const MemResult &r)
 
     ROWSIM_ASSERT(e.op.cls == OpClass::Load, "unexpected accessDone class");
     e.result = r.value;
-    stats_.counter(r.source == FillSource::L1Hit ? "loadL1Hits"
-                                                 : "loadL1Misses")++;
+    if (r.source == FillSource::L1Hit)
+        loadL1Hits_++;
+    else
+        loadL1Misses_++;
     completeOp(seq, r.doneCycle);
 }
 
@@ -219,7 +221,7 @@ Core::acquireLock(RobEntry &e, FillSource source, Cycle now)
             static_cast<std::uint16_t>((1u << params.row.timestampBits) - 1);
         const std::uint16_t lat =
             static_cast<std::uint16_t>((now - a.issuedCycle14) & mask);
-        stats_.average("atomicRemoteFillLatency").sample(lat);
+        atomicRemoteFillLatency_.sample(lat);
         if (lat > params.row.latencyThreshold)
             a.contended = true;
     }
@@ -275,7 +277,7 @@ Core::pokeWaitingLocks(Cycle now)
             m.needExclusive = true;
             m.isAtomic = true;
             m.spanId = a.spanId;
-            stats_.counter("lockWaitRefetches")++;
+            lockWaitRefetches_++;
             cache->access(m, now);
         }
     });
@@ -308,7 +310,7 @@ Core::atomicLineReady(std::uint64_t tok, Addr line, FillSource source,
         e.astate = AState::WaitLock;
         if (SpanTracker::enabled() && spans_ && a.spanId)
             spans_->transition(a.spanId, SpanSeg::UnblockWait, now);
-        stats_.counter("lockWaits")++;
+        lockWaits_++;
         return;
     }
 
@@ -350,7 +352,7 @@ Core::tryForceUnlock(Addr line, Cycle now)
     l.completed = false;
     e.wakeOn = WakeOn::Due;
     waiting.push_back(seq);
-    stats_.counter("forcedUnlocks")++;
+    forcedUnlocks_++;
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u forcedUnlock seq=%llu line=%#llx (replaying lazy)",
                  coreId, static_cast<unsigned long long>(seq),
@@ -471,20 +473,19 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
     const bool contended = a.contended;
 
     // Statistics: Fig. 5 / Fig. 6 / Fig. 12 inputs.
-    stats_.counter("atomicsUnlocked")++;
+    atomicsUnlocked_++;
     if (contended)
-        stats_.counter("atomicsDetectedContended")++;
+        atomicsDetectedContended_++;
     if (a.oracleContended)
-        stats_.counter("atomicsOracleContended")++;
+        atomicsOracleContended_++;
     if (a.issueCycle != invalidCycle && a.lockCycle != invalidCycle) {
-        stats_.average("atomicDispatchToIssue")
-            .sample(static_cast<double>(a.issueCycle - a.dispatchCycle));
-        stats_.average("atomicIssueToLock")
-            .sample(static_cast<double>(a.lockCycle - a.issueCycle));
-        stats_.average("atomicLockToUnlock")
-            .sample(static_cast<double>(now - a.lockCycle));
-        stats_.average("atomicDispatchToUnlock")
-            .sample(static_cast<double>(now - a.dispatchCycle));
+        atomicDispatchToIssue_.sample(
+            static_cast<double>(a.issueCycle - a.dispatchCycle));
+        atomicIssueToLock_.sample(
+            static_cast<double>(a.lockCycle - a.issueCycle));
+        atomicLockToUnlock_.sample(static_cast<double>(now - a.lockCycle));
+        atomicDispatchToUnlock_.sample(
+            static_cast<double>(now - a.dispatchCycle));
         // Chrome trace: the lock hold interval (sequential per core) and
         // the atomic's whole AQ residency (overlapping -> async span).
         ROWSIM_TRACE_COMPLETE(
@@ -523,12 +524,9 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
             const std::uint64_t i2l = a.lockCycle - a.issueCycle;
             const std::uint64_t l2u = now - a.lockCycle;
             prof_->pcSample(a.pc, d2i, i2l, l2u);
-            stats_.histogram("atomicDispatchToIssueHist", 0, 4096, 128)
-                .sample(static_cast<double>(d2i));
-            stats_.histogram("atomicIssueToLockHist", 0, 4096, 128)
-                .sample(static_cast<double>(i2l));
-            stats_.histogram("atomicLockToUnlockHist", 0, 4096, 128)
-                .sample(static_cast<double>(l2u));
+            atomicDispatchToIssueHist_.sample(static_cast<double>(d2i));
+            atomicIssueToLockHist_.sample(static_cast<double>(i2l));
+            atomicLockToUnlockHist_.sample(static_cast<double>(l2u));
         }
         if (Profiler::enabled(ProfCategory::Row) &&
             params.atomicPolicy == AtomicPolicy::RoW) {
@@ -703,7 +701,7 @@ Core::storeWritten(SeqNum store_seq, Addr addr, Cycle now)
                     spans_->transition(a.spanId, SpanSeg::UnblockWait,
                                        now);
             }
-            stats_.counter("lockWaits")++;
+            lockWaits_++;
         }
     }
 }
@@ -841,10 +839,8 @@ Core::sampleIndependentInsts(const RobEntry &e)
         if (rob(s).issued)
             younger_started++;
     }
-    stats_.average("olderUnexecutedAtIssue")
-        .sample(static_cast<double>(older_unexecuted));
-    stats_.average("youngerStartedAtIssue")
-        .sample(static_cast<double>(younger_started));
+    olderUnexecutedAtIssue_.sample(static_cast<double>(older_unexecuted));
+    youngerStartedAtIssue_.sample(static_cast<double>(younger_started));
 }
 
 bool
@@ -910,7 +906,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
             l.addr = a.addr;
             l.fwdFrom = src->seq;
             scheduleCompletion(e.seq, now + 2);
-            stats_.counter("atomicsForwarded")++;
+            atomicsForwarded_++;
             ROWSIM_TRACE(TraceCategory::Atomic, now,
                          "core%u forwarded seq=%llu line=%#llx from "
                          "store seq=%llu",
@@ -931,8 +927,10 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         a.issueCycle = now;
         sampleIndependentInsts(e);
     }
-    stats_.counter(e.lazySelected ? "atomicsIssuedLazy"
-                                  : "atomicsIssuedEager")++;
+    if (e.lazySelected)
+        atomicsIssuedLazy_++;
+    else
+        atomicsIssuedEager_++;
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u issue seq=%llu line=%#llx mode=%s",
                  coreId, static_cast<unsigned long long>(e.seq),
@@ -992,14 +990,14 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
             stu.addressReady = true;
             stu.addr = a.addr;
             wake(WakeOn::OlderStore, e.seq);
-            stats_.counter("onlyCalcAddrIssues")++;
+            onlyCalcAddrIssues_++;
             // Atomic locality (§IV-E): a matching older store in the SB
             // promotes the atomic to eager execution.
             if (params.forwardToAtomics && params.row.localityPromotion &&
                 sq.olderSameLineUnwritten(e.seq, a.line())) {
                 a.onlyCalcAddr = false;
                 e.lazySelected = false;
-                stats_.counter("atomicsPromotedEager")++;
+                atomicsPromotedEager_++;
                 bool done = atomicExecute(e, now);
                 if (done)
                     iqOccupancy--;
@@ -1089,7 +1087,7 @@ Core::tryIssueLoad(RobEntry &e, Cycle now, bool first)
             if (st.op.cls == OpClass::Store && st.seq == dep &&
                 !st.issued) {
                 if (first)
-                    stats_.counter("loadsPredictedDependent")++;
+                    loadsPredictedDependent_++;
                 // Predicted dependent: wait until the store issues.
                 return retryOn(e, WakeOn::OlderStore);
             }
@@ -1108,7 +1106,7 @@ Core::tryIssueLoad(RobEntry &e, Cycle now, bool first)
         l.fwdFrom = src->seq;
         e.issued = true;
         scheduleCompletion(e.seq, now + 2);
-        stats_.counter("loadsForwarded")++;
+        loadsForwarded_++;
     } else {
         l.issued = true;
         l.addr = e.op.addr;
@@ -1122,7 +1120,7 @@ Core::tryIssueLoad(RobEntry &e, Cycle now, bool first)
     // Issued past unresolved store(s): the violation scan at store
     // resolution replays us if the speculation was wrong.
     if (unknown_older)
-        stats_.counter("loadsSpeculated")++;
+        loadsSpeculated_++;
     iqOccupancy--;
     return true;
 }
@@ -1131,7 +1129,7 @@ void
 Core::replayLoad(RobEntry &load, Addr store_pc, Cycle now)
 {
     storeSet.violation(load.op.pc, store_pc);
-    stats_.counter("loadReplays")++;
+    loadReplays_++;
     load.replayGen++;
     load.completed = false;
     load.issued = false;
@@ -1327,7 +1325,7 @@ Core::dispatchStage(Cycle now)
             // only meaningful at dispatch time.
             e.waitStoreSeq = storeSet.dependence(e.op.pc);
             if (e.waitStoreSeq != 0)
-                stats_.counter("loadsDispatchedWithDep")++;
+                loadsDispatchedWithDep_++;
             break;
           case OpClass::Store: {
             e.sqIdx = static_cast<int>(sq.allocate(seq, false));
@@ -1349,9 +1347,9 @@ Core::dispatchStage(Cycle now)
             }
             if (params.atomicPolicy == AtomicPolicy::Fenced)
                 memBarriers.insert(seq);
-            stats_.counter("atomicsDispatched")++;
+            atomicsDispatched_++;
             if (e.lazySelected)
-                stats_.counter("atomicsPredictedContended")++;
+                atomicsPredictedContended_++;
             ROWSIM_TRACE(TraceCategory::Atomic, now,
                          "core%u dispatch seq=%llu pc=%#llx policy=%s",
                          coreId, static_cast<unsigned long long>(seq),
@@ -1373,7 +1371,7 @@ Core::dispatchStage(Cycle now)
                                                    e.op.takenBranch);
             if (!correct) {
                 fetchBlockedBy = seq;
-                stats_.counter("branchMispredicts")++;
+                branchMispredicts_++;
             }
             break;
           }
@@ -1382,7 +1380,7 @@ Core::dispatchStage(Cycle now)
         }
 
         iqOccupancy++;
-        stats_.counter("dispatched")++;
+        dispatched_++;
         if (e.depsPending == 0)
             pushReady(seq, now);
 

@@ -340,6 +340,45 @@ class Core : public MemClient
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;
+    // Dispatch and issue.
+    CounterStat dispatched_{stats_, "dispatched"};
+    CounterStat branchMispredicts_{stats_, "branchMispredicts"};
+    CounterStat loadsDispatchedWithDep_{stats_, "loadsDispatchedWithDep"};
+    CounterStat loadsPredictedDependent_{stats_, "loadsPredictedDependent"};
+    CounterStat loadsForwarded_{stats_, "loadsForwarded"};
+    CounterStat loadsSpeculated_{stats_, "loadsSpeculated"};
+    CounterStat loadReplays_{stats_, "loadReplays"};
+    CounterStat loadL1Hits_{stats_, "loadL1Hits"};
+    CounterStat loadL1Misses_{stats_, "loadL1Misses"};
+    CounterStat storeWrites_{stats_, "storeWrites"};
+    // Atomics (Fig. 5 / Fig. 6 / Fig. 12 inputs).
+    CounterStat atomicsDispatched_{stats_, "atomicsDispatched"};
+    CounterStat atomicsPredictedContended_{stats_,
+                                           "atomicsPredictedContended"};
+    CounterStat atomicsIssuedLazy_{stats_, "atomicsIssuedLazy"};
+    CounterStat atomicsIssuedEager_{stats_, "atomicsIssuedEager"};
+    CounterStat atomicsForwarded_{stats_, "atomicsForwarded"};
+    CounterStat onlyCalcAddrIssues_{stats_, "onlyCalcAddrIssues"};
+    CounterStat atomicsPromotedEager_{stats_, "atomicsPromotedEager"};
+    CounterStat atomicsUnlocked_{stats_, "atomicsUnlocked"};
+    CounterStat atomicsDetectedContended_{stats_, "atomicsDetectedContended"};
+    CounterStat atomicsOracleContended_{stats_, "atomicsOracleContended"};
+    CounterStat lockWaits_{stats_, "lockWaits"};
+    CounterStat lockWaitRefetches_{stats_, "lockWaitRefetches"};
+    CounterStat forcedUnlocks_{stats_, "forcedUnlocks"};
+    AverageStat atomicRemoteFillLatency_{stats_, "atomicRemoteFillLatency"};
+    AverageStat atomicDispatchToIssue_{stats_, "atomicDispatchToIssue"};
+    AverageStat atomicIssueToLock_{stats_, "atomicIssueToLock"};
+    AverageStat atomicLockToUnlock_{stats_, "atomicLockToUnlock"};
+    AverageStat atomicDispatchToUnlock_{stats_, "atomicDispatchToUnlock"};
+    AverageStat olderUnexecutedAtIssue_{stats_, "olderUnexecutedAtIssue"};
+    AverageStat youngerStartedAtIssue_{stats_, "youngerStartedAtIssue"};
+    HistogramStat atomicDispatchToIssueHist_{
+        stats_, "atomicDispatchToIssueHist", 0, 4096, 128};
+    HistogramStat atomicIssueToLockHist_{
+        stats_, "atomicIssueToLockHist", 0, 4096, 128};
+    HistogramStat atomicLockToUnlockHist_{
+        stats_, "atomicLockToUnlockHist", 0, 4096, 128};
 };
 
 } // namespace rowsim

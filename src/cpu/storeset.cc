@@ -49,7 +49,7 @@ StoreSet::dependence(Addr load_pc) const
 void
 StoreSet::violation(Addr load_pc, Addr store_pc)
 {
-    stats_.counter("violations")++;
+    violations_++;
     std::uint32_t &ls = ssit[index(load_pc)];
     std::uint32_t &ss = ssit[index(store_pc)];
     if (ls == invalidSet && ss == invalidSet) {

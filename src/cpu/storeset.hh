@@ -65,6 +65,7 @@ class StoreSet
     std::uint32_t nextSetId = 0;
 
     StatGroup stats_;
+    CounterStat violations_{stats_, "violations"};
 };
 
 } // namespace rowsim

@@ -71,7 +71,7 @@ Directory::dataLatency(Addr line, Cycle now, bool &from_memory)
     // drop presence (data always reachable in functional memory).
     auto *way = llcArray.victim(line, nullptr, now);
     llcArray.fill(way, line, CacheState::Shared, now);
-    stats_.counter("llcMisses")++;
+    llcMisses_++;
     return params.l3HitLatency + params.memoryLatency;
 }
 
@@ -179,7 +179,7 @@ Directory::processRequest(std::size_t si, const Msg &msg, Cycle now,
 
     switch (msg.type) {
       case MsgType::GetS:
-        stats_.counter("getS")++;
+        getS_++;
         if (e.state == DirState::Invalid || e.state == DirState::Shared) {
             bool from_mem = false;
             Cycle lat = dataLatency(line, now, from_mem);
@@ -196,7 +196,7 @@ Directory::processRequest(std::size_t si, const Msg &msg, Cycle now,
         } else { // Modified: forward to owner
             if (oracle)
                 oracle(line, req, e.owner, false, now);
-            stats_.counter("fwdGetS")++;
+            fwdGetS_++;
             sendToCore(MsgType::FwdGetS, line, e.owner, req, now, false,
                        false, hint, msg.spanId);
             t.nextState = DirState::Shared;
@@ -207,14 +207,14 @@ Directory::processRequest(std::size_t si, const Msg &msg, Cycle now,
         break;
 
       case MsgType::GetX:
-        stats_.counter("getX")++;
+        getX_++;
         if (e.state == DirState::Modified) {
             ROWSIM_ASSERT(e.owner != req,
                           "GetX from current owner, line %#lx",
                           static_cast<unsigned long>(line));
             if (oracle)
                 oracle(line, req, e.owner, false, now);
-            stats_.counter("fwdGetX")++;
+            fwdGetX_++;
             // Exclusive ownership moving between private caches: the
             // ping-pong transfer the contention profile counts.
             if (Profiler::enabled(ProfCategory::Lines) && prof_)
@@ -359,9 +359,8 @@ Directory::deliver(const Msg &msg, Cycle now)
             t.queued.push_back(msg);
             if (SpanTracker::enabled() && spans_ && msg.spanId)
                 spans_->dirQueued(msg.spanId, now);
-            stats_.counter("queuedRequests")++;
-            stats_.average("queueDepth").sample(
-                static_cast<double>(t.queued.size()));
+            queuedRequests_++;
+            queueDepth_.sample(static_cast<double>(t.queued.size()));
             if (Profiler::enabled(ProfCategory::Lines) && prof_)
                 prof_->lineQueueDepth(msg.line, t.queued.size());
             ROWSIM_TRACE(TraceCategory::Directory, now,
@@ -384,11 +383,11 @@ Directory::deliver(const Msg &msg, Cycle now)
             e.state = DirState::Invalid;
             e.owner = invalidCore;
             e.sharers = 0;
-            stats_.counter("writebacks")++;
+            writebacks_++;
         } else {
             // Crossed with an in-flight transaction; ownership already
             // moved (or is moving). Ack without touching state.
-            stats_.counter("staleWritebacks")++;
+            staleWritebacks_++;
         }
         sendToCore(MsgType::WBAck, msg.line, evictor, evictor, now);
         break;
@@ -459,7 +458,7 @@ Directory::injectStall(Cycle until)
 {
     if (until > stalledUntil)
         stalledUntil = until;
-    stats_.counter("injectedStalls")++;
+    injectedStalls_++;
 }
 
 void

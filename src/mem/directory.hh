@@ -280,6 +280,16 @@ class Directory : public MsgHandler
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;
+    CounterStat llcMisses_{stats_, "llcMisses"};
+    CounterStat getS_{stats_, "getS"};
+    CounterStat fwdGetS_{stats_, "fwdGetS"};
+    CounterStat getX_{stats_, "getX"};
+    CounterStat fwdGetX_{stats_, "fwdGetX"};
+    CounterStat queuedRequests_{stats_, "queuedRequests"};
+    AverageStat queueDepth_{stats_, "queueDepth"};
+    CounterStat writebacks_{stats_, "writebacks"};
+    CounterStat staleWritebacks_{stats_, "staleWritebacks"};
+    CounterStat injectedStalls_{stats_, "injectedStalls"};
 };
 
 } // namespace rowsim

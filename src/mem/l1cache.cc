@@ -32,7 +32,10 @@ PrivateCache::sendRequest(Addr line, bool exclusive, bool prefetch,
     m.requester = coreId;
     m.spanId = span_id;
     net->send(m, now);
-    stats_.counter(prefetch ? "prefetchRequests" : "demandRequests")++;
+    if (prefetch)
+        prefetchRequests_++;
+    else
+        demandRequests_++;
 }
 
 void
@@ -67,7 +70,7 @@ void
 PrivateCache::access(const MemAccess &a, Cycle now)
 {
     const Addr line = lineAlign(a.addr);
-    stats_.counter("accesses")++;
+    accesses_++;
 
     auto *l2line = l2Array.lookup(line, now);
     const bool have_perm =
@@ -78,14 +81,14 @@ PrivateCache::access(const MemAccess &a, Cycle now)
         const FillSource src = l1hit ? FillSource::L1Hit : FillSource::L2Hit;
         const Cycle lat = l1hit ? params.l1HitLatency : params.l2HitLatency;
         if (!l1hit) {
-            stats_.counter("l1Misses")++;
-            stats_.average("missLatency").sample(static_cast<double>(lat));
+            l1Misses_++;
+            missLatency_.sample(static_cast<double>(lat));
             auto *way = l1Array.victim(line,
                 [this](Addr t) { return client->lineLocked(t); }, now);
             if (way)
                 l1Array.fill(way, line, l2line->state, now);
         } else {
-            stats_.counter("l1Hits")++;
+            l1Hits_++;
         }
 
         if (a.isAtomic) {
@@ -109,7 +112,7 @@ PrivateCache::access(const MemAccess &a, Cycle now)
     }
 
     // Miss (or S->M upgrade).
-    stats_.counter("l1Misses")++;
+    l1Misses_++;
     ROWSIM_TRACE(TraceCategory::Coherence, now,
                  "l1d%u miss line=%#llx excl=%d atomic=%d", coreId,
                  static_cast<unsigned long long>(line),
@@ -134,12 +137,12 @@ PrivateCache::access(const MemAccess &a, Cycle now)
         if (it->second.prefetchOnly)
             it->second.prefetchOnly = false;
         it->second.waiters.push_back(w);
-        stats_.counter("mshrCoalesced")++;
+        mshrCoalesced_++;
         return;
     }
     if (mshrs.size() >= params.mshrs) {
         pendingAccesses.emplace_back(a, now);
-        stats_.counter("mshrFull")++;
+        mshrFull_++;
         return;
     }
 
@@ -185,7 +188,7 @@ PrivateCache::evictLine(CacheArray::Line *way, Cycle now)
         m.dst = net->homeBank(victim_line);
         m.requester = coreId;
         net->send(m, now);
-        stats_.counter("writebacks")++;
+        writebacks_++;
     }
     l1Array.invalidate(victim_line);
     way->state = CacheState::Invalid;
@@ -272,10 +275,9 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
             still_waiting.push_back(w);
             continue;
         }
-        stats_.average("missLatency").sample(
-            static_cast<double>(now - w.requestCycle));
+        missLatency_.sample(static_cast<double>(now - w.requestCycle));
         if (msg.fromPrivateCache)
-            stats_.counter("remoteFills")++;
+            remoteFills_++;
         completeWaiter(w, src, now, m.netIssueCycle, msg.contentionHint,
                        now);
     }
@@ -316,7 +318,7 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
         ack.requester = msg.requester;
         ack.spanId = msg.spanId;
         net->send(ack, now);
-        stats_.counter("invalidations")++;
+        invalidations_++;
         break;
       }
       case MsgType::FwdGetS:
@@ -358,7 +360,7 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
         data.fromPrivateCache = true;
         data.spanId = msg.spanId;
         net->send(data, now);
-        stats_.counter("ownerForwards")++;
+        ownerForwards_++;
         break;
       }
       default:
@@ -383,7 +385,7 @@ PrivateCache::deliver(const Msg &msg, Cycle now)
         client->externalRequestSnoop(msg.line, now);
         if (client->lineLocked(msg.line)) {
             stalledExternals.push_back({msg, now});
-            stats_.counter("lockStalledExternals")++;
+            lockStalledExternals_++;
             ROWSIM_TRACE(TraceCategory::Coherence, now,
                          "l1d%u external %s stalled on locked line=%#llx "
                          "from core%u",
@@ -413,8 +415,7 @@ PrivateCache::unlockNotify(Addr line, Cycle now)
             Msg m = it->msg;
             const Cycle arrival = it->arrival;
             it = stalledExternals.erase(it);
-            stats_.average("lockStallCycles").sample(
-                static_cast<double>(now - m.sent));
+            lockStallCycles_.sample(static_cast<double>(now - m.sent));
             if (Profiler::enabled(ProfCategory::Lines) && prof_)
                 prof_->lineLockStall(line, now - m.sent);
             // The victim span (the remote requester this Fwd/Inv serves)
@@ -466,13 +467,13 @@ PrivateCache::tick(Cycle now)
         for (auto it = stalledExternals.begin();
              it != stalledExternals.end();) {
             if (now - it->arrival > lockStealThreshold)
-                stats_.counter("stealAttempts")++;
+                stealAttempts_++;
             if (now - it->arrival > lockStealThreshold &&
                 client->tryForceUnlock(it->msg.line, now)) {
                 Msg m = it->msg;
                 const Cycle arrival = it->arrival;
                 it = stalledExternals.erase(it);
-                stats_.counter("lockSteals")++;
+                lockSteals_++;
                 if (Profiler::enabled(ProfCategory::Lines) && prof_)
                     prof_->lineSteal(m.line);
                 if (SpanTracker::enabled() && spans_ && m.spanId)
@@ -538,7 +539,7 @@ PrivateCache::forceEvict(Addr line, Cycle now)
         return false;
     }
     evictLine(way, now);
-    stats_.counter("forcedEvictions")++;
+    forcedEvictions_++;
     ROWSIM_TRACE(TraceCategory::Coherence, now,
                  "l1d%u fault-injected eviction line=%#llx", coreId,
                  static_cast<unsigned long long>(line));

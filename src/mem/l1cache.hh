@@ -297,6 +297,23 @@ class PrivateCache : public MsgHandler
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;
+    CounterStat demandRequests_{stats_, "demandRequests"};
+    CounterStat prefetchRequests_{stats_, "prefetchRequests"};
+    CounterStat accesses_{stats_, "accesses"};
+    CounterStat l1Hits_{stats_, "l1Hits"};
+    CounterStat l1Misses_{stats_, "l1Misses"};
+    AverageStat missLatency_{stats_, "missLatency"};
+    CounterStat mshrCoalesced_{stats_, "mshrCoalesced"};
+    CounterStat mshrFull_{stats_, "mshrFull"};
+    CounterStat writebacks_{stats_, "writebacks"};
+    CounterStat remoteFills_{stats_, "remoteFills"};
+    CounterStat invalidations_{stats_, "invalidations"};
+    CounterStat ownerForwards_{stats_, "ownerForwards"};
+    CounterStat lockStalledExternals_{stats_, "lockStalledExternals"};
+    AverageStat lockStallCycles_{stats_, "lockStallCycles"};
+    CounterStat stealAttempts_{stats_, "stealAttempts"};
+    CounterStat lockSteals_{stats_, "lockSteals"};
+    CounterStat forcedEvictions_{stats_, "forcedEvictions"};
 };
 
 } // namespace rowsim

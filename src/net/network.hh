@@ -11,6 +11,7 @@
 #ifndef ROWSIM_NET_NETWORK_HH
 #define ROWSIM_NET_NETWORK_HH
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -32,6 +33,12 @@ class SpanTracker;
  * The on-chip network. Endpoints register themselves by NodeId; send()
  * computes the delivery cycle from mesh distance and enqueues; tick()
  * delivers everything due at the current cycle.
+ *
+ * In-flight messages sit in a calendar queue: a power-of-two ring of
+ * per-cycle FIFO buckets indexed by `due & (size - 1)`. Every in-flight
+ * due cycle lies in [lo_, lo_ + size), so a bucket never mixes cycles
+ * and delivery runs in (due, injection order) order. A send whose due
+ * cycle does not fit (a fault delay) doubles the ring until it does.
  */
 class Network
 {
@@ -48,17 +55,13 @@ class Network
     void tick(Cycle now);
 
     /** True when no messages are in flight. */
-    bool idle() const { return inFlight.empty(); }
+    bool idle() const { return inFlight_ == 0; }
 
     /** Messages currently in flight (conservation checks). */
-    std::size_t inFlightCount() const { return inFlight.size(); }
+    std::size_t inFlightCount() const { return inFlight_; }
     /** Delivery cycle of the earliest in-flight message; invalidCycle
      *  when the network is idle. */
-    Cycle
-    nextDue() const
-    {
-        return inFlight.empty() ? invalidCycle : inFlight.front().due;
-    }
+    Cycle nextDue() const;
 
     /**
      * Fault injection: extra per-message delay, added on top of the mesh
@@ -87,7 +90,7 @@ class Network
     StatGroup &stats() { return stats_; }
 
     /** Architectural state: in-flight messages (serialized in (due,
-     *  order) order so the heap layout never leaks into the image),
+     *  order) order so the ring layout never leaks into the image),
      *  point-to-point ordering floors, injection counter. */
     void save(Ser &s) const;
     void restore(Deser &d);
@@ -98,14 +101,26 @@ class Network
         Cycle due;
         std::uint64_t order; ///< global injection order, tie-breaker
         Msg msg;
-        bool operator>(const Pending &o) const
+        bool operator<(const Pending &o) const
         {
-            return due != o.due ? due > o.due : order > o.order;
+            return due != o.due ? due < o.due : order < o.order;
         }
     };
 
+    static constexpr std::size_t numMsgTypes =
+        static_cast<std::size_t>(MsgType::Unblock) + 1;
+
     /** Tile coordinates of a node in the mesh. */
     void coords(NodeId node, unsigned &x, unsigned &y) const;
+
+    /** File @p p into its bucket, lowering lo_ or growing the ring as
+     *  needed. Never called while a bucket is being drained. */
+    void place(const Pending &p);
+    /** Re-file every message into a ring of at least @p span buckets. */
+    void grow(Cycle span);
+    /** Every in-flight message, sorted by (due, order). */
+    std::vector<const Pending *> sortedInFlight() const;
+    void deliver(const Pending &p, Cycle now);
 
     unsigned numCores;
     unsigned numNodes;   ///< 2 * numCores: cores then banks
@@ -113,10 +128,21 @@ class Network
     NetParams params;
 
     std::vector<MsgHandler *> handlers;
-    /** Min-heap on (due, order) kept via std::push_heap/pop_heap; a raw
-     *  vector (unlike std::priority_queue) lets dumpDiag walk it without
-     *  copying every in-flight message on the crash path. */
-    std::vector<Pending> inFlight;
+    /** The calendar ring; bucket `due & (ring_.size() - 1)` holds the
+     *  messages due that cycle, in injection order. */
+    std::vector<std::vector<Pending>> ring_;
+    /** No in-flight message is due before lo_. While tick() drains, lo_
+     *  is the cycle whose bucket is being walked. */
+    Cycle lo_ = 0;
+    std::size_t inFlight_ = 0; ///< ring plus deferred_
+    bool draining_ = false;
+    /** Entries of bucket lo_ already delivered by the drain in progress
+     *  (0 outside a drain); they stay in the bucket until it is done. */
+    std::size_t walked_ = 0;
+    /** Sends made during a drain that need a larger ring. Growing moves
+     *  the bucket being walked, so they wait until that bucket is done;
+     *  later sends queue behind them to keep injection order. */
+    std::vector<Pending> deferred_;
     /** Last delivery cycle per (src,dst), flat-indexed src*numNodes+dst,
      *  enforcing point-to-point order. 0 (never delivered) is a no-op
      *  lower bound, so no occupancy map is needed. */
@@ -130,14 +156,12 @@ class Network
     DelayHook delayHook;
     SpanTracker *spans_ = nullptr;
 
-    /** Per-message-type delivery-latency histograms, cached by MsgType
-     *  index. The pointers alias StatGroup storage, which restore()
-     *  replaces wholesale, so restore() re-zeroes this cache. */
-    std::vector<Histogram *> latHist_;
-
-    Histogram &typeLatencyHist(MsgType t);
-
     StatGroup stats_;
+    CounterStat messages_{stats_, "messages"};
+    AverageStat hops_{stats_, "hops"};
+    CounterStat delivered_{stats_, "delivered"};
+    /** Delivery latency per message type ("lat<Type>"), by MsgType. */
+    std::array<HistogramStat, numMsgTypes> latHist_;
 };
 
 } // namespace rowsim

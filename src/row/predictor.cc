@@ -41,11 +41,11 @@ void
 ContentionPredictor::update(Addr pc, bool contended, Cycle now)
 {
     const bool predicted = predictContended(pc);
-    stats_.counter("updates")++;
+    updates_++;
     if (predicted == contended)
-        stats_.counter("correct")++;
+        correct_++;
     if (contended)
-        stats_.counter("contendedOutcomes")++;
+        contendedOutcomes_++;
 
     std::uint8_t &ctr = table[index(pc)];
     ROWSIM_TRACE(TraceCategory::Predictor, now,

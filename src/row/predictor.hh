@@ -62,6 +62,9 @@ class ContentionPredictor
     std::vector<std::uint8_t> table;
 
     StatGroup stats_;
+    CounterStat updates_{stats_, "updates"};
+    CounterStat correct_{stats_, "correct"};
+    CounterStat contendedOutcomes_{stats_, "contendedOutcomes"};
 };
 
 } // namespace rowsim

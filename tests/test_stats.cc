@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "common/stats.hh"
+#include "sim/experiment.hh"
+#include "sim/profiles.hh"
+#include "sim/snapshot.hh"
+#include "sim/system.hh"
+#include "sim/workloads.hh"
 
 using namespace rowsim;
 
@@ -185,4 +193,108 @@ TEST(StatGroup, ResetClearsEverything)
     g.reset();
     EXPECT_EQ(g.counterValue("a"), 0u);
     EXPECT_EQ(g.findAverage("x")->count(), 0u);
+}
+
+TEST(StatHandle, NeverDereferencedLeavesNoStat)
+{
+    StatGroup g("test");
+    CounterStat hits{g, "hits"};
+    AverageStat lat{g, "lat"};
+    HistogramStat dist{g, "dist", 0, 10, 5};
+    EXPECT_TRUE(g.counters().empty());
+    EXPECT_TRUE(g.averages().empty());
+    EXPECT_TRUE(g.histograms().empty());
+
+    hits++;
+    lat.sample(4);
+    EXPECT_EQ(g.counterValue("hits"), 1u);
+    ASSERT_NE(g.findAverage("lat"), nullptr);
+    EXPECT_EQ(g.findHistogram("dist"), nullptr);
+}
+
+TEST(StatHandle, HistogramCarriesItsGeometry)
+{
+    StatGroup g("test");
+    HistogramStat dist{g, "dist", 0, 10, 5};
+    dist.sample(3);
+    const Histogram *h = g.findHistogram("dist");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->lo(), 0);
+    EXPECT_EQ(h->hi(), 10);
+    ASSERT_EQ(h->buckets().size(), 5u);
+    EXPECT_EQ(h->buckets()[1], 1u);
+}
+
+TEST(StatHandle, RebindsAfterRestore)
+{
+    StatGroup g("test");
+    CounterStat n{g, "n"};
+    AverageStat lat{g, "lat"};
+    HistogramStat dist{g, "dist", 0, 10, 5};
+    CounterStat late{g, "late"};
+    for (int i = 0; i < 3; i++)
+        n++;
+    lat.sample(2);
+    dist.sample(1);
+    Ser s;
+    g.save(s);
+
+    // Diverge after the image, binding a stat the image lacks.
+    for (int i = 0; i < 5; i++)
+        n++;
+    lat.sample(100);
+    dist.sample(9);
+    late++;
+
+    Deser d(s.bytes());
+    g.restore(d);
+    EXPECT_EQ(g.counterValue("n"), 3u);
+    EXPECT_EQ(g.counters().count("late"), 0u);
+
+    // Increments land in the restored storage, continuing its values.
+    n++;
+    lat.sample(4);
+    dist.sample(1);
+    EXPECT_EQ(g.counterValue("n"), 4u);
+    EXPECT_EQ((*n).value(), 4u);
+    EXPECT_DOUBLE_EQ(g.findAverage("lat")->mean(), 3.0);
+    EXPECT_EQ(g.findHistogram("dist")->buckets()[0], 2u);
+    EXPECT_EQ(g.findHistogram("dist")->buckets()[4], 0u);
+    EXPECT_EQ(g.counters().count("late"), 0u);
+    late++;
+    EXPECT_EQ(g.counterValue("late"), 1u);
+}
+
+TEST(StatHandle, SystemRestoredMidRunMatchesUninterruptedStatsJson)
+{
+    const ExpConfig cfg = rowConfig(ContentionDetector::RWDir,
+                                    PredictorUpdate::SaturateOnContention);
+    const unsigned cores = 4;
+    const std::uint64_t seed = 5, quota = 200, warm = 60;
+    auto make = [&] {
+        return std::make_unique<System>(
+            makeParams(cfg, cores, seed),
+            makeStreams(profileFor("sps"), cores, seed));
+    };
+
+    auto cold = make();
+    const Cycle cold_cycles = cold->run(quota);
+    const std::string cold_stats = cold->statsJson();
+
+    // A fresh System binds no handle at construction.
+    auto sys = make();
+    EXPECT_EQ(sys->statsJson().find("\"dispatched\""), std::string::npos);
+    EXPECT_EQ(sys->statsJson().find("\"delivered\""), std::string::npos);
+
+    // Save mid-run, run on (every hot handle binds), then restore into
+    // the same System: the handles must re-bind to the restored stats.
+    sys->runWarmup(quota, warm);
+    Ser s;
+    sys->save(s);
+    sys->run(quota);
+    EXPECT_NE(sys->statsJson().find("\"dispatched\""), std::string::npos);
+    Deser d(s.bytes());
+    sys->restore(d);
+    EXPECT_EQ(sys->run(quota), cold_cycles);
+    EXPECT_EQ(sys->statsJson(), cold_stats);
 }
