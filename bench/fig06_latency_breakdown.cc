@@ -9,14 +9,12 @@
  * (acquisition) and yellow (lock-held) segments; on contended workloads
  * the eager issue->lock segment explodes.
  *
- * Runs with the "pcs" profile category on so the per-phase histograms
- * exist, and reports the tail (p50/p90/p99) of the acquisition phase
- * alongside the means — contention shows up in the tail long before it
- * moves the mean.
+ * Also reports the tail (p50/p90/p99) of the acquisition phase
+ * alongside the means, both read from the same per-phase histograms —
+ * contention shows up in the tail long before it moves the mean.
  */
 
 #include "bench/bench_common.hh"
-#include "sim/profile.hh"
 
 using namespace rowsim;
 using namespace rowsim::bench;
@@ -24,23 +22,12 @@ using namespace rowsim::bench;
 namespace
 {
 
-/** The fig06 bars run profiled; the label suffix keeps the run cache
- *  (bench_common) from conflating them with unprofiled runs of the
- *  same workload elsewhere in the suite. */
-ExpConfig
-profiled(ExpConfig c)
-{
-    c.label += "+prof";
-    c.profile = profMask(ProfCategory::Pcs);
-    return c;
-}
-
 void
 breakdown(benchmark::State &state, const std::string &workload)
 {
     for (auto _ : state) {
-        const RunResult &e = cachedRun(workload, profiled(eagerConfig()));
-        const RunResult &l = cachedRun(workload, profiled(lazyConfig()));
+        const RunResult &e = cachedRun(workload, eagerConfig());
+        const RunResult &l = cachedRun(workload, lazyConfig());
         state.counters["eager_d2i"] = e.dispatchToIssue;
         state.counters["eager_i2l"] = e.issueToLock;
         state.counters["eager_l2u"] = e.lockToUnlock;
@@ -68,8 +55,8 @@ breakdown(benchmark::State &state, const std::string &workload)
 
 const int registered = [] {
     for (const auto &w : atomicIntensiveWorkloads()) {
-        addPrewarm(w, profiled(eagerConfig()));
-        addPrewarm(w, profiled(lazyConfig()));
+        addPrewarm(w, eagerConfig());
+        addPrewarm(w, lazyConfig());
         benchmark::RegisterBenchmark(("fig06/" + w).c_str(), breakdown, w)
             ->Unit(benchmark::kMillisecond)
             ->Iterations(1);

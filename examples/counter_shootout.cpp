@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -76,6 +77,8 @@ main(int argc, char **argv)
         System sys(sp, makeStreams(shootoutProfile(), cores, 1));
         Cycle c = sys.run(quota);
         sys.drain();
+        RunResult r;
+        collectMetrics(sys, CounterBaseline{}, r);
 
         std::uint64_t total = 0;
         for (CoreId i = 0; i < cores; i++)
@@ -87,9 +90,7 @@ main(int argc, char **argv)
                     policyName(p), static_cast<unsigned long long>(c),
                     1000.0 * static_cast<double>(total) /
                         static_cast<double>(c),
-                    sys.meanAverage("atomicDispatchToIssue"),
-                    sys.meanAverage("atomicIssueToLock"),
-                    sys.meanAverage("atomicLockToUnlock"),
+                    r.dispatchToIssue, r.issueToLock, r.lockToUnlock,
                     value == total ? "OK" : "LOST UPDATES!");
         if (value != total) {
             std::fprintf(stderr,

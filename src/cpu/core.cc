@@ -479,13 +479,12 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
     if (a.oracleContended)
         atomicsOracleContended_++;
     if (a.issueCycle != invalidCycle && a.lockCycle != invalidCycle) {
-        atomicDispatchToIssue_.sample(
+        atomicDispatchToIssueHist_.sample(
             static_cast<double>(a.issueCycle - a.dispatchCycle));
-        atomicIssueToLock_.sample(
+        atomicIssueToLockHist_.sample(
             static_cast<double>(a.lockCycle - a.issueCycle));
-        atomicLockToUnlock_.sample(static_cast<double>(now - a.lockCycle));
-        atomicDispatchToUnlock_.sample(
-            static_cast<double>(now - a.dispatchCycle));
+        atomicLockToUnlockHist_.sample(
+            static_cast<double>(now - a.lockCycle));
         // Chrome trace: the lock hold interval (sequential per core) and
         // the atomic's whole AQ residency (overlapping -> async span).
         ROWSIM_TRACE_COMPLETE(
@@ -516,17 +515,6 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
         if (Profiler::enabled(ProfCategory::Lines) &&
             a.lockCycle != invalidCycle) {
             prof_->lineRelease(line, now - a.lockCycle, contended);
-        }
-        if (Profiler::enabled(ProfCategory::Pcs) &&
-            a.issueCycle != invalidCycle &&
-            a.lockCycle != invalidCycle) {
-            const std::uint64_t d2i = a.issueCycle - a.dispatchCycle;
-            const std::uint64_t i2l = a.lockCycle - a.issueCycle;
-            const std::uint64_t l2u = now - a.lockCycle;
-            prof_->pcSample(a.pc, d2i, i2l, l2u);
-            atomicDispatchToIssueHist_.sample(static_cast<double>(d2i));
-            atomicIssueToLockHist_.sample(static_cast<double>(i2l));
-            atomicLockToUnlockHist_.sample(static_cast<double>(l2u));
         }
         if (Profiler::enabled(ProfCategory::Row) &&
             params.atomicPolicy == AtomicPolicy::RoW) {

@@ -367,18 +367,17 @@ class Core : public MemClient
     CounterStat lockWaitRefetches_{stats_, "lockWaitRefetches"};
     CounterStat forcedUnlocks_{stats_, "forcedUnlocks"};
     AverageStat atomicRemoteFillLatency_{stats_, "atomicRemoteFillLatency"};
-    AverageStat atomicDispatchToIssue_{stats_, "atomicDispatchToIssue"};
-    AverageStat atomicIssueToLock_{stats_, "atomicIssueToLock"};
-    AverageStat atomicLockToUnlock_{stats_, "atomicLockToUnlock"};
-    AverageStat atomicDispatchToUnlock_{stats_, "atomicDispatchToUnlock"};
     AverageStat olderUnexecutedAtIssue_{stats_, "olderUnexecutedAtIssue"};
     AverageStat youngerStartedAtIssue_{stats_, "youngerStartedAtIssue"};
+    // Fig. 6 phases: one distribution each, the source of both the
+    // means and the tail percentiles. 32-cycle buckets up to 16384 hold
+    // the contended eager tails without overflow.
     HistogramStat atomicDispatchToIssueHist_{
-        stats_, "atomicDispatchToIssueHist", 0, 4096, 128};
+        stats_, "atomicDispatchToIssueHist", 0, 16384, 512};
     HistogramStat atomicIssueToLockHist_{
-        stats_, "atomicIssueToLockHist", 0, 4096, 128};
+        stats_, "atomicIssueToLockHist", 0, 16384, 512};
     HistogramStat atomicLockToUnlockHist_{
-        stats_, "atomicLockToUnlockHist", 0, 4096, 128};
+        stats_, "atomicLockToUnlockHist", 0, 16384, 512};
 };
 
 } // namespace rowsim

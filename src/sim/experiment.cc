@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -120,6 +121,35 @@ appendLine(const std::string &path, const std::string &line,
     std::fclose(f);
 }
 
+/**
+ * Merge one Fig. 6 phase histogram across every core and return its
+ * mean, with the tail percentiles in @p p50/@p p90/@p p99. The merged
+ * summary sums the per-core sums in core order, exactly as
+ * System::meanAverage would. Returns 0 and leaves the percentiles
+ * untouched when no core sampled the phase.
+ */
+double
+mergedPhase(System &sys, const char *name, double &p50, double &p90,
+            double &p99)
+{
+    std::optional<Histogram> merged;
+    for (CoreId c = 0; c < sys.numCores(); c++) {
+        const Histogram *h = sys.core(c).stats().findHistogram(name);
+        if (!h)
+            continue;
+        if (merged)
+            merged->merge(*h);
+        else
+            merged = *h;
+    }
+    if (!merged || merged->summary().count() == 0)
+        return 0.0;
+    p50 = merged->percentile(0.50);
+    p90 = merged->percentile(0.90);
+    p99 = merged->percentile(0.99);
+    return merged->summary().mean();
+}
+
 } // namespace
 
 void
@@ -177,9 +207,15 @@ collectMetrics(System &sys, const CounterBaseline &base, RunResult &r)
     r.lazyIssued = now.lazy - base.lazy;
 
     r.missLatency = sys.meanCacheAverage("missLatency");
-    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
-    r.issueToLock = sys.meanAverage("atomicIssueToLock");
-    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
+    r.dispatchToIssue =
+        mergedPhase(sys, "atomicDispatchToIssueHist", r.dispatchToIssueP50,
+                    r.dispatchToIssueP90, r.dispatchToIssueP99);
+    r.issueToLock = mergedPhase(sys, "atomicIssueToLockHist",
+                                r.issueToLockP50, r.issueToLockP90,
+                                r.issueToLockP99);
+    r.lockToUnlock = mergedPhase(sys, "atomicLockToUnlockHist",
+                                 r.lockToUnlockP50, r.lockToUnlockP90,
+                                 r.lockToUnlockP99);
     r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
     r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
 
@@ -297,37 +333,6 @@ makeParams(const ExpConfig &cfg, unsigned num_cores, std::uint64_t seed)
 namespace
 {
 
-/**
- * Merge one named per-core histogram across every core and read its
- * tail percentiles. Leaves the outputs untouched when no core recorded
- * the histogram (profiling off / no samples).
- */
-void
-mergedPercentiles(System &sys, const char *name, double &p50, double &p90,
-                  double &p99)
-{
-    const Histogram *first = nullptr;
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        if (const Histogram *h = sys.core(c).stats().findHistogram(name)) {
-            first = h;
-            break;
-        }
-    }
-    if (!first)
-        return;
-    Histogram merged(first->lo(), first->hi(),
-                     static_cast<unsigned>(first->buckets().size()));
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        if (const Histogram *h = sys.core(c).stats().findHistogram(name))
-            merged.merge(*h);
-    }
-    if (merged.summary().count() == 0)
-        return;
-    p50 = merged.percentile(0.50);
-    p90 = merged.percentile(0.90);
-    p99 = merged.percentile(0.99);
-}
-
 /** One profile / span record line: {"workload","config","cycles",
  *  "<key>"} — input formats of tools/rowsim_report. */
 std::string
@@ -414,13 +419,6 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     r.cycles = opts.funcMode ? sys.runFunctional(quota) : sys.run(quota);
 
     collectMetrics(sys, CounterBaseline{}, r);
-    mergedPercentiles(sys, "atomicDispatchToIssueHist",
-                      r.dispatchToIssueP50, r.dispatchToIssueP90,
-                      r.dispatchToIssueP99);
-    mergedPercentiles(sys, "atomicIssueToLockHist", r.issueToLockP50,
-                      r.issueToLockP90, r.issueToLockP99);
-    mergedPercentiles(sys, "atomicLockToUnlockHist", r.lockToUnlockP50,
-                      r.lockToUnlockP90, r.lockToUnlockP99);
 
     // Render the full stats tree while the System is still alive
     // (sweeps compare these dumps byte-for-byte).

@@ -92,8 +92,8 @@ struct RunResult
     double lockToUnlock = 0;
 
     /** Fig. 6 tail percentiles, from the per-core atomic-phase
-     *  histograms merged across cores. Populated only when the run
-     *  profiles with the "pcs" category; 0 otherwise. */
+     *  histograms merged across cores (the same samples as the means).
+     *  Filled for every detail run; 0 in sampled aggregates. */
     double dispatchToIssueP50 = 0, dispatchToIssueP90 = 0,
            dispatchToIssueP99 = 0;
     double issueToLockP50 = 0, issueToLockP90 = 0, issueToLockP99 = 0;
@@ -175,7 +175,8 @@ struct CounterBaseline
 CounterBaseline snapshotCounters(System &sys);
 
 /** Fill @p r's counters (deltas over @p base), the rates derived from
- *  them, and the latency means (read whole) from @p sys. */
+ *  them, and the latency means and Fig. 6 percentiles (read whole) from
+ *  @p sys. */
 void collectMetrics(System &sys, const CounterBaseline &base, RunResult &r);
 
 /** Append @p r as one JSON line to @p path ("-" = stdout). */

@@ -19,7 +19,6 @@ profCategoryName(ProfCategory c)
       case ProfCategory::Cpi:   return "cpi";
       case ProfCategory::Lines: return "lines";
       case ProfCategory::Row:   return "row";
-      case ProfCategory::Pcs:   return "pcs";
       case ProfCategory::Check: return "check";
     }
     return "?";
@@ -66,15 +65,13 @@ parseProfileCategories(const std::string &spec)
             mask |= static_cast<std::uint32_t>(ProfCategory::Lines);
         } else if (tok == "row") {
             mask |= static_cast<std::uint32_t>(ProfCategory::Row);
-        } else if (tok == "pcs") {
-            mask |= static_cast<std::uint32_t>(ProfCategory::Pcs);
         } else if (tok == "check") {
             // conservation check needs the cpi slots it checks
             mask |= static_cast<std::uint32_t>(ProfCategory::Check) |
                     static_cast<std::uint32_t>(ProfCategory::Cpi);
         } else {
             ROWSIM_FATAL("unknown profile category '%s' (valid: cpi, "
-                         "lines, row, pcs, check, all, none)",
+                         "lines, row, check, all, none)",
                          tok.c_str());
         }
     }
@@ -147,7 +144,7 @@ Profiler::toJson() const
     std::string out = "{";
     out += strprintf("\"commitWidth\":%u,\"categories\":\"", commitWidth_);
     bool firstCat = true;
-    for (std::uint32_t bit = 1; bit < (1u << 5); bit <<= 1) {
+    for (std::uint32_t bit = 1; bit & profCategoryAll; bit <<= 1) {
         if (activeMask_ & bit) {
             if (!firstCat)
                 out += ",";
@@ -262,32 +259,6 @@ Profiler::toJson() const
             total ? static_cast<double>(agree) /
                         static_cast<double>(total)
                   : 0.0);
-    }
-
-    if (activeMask_ & static_cast<std::uint32_t>(ProfCategory::Pcs)) {
-        std::vector<std::pair<Addr, const PcProf *>> sorted;
-        sorted.reserve(pcs_.size());
-        for (const auto &kv : pcs_)
-            sorted.emplace_back(kv.first, &kv.second);
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        out += ",\"pcs\":[";
-        for (std::size_t i = 0; i < sorted.size(); ++i) {
-            const PcProf &p = *sorted[i].second;
-            out += strprintf(
-                "%s{\"pc\":\"%#llx\",\"count\":%llu,"
-                "\"dispatchToIssue\":%llu,\"issueToLock\":%llu,"
-                "\"lockToUnlock\":%llu}",
-                i ? "," : "",
-                static_cast<unsigned long long>(sorted[i].first),
-                static_cast<unsigned long long>(p.count),
-                static_cast<unsigned long long>(p.dispatchToIssue),
-                static_cast<unsigned long long>(p.issueToLock),
-                static_cast<unsigned long long>(p.lockToUnlock));
-        }
-        out += "]";
     }
 
     out += "}";

@@ -24,8 +24,6 @@
  *           eager/lazy × observed contended/uncontended (the Fig. 12
  *           accuracy from first principles) plus a mispredict-cost
  *           estimate in cycles.
- *  - pcs:   per-PC atomic latency attribution (dispatch→issue,
- *           issue→lock, lock→unlock sums) feeding the Fig. 6 breakdown.
  *  - check: slot-conservation self-check — at end of run (and at dump)
  *           every core's CPI stack must sum to cycles × commitWidth;
  *           a mismatch panics naming the core (ROWSIM_FF=check style).
@@ -58,11 +56,10 @@ enum class ProfCategory : std::uint32_t
     Cpi   = 1u << 0, ///< per-core commit-slot CPI stacks
     Lines = 1u << 1, ///< per-cacheline contention table
     Row   = 1u << 2, ///< RoW predicted × observed decision audit
-    Pcs   = 1u << 3, ///< per-PC atomic latency attribution
-    Check = 1u << 4, ///< slot-conservation assertion (implies cpi use)
+    Check = 1u << 3, ///< slot-conservation assertion (implies cpi use)
 };
 
-constexpr std::uint32_t profCategoryAll = (1u << 5) - 1;
+constexpr std::uint32_t profCategoryAll = (1u << 4) - 1;
 
 /** The mask bit of @p c. */
 constexpr std::uint32_t
@@ -253,29 +250,6 @@ class Profiler
     /** Totals across PCs: updates, per-cell sums, observed-contended. */
     RowProf rowTotals() const;
 
-    // --- pcs ---
-
-    struct PcProf
-    {
-        std::uint64_t count = 0;
-        std::uint64_t dispatchToIssue = 0; ///< Σ dispatch→issue cycles
-        std::uint64_t issueToLock = 0;     ///< Σ issue→lock cycles
-        std::uint64_t lockToUnlock = 0;    ///< Σ lock→unlock cycles
-    };
-
-    void
-    pcSample(Addr pc, std::uint64_t d2i, std::uint64_t i2l,
-             std::uint64_t l2u)
-    {
-        PcProf &p = pcs_[pc];
-        p.count++;
-        p.dispatchToIssue += d2i;
-        p.issueToLock += i2l;
-        p.lockToUnlock += l2u;
-    }
-
-    const std::unordered_map<Addr, PcProf> &pcs() const { return pcs_; }
-
     /** Single-line JSON of everything collected (top-K lines by
      *  holdCycles; K from ROWSIM_PROFILE_TOPK). */
     std::string toJson() const;
@@ -292,7 +266,6 @@ class Profiler
     std::vector<CpiStack> cpi_;
     std::unordered_map<Addr, LineProf> lines_;
     std::unordered_map<Addr, RowProf> rowAudit_;
-    std::unordered_map<Addr, PcProf> pcs_;
 
     // Thread-local like the trace/check masks: each sweep worker gates
     // independently; setupProfiling resets it per System construction.

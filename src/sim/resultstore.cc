@@ -156,8 +156,8 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     // The fingerprint covers everything that changes the simulated
     // trajectory (architecture, seed, faults). On top of that, the key
     // carries the knobs that change what a RunResult *contains* without
-    // changing the simulation — the profiler mask (pcs fills the
-    // percentile fields), the span gate (spanJson), the interval-stats
+    // changing the simulation — the profiler mask (profileJson and the
+    // stats JSON "profile" section), the span gate (spanJson), the interval-stats
     // period as requested (statsJson interval series), the time-series
     // engine and its window (tsJson) — and the two that change the
     // results themselves: the convergence spec (the run stops at the

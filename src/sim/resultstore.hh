@@ -48,8 +48,11 @@ struct SystemParams;
  *  v2: time-series blob + convergence outcome fields.
  *  v3: sampling summary blob; the resolved execution mode keys the
  *      store (a func run and a detail run share a fingerprint by
- *      design — checkpoints interchange — but not results). */
-constexpr std::uint32_t resultSchemaVersion = 3;
+ *      design — checkpoints interchange — but not results).
+ *  v4: the Fig. 6 percentiles are filled for every detail run, no
+ *      longer only for runs profiled with the retired "pcs" category
+ *      (a v3 entry of an unprofiled run holds zero percentiles). */
+constexpr std::uint32_t resultSchemaVersion = 4;
 
 /** SHA-256 store key. */
 using ResultKey = std::array<std::uint8_t, 32>;

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/experiment.hh"
 #include "sim/system.hh"
 
 using namespace rowsim;
@@ -231,12 +232,13 @@ TEST(CorePipeline, LazyAtomicWaitsForOldestAndSbDrain)
     auto lazy = makeSystem(body, AtomicPolicy::Lazy);
     eager->run(100);
     lazy->run(100);
+    RunResult e, l;
+    collectMetrics(*eager, CounterBaseline{}, e);
+    collectMetrics(*lazy, CounterBaseline{}, l);
     // Lazy waits much longer between dispatch and issue.
-    EXPECT_GT(lazy->meanAverage("atomicDispatchToIssue"),
-              eager->meanAverage("atomicDispatchToIssue") + 10);
+    EXPECT_GT(l.dispatchToIssue, e.dispatchToIssue + 10);
     // ...but holds the lock for far less time.
-    EXPECT_LT(lazy->meanAverage("atomicLockToUnlock"),
-              eager->meanAverage("atomicLockToUnlock"));
+    EXPECT_LT(l.lockToUnlock, e.lockToUnlock);
 }
 
 TEST(CorePipeline, AtomicResultFeedsDependents)

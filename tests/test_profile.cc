@@ -73,6 +73,8 @@ TEST(ProfileCategories, ParseAndReject)
     EXPECT_THROW(parseProfileCategories("bogus"), std::runtime_error);
     EXPECT_THROW(parseProfileCategories("cpi,hotloops"),
                  std::runtime_error);
+    // Retired: the Fig. 6 phase histograms are always on.
+    EXPECT_THROW(parseProfileCategories("pcs"), std::runtime_error);
 }
 
 TEST(ProfileCpi, SlotConservationWithAndWithoutFastForward)
@@ -183,32 +185,6 @@ TEST(ProfileRow, AuditTotalsMatchPredictorCounters)
                                 t.cell[1][0] + t.cell[1][1];
     EXPECT_EQ(cells, updates);
     EXPECT_EQ(t.cell[0][1] + t.cell[1][1], contended);
-}
-
-TEST(ProfilePcs, HistogramsAndPercentilesOnlyWhenProfiled)
-{
-    ::unsetenv("ROWSIM_PROFILE");
-    ExpConfig off = eagerConfig();
-    ExpConfig on = eagerConfig();
-    on.label = "eager+pcs";
-    on.profile = profMask(ProfCategory::Pcs);
-
-    RunResult roff = runExperiment("pc", off, 8, 40, 1, true);
-    RunResult ron = runExperiment("pc", on, 8, 40, 1, true);
-
-    // Profiling must not perturb the simulated machine.
-    EXPECT_EQ(roff.cycles, ron.cycles);
-    EXPECT_EQ(roff.instructions, ron.instructions);
-    EXPECT_DOUBLE_EQ(roff.issueToLock, ron.issueToLock);
-
-    // The phase histograms (and thus percentiles) exist only under pcs.
-    EXPECT_EQ(roff.issueToLockP99, 0.0);
-    EXPECT_GT(ron.issueToLockP99, 0.0);
-    EXPECT_LE(ron.issueToLockP50, ron.issueToLockP90);
-    EXPECT_LE(ron.issueToLockP90, ron.issueToLockP99);
-    EXPECT_EQ(roff.statsJson.find("Hist"), std::string::npos);
-    EXPECT_NE(ron.statsJson.find("atomicIssueToLockHist"),
-              std::string::npos);
 }
 
 TEST(ProfileOffOn, OffModeStatsJsonIsUntouchedAndMaskDoesNotLeak)

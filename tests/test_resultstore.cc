@@ -177,11 +177,11 @@ TEST(ResultStoreSuite, KeyReactsToEveryInput)
                                      "pc", "eager", 100));
     EXPECT_NE(k, ResultStore::keyFor(makeParams(lazyConfig(), 8, 1), "pc",
                                      "eager", 100));
-    // The profiler mask shapes the RunResult (pcs fills percentile
-    // fields), so it must be part of the key even though it does not
-    // change the simulated trajectory.
+    // The profiler mask shapes the RunResult (profileJson), so it must
+    // be part of the key even though it does not change the simulated
+    // trajectory.
     ExpConfig prof = eagerConfig();
-    prof.profile = profMask(ProfCategory::Pcs);
+    prof.profile = profMask(ProfCategory::Lines);
     EXPECT_NE(k, ResultStore::keyFor(makeParams(prof, 8, 1), "pc",
                                      "eager", 100));
     // The time-series engine shapes the RunResult (tsJson), and a
@@ -227,17 +227,17 @@ keyHexOf(const SystemParams &sp, const char *workload = "pc",
 
 /** Pinned keys of the KeyReactsToEveryInput matrix. */
 constexpr const char *kBaseKey =
-    "8772c085910ed11cf0cee0f0d44984dff58ea1678f650ab53733eec9a2973886";
+    "7f8a194da9e7f67b6b272e14fbd75343752ce0afa5192e772072f22ad895c209";
 constexpr const char *kProfileKey =
-    "d15aaacb5dbde175eed376299b5effe06f79fb306bc9fe0e414669c3e1434488";
+    "a38d597d686b24fde84959e0555199fa9c4a95bc60cdce6aa4b5aa455a1b462f";
 constexpr const char *kSpansKey =
-    "25e06c787fd678602cf5ab0fec10a7a72ef2b55ced1637e7808f5512cd5d5451";
+    "35b4a6c316845382a2fb68fce86247ca53f75b65668fde90717ba14644cf2e90";
 constexpr const char *kTimeSeriesKey =
-    "f8584bf03a608747c14a459dad885bcca80c4638474e8697636dbce20f36247e";
+    "c7d9e3666b43ddbf15670bc00c0ec9589dd1a50998b8314eefea136a3ae8b71b";
 constexpr const char *kConvergeKey =
-    "04860285fffbb8fb0e43bac9f8d35124f9b8c33d39657ff0208d2e59d5ef713d";
+    "037b57fb42413eae09e5189fc03d852fd3241f4a395c3d5d29b0ec7461dc75b2";
 constexpr const char *kIntervalKey =
-    "fe5a8ff5cc056b2f5a3986049433c973541c5a34313bc53cc482554d724ebce6";
+    "da2f73eaae2a3e1e4077c220c9f493fcfa5f325537f138f7079fc2a5f0a6f416";
 
 /**
  * Expect the base configuration's key under the environment @p env to
@@ -276,20 +276,20 @@ TEST(ResultStoreSuite, KeysArePinned)
     const SystemParams base = makeParams(eagerConfig(), 8, 1);
     EXPECT_EQ(keyHexOf(base), kBaseKey);
     EXPECT_EQ(keyHexOf(base, "cq"),
-              "89874bd914e435e48f0c0d297ba842c7530b7fef1d281d63ebe58d65ad74cd8d");
+              "b3fd938b6eaf23b3e7e6da1bd84b446fadd6d8d0f5f08b02715551bd35f54cd4");
     EXPECT_EQ(keyHexOf(base, "pc", "lazy-label"),
-              "78df65bd461b4df243a445d21e997dd160be99a8240b6e60fd47122e82014458");
+              "ba5486e8c4421479118693e02a9336d3cb0ed47affdbf8eb4d9eb66d79a95c0e");
     EXPECT_EQ(keyHexOf(base, "pc", "eager", 101),
-              "6acae63d1842dfcd41315631546e00b26d699de9305acb0a7d8b228579380ec2");
+              "2964af97e87c891e781a4871fda3e01ae19d086e9e4f8646284770b48bb19346");
     EXPECT_EQ(keyHexOf(makeParams(eagerConfig(), 16, 1)),
-              "b78908e9952c641a8dc1f1ae16d5db4307c1b3df83aba3dd71ef75bdbd7bfe9e");
+              "94c8a79666923b020c663122c5efdf1362cab4c728c5065812118ede8c73fc94");
     EXPECT_EQ(keyHexOf(makeParams(eagerConfig(), 8, 2)),
-              "21a1894042d9cef6c263d3902d4c0ab2e43200244039ca52f419063df958b8ad");
+              "e73230c6fc4e805c6a90c1c940191d529163e789be80b8904deb6ad4595430ef");
     EXPECT_EQ(keyHexOf(makeParams(lazyConfig(), 8, 1)),
-              "5e2936e3d01c68a12d7f1f0fcffe32575a0ed2024fd229d447a5fe4926584c39");
+              "64fc92c886ac071874db2ba67e314b63329b61936f1f96181c11f673e713ac3c");
 
     ExpConfig prof = eagerConfig();
-    prof.profile = profMask(ProfCategory::Pcs);
+    prof.profile = profMask(ProfCategory::Lines);
     EXPECT_EQ(keyHexOf(makeParams(prof, 8, 1)), kProfileKey);
     ExpConfig spans = eagerConfig();
     spans.spans = true;
@@ -302,13 +302,13 @@ TEST(ResultStoreSuite, KeysArePinned)
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)), kConvergeKey);
     conv.converge = ConvergeSpec{true, "atomics", 0.05};
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)),
-              "166acf56548632f3dc54c26ff2b1c489926dfe8ec12bad93f21b8bb482cb84f3");
+              "07941755b76f6ea1c7bfa67ebd4f6e09093b8fc0b39f9ca5d326fbcf9d3a3a23");
     conv.converge = ConvergeSpec{true, "instructions", 0.01};
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)),
-              "a2663c5d3ed2ef846dcdb8108192b91bd7f81b76bd1203bdce0457a41a69946c");
+              "05611ac0057634eec80ab84ad1f3d5b3b7b64c43a893cd0f21a1a4fbe288469d");
     conv.converge = ConvergeSpec{true, "instructions", 0.05, 0.99};
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)),
-              "fd197f183e7236f2038bee7257fabf96e49caacec249d7174f4a68af9feceeb1");
+              "c9b4e2b2c669721962d9748a1b34428f370288feecfad85e338c8a41ae3f5b14");
     SystemParams interval = base;
     interval.statsInterval = 500;
     EXPECT_EQ(keyHexOf(interval), kIntervalKey);
@@ -318,20 +318,20 @@ TEST(ResultStoreSuite, EnvironmentKeysArePinned)
 {
     // The same knobs set through the environment name the same entries
     // as when set explicitly.
-    expectEnvKey({{"ROWSIM_PROFILE", "pcs"}}, kProfileKey);
+    expectEnvKey({{"ROWSIM_PROFILE", "lines"}}, kProfileKey);
     expectEnvKey({{"ROWSIM_SPANS", "on"}}, kSpansKey);
     expectEnvKey({{"ROWSIM_STATS_INTERVAL", "500"}}, kIntervalKey);
     expectEnvKey({{"ROWSIM_TS", "on"}}, kTimeSeriesKey);
     expectEnvKey({{"ROWSIM_CONVERGE", "instructions:0.05"}}, kConvergeKey);
     expectEnvKey({{"ROWSIM_TS", "on"}, {"ROWSIM_TS_WINDOW", "64"}},
-                 "1ef71f94b2eaa53af2fc76a9c182a0fe7a812ae5a3b97b2f36fafa6cdb5e470f");
+                 "346b93cfd2d9b62a0d907e97fd2aa043ac59108f4b8b0d5f35ee12c9bd39f586");
     // The window only keys a run whose engine is on.
     expectEnvKey({{"ROWSIM_TS_WINDOW", "64"}}, kBaseKey);
     expectEnvKey({{"ROWSIM_MODE", "func"}},
-                 "05f59272a9f60b507c8cb6ab08bdffc5f41f8020c1659b1650640c9b40733dfa");
+                 "4440b25e90ab758530a77fd7e0a9992992c48f1f1905eff2efd189a34616cba9");
     expectEnvKey({{"ROWSIM_MODE", "detail"}}, kBaseKey);
     expectEnvKey({{"ROWSIM_FAULTS", "netdelay"}},
-                 "ebf528be62266bd47114a6a3f3fcadb712e4646ce6652421585d8097ce6e5699");
+                 "dfc04eeea3e92831bf8267b20f9c8c52fb9a0ccfb7bc1965bafe940c8df5faf1");
 }
 
 TEST(ResultStoreSuite, BitFlipIsQuarantinedThenRecomputed)

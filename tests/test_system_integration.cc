@@ -89,6 +89,60 @@ TEST(SystemIntegration, LatencyBreakdownIsConsistent)
     EXPECT_GT(r.lockToUnlock, 0.0);
 }
 
+TEST(SystemIntegration, Fig6MeansPinnedAndTailsAlwaysOn)
+{
+    // The phase means pinned at %.17g: the merged histogram summary
+    // must keep reproducing them bit for bit.
+    struct Pin
+    {
+        ExpConfig cfg;
+        double d2i, i2l, l2u;
+    };
+    const Pin pins[] = {
+        {eagerConfig(), 1190.4880952380952, 452.15773809523807,
+         52.163690476190474},
+        {lazyConfig(), 1312.5144508670521, 29.01156069364162,
+         4.0953757225433529},
+    };
+    for (Pin p : pins) {
+        SCOPED_TRACE(p.cfg.label);
+        p.cfg.profile = 0u; // profiling off, whatever the environment
+        RunResult r = runExperiment("pc", p.cfg, 8, 40, 1);
+        EXPECT_EQ(r.dispatchToIssue, p.d2i);
+        EXPECT_EQ(r.issueToLock, p.i2l);
+        EXPECT_EQ(r.lockToUnlock, p.l2u);
+        // The tails come with every run, profiled or not.
+        EXPECT_GT(r.dispatchToIssueP50, 0.0);
+        EXPECT_GT(r.issueToLockP50, 0.0);
+        EXPECT_GT(r.lockToUnlockP50, 0.0);
+        EXPECT_LE(r.issueToLockP50, r.issueToLockP90);
+        EXPECT_LE(r.issueToLockP90, r.issueToLockP99);
+    }
+}
+
+TEST(SystemIntegration, Fig6IssueToLockTailFitsTheHistogram)
+{
+    // pc under eager at the fig06 scale has the longest acquisitions of
+    // any Fig. 6 bar. An overflowing sample reads back as the observed
+    // maximum, which would flatten p90 and p99 onto one value.
+    SystemParams sp = makeParams(eagerConfig(), 32, 1);
+    System sys(sp, makeStreams(profileFor("pc"), sp.numCores, sp.seed));
+    sys.run(defaultQuota("pc"));
+    std::uint64_t samples = 0, overflow = 0;
+    for (CoreId c = 0; c < sys.numCores(); c++) {
+        const Histogram *h =
+            sys.core(c).stats().findHistogram("atomicIssueToLockHist");
+        ASSERT_NE(h, nullptr);
+        samples += h->summary().count();
+        overflow += h->overflow();
+    }
+    EXPECT_GT(samples, 0u);
+    EXPECT_EQ(overflow, 0u);
+    RunResult r;
+    collectMetrics(sys, CounterBaseline{}, r);
+    EXPECT_LT(r.issueToLockP90, r.issueToLockP99);
+}
+
 TEST(SystemIntegration, RunCyclesAdvancesExactly)
 {
     SystemParams sp;

@@ -274,8 +274,8 @@ TEST(TraceIntegration, LockDurationsMatchRunReport)
         }
     }
     ASSERT_GT(n, 0u);
-    // Every lock->unlock interval sampled into the atomicLockToUnlock
-    // Average is also emitted as one "lock" complete event (same guard,
+    // Every lock->unlock interval sampled into the atomicLockToUnlockHist
+    // histogram is also emitted as one "lock" complete event (same guard,
     // same operands), so the means agree exactly up to float rounding.
     EXPECT_EQ(n, r.atomicsUnlocked);
     EXPECT_NEAR(sum / static_cast<double>(n), r.lockToUnlock,

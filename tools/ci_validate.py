@@ -17,7 +17,7 @@ Subcommands:
                                 legitimately change across commits.
   profile-schema PROFILE_JSONL  tools/rowsim_report profile records: run
                                 labels, CPI-stack slot conservation,
-                                RoW decision totals, per-PC tables.
+                                hot-line table, RoW decision totals.
   span-schema SPANS_JSONL       tools/rowsim_report span records: run
                                 labels, span count accounting, segment
                                 conservation (segments exactly tile
@@ -194,8 +194,6 @@ def validate_profile_records(lines):
             raise ValidationError(
                 f"line {lineno}: RoW decision totals do not sum to "
                 f"updates")
-        if not p.get("pcs"):
-            raise ValidationError(f"line {lineno}: no per-PC table")
         n += 1
     if n == 0:
         raise ValidationError("no profile records")
@@ -847,8 +845,7 @@ def _selftest():
             "linesTracked": 1, "lines": [{"line": 64}],
             "row": {"totals": {"updates": 4, "eagerUncontended": 1,
                                "eagerContended": 1, "lazyUncontended": 1,
-                               "lazyContended": 1}},
-            "pcs": [{"pc": 4096}]}})
+                               "lazyContended": 1}}}})
     good_span = json.dumps({
         "workload": "cq", "config": "eager", "cycles": 100,
         "spans": {

@@ -14,10 +14,9 @@
  *  - profile ("profile" member, raw "categories"; ROWSIM_PROFILE): the
  *    per-core CPI stack table with an aggregate percentage row, the
  *    top-K contended-line table, the RoW predicted x observed cross-tab
- *    with dispatch accuracy and mispredict cost, and per-PC atomic
- *    latency averages. --collapsed PATH also writes flamegraph-style
- *    folded stacks ("label;coreN;bucket slots") for flamegraph.pl /
- *    speedscope.
+ *    with dispatch accuracy and mispredict cost. --collapsed PATH
+ *    also writes flamegraph-style folded stacks ("label;coreN;bucket
+ *    slots") for flamegraph.pl / speedscope.
  *  - spans ("spans" member, raw "segTotals"; ROWSIM_SPANS): the Fig. 6
  *    segment breakdown with latency percentiles, the per-PC and
  *    per-line tables, and an ASCII waterfall plus critical-path
@@ -182,25 +181,6 @@ printRow(const Json &row)
     }
 }
 
-void
-printPcs(const Json &pcs)
-{
-    if (pcs.type != Json::Array || pcs.arr.empty())
-        return;
-    std::printf("  Atomic latency by PC (average cycles per phase):\n");
-    std::printf("    %-14s %9s %14s %12s %13s\n", "pc", "count",
-                "dispatch->issue", "issue->lock", "lock->unlock");
-    for (const Json &p : pcs.arr) {
-        const double n =
-            std::max(1.0, static_cast<double>(p.at("count").asU64()));
-        std::printf("    %-14s %9llu %14.1f %12.1f %13.1f\n",
-                    p.at("pc").str.c_str(), p.at("count").asU64(),
-                    static_cast<double>(p.at("dispatchToIssue").asU64()) / n,
-                    static_cast<double>(p.at("issueToLock").asU64()) / n,
-                    static_cast<double>(p.at("lockToUnlock").asU64()) / n);
-    }
-}
-
 /** Render one record: @p profile is the profiler object itself. */
 void
 renderProfile(const Json &profile, const std::string &label,
@@ -212,7 +192,6 @@ renderProfile(const Json &profile, const std::string &label,
     printCpi(profile.at("cpi"), label, collapsed);
     printLines(profile);
     printRow(profile.at("row"));
-    printPcs(profile.at("pcs"));
     std::printf("\n");
 }
 

@@ -27,7 +27,6 @@
 
 #include "common/log.hh"
 #include "sim/experiment.hh"
-#include "sim/profile.hh"
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
 #include "sim/sweep.hh"
@@ -116,15 +115,12 @@ jobsFor(const std::string &figure)
             }
         }
     } else if (figure == "fig06") {
-        // Fig. 6: eager vs lazy atomic-phase latency breakdown; the
-        // tail percentiles need the "pcs" profiler category.
+        // Fig. 6: eager vs lazy atomic-phase latency breakdown.
         for (const std::string &w : atomicIntensiveWorkloads()) {
-            for (ExpConfig cfg : {eagerConfig(), lazyConfig()}) {
-                cfg.profile = profMask(ProfCategory::Pcs);
-                cfg.label += "+prof";
+            for (const ExpConfig &cfg : {eagerConfig(), lazyConfig()}) {
                 SweepJob j;
                 j.workload = w;
-                j.cfg = std::move(cfg);
+                j.cfg = cfg;
                 j.numCores = 32;
                 j.seed = 1;
                 jobs.push_back(std::move(j));
