@@ -136,57 +136,6 @@ StatGroup::restore(Deser &d)
     }
 }
 
-void
-IntervalStats::save(Ser &s) const
-{
-    s.section("interval");
-    s.u64(period_);
-    s.u64(nextAt_);
-    s.u64(probes_.size());
-    for (const auto &p : probes_)
-        s.f64(p.last);
-    s.u64(cycles_.size());
-    for (Cycle c : cycles_)
-        s.u64(c);
-    for (const auto &ser : series_) {
-        s.u64(ser.size());
-        for (double v : ser)
-            s.f64(v);
-    }
-}
-
-void
-IntervalStats::restore(Deser &d)
-{
-    d.section("interval");
-    const Cycle period = d.u64();
-    if (period != period_) {
-        throw SnapshotError(strprintf(
-            "interval stats period mismatch: image sampled every %llu "
-            "cycles, this run every %llu",
-            static_cast<unsigned long long>(period),
-            static_cast<unsigned long long>(period_)));
-    }
-    nextAt_ = d.u64();
-    const std::uint64_t nProbes = d.u64();
-    if (nProbes != probes_.size()) {
-        throw SnapshotError(strprintf(
-            "interval stats probe count mismatch: image has %llu, this "
-            "run registered %zu",
-            static_cast<unsigned long long>(nProbes), probes_.size()));
-    }
-    for (auto &p : probes_)
-        p.last = d.f64();
-    cycles_.resize(d.u64());
-    for (auto &c : cycles_)
-        c = d.u64();
-    for (auto &ser : series_) {
-        ser.resize(d.u64());
-        for (auto &v : ser)
-            v = d.f64();
-    }
-}
-
 Counter &
 StatGroup::counter(const std::string &name)
 {
@@ -291,59 +240,6 @@ Histogram::merge(const Histogram &other)
     underflow_ += other.underflow_;
     overflow_ += other.overflow_;
     avg_.merge(other.avg_);
-}
-
-void
-IntervalStats::configure(Cycle period)
-{
-    period_ = period;
-    nextAt_ = period;
-}
-
-void
-IntervalStats::addProbe(std::string name, std::function<double()> read,
-                        bool delta)
-{
-    Probe p;
-    p.name = std::move(name);
-    p.read = std::move(read);
-    p.delta = delta;
-    probes_.push_back(std::move(p));
-    series_.emplace_back();
-}
-
-void
-IntervalStats::sample(Cycle now)
-{
-    cycles_.push_back(now);
-    for (std::size_t i = 0; i < probes_.size(); i++) {
-        Probe &p = probes_[i];
-        const double v = p.read ? p.read() : 0.0;
-        series_[i].push_back(p.delta ? v - p.last : v);
-        p.last = v;
-    }
-    if (period_ != 0) {
-        while (nextAt_ <= now)
-            nextAt_ += period_;
-    }
-    if (observer_) {
-        std::vector<double> vals;
-        vals.reserve(probes_.size());
-        for (const auto &ser : series_)
-            vals.push_back(ser.back());
-        observer_(now, vals);
-    }
-}
-
-void
-IntervalStats::reset()
-{
-    cycles_.clear();
-    for (auto &s : series_)
-        s.clear();
-    for (auto &p : probes_)
-        p.last = 0;
-    nextAt_ = period_;
 }
 
 } // namespace rowsim

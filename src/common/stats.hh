@@ -191,82 +191,6 @@ class Formula
 };
 
 /**
- * Periodic snapshots of selected quantities: every `period` cycles each
- * probe is read and one point is appended to its time series (IPC per
- * 10k cycles, contended-atomic rate, ...). Probes registered as `delta`
- * report the per-interval difference of a monotonically growing counter
- * instead of its absolute value.
- */
-class IntervalStats
-{
-  public:
-    struct Probe
-    {
-        std::string name;
-        std::function<double()> read;
-        bool delta = false;
-        double last = 0; ///< previous absolute value (delta probes)
-    };
-
-    /** Set the sampling period; 0 disables sampling. */
-    void configure(Cycle period);
-
-    bool enabled() const { return period_ != 0; }
-    Cycle period() const { return period_; }
-
-    void addProbe(std::string name, std::function<double()> read,
-                  bool delta = false);
-
-    /** Observer invoked after each sample with the sample cycle and the
-     *  recorded per-probe values (delta-adjusted, in probe order) — the
-     *  feed of the metric time-series engine (common/timeseries.hh). */
-    void setObserver(
-        std::function<void(Cycle, const std::vector<double> &)> obs)
-    {
-        observer_ = std::move(obs);
-    }
-
-    /** Called once per cycle; samples when a period boundary passes. */
-    void
-    tick(Cycle now)
-    {
-        if (period_ != 0 && now >= nextAt_)
-            sample(now);
-    }
-
-    /** Take one sample immediately (e.g. a final partial interval). */
-    void sample(Cycle now);
-
-    /** Cycle of the next period-boundary sample (service-cycle hoist
-     *  and fast-forward bound); meaningless when disabled. */
-    Cycle nextSampleAt() const { return nextAt_; }
-
-    const std::vector<Probe> &probes() const { return probes_; }
-    /** Cycle stamps of the samples taken so far. */
-    const std::vector<Cycle> &sampleCycles() const { return cycles_; }
-    /** Time series, indexed [probe][sample] in probe order. */
-    const std::vector<std::vector<double>> &series() const
-    {
-        return series_;
-    }
-
-    void reset();
-
-    void save(Ser &s) const;
-    /** Restore sample history onto an already-configured instance;
-     *  throws SnapshotError if period or probe set differ. */
-    void restore(Deser &d);
-
-  private:
-    Cycle period_ = 0;
-    Cycle nextAt_ = 0;
-    std::vector<Probe> probes_;
-    std::vector<Cycle> cycles_;
-    std::vector<std::vector<double>> series_;
-    std::function<void(Cycle, const std::vector<double> &)> observer_;
-};
-
-/**
  * A named bag of statistics. Components own one and register their
  * counters; System aggregates per-core groups for reporting.
  */

@@ -81,7 +81,7 @@ tQuantile(double p, std::uint64_t df)
 }
 
 void
-MetricSeries::add(Cycle cycle, double v)
+MetricSeries::add(double v)
 {
     // Welford.
     n_++;
@@ -107,18 +107,6 @@ MetricSeries::add(Cycle cycle, double v)
             batchSums_.resize(kMaxBatches / 2);
             batchSize_ *= 2;
         }
-    }
-
-    // Recent-point ring.
-    if (window_ == 0)
-        return;
-    if (ringCycles_.size() < window_) {
-        ringCycles_.push_back(cycle);
-        ringValues_.push_back(v);
-    } else {
-        ringCycles_[ringHead_] = cycle;
-        ringValues_[ringHead_] = v;
-        ringHead_ = (ringHead_ + 1) % window_;
     }
 }
 
@@ -177,39 +165,10 @@ MetricSeries::ci(double confidence) const
     return out;
 }
 
-std::vector<Cycle>
-MetricSeries::windowCycles() const
-{
-    std::vector<Cycle> out;
-    out.reserve(ringCycles_.size());
-    if (ringCycles_.size() < window_ || window_ == 0) {
-        out = ringCycles_;
-        return out;
-    }
-    for (std::size_t i = 0; i < ringCycles_.size(); i++)
-        out.push_back(ringCycles_[(ringHead_ + i) % window_]);
-    return out;
-}
-
-std::vector<double>
-MetricSeries::windowValues() const
-{
-    std::vector<double> out;
-    out.reserve(ringValues_.size());
-    if (ringValues_.size() < window_ || window_ == 0) {
-        out = ringValues_;
-        return out;
-    }
-    for (std::size_t i = 0; i < ringValues_.size(); i++)
-        out.push_back(ringValues_[(ringHead_ + i) % window_]);
-    return out;
-}
-
 void
 MetricSeries::save(Ser &s) const
 {
     s.section("mseries");
-    s.u32(window_);
     s.u64(n_);
     s.f64(mean_);
     s.f64(m2_);
@@ -221,50 +180,40 @@ MetricSeries::save(Ser &s) const
         s.f64(b);
     s.f64(curSum_);
     s.u64(curCount_);
-    s.u64(ringCycles_.size());
-    for (std::size_t i = 0; i < ringCycles_.size(); i++) {
-        s.u64(ringCycles_[i]);
-        s.f64(ringValues_[i]);
-    }
-    s.u64(ringHead_);
 }
 
 void
 MetricSeries::restore(Deser &d)
 {
     d.section("mseries");
-    const std::uint32_t window = d.u32();
-    if (window != window_) {
-        throw SnapshotError(strprintf(
-            "metric series window mismatch: image has %u, this run %u",
-            window, window_));
-    }
     n_ = d.u64();
     mean_ = d.f64();
     m2_ = d.f64();
     prev_ = d.f64();
     crossSum_ = d.f64();
     batchSize_ = d.u64();
-    batchSums_.resize(d.u64());
+    const std::uint64_t batches = d.u64();
+    // add() collapses on reaching kMaxBatches and never completes a
+    // batch of size 0, so neither layout can come from a saved series.
+    if (batchSize_ == 0 || batches >= kMaxBatches) {
+        throw SnapshotError(strprintf(
+            "metric series batch layout %llu x %llu is impossible "
+            "(batch size must be > 0, batches < %u)",
+            static_cast<unsigned long long>(batches),
+            static_cast<unsigned long long>(batchSize_), kMaxBatches));
+    }
+    batchSums_.resize(batches);
     for (auto &b : batchSums_)
         b = d.f64();
     curSum_ = d.f64();
     curCount_ = d.u64();
-    const std::uint64_t points = d.u64();
-    if (window_ != 0 && points > window_) {
+    if (curCount_ >= batchSize_) {
         throw SnapshotError(strprintf(
-            "metric series ring overflow: %llu points in a window of %u",
-            static_cast<unsigned long long>(points), window_));
+            "metric series open batch holds %llu samples, batch size "
+            "is %llu",
+            static_cast<unsigned long long>(curCount_),
+            static_cast<unsigned long long>(batchSize_)));
     }
-    ringCycles_.resize(points);
-    ringValues_.resize(points);
-    for (std::uint64_t i = 0; i < points; i++) {
-        ringCycles_[i] = d.u64();
-        ringValues_[i] = d.f64();
-    }
-    ringHead_ = d.u64();
-    if (points != 0 && ringHead_ >= points)
-        throw SnapshotError("metric series ring head out of range");
 }
 
 ConvergeSpec
@@ -317,33 +266,42 @@ parseOnOffSpec(const char *what, const std::string &spec)
     ROWSIM_FATAL("bad %s '%s' (valid: on, off)", what, spec.c_str());
 }
 
-TimeSeriesEngine::TimeSeriesEngine(Cycle period, unsigned window,
-                                   ConvergeSpec conv)
-    : period_(period), window_(window), conv_(std::move(conv))
+void
+IntervalSampler::configure(Cycle period, bool engine, ConvergeSpec conv)
 {
-    ROWSIM_ASSERT(window_ > 0, "time-series window must be > 0");
+    period_ = period;
+    nextAt_ = period;
+    engine_ = engine;
+    conv_ = std::move(conv);
 }
 
 void
-TimeSeriesEngine::addMetric(const std::string &name)
+IntervalSampler::addProbe(std::string name, std::function<double()> read)
 {
-    if (conv_.active && name == conv_.metric)
-        convIdx_ = names_.size();
-    names_.push_back(name);
-    series_.emplace_back(window_);
+    if (engine_ && conv_.active && name == conv_.metric)
+        convIdx_ = probes_.size();
+    Probe p;
+    p.name = std::move(name);
+    p.read = std::move(read);
+    probes_.push_back(std::move(p));
 }
 
 void
-TimeSeriesEngine::observe(Cycle now, const std::vector<double> &values)
+IntervalSampler::sample(Cycle now)
 {
-    ROWSIM_ASSERT(values.size() == series_.size(),
-                  "time-series sample has %zu values for %zu metrics",
-                  values.size(), series_.size());
-    for (std::size_t i = 0; i < series_.size(); i++)
-        series_[i].add(now, values[i]);
-    if (conv_.active && !converged_ && convIdx_ != SIZE_MAX) {
+    cycles_.push_back(now);
+    for (Probe &p : probes_) {
+        const double v = p.read();
+        p.series.push_back(v - p.last);
+        p.last = v;
+        if (engine_)
+            p.stats.add(p.series.back());
+    }
+    while (nextAt_ <= now)
+        nextAt_ += period_;
+    if (convIdx_ != SIZE_MAX && !converged_) {
         const MetricSeries::Ci c =
-            series_[convIdx_].ci(conv_.confidence);
+            probes_[convIdx_].stats.ci(conv_.confidence);
         if (c.valid && c.relHalfwidth <= conv_.relHalfwidth) {
             converged_ = true;
             convergedAt_ = now;
@@ -351,37 +309,28 @@ TimeSeriesEngine::observe(Cycle now, const std::vector<double> &values)
     }
 }
 
-bool
-TimeSeriesEngine::hasMetric(const std::string &name) const
+const IntervalSampler::Probe *
+IntervalSampler::find(const std::string &name) const
 {
-    for (const auto &n : names_) {
-        if (n == name)
-            return true;
-    }
-    return false;
-}
-
-const MetricSeries *
-TimeSeriesEngine::find(const std::string &name) const
-{
-    for (std::size_t i = 0; i < names_.size(); i++) {
-        if (names_[i] == name)
-            return &series_[i];
+    for (const Probe &p : probes_) {
+        if (p.name == name)
+            return &p;
     }
     return nullptr;
 }
 
 double
-TimeSeriesEngine::achievedRelHalfwidth() const
+IntervalSampler::achievedRelHalfwidth() const
 {
-    if (!conv_.active || convIdx_ == SIZE_MAX)
+    if (convIdx_ == SIZE_MAX)
         return 0.0;
-    const MetricSeries::Ci c = series_[convIdx_].ci(conv_.confidence);
+    const MetricSeries::Ci c =
+        probes_[convIdx_].stats.ci(conv_.confidence);
     return c.valid ? c.relHalfwidth : INFINITY;
 }
 
 std::string
-TimeSeriesEngine::toJson() const
+IntervalSampler::toJson() const
 {
     // %.6g everywhere, matching dumpStatsJson: enough digits for the
     // renderers, and byte-stable because every input double is
@@ -390,11 +339,15 @@ TimeSeriesEngine::toJson() const
         return std::isfinite(v) ? strprintf("%.6g", v)
                                 : std::string("null");
     };
+    // The rendered points are the newest kWindow samples.
+    const std::size_t first =
+        cycles_.size() > kWindow ? cycles_.size() - kWindow : 0;
     std::string j = strprintf(
         "{\"period\": %llu, \"window\": %u, \"metrics\": {",
-        static_cast<unsigned long long>(period_), window_);
-    for (std::size_t i = 0; i < series_.size(); i++) {
-        const MetricSeries &m = series_[i];
+        static_cast<unsigned long long>(period_), kWindow);
+    for (std::size_t i = 0; i < probes_.size(); i++) {
+        const Probe &p = probes_[i];
+        const MetricSeries &m = p.stats;
         const MetricSeries::Ci c = m.ci(
             conv_.active ? conv_.confidence : 0.95);
         j += strprintf(
@@ -403,7 +356,7 @@ TimeSeriesEngine::toJson() const
             "\"ci\": {\"valid\": %s, \"confidence\": %s, "
             "\"halfwidth\": %s, \"rel\": %s, \"lo\": %s, \"hi\": %s}, "
             "\"points\": {\"cycles\": [",
-            i ? ", " : "", names_[i].c_str(),
+            i ? ", " : "", p.name.c_str(),
             static_cast<unsigned long long>(m.count()),
             num(m.mean()).c_str(), num(m.stddev()).c_str(),
             num(m.lag1()).c_str(), m.batchCount(),
@@ -411,15 +364,15 @@ TimeSeriesEngine::toJson() const
             c.valid ? "true" : "false", num(c.confidence).c_str(),
             num(c.halfwidth).c_str(), num(c.relHalfwidth).c_str(),
             num(c.lo).c_str(), num(c.hi).c_str());
-        const std::vector<Cycle> cycles = m.windowCycles();
-        const std::vector<double> values = m.windowValues();
-        for (std::size_t p = 0; p < cycles.size(); p++) {
-            j += strprintf("%s%llu", p ? ", " : "",
-                           static_cast<unsigned long long>(cycles[p]));
+        for (std::size_t s = first; s < cycles_.size(); s++) {
+            j += strprintf("%s%llu", s > first ? ", " : "",
+                           static_cast<unsigned long long>(cycles_[s]));
         }
         j += "], \"values\": [";
-        for (std::size_t p = 0; p < values.size(); p++)
-            j += strprintf("%s%s", p ? ", " : "", num(values[p]).c_str());
+        for (std::size_t s = first; s < p.series.size(); s++) {
+            j += strprintf("%s%s", s > first ? ", " : "",
+                           num(p.series[s]).c_str());
+        }
         j += "]}}";
     }
     j += "}";
@@ -439,42 +392,93 @@ TimeSeriesEngine::toJson() const
 }
 
 void
-TimeSeriesEngine::save(Ser &s) const
+IntervalSampler::save(Ser &s) const
 {
-    s.section("timeseries");
+    s.section("interval");
     s.u64(period_);
-    s.u32(window_);
+    s.u64(nextAt_);
+    s.u64(probes_.size());
+    for (const Probe &p : probes_)
+        s.f64(p.last);
+    s.u64(cycles_.size());
+    for (Cycle c : cycles_)
+        s.u64(c);
+    for (const Probe &p : probes_) {
+        s.u64(p.series.size());
+        for (double v : p.series)
+            s.f64(v);
+    }
+    s.b(engine_);
+    if (!engine_)
+        return;
+    s.section("timeseries");
     s.b(conv_.active);
     s.str(conv_.metric);
     s.f64(conv_.relHalfwidth);
     s.f64(conv_.confidence);
-    s.u64(names_.size());
-    for (std::size_t i = 0; i < names_.size(); i++) {
-        s.str(names_[i]);
-        series_[i].save(s);
-    }
+    for (const Probe &p : probes_)
+        p.stats.save(s);
     s.b(converged_);
     s.u64(convergedAt_);
 }
 
 void
-TimeSeriesEngine::restore(Deser &d)
+IntervalSampler::restore(Deser &d)
 {
-    d.section("timeseries");
+    d.section("interval");
     const Cycle period = d.u64();
     if (period != period_) {
         throw SnapshotError(strprintf(
-            "time-series period mismatch: image sampled every %llu "
+            "interval sampler period mismatch: image sampled every %llu "
             "cycles, this run every %llu",
             static_cast<unsigned long long>(period),
             static_cast<unsigned long long>(period_)));
     }
-    const std::uint32_t window = d.u32();
-    if (window != window_) {
+    nextAt_ = d.u64();
+    const std::uint64_t nProbes = d.u64();
+    if (nProbes != probes_.size()) {
         throw SnapshotError(strprintf(
-            "time-series window mismatch: image has %u, this run %u",
-            window, window_));
+            "interval sampler probe count mismatch: image has %llu, "
+            "this run registered %zu",
+            static_cast<unsigned long long>(nProbes), probes_.size()));
     }
+    for (Probe &p : probes_)
+        p.last = d.f64();
+    // A sample takes 8 bytes for its cycle plus 8 per probe; bound the
+    // count by the bytes left before anything is sized by it.
+    const std::uint64_t samples = d.u64();
+    if (samples > d.remaining() / (8 * (probes_.size() + 1))) {
+        throw SnapshotError(strprintf(
+            "interval sampler: %llu samples cannot fit in %zu bytes",
+            static_cast<unsigned long long>(samples), d.remaining()));
+    }
+    cycles_.resize(samples);
+    for (Cycle &c : cycles_)
+        c = d.u64();
+    for (Probe &p : probes_) {
+        const std::uint64_t n = d.u64();
+        if (n != samples) {
+            throw SnapshotError(strprintf(
+                "interval sampler: probe '%s' has %llu samples, the "
+                "image %llu sample cycles",
+                p.name.c_str(), static_cast<unsigned long long>(n),
+                static_cast<unsigned long long>(samples)));
+        }
+        p.series.resize(n);
+        for (double &v : p.series)
+            v = d.f64();
+    }
+
+    const bool engine = d.b();
+    if (engine != engine_) {
+        throw SnapshotError(strprintf(
+            "time-series mismatch: image was taken %s the metric "
+            "time-series engine, this run is %s it",
+            engine ? "with" : "without", engine_ ? "with" : "without"));
+    }
+    if (!engine_)
+        return;
+    d.section("timeseries");
     const bool active = d.b();
     const std::string metric = d.str();
     const double rel = d.f64();
@@ -493,22 +497,16 @@ TimeSeriesEngine::restore(Deser &d)
                       .c_str()
                 : "off"));
     }
-    const std::uint64_t n = d.u64();
-    if (n != names_.size()) {
-        throw SnapshotError(strprintf(
-            "time-series metric count mismatch: image has %llu, this "
-            "run registered %zu",
-            static_cast<unsigned long long>(n), names_.size()));
-    }
-    for (std::size_t i = 0; i < names_.size(); i++) {
-        const std::string name = d.str();
-        if (name != names_[i]) {
+    for (Probe &p : probes_) {
+        p.stats.restore(d);
+        if (p.stats.count() != samples) {
             throw SnapshotError(strprintf(
-                "time-series metric mismatch: image has '%s' where this "
-                "run registered '%s'",
-                name.c_str(), names_[i].c_str()));
+                "time-series metric '%s' counts %llu samples, the image "
+                "%llu",
+                p.name.c_str(),
+                static_cast<unsigned long long>(p.stats.count()),
+                static_cast<unsigned long long>(samples)));
         }
-        series_[i].restore(d);
     }
     converged_ = d.b();
     convergedAt_ = d.u64();

@@ -1,28 +1,30 @@
 /**
  * @file
- * Metric time-series engine: online statistics over interval samples.
+ * The interval sampler and its metric time-series engine.
  *
- * Each IntervalStats sampling tick feeds one value per metric into a
- * MetricSeries, which maintains — in O(1) per sample and bounded
- * memory — the online Welford mean/variance, the lag-1 autocorrelation
- * estimate, a batch-means confidence interval, and a bounded window of
- * recent (cycle, value) points for rendering. The batch-means CI is the
- * standard remedy for autocorrelated simulation output: consecutive
- * samples are grouped into batches whose means are approximately
- * independent, and a Student-t interval over the batch means bounds the
- * steady-state mean (Law & Kelton; the statistical kernel ROADMAP
- * item 1's SMARTS-style sampling builds on).
+ * Every `period` cycles the sampler reads each probe (a monotonically
+ * growing counter) and appends the per-interval delta to that probe's
+ * series; it keeps every sample. With the engine on it also feeds each
+ * delta into a MetricSeries, which maintains in O(1) per sample the
+ * online Welford mean/variance, the lag-1 autocorrelation estimate and
+ * a batch-means confidence interval. The batch-means CI is the standard
+ * remedy for autocorrelated simulation output: consecutive samples are
+ * grouped into batches whose means are approximately independent, and
+ * a Student-t interval over the batch means bounds the steady-state
+ * mean (Law & Kelton).
  *
- * TimeSeriesEngine bundles one MetricSeries per interval probe, renders
- * the whole state as JSON (the "timeseries" key in dumpStatsJson /
- * RunResult), serializes through the snapshot layer, and implements
- * convergence-bounded runs: ROWSIM_CONVERGE=<metric>:<rel_hw>[:<conf>]
- * latches a converged flag the System run loop polls, so the run stops
- * deterministically at the interval boundary where the target metric's
- * relative CI half-width first meets the bound.
+ * The sampler renders the stored series as the "intervals" stats key
+ * (System::dumpStatsJson) and the engine state as the "timeseries" key
+ * (dumpStatsJson / RunResult), whose per-metric `points` are a view of
+ * the newest kWindow entries of the stored series. It serializes
+ * through the snapshot layer and implements convergence-bounded runs:
+ * ROWSIM_CONVERGE=<metric>:<rel_hw>[:<conf>] latches a converged flag
+ * the System run loop polls, so the run stops deterministically at the
+ * interval boundary where the target metric's relative CI half-width
+ * first meets the bound.
  *
  * Everything here is pure double arithmetic on sampled values; none of
- * it feeds back into simulated behaviour, so the engine lives outside
+ * it feeds back into simulated behaviour, so the sampler lives outside
  * the architectural state digest (stats pass only).
  */
 
@@ -30,6 +32,7 @@
 #define ROWSIM_COMMON_TIMESERIES_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,9 +63,7 @@ class MetricSeries
      *  memory for any run length. */
     static constexpr unsigned kMaxBatches = 64;
 
-    explicit MetricSeries(unsigned window = 512) : window_(window) {}
-
-    void add(Cycle cycle, double v);
+    void add(double v);
 
     std::uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
@@ -97,19 +98,11 @@ class MetricSeries
     };
     Ci ci(double confidence) const;
 
-    /** Recent (cycle, value) points, oldest first, at most `window`. */
-    std::vector<Cycle> windowCycles() const;
-    std::vector<double> windowValues() const;
-    unsigned window() const { return window_; }
-
     void save(Ser &s) const;
-    /** Restore onto a same-window instance; throws SnapshotError on a
-     *  geometry mismatch. */
+    /** Throws SnapshotError on a batch layout add() cannot produce. */
     void restore(Deser &d);
 
   private:
-    unsigned window_;
-
     // Welford accumulators.
     std::uint64_t n_ = 0;
     double mean_ = 0;
@@ -126,11 +119,6 @@ class MetricSeries
     std::vector<double> batchSums_;
     double curSum_ = 0;
     std::uint64_t curCount_ = 0;
-
-    // Bounded ring of recent points.
-    std::vector<Cycle> ringCycles_;
-    std::vector<double> ringValues_;
-    std::size_t ringHead_ = 0;
 };
 
 /** Parse "<metric>:<rel_halfwidth>[:<confidence>]"; empty spec returns
@@ -142,25 +130,53 @@ ConvergeSpec parseConvergeSpec(const char *what, const std::string &spec);
  *  "false"); anything else is fatal naming @p what. */
 bool parseOnOffSpec(const char *what, const std::string &spec);
 
-/** One MetricSeries per interval probe plus the convergence monitor. */
-class TimeSeriesEngine
+/** Periodic per-interval deltas of named counters, plus (engine on) one
+ *  MetricSeries per probe and the convergence monitor. */
+class IntervalSampler
 {
   public:
-    /** Default ROWSIM_TS_WINDOW. */
-    static constexpr unsigned kDefaultWindow = 512;
+    /** Newest points per metric rendered as the engine's `points`. */
+    static constexpr unsigned kWindow = 512;
 
-    TimeSeriesEngine(Cycle period, unsigned window, ConvergeSpec conv);
+    struct Probe
+    {
+        std::string name;
+        std::function<double()> read;
+        double last = 0; ///< counter value at the previous sample
+        std::vector<double> series; ///< one delta per sample
+        MetricSeries stats;         ///< fed only with the engine on
+    };
 
-    /** Register a metric; call once per interval probe, in probe order,
-     *  before the first observe(). */
-    void addMetric(const std::string &name);
+    /** Set the sampling period (0 disables sampling), whether the
+     *  engine runs, and its convergence bound. Call before addProbe. */
+    void configure(Cycle period, bool engine = false,
+                   ConvergeSpec conv = {});
 
-    /** Feed one interval sample (values in metric registration order). */
-    void observe(Cycle now, const std::vector<double> &values);
+    bool enabled() const { return period_ != 0; }
+    bool engineOn() const { return engine_; }
+    Cycle period() const { return period_; }
 
-    bool hasMetric(const std::string &name) const;
-    const MetricSeries *find(const std::string &name) const;
-    const std::vector<std::string> &metricNames() const { return names_; }
+    /** Register a counter; its samples are per-interval deltas. Call
+     *  before the first sample. */
+    void addProbe(std::string name, std::function<double()> read);
+
+    /** Called at service cycles; samples when a period boundary
+     *  passes. */
+    void
+    tick(Cycle now)
+    {
+        if (period_ != 0 && now >= nextAt_)
+            sample(now);
+    }
+
+    /** Cycle of the next period-boundary sample (service-cycle hoist
+     *  and fast-forward bound); meaningless when disabled. */
+    Cycle nextSampleAt() const { return nextAt_; }
+
+    const std::vector<Probe> &probes() const { return probes_; }
+    const Probe *find(const std::string &name) const;
+    /** Cycle stamps of the samples taken so far. */
+    const std::vector<Cycle> &sampleCycles() const { return cycles_; }
 
     const ConvergeSpec &converge() const { return conv_; }
     /** Latched once the target metric's CI meets the bound; the run
@@ -172,18 +188,24 @@ class TimeSeriesEngine
      *  infinity while invalid); 0 when no converge spec is active. */
     double achievedRelHalfwidth() const;
 
-    /** The whole engine state as one JSON object. */
+    /** The engine state as one JSON object (the "timeseries" key). */
     std::string toJson() const;
 
     void save(Ser &s) const;
+    /** Restore onto an instance configured and probed like the one
+     *  saved; throws SnapshotError on any mismatch or impossible
+     *  count. */
     void restore(Deser &d);
 
   private:
-    Cycle period_;
-    unsigned window_;
+    void sample(Cycle now);
+
+    Cycle period_ = 0;
+    Cycle nextAt_ = 0;
+    bool engine_ = false;
     ConvergeSpec conv_;
-    std::vector<std::string> names_;
-    std::vector<MetricSeries> series_;
+    std::vector<Probe> probes_;
+    std::vector<Cycle> cycles_;
     std::size_t convIdx_ = SIZE_MAX;
     bool converged_ = false;
     Cycle convergedAt_ = 0;

@@ -429,14 +429,14 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
         r.profileJson = prof->toJson();
     if (const SpanTracker *sp = sys.spans(); sp && sp->active())
         r.spanJson = sp->toJson();
-    if (const TimeSeriesEngine *ts = sys.timeseries()) {
-        r.tsJson = ts->toJson();
-        if (ts->converge().active) {
-            r.convergeMetric = ts->converge().metric;
-            r.convergeTarget = ts->converge().relHalfwidth;
-            r.convergeConfidence = ts->converge().confidence;
-            r.convergeAchieved = ts->achievedRelHalfwidth();
-            r.converged = ts->converged();
+    if (const IntervalSampler &ts = sys.sampler(); ts.engineOn()) {
+        r.tsJson = ts.toJson();
+        if (ts.converge().active) {
+            r.convergeMetric = ts.converge().metric;
+            r.convergeTarget = ts.converge().relHalfwidth;
+            r.convergeConfidence = ts.converge().confidence;
+            r.convergeAchieved = ts.achievedRelHalfwidth();
+            r.converged = ts.converged();
         }
     }
 

@@ -126,7 +126,7 @@ struct RunResult
      *  was on; empty otherwise. */
     std::string spanJson;
 
-    /** TimeSeriesEngine::toJson() of the run — per-metric series,
+    /** IntervalSampler::toJson() of the run — per-metric series,
      *  online statistics, and batch-means CIs — captured whenever the
      *  engine was on; empty otherwise. */
     std::string tsJson;

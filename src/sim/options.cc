@@ -68,8 +68,6 @@ const Knob kKnobs[] = {
      .number = &O::statsInterval, .hi = std::uint64_t{1} << 40},
     {.name = "ROWSIM_STATS_JSON", .text = &O::statsJson},
     {.name = "ROWSIM_TS", .flag = &O::timeseries},
-    {.name = "ROWSIM_TS_WINDOW",
-     .number = &O::tsWindow, .lo = 1, .hi = 1u << 20},
     {.name = "ROWSIM_CONVERGE",
      .parse = [](O &o, const Knob &k, const char *v) {
          o.converge = parseConvergeSpec(k.name, v);

@@ -81,7 +81,6 @@ struct RunOptions
     // engine then samples every 8192 cycles), time series, convergence.
     Cycle statsInterval = 0;
     bool timeseries = false; ///< implied by converge
-    std::uint64_t tsWindow = 512;
     ConvergeSpec converge;
 
     // Self-checking and fault injection (faults.mask == 0: none).

@@ -7,6 +7,7 @@
 #include "common/io.hh"
 #include "common/log.hh"
 #include "common/sha256.hh"
+#include "common/timeseries.hh"
 #include "sim/options.hh"
 #include "sim/snapshot.hh"
 
@@ -159,8 +160,8 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     // changing the simulation — the profiler mask (profileJson and the
     // stats JSON "profile" section), the span gate (spanJson), the interval-stats
     // period as requested (statsJson interval series), the time-series
-    // engine and its window (tsJson) — and the two that change the
-    // results themselves: the convergence spec (the run stops at the
+    // engine (tsJson) — and the two that change the results
+    // themselves: the convergence spec (the run stops at the
     // convergence cycle) and the execution mode, which is deliberately
     // outside the fingerprint (checkpoints interchange between modes).
     const ConvergeSpec &conv = opts.converge;
@@ -176,7 +177,9 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     s.b(opts.spans);
     s.u64(opts.statsInterval);
     s.b(opts.timeseries);
-    s.u64(opts.timeseries ? opts.tsWindow : 0);
+    // The rendered window, a constant since it stopped being a knob;
+    // kept so existing keys stay put.
+    s.u64(opts.timeseries ? IntervalSampler::kWindow : 0);
     s.b(conv.active);
     s.str(conv.metric);
     s.f64(conv.relHalfwidth);

@@ -44,8 +44,14 @@ struct MicroOp;
  *      LEB128 gaps, values as LEB128) — it dominates checkpoint size on
  *      long runs and its save/restore cost bounds the SMARTS sampling
  *      speedup. Changes the digested byte stream, so the golden digests
- *      were regenerated in the same commit. */
-constexpr std::uint32_t snapshotFormatVersion = 3;
+ *      were regenerated in the same commit.
+ *  v4: one interval sampler owns the stats pass's series. With the
+ *      time-series engine on, its block no longer repeats the period or
+ *      the metric names and drops the window and each metric's point
+ *      ring (the rendered points are a view of the stored series).
+ *      Payloads written with the engine off are unchanged; the arch
+ *      pass and the golden digests do not move. */
+constexpr std::uint32_t snapshotFormatVersion = 4;
 
 /** Named failure of any snapshot operation: truncated or corrupted
  *  files, format-version skew, configuration mismatch, section drift,

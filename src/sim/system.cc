@@ -102,50 +102,31 @@ System::setupObservability()
         t.nameProcess(tracePidNetwork, "network");
     }
 
-    // Interval sampler and the metric time-series engine over it (with
-    // its convergence monitor).
+    // Interval sampler, with the metric time-series engine (and its
+    // convergence monitor) when asked for.
     Cycle period = opts_.statsInterval;
     const ConvergeSpec &conv = opts_.converge;
     if (opts_.timeseries && period == 0)
         period = 8192; // default cadence when only the engine asked
-    intervalStats_.configure(period);
-    intervalStats_.addProbe(
-        "instructions",
-        [this] { return static_cast<double>(totalInstructions()); }, true);
-    intervalStats_.addProbe(
-        "atomics",
-        [this] { return static_cast<double>(totalAtomics()); }, true);
-    intervalStats_.addProbe(
-        "contendedAtomics",
-        [this] {
-            return static_cast<double>(
-                totalCounter("atomicsDetectedContended"));
-        },
-        true);
-    intervalStats_.addProbe(
-        "lazyIssued",
-        [this] {
-            return static_cast<double>(totalCounter("atomicsIssuedLazy"));
-        },
-        true);
-
-    if (opts_.timeseries) {
-        ts_ = std::make_unique<TimeSeriesEngine>(period, opts_.tsWindow,
-                                                 conv);
-        for (const auto &p : intervalStats_.probes())
-            ts_->addMetric(p.name);
-        if (conv.active && !ts_->hasMetric(conv.metric)) {
-            std::string valid;
-            for (const auto &p : intervalStats_.probes())
-                valid += (valid.empty() ? "" : ", ") + p.name;
-            ROWSIM_FATAL("ROWSIM_CONVERGE: unknown metric '%s' (valid: "
-                         "%s)",
-                         conv.metric.c_str(), valid.c_str());
-        }
-        intervalStats_.setObserver(
-            [this](Cycle now, const std::vector<double> &vals) {
-                ts_->observe(now, vals);
-            });
+    sampler_.configure(period, opts_.timeseries, conv);
+    sampler_.addProbe("instructions", [this] {
+        return static_cast<double>(totalInstructions());
+    });
+    sampler_.addProbe("atomics", [this] {
+        return static_cast<double>(totalAtomics());
+    });
+    sampler_.addProbe("contendedAtomics", [this] {
+        return static_cast<double>(totalCounter("atomicsDetectedContended"));
+    });
+    sampler_.addProbe("lazyIssued", [this] {
+        return static_cast<double>(totalCounter("atomicsIssuedLazy"));
+    });
+    if (conv.active && !sampler_.find(conv.metric)) {
+        std::string valid;
+        for (const auto &p : sampler_.probes())
+            valid += (valid.empty() ? "" : ", ") + p.name;
+        ROWSIM_FATAL("ROWSIM_CONVERGE: unknown metric '%s' (valid: %s)",
+                     conv.metric.c_str(), valid.c_str());
     }
 
     // Heartbeat sink, polled from the run loop.
@@ -249,8 +230,7 @@ System::tick()
 void
 System::serviceTick()
 {
-    if (intervalStats_.enabled())
-        intervalStats_.tick(currentCycle);
+    sampler_.tick(currentCycle);
     if (Checker::anyEnabled())
         checker_->tick(currentCycle);
     if (currentCycle - lastWatchdogScan_ >= watchdogPeriod_)
@@ -264,8 +244,8 @@ System::recomputeNextService()
     // The watchdog deadline is always finite, bounding both the service
     // gap and the fast-forward skip length.
     Cycle next = lastWatchdogScan_ + watchdogPeriod_;
-    if (intervalStats_.enabled())
-        next = std::min(next, intervalStats_.nextSampleAt());
+    if (sampler_.enabled())
+        next = std::min(next, sampler_.nextSampleAt());
     if (Checker::anyEnabled())
         next = std::min(next, checker_->nextSweepAt());
     nextServiceCycle_ = next;
@@ -317,22 +297,10 @@ System::maybeFastForward()
             forEachStatGroup(addGroup);
             // Interval samples must land at the same cycles with the
             // same deltas whether the window is skipped or ticked
-            // through — compare the full series, not just counters.
-            if (intervalStats_.enabled()) {
-                const auto &cyc = intervalStats_.sampleCycles();
-                for (std::size_t i = 0; i < cyc.size(); i++)
-                    s += "interval.cycle=" + std::to_string(cyc[i]) + "\n";
-                const auto &probes = intervalStats_.probes();
-                const auto &series = intervalStats_.series();
-                for (std::size_t p = 0; p < probes.size(); p++) {
-                    for (std::size_t i = 0; i < series[p].size(); i++) {
-                        s += "interval." + probes[p].name + "=" +
-                             std::to_string(series[p][i]) + "\n";
-                    }
-                }
-            }
-            if (ts_)
-                s += ts_->toJson();
+            // through — compare the whole sampler, not just counters.
+            Ser sampled;
+            sampler_.save(sampled);
+            s.append(sampled.bytes().begin(), sampled.bytes().end());
             return s;
         };
         const std::string before = dumpAll();
@@ -535,7 +503,7 @@ System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
         // on, off, or check. Cores stay unhalted, like a warmup return;
         // the quota above remains the upper bound. Warmup runs ignore
         // convergence so a checkpoint is never cut short.
-        if (!warm_iters && ts_ && ts_->converged())
+        if (!warm_iters && sampler_.converged())
             return currentCycle;
         // Deadlock detection lives in watchdogScan() (called from
         // tick()): per-core commit progress plus per-structure ages,
@@ -651,10 +619,7 @@ System::saveStats(Ser &s) const
     s.section("stats");
     const_cast<System &>(*this).forEachStatGroup(
         [&](StatGroup &g) { g.save(s); });
-    intervalStats_.save(s);
-    s.b(ts_ != nullptr);
-    if (ts_)
-        ts_->save(s);
+    sampler_.save(s);
 }
 
 void
@@ -700,16 +665,7 @@ System::restore(Deser &d)
 
     d.section("stats");
     forEachStatGroup([&](StatGroup &g) { g.restore(d); });
-    intervalStats_.restore(d);
-    const bool had_ts = d.b();
-    if (had_ts != (ts_ != nullptr)) {
-        throw SnapshotError(strprintf(
-            "time-series mismatch: image was taken %s the metric "
-            "time-series engine, this run is %s it",
-            had_ts ? "with" : "without", ts_ ? "with" : "without"));
-    }
-    if (ts_)
-        ts_->restore(d);
+    sampler_.restore(d);
 
     d.expectEnd();
     // Span state is never serialized: any span still open crossed the
@@ -1013,24 +969,23 @@ System::dumpStatsJson(std::FILE *out) const
         [&](StatGroup &g) { dumpGroupJson(out, g, first_group); });
     std::fprintf(out, "\n  }");
 
-    if (intervalStats_.enabled()) {
+    if (sampler_.enabled()) {
         std::fprintf(out, ",\n  \"intervals\": {\n");
         std::fprintf(out, "    \"period\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         intervalStats_.period()));
+                     static_cast<unsigned long long>(sampler_.period()));
         std::fprintf(out, "    \"cycles\": [");
-        const auto &cyc = intervalStats_.sampleCycles();
+        const auto &cyc = sampler_.sampleCycles();
         for (std::size_t i = 0; i < cyc.size(); i++)
             std::fprintf(out, "%s%llu", i ? ", " : "",
                          static_cast<unsigned long long>(cyc[i]));
         std::fprintf(out, "],\n    \"series\": {");
-        const auto &probes = intervalStats_.probes();
-        const auto &series = intervalStats_.series();
+        const auto &probes = sampler_.probes();
         for (std::size_t p = 0; p < probes.size(); p++) {
             std::fprintf(out, "%s\"%s\": [", p ? ", " : "",
                          probes[p].name.c_str());
-            for (std::size_t i = 0; i < series[p].size(); i++)
-                std::fprintf(out, "%s%.6g", i ? ", " : "", series[p][i]);
+            const auto &series = probes[p].series;
+            for (std::size_t i = 0; i < series.size(); i++)
+                std::fprintf(out, "%s%.6g", i ? ", " : "", series[i]);
             std::fprintf(out, "]");
         }
         std::fprintf(out, "}\n  }");
@@ -1038,9 +993,9 @@ System::dumpStatsJson(std::FILE *out) const
 
     // Metric time-series engine (absent — not empty — when off, keeping
     // the off-mode dump byte-identical to pre-engine builds).
-    if (ts_) {
+    if (sampler_.engineOn()) {
         std::fprintf(out, ",\n  \"timeseries\": %s",
-                     ts_->toJson().c_str());
+                     sampler_.toJson().c_str());
     }
     // Attribution profiler (absent — not empty — when profiling is off,
     // keeping the off-mode dump byte-identical to pre-profiler builds).

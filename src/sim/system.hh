@@ -166,11 +166,6 @@ class System
     /** dumpStatsJson() rendered into a string. */
     std::string statsJson() const;
 
-    /** Interval sampler (enabled via ROWSIM_STATS_INTERVAL or the
-     *  time-series engine; see common/stats.hh). */
-    IntervalStats &intervalStats() { return intervalStats_; }
-    const IntervalStats &intervalStats() const { return intervalStats_; }
-
     /** System-level derived stats (ipc, contendedPct, ...). */
     StatGroup &simStats() { return simStats_; }
 
@@ -185,10 +180,10 @@ class System
     /** The span tracker; nullptr unless span tracing is enabled. */
     SpanTracker *spans() { return spans_.get(); }
     const SpanTracker *spans() const { return spans_.get(); }
-    /** The metric time-series engine; nullptr unless enabled (ROWSIM_TS,
-     *  or implied by ROWSIM_CONVERGE). */
-    TimeSeriesEngine *timeseries() { return ts_.get(); }
-    const TimeSeriesEngine *timeseries() const { return ts_.get(); }
+    /** The interval sampler (enabled via ROWSIM_STATS_INTERVAL or the
+     *  time-series engine) and its engine (ROWSIM_TS, or implied by
+     *  ROWSIM_CONVERGE); see common/timeseries.hh. */
+    const IntervalSampler &sampler() const { return sampler_; }
 
     /**
      * Emit the crash diagnostics snapshot: a human-visible marker pair
@@ -313,9 +308,8 @@ class System
     std::unique_ptr<Profiler> profiler_;
     std::unique_ptr<SpanTracker> spans_;
 
-    IntervalStats intervalStats_;
+    IntervalSampler sampler_;
     StatGroup simStats_{"sim"};
-    std::unique_ptr<TimeSeriesEngine> ts_;
 
     /** Heartbeat sink state (common/heartbeat.hh). The enable flag is
      *  resolved once per System; the run loop then pays one comparison

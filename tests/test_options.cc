@@ -64,7 +64,7 @@ TEST(Options, TableListsEveryKnobOnce)
 {
     const std::set<std::string> names = tableNames();
     EXPECT_EQ(names.size(), knobs().size()) << "a knob is listed twice";
-    EXPECT_EQ(names.size(), 38u);
+    EXPECT_EQ(names.size(), 37u);
     for (const Knob &k : knobs()) {
         EXPECT_EQ(std::string(k.name).rfind("ROWSIM_", 0), 0u) << k.name;
         // Exactly one way to fill the field.
@@ -83,7 +83,6 @@ TEST(Options, DefaultsWithNoEnvironment)
     EXPECT_EQ(o.traceMask, 0u);
     EXPECT_EQ(o.statsInterval, 0u);
     EXPECT_FALSE(o.timeseries);
-    EXPECT_EQ(o.tsWindow, 512u);
     EXPECT_EQ(o.checkInterval, 1024u);
     EXPECT_EQ(o.faults.mask, 0u);
     EXPECT_EQ(o.profileTopK, 16u);
@@ -162,7 +161,6 @@ TEST(Options, BadValuesAreFatalAndNameTheKnob)
         {"ROWSIM_PROFILE_TOPK", "0"},
         {"ROWSIM_SPANS_TOPK", "-5"},
         {"ROWSIM_SWEEP_RETRIES", "4294967296"},
-        {"ROWSIM_TS_WINDOW", "0"},
         {"ROWSIM_FAULTS_RATE", "10001"},
         {"ROWSIM_TORTURE_SEEDS", "0"},
         {"ROWSIM_LOG_LEVEL", "loud"},

@@ -323,10 +323,6 @@ TEST(ResultStoreSuite, EnvironmentKeysArePinned)
     expectEnvKey({{"ROWSIM_STATS_INTERVAL", "500"}}, kIntervalKey);
     expectEnvKey({{"ROWSIM_TS", "on"}}, kTimeSeriesKey);
     expectEnvKey({{"ROWSIM_CONVERGE", "instructions:0.05"}}, kConvergeKey);
-    expectEnvKey({{"ROWSIM_TS", "on"}, {"ROWSIM_TS_WINDOW", "64"}},
-                 "346b93cfd2d9b62a0d907e97fd2aa043ac59108f4b8b0d5f35ee12c9bd39f586");
-    // The window only keys a run whose engine is on.
-    expectEnvKey({{"ROWSIM_TS_WINDOW", "64"}}, kBaseKey);
     expectEnvKey({{"ROWSIM_MODE", "func"}},
                  "4440b25e90ab758530a77fd7e0a9992992c48f1f1905eff2efd189a34616cba9");
     expectEnvKey({{"ROWSIM_MODE", "detail"}}, kBaseKey);

@@ -111,58 +111,6 @@ TEST(Formula, EvaluatesLazily)
     EXPECT_DOUBLE_EQ(g.formulaValue("missing"), 0.0);
 }
 
-TEST(IntervalStats, DisabledByDefault)
-{
-    IntervalStats is;
-    EXPECT_FALSE(is.enabled());
-    is.tick(1000); // no-op
-    EXPECT_TRUE(is.sampleCycles().empty());
-}
-
-TEST(IntervalStats, SamplesAbsoluteAndDeltaProbes)
-{
-    IntervalStats is;
-    std::uint64_t counter = 0;
-    double level = 1.5;
-    is.addProbe("count", [&] { return static_cast<double>(counter); },
-                /*delta=*/true);
-    is.addProbe("level", [&] { return level; });
-    is.configure(100);
-    ASSERT_TRUE(is.enabled());
-    EXPECT_EQ(is.period(), 100u);
-
-    counter = 10;
-    is.tick(99); // before the first boundary: nothing
-    EXPECT_TRUE(is.sampleCycles().empty());
-    is.tick(100);
-    counter = 25;
-    level = 2.5;
-    is.tick(200);
-
-    ASSERT_EQ(is.sampleCycles().size(), 2u);
-    EXPECT_EQ(is.sampleCycles()[0], 100u);
-    EXPECT_EQ(is.sampleCycles()[1], 200u);
-    ASSERT_EQ(is.series().size(), 2u);
-    // Delta probe: 10 in the first interval, 15 in the second.
-    EXPECT_DOUBLE_EQ(is.series()[0][0], 10.0);
-    EXPECT_DOUBLE_EQ(is.series()[0][1], 15.0);
-    // Absolute probe: the value at each boundary.
-    EXPECT_DOUBLE_EQ(is.series()[1][0], 1.5);
-    EXPECT_DOUBLE_EQ(is.series()[1][1], 2.5);
-}
-
-TEST(IntervalStats, ResetClearsSeries)
-{
-    IntervalStats is;
-    is.addProbe("x", [] { return 1.0; });
-    is.configure(10);
-    is.tick(10);
-    ASSERT_EQ(is.sampleCycles().size(), 1u);
-    is.reset();
-    EXPECT_TRUE(is.sampleCycles().empty());
-    EXPECT_TRUE(is.series()[0].empty());
-}
-
 TEST(StatGroup, CountersAreNamedAndPersistent)
 {
     StatGroup g("test");

@@ -9,11 +9,14 @@
  * early at a deterministic interval boundary — invariant across
  * fast-forward modes — and the series must survive sweeps (1-vs-8
  * threads, thread-vs-process) and a mid-interval save/restore
- * bit-identically.
+ * bit-identically. The interval sampler's points must be the tail of
+ * its stored series, and its restore must reject hand-built images
+ * with impossible counts by name.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/timeseries.hh"
 #include "sim/experiment.hh"
@@ -80,7 +84,7 @@ TEST(MetricSeries, WelfordMatchesClosedForm)
     MetricSeries m;
     double sum = 0;
     for (unsigned i = 0; i < 10; ++i) {
-        m.add(i * 100, xs[i]);
+        m.add(xs[i]);
         sum += xs[i];
     }
     const double mean = sum / 10.0;
@@ -98,24 +102,24 @@ TEST(MetricSeries, Lag1MatchesClosedFormAndClamps)
     // Alternating series: strongly negative lag-1 autocorrelation.
     MetricSeries alt;
     for (unsigned i = 0; i < 100; ++i)
-        alt.add(i, i % 2 ? 1.0 : -1.0);
+        alt.add(i % 2 ? 1.0 : -1.0);
     EXPECT_NEAR(alt.lag1(), -1.0, 0.05);
 
     // Monotone ramp: strongly positive.
     MetricSeries ramp;
     for (unsigned i = 0; i < 100; ++i)
-        ramp.add(i, static_cast<double>(i));
+        ramp.add(static_cast<double>(i));
     EXPECT_GT(ramp.lag1(), 0.9);
     EXPECT_LE(ramp.lag1(), 1.0);
 
     // Degenerate cases pin to 0: short series and zero variance.
     MetricSeries two;
-    two.add(0, 1);
-    two.add(1, 2);
+    two.add(1);
+    two.add(2);
     EXPECT_EQ(two.lag1(), 0.0);
     MetricSeries flat;
     for (unsigned i = 0; i < 50; ++i)
-        flat.add(i, 7.0);
+        flat.add(7.0);
     EXPECT_EQ(flat.lag1(), 0.0);
 }
 
@@ -140,7 +144,7 @@ TEST(MetricSeries, BatchMeansCiClosedForm)
     double sum = 0;
     for (unsigned i = 0; i < 16; ++i) {
         const double v = 10.0 + (i % 4); // 10,11,12,13 repeating
-        m.add(i, v);
+        m.add(v);
         sum += v;
     }
     ASSERT_EQ(m.batchCount(), 16u);
@@ -167,15 +171,15 @@ TEST(MetricSeries, CiInvalidUntilMinBatchesAndInfiniteRelAtZeroMean)
 {
     MetricSeries m;
     for (unsigned i = 0; i < MetricSeries::kMinBatches - 1; ++i)
-        m.add(i, 1.0);
+        m.add(1.0);
     EXPECT_FALSE(m.ci(0.95).valid);
-    m.add(99, 1.0);
+    m.add(1.0);
     EXPECT_TRUE(m.ci(0.95).valid);
 
     // Mean zero: half-width finite, relative half-width infinite.
     MetricSeries z;
     for (unsigned i = 0; i < 16; ++i)
-        z.add(i, i % 2 ? 1.0 : -1.0);
+        z.add(i % 2 ? 1.0 : -1.0);
     const MetricSeries::Ci ci = z.ci(0.95);
     ASSERT_TRUE(ci.valid);
     EXPECT_TRUE(std::isinf(ci.relHalfwidth));
@@ -188,7 +192,7 @@ TEST(MetricSeries, BatchCollapseKeepsTotalsAndBoundsMemory)
     const unsigned n = 10000;
     for (unsigned i = 0; i < n; ++i) {
         const double v = std::sin(0.1 * i) + 2.0;
-        m.add(i, v);
+        m.add(v);
         sum += v;
     }
     EXPECT_EQ(m.count(), n);
@@ -204,21 +208,6 @@ TEST(MetricSeries, BatchCollapseKeepsTotalsAndBoundsMemory)
     ASSERT_TRUE(ci.valid);
     EXPECT_GT(ci.halfwidth, 0.0);
     EXPECT_LT(ci.relHalfwidth, 1.0);
-}
-
-TEST(MetricSeries, WindowRingKeepsNewestPoints)
-{
-    MetricSeries m(4);
-    for (unsigned i = 0; i < 10; ++i)
-        m.add(1000 + i, static_cast<double>(i));
-    const std::vector<Cycle> cyc = m.windowCycles();
-    const std::vector<double> val = m.windowValues();
-    ASSERT_EQ(cyc.size(), 4u);
-    ASSERT_EQ(val.size(), 4u);
-    for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(cyc[i], 1006u + i);
-        EXPECT_EQ(val[i], 6.0 + i);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -479,25 +468,233 @@ TEST(TimeSeries, EngineStateSurvivesSerRoundTripExactly)
     conv.active = true;
     conv.metric = "m0";
     conv.relHalfwidth = 0.1;
-    TimeSeriesEngine a(64, 8, conv);
-    a.addMetric("m0");
-    a.addMetric("m1");
-    std::vector<double> vals(2);
-    for (unsigned i = 1; i <= 150; ++i) {
-        vals[0] = 5.0 + std::sin(0.3 * i);
-        vals[1] = 100.0 * i;
-        a.observe(i * 64, vals);
+    double c0 = 0, c1 = 0;
+    auto probed = [&](IntervalSampler &is) {
+        is.configure(64, true, conv);
+        is.addProbe("m0", [&] { return c0; });
+        is.addProbe("m1", [&] { return c1; });
+    };
+    IntervalSampler a;
+    probed(a);
+    for (unsigned i = 1; i <= 600; ++i) {
+        c0 += 5.0 + std::sin(0.3 * i);
+        c1 += 100.0 * i;
+        a.tick(i * 64);
     }
     Ser s;
     a.save(s);
 
-    TimeSeriesEngine b(64, 8, conv);
-    b.addMetric("m0");
-    b.addMetric("m1");
+    IntervalSampler b;
+    probed(b);
     Deser d(s.bytes());
     b.restore(d);
     d.expectEnd();
     EXPECT_EQ(a.toJson(), b.toJson());
+    EXPECT_EQ(a.sampleCycles(), b.sampleCycles());
+    EXPECT_EQ(a.nextSampleAt(), b.nextSampleAt());
     EXPECT_EQ(a.converged(), b.converged());
     EXPECT_EQ(a.convergedAtCycle(), b.convergedAtCycle());
+
+    // Both continue identically: the probes' last values came back too.
+    c0 += 7.0;
+    a.tick(601 * 64);
+    b.tick(601 * 64);
+    EXPECT_EQ(a.toJson(), b.toJson());
+}
+
+TEST(TimeSeries, PointsAreTheNewestWindowOfTheFullSeries)
+{
+    // More samples than the rendered window: the engine aggregates the
+    // whole series, and its points are a view of the stored tail.
+    ExpConfig cfg = lazyConfig();
+    cfg.timeseries = true;
+    SystemParams sp = makeParams(cfg, 8, 1);
+    sp.statsInterval = 64;
+    System sys(sp, makeStreams(profileFor("pc"), sp.numCores, sp.seed));
+    sys.run(200);
+    const Json root = parseJson(statsJsonOf(sys));
+
+    const Json &iv = root.at("intervals");
+    const std::vector<Json> &cycles = iv.at("cycles").arr;
+    ASSERT_GT(cycles.size(), IntervalSampler::kWindow);
+    const Json &ts = root.at("timeseries");
+    EXPECT_EQ(ts.at("window").asU64(), IntervalSampler::kWindow);
+    const std::size_t first = cycles.size() - IntervalSampler::kWindow;
+    ASSERT_EQ(ts.at("metrics").obj.size(), iv.at("series").obj.size());
+    for (const auto &[name, m] : ts.at("metrics").obj) {
+        const std::vector<Json> &series = iv.at("series").at(name).arr;
+        ASSERT_EQ(series.size(), cycles.size()) << name;
+        EXPECT_EQ(m.at("count").asU64(), series.size()) << name;
+        const std::vector<Json> &pc = m.at("points").at("cycles").arr;
+        const std::vector<Json> &pv = m.at("points").at("values").arr;
+        ASSERT_EQ(pc.size(), IntervalSampler::kWindow) << name;
+        ASSERT_EQ(pv.size(), IntervalSampler::kWindow) << name;
+        for (std::size_t i = 0; i < IntervalSampler::kWindow; ++i) {
+            EXPECT_EQ(pc[i].asU64(), cycles[first + i].asU64()) << name;
+            EXPECT_EQ(pv[i].num, series[first + i].num) << name;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// IntervalSampler
+// ---------------------------------------------------------------------
+
+TEST(IntervalSampler, DisabledByDefault)
+{
+    IntervalSampler is;
+    EXPECT_FALSE(is.enabled());
+    is.tick(1000); // no-op
+    EXPECT_TRUE(is.sampleCycles().empty());
+}
+
+TEST(IntervalSampler, SamplesDeltaProbes)
+{
+    IntervalSampler is;
+    std::uint64_t counter = 0;
+    double level = 1.5;
+    is.configure(100);
+    is.addProbe("count", [&] { return static_cast<double>(counter); });
+    is.addProbe("level", [&] { return level; });
+    ASSERT_TRUE(is.enabled());
+    EXPECT_FALSE(is.engineOn());
+    EXPECT_EQ(is.period(), 100u);
+
+    counter = 10;
+    is.tick(99); // before the first boundary: nothing
+    EXPECT_TRUE(is.sampleCycles().empty());
+    is.tick(100);
+    EXPECT_EQ(is.nextSampleAt(), 200u);
+    counter = 25;
+    level = 2.5;
+    is.tick(200);
+
+    ASSERT_EQ(is.sampleCycles().size(), 2u);
+    EXPECT_EQ(is.sampleCycles()[0], 100u);
+    EXPECT_EQ(is.sampleCycles()[1], 200u);
+    ASSERT_EQ(is.probes().size(), 2u);
+    // 10 in the first interval, 15 in the second.
+    EXPECT_EQ(is.probes()[0].series, (std::vector<double>{10.0, 15.0}));
+    EXPECT_EQ(is.probes()[1].series, (std::vector<double>{1.5, 1.0}));
+    // The engine is off: no online statistics were kept.
+    EXPECT_EQ(is.probes()[0].stats.count(), 0u);
+}
+
+namespace
+{
+
+/** A hand-built stats image for a one-probe sampler (period 64) that
+ *  claims @p samples sample cycles and a series of @p seriesLen
+ *  entries; at most 4 of each are written, so a larger claim describes
+ *  a truncated image. With @p engine, an inactive converge spec and a
+ *  metric series of @p count samples follow: @p batches completed
+ *  batches of @p batchSize plus an open batch of @p open samples. */
+std::vector<std::uint8_t>
+samplerImage(std::uint64_t samples, std::uint64_t seriesLen, bool engine,
+             std::uint64_t count = 0, std::uint64_t batchSize = 1,
+             std::uint64_t batches = 0, std::uint64_t open = 0)
+{
+    Ser s;
+    s.section("interval");
+    s.u64(64);                 // period
+    s.u64(64 * (samples + 1)); // next sample
+    s.u64(1);                  // probes
+    s.f64(0);                  // last value
+    s.u64(samples);
+    for (std::uint64_t i = 0; i < std::min<std::uint64_t>(samples, 4); ++i)
+        s.u64(64 * (i + 1));
+    s.u64(seriesLen);
+    for (std::uint64_t i = 0; i < std::min<std::uint64_t>(seriesLen, 4);
+         ++i)
+        s.f64(1.0);
+    s.b(engine);
+    if (engine) {
+        s.section("timeseries");
+        s.b(false);
+        s.str("");
+        s.f64(0);
+        s.f64(0.95);
+        s.section("mseries");
+        s.u64(count);
+        for (int i = 0; i < 4; ++i)
+            s.f64(0); // mean, m2, prev, crossSum
+        s.u64(batchSize);
+        s.u64(batches);
+        for (std::uint64_t i = 0; i < batches; ++i)
+            s.f64(1.0);
+        s.f64(0);
+        s.u64(open);
+        s.b(false);
+        s.u64(0);
+    }
+    return s.bytes();
+}
+
+/** Restore @p image into a one-probe sampler; the SnapshotError text,
+ *  or "" when the image restored. */
+std::string
+restoreError(const std::vector<std::uint8_t> &image, bool engine)
+{
+    IntervalSampler is;
+    is.configure(64, engine);
+    is.addProbe("x", [] { return 0.0; });
+    try {
+        Deser d(image);
+        is.restore(d);
+        d.expectEnd();
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(IntervalSampler, HandBuiltImagesRestore)
+{
+    // The builder is sound: consistent images restore.
+    EXPECT_EQ(restoreError(samplerImage(4, 4, false), false), "");
+    EXPECT_EQ(restoreError(samplerImage(4, 4, true, 4, 1, 4), true), "");
+    EXPECT_EQ(restoreError(samplerImage(3, 3, true, 3, 2, 1, 1), true),
+              "");
+}
+
+TEST(IntervalSampler, RestoreRejectsSampleCountBeyondTheImage)
+{
+    // A count read from the image is bounded by the bytes left before
+    // anything is sized by it (a vector length error otherwise).
+    const std::string err =
+        restoreError(samplerImage(std::uint64_t{1} << 60, 4, false), false);
+    EXPECT_NE(err.find("cannot fit"), std::string::npos) << err;
+}
+
+TEST(IntervalSampler, RestoreRejectsZeroBatchSize)
+{
+    // No batch of size 0 ever completes, so the CI would never move.
+    for (std::uint64_t batches : {4, 100}) {
+        const std::string err =
+            restoreError(samplerImage(4, 4, true, 4, 0, batches), true);
+        EXPECT_NE(err.find("batch layout"), std::string::npos) << err;
+    }
+}
+
+TEST(IntervalSampler, RestoreRejectsAFullBatchLayout)
+{
+    // add() collapses on reaching kMaxBatches completed batches.
+    const std::string err = restoreError(
+        samplerImage(4, 4, true, 4, 1, MetricSeries::kMaxBatches), true);
+    EXPECT_NE(err.find("batch layout"), std::string::npos) << err;
+}
+
+TEST(IntervalSampler, RestoreRejectsInconsistentCounts)
+{
+    // A series shorter than the sample grid.
+    std::string err = restoreError(samplerImage(4, 3, false), false);
+    EXPECT_NE(err.find("'x' has 3 samples"), std::string::npos) << err;
+    // Online statistics over a different number of samples.
+    err = restoreError(samplerImage(4, 4, true, 5, 1, 5), true);
+    EXPECT_NE(err.find("counts 5 samples"), std::string::npos) << err;
+    // An open batch as large as the batch size never closes.
+    err = restoreError(samplerImage(4, 4, true, 4, 2, 1, 2), true);
+    EXPECT_NE(err.find("open batch"), std::string::npos) << err;
 }

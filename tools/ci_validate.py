@@ -31,8 +31,10 @@ Subcommands:
                                 report with a "timeseries" section, a
                                 raw engine object, or a JSONL run
                                 report): sample grid on the period,
-                                window bounds, batch layout, CI
-                                consistency, convergence outcome.
+                                window size, batch layout, CI
+                                consistency, convergence outcome; in a
+                                stats JSON, each metric's count and
+                                points against the "intervals" series.
   heartbeat-schema PATH         ROWSIM_HEARTBEAT JSONL stream: event
                                 schemas (run/job/sweep), per-job
                                 lifecycle ordering, final sweep tallies.
@@ -285,10 +287,10 @@ def _validate_ts_object(ts, where):
         if len(cycles) != len(values):
             raise ValidationError(
                 f"{where}, {name}: cycles/values length mismatch")
-        if len(cycles) > min(window, count):
+        if len(cycles) != min(window, count):
             raise ValidationError(
                 f"{where}, {name}: window holds {len(cycles)} points, "
-                f"more than min(window={window}, count={count})")
+                f"not min(window={window}, count={count})")
         prev = 0
         for c in cycles:
             if c % period != 0 or c <= prev:
@@ -341,6 +343,28 @@ def _validate_ts_object(ts, where):
                     f"exceeds the target {conv['target']}")
 
 
+def _validate_ts_against_intervals(ts, iv, where):
+    """A stats document carries the sampler's full series ("intervals")
+    beside the engine ("timeseries"): each metric must count every
+    sample, and its points must be the newest of them."""
+    cycles = iv.get("cycles", [])
+    for name, m in ts["metrics"].items():
+        series = iv.get("series", {}).get(name)
+        if series is None:
+            raise ValidationError(
+                f"{where}, {name}: no intervals series for the metric")
+        if m["count"] != len(series) or len(series) != len(cycles):
+            raise ValidationError(
+                f"{where}, {name}: count {m['count']} but the intervals "
+                f"series holds {len(series)} of {len(cycles)} samples")
+        pts = m["points"]
+        tail = len(series) - len(pts["cycles"])
+        if pts["cycles"] != cycles[tail:] or pts["values"] != series[tail:]:
+            raise ValidationError(
+                f"{where}, {name}: points are not the tail of the "
+                f"intervals series")
+
+
 def validate_timeseries(text):
     """Validate time-series output: a whole JSON document (stats report
     or raw engine object) or a JSONL stream of run records. Returns the
@@ -354,8 +378,8 @@ def validate_timeseries(text):
 
     try:
         doc = json.loads(text)
-        docs = [("document", extract(doc))] if isinstance(doc, dict) \
-            else []
+        docs = [("document", extract(doc), doc.get("intervals"))] \
+            if isinstance(doc, dict) else []
     except json.JSONDecodeError:
         docs = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -366,12 +390,14 @@ def validate_timeseries(text):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"line {lineno}: bad JSON: {e}")
-            docs.append((f"line {lineno}", extract(rec)))
+            docs.append((f"line {lineno}", extract(rec), None))
     n = 0
-    for where, ts in docs:
+    for where, ts, intervals in docs:
         if ts is None:
             continue
         _validate_ts_object(ts, where)
+        if intervals is not None:
+            _validate_ts_against_intervals(ts, intervals, where)
         n += 1
     if n == 0:
         raise ValidationError("no time-series records")
@@ -878,8 +904,9 @@ def _selftest():
                     "ci": {"valid": True, "confidence": 0.95,
                            "halfwidth": 2.5, "rel": 0.025,
                            "lo": 97.5, "hi": 102.5},
-                    "points": {"cycles": [1024, 2048, 3072],
-                               "values": [99.0, 101.0, 100.0]}}},
+                    "points": {"cycles": [1024 * k
+                                          for k in range(1, 17)],
+                               "values": [99.0, 101.0] * 8}}},
             "converge": {"metric": "instructions", "target": 0.05,
                          "confidence": 0.95, "achieved": 0.025,
                          "converged": True, "atCycle": 16384}}})
@@ -1147,6 +1174,25 @@ def _selftest():
             rec = json.loads(good_ts)
             rec["timeseries"]["converge"]["achieved"] = 0.06
             with self.assertRaisesRegex(ValidationError, "target"):
+                validate_timeseries(json.dumps(rec))
+
+        def test_timeseries_accepts_points_tailing_intervals(self):
+            rec = json.loads(good_ts)
+            rec["timeseries"]["window"] = 4
+            pts = rec["timeseries"]["metrics"]["instructions"]["points"]
+            rec["intervals"] = {"period": 1024, "cycles": pts["cycles"],
+                                "series": {"instructions": pts["values"]}}
+            pts["cycles"], pts["values"] = \
+                pts["cycles"][-4:], pts["values"][-4:]
+            self.assertEqual(validate_timeseries(json.dumps(rec)), 1)
+
+        def test_timeseries_rejects_points_off_the_intervals_tail(self):
+            rec = json.loads(good_ts)
+            pts = rec["timeseries"]["metrics"]["instructions"]["points"]
+            rec["intervals"] = {"period": 1024, "cycles": pts["cycles"],
+                                "series": {"instructions":
+                                           pts["values"][:-1] + [5.0]}}
+            with self.assertRaisesRegex(ValidationError, "tail"):
                 validate_timeseries(json.dumps(rec))
 
         def test_timeseries_rejects_empty_input(self):

@@ -6,7 +6,7 @@
  *   rowsim_report --follow FILE               tail a heartbeat stream live
  *
  * FILE is a stats-JSON report (System::dumpStatsJson), a raw sink object
- * (Profiler / SpanTracker / TimeSeriesEngine ::toJson()), or a JSONL
+ * (Profiler / SpanTracker / IntervalSampler ::toJson()), or a JSONL
  * stream of run records or heartbeat events; "-" reads stdin. There is
  * no subcommand: each record says what it holds, and every section it
  * carries is rendered, in this order:
