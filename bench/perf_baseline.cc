@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,8 +178,7 @@ int
 main(int argc, char **argv)
 {
     const char *path = argc > 1 ? argv[1] : "BENCH_perf.json";
-    const std::uint64_t quota =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
+    const std::uint64_t quota = argc > 2 ? parseEnvU64("quota", argv[2]) : 0;
     std::vector<std::string> workloads(argv + std::min(argc, 3),
                                        argv + argc);
     if (workloads.empty())

@@ -9,11 +9,10 @@
  * The private loads miss the caches, so an eagerly executed atomic holds
  * its cacheline locked while they commit — exactly the §III pathology.
  *
- *   ./build/examples/counter_shootout [cores]
+ *   ./build/examples/counter_shootout [cores]   (1 .. 1024, default 16)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "sim/experiment.hh"
@@ -57,9 +56,11 @@ policyName(AtomicPolicy p)
 int
 main(int argc, char **argv)
 {
-    unsigned cores = argc > 1 ? static_cast<unsigned>(
-                                    std::strtoul(argv[1], nullptr, 10))
-                              : 16;
+    const std::uint64_t n = argc > 1 ? parseEnvU64("cores", argv[1]) : 16;
+    if (n == 0 || n > 1024)
+        ROWSIM_FATAL("cores: value %llu outside [1, 1024]",
+                     static_cast<unsigned long long>(n));
+    const unsigned cores = static_cast<unsigned>(n);
     const std::uint64_t quota = 80;
 
     std::printf("Shared fetch-and-increment, %u cores, %llu increments "

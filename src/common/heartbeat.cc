@@ -108,12 +108,12 @@ Heartbeat::emitRun(Cycle cycle, std::uint64_t iters,
 void
 Heartbeat::emitJob(std::size_t index, const char *state,
                    const std::string &workload, const std::string &config,
-                   unsigned attempt, const char *status) const
+                   const char *status) const
 {
     std::string j = strprintf(
         "{\"ev\":\"job\",\"wall\":%llu,\"job\":\"j%zu\",\"state\":\"%s\","
-        "\"attempt\":%u,\"workload\":\"%s\",\"config\":\"%s\"",
-        static_cast<unsigned long long>(wallMs()), index, state, attempt,
+        "\"workload\":\"%s\",\"config\":\"%s\"",
+        static_cast<unsigned long long>(wallMs()), index, state,
         jsonEscape(workload).c_str(), jsonEscape(config).c_str());
     if (status)
         j += strprintf(",\"status\":\"%s\"", status);
@@ -123,12 +123,11 @@ Heartbeat::emitJob(std::size_t index, const char *state,
 
 void
 Heartbeat::emitSweep(const char *state, std::size_t jobs, std::size_t ok,
-                     std::size_t failed, const char *isolation) const
+                     std::size_t failed) const
 {
     std::string j = strprintf(
-        "{\"ev\":\"sweep\",\"wall\":%llu,\"state\":\"%s\",\"jobs\":%zu,"
-        "\"isolation\":\"%s\"",
-        static_cast<unsigned long long>(wallMs()), state, jobs, isolation);
+        "{\"ev\":\"sweep\",\"wall\":%llu,\"state\":\"%s\",\"jobs\":%zu",
+        static_cast<unsigned long long>(wallMs()), state, jobs);
     if (std::strcmp(state, "end") == 0)
         j += strprintf(",\"ok\":%zu,\"failed\":%zu", ok, failed);
     j += "}";

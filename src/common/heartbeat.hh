@@ -11,16 +11,15 @@
  *            cycle, committed iterations vs the total quota ("frac"),
  *            simulation speed in Kcycles/s, a wall-clock ETA, and the
  *            process RSS.
- *   job    — sweep-job lifecycle from the sweep engine (both isolation
- *            modes): state queued/started/retrying/finished, the
- *            attempt number, and the terminal status.
+ *   job    — sweep-job lifecycle from the sweep engine: state
+ *            queued/started/finished and the terminal status.
  *   sweep  — one start/end pair per sweep with job totals.
  *
  * Every event is written as one line with a single O_APPEND write, so
- * worker threads and forked worker processes interleave whole lines,
- * never fragments. The sink is live-only telemetry: like ROWSIM_TRACE
- * and ROWSIM_STATS_JSON it bypasses the result store (a cache hit
- * emits no heartbeat), and it never changes simulated behaviour.
+ * worker threads interleave whole lines, never fragments. The sink is
+ * live-only telemetry: like ROWSIM_TRACE and ROWSIM_STATS_JSON it
+ * bypasses the result store (a cache hit emits no heartbeat), and it
+ * never changes simulated behaviour.
  * ROWSIM_HEARTBEAT_MS (default 250) sets the minimum wall-clock gap
  * between run events. tools/rowsim_report renders the stream as a
  * per-job table (--follow tails it live).
@@ -66,11 +65,11 @@ class Heartbeat
      *  states). */
     void emitJob(std::size_t index, const char *state,
                  const std::string &workload, const std::string &config,
-                 unsigned attempt, const char *status) const;
+                 const char *status) const;
 
     /** Sweep start/end event; ok/failed only meaningful at "end". */
     void emitSweep(const char *state, std::size_t jobs, std::size_t ok,
-                   std::size_t failed, const char *isolation) const;
+                   std::size_t failed) const;
 
   private:
     std::string path_;

@@ -56,8 +56,8 @@ atomicWriteFile(const std::string &path, const void *data, std::size_t len)
     bool ok = true;
     if (killAfterBytes != atomicWriteKillDisabled && len > killAfterBytes) {
         // Torn-write drill: flush a prefix to disk, then die exactly as
-        // a SIGKILLed worker would — temporary left behind, final path
-        // untouched.
+        // a writer killed mid-write would — temporary left behind,
+        // final path untouched.
         if (killAfterBytes > 0)
             std::fwrite(data, 1, killAfterBytes, f);
         std::fflush(f);

@@ -25,8 +25,6 @@ runStatusName(RunStatus s)
     switch (s) {
       case RunStatus::Ok: return "ok";
       case RunStatus::Failed: return "failed";
-      case RunStatus::Crashed: return "crashed";
-      case RunStatus::TimedOut: return "timeout";
     }
     return "?";
 }
@@ -87,10 +85,8 @@ RunResult::toJson() const
     // Failure fields only when there is a failure: ok-run report lines
     // keep their historical byte layout.
     if (status != RunStatus::Ok) {
-        j += strprintf(",\"status\":\"%s\",\"error\":\"%s\","
-                       "\"attempts\":%u",
-                       runStatusName(status), jsonEscape(error).c_str(),
-                       attempts);
+        j += strprintf(",\"status\":\"%s\",\"error\":\"%s\"",
+                       runStatusName(status), jsonEscape(error).c_str());
     }
     j += "}";
     return j;

@@ -43,10 +43,8 @@ struct ExpConfig
  *  not meaningful; `error` says why. */
 enum class RunStatus : std::uint8_t
 {
-    Ok = 0,       ///< completed normally
-    Failed = 1,   ///< threw (panic, fatal, bad config) in-process
-    Crashed = 2,  ///< isolated worker died (signal / abort / _Exit)
-    TimedOut = 3, ///< isolated worker exceeded its wall-clock budget
+    Ok = 0,     ///< completed normally
+    Failed = 1, ///< threw (panic, fatal, watchdog, bad config)
 };
 
 const char *runStatusName(RunStatus s);
@@ -63,9 +61,6 @@ struct RunResult
     RunStatus status = RunStatus::Ok;
     /** Human-readable failure description (empty when Ok). */
     std::string error;
-    /** Executions this result took (> 1 only for isolated sweep jobs
-     *  that were retried after a crash / timeout). */
-    std::uint32_t attempts = 1;
     /** True when the result was served from the content-addressed
      *  result store instead of being recomputed. */
     bool fromCache = false;
@@ -152,7 +147,7 @@ struct RunResult
     /** One-line JSON object with every field above except statsJson and
      *  profileJson (run reports); spanJson rides along as "spans" when
      *  the run traced spans, tsJson as "timeseries" (plus a "converge"
-     *  object when a spec was active), and status/error/attempts appear
+     *  object when a spec was active), and status/error appear
      *  only for failed runs (ok-run reports stay byte-identical across
      *  versions). */
     std::string toJson() const;

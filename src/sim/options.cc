@@ -108,16 +108,6 @@ const Knob kKnobs[] = {
          o.sweepThreads = static_cast<unsigned>(numeric(k, v));
      },
      .hi = 1024},
-    {.name = "ROWSIM_SWEEP_ISOLATE",
-     .parse = [](O &o, const Knob &k, const char *v) {
-         o.sweepIsolation = static_cast<SweepIsolation>(
-             choice(k, v, {"thread", "process"}));
-     }},
-    {.name = "ROWSIM_SWEEP_TIMEOUT_MS",
-     .number = &O::sweepTimeoutMs, .hi = std::uint64_t{1} << 40},
-    {.name = "ROWSIM_SWEEP_RETRIES", .number = &O::sweepRetries, .hi = 100},
-    {.name = "ROWSIM_SWEEP_BACKOFF_MS",
-     .number = &O::sweepBackoffMs, .hi = 3'600'000},
     {.name = "ROWSIM_CHECK",
      .parse = [](O &o, const Knob &, const char *v) {
          o.checkMask = parseCheckCategories(v);

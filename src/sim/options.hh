@@ -45,13 +45,6 @@ enum class FastForwardMode : std::uint8_t
     Check,
 };
 
-/** Where a sweep job executes (ROWSIM_SWEEP_ISOLATE). */
-enum class SweepIsolation : std::uint8_t
-{
-    Thread,  ///< worker threads in this process (fastest)
-    Process, ///< one forked worker per job (crash/hang containment)
-};
-
 /** Parsed ROWSIM_SAMPLE spec: `<n_ckpts>:<warm>:<detail>[:<conf>]`
  *  (iterations per core; confidence defaults to 0.95). */
 struct SampleSpec
@@ -115,10 +108,6 @@ struct RunOptions
 
     // Sweep policy (threads unset: hardware concurrency; 0: serial).
     std::optional<unsigned> sweepThreads;
-    SweepIsolation sweepIsolation = SweepIsolation::Thread;
-    std::uint64_t sweepTimeoutMs = 0;
-    std::uint64_t sweepRetries = 0;
-    std::uint64_t sweepBackoffMs = 100;
 
     std::uint64_t tortureSeeds = 16; ///< seeds of the torture tests
 

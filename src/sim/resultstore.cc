@@ -24,6 +24,10 @@ constexpr std::uint8_t kResMagic[8] = {'R', 'O', 'W', 'R', 'E', 'S', 0, 0};
 constexpr std::size_t kResHeaderBytes = 8 + 4 + 32 + 8;
 constexpr std::size_t kResTrailerBytes = 32;
 
+/** The u32 after the error text. It once counted sweep attempts; it
+ *  stays, as a constant, so the v4 layout and every stored entry hold. */
+constexpr std::uint32_t kAttemptsWord = 1;
+
 } // namespace
 
 std::vector<std::uint8_t>
@@ -35,7 +39,7 @@ encodeResult(const RunResult &r)
     s.str(r.config);
     s.u8(static_cast<std::uint8_t>(r.status));
     s.str(r.error);
-    s.u32(r.attempts);
+    s.u32(kAttemptsWord);
     s.u64(r.cycles);
     s.u64(r.instructions);
     s.u64(r.atomicsCommitted);
@@ -89,11 +93,14 @@ decodeResult(const std::vector<std::uint8_t> &payload)
     r.workload = d.str();
     r.config = d.str();
     const std::uint8_t status = d.u8();
-    if (status > static_cast<std::uint8_t>(RunStatus::TimedOut))
+    if (status > static_cast<std::uint8_t>(RunStatus::Failed))
         throw SnapshotError(strprintf("corrupted run status %u", status));
     r.status = static_cast<RunStatus>(status);
     r.error = d.str();
-    r.attempts = d.u32();
+    if (const std::uint32_t word = d.u32(); word != kAttemptsWord)
+        throw SnapshotError(
+            strprintf("corrupted attempts word %u (expected %u)", word,
+                      kAttemptsWord));
     r.cycles = d.u64();
     r.instructions = d.u64();
     r.atomicsCommitted = d.u64();

@@ -51,19 +51,21 @@ struct SystemParams;
  *      design — checkpoints interchange — but not results).
  *  v4: the Fig. 6 percentiles are filled for every detail run, no
  *      longer only for runs profiled with the retired "pcs" category
- *      (a v3 entry of an unprofiled run holds zero percentiles). */
+ *      (a v3 entry of an unprofiled run holds zero percentiles).
+ *  The u32 after the error text held a retry count; it is written as 1
+ *  and anything else is damage, so the layout, and v4, stand. */
 constexpr std::uint32_t resultSchemaVersion = 4;
 
 /** SHA-256 store key. */
 using ResultKey = std::array<std::uint8_t, 32>;
 
 /** Serialize @p r into the canonical little-endian payload (everything
- *  except the transient fromCache flag). Also the process-isolation
- *  handoff format of the sweep engine. */
+ *  except the transient fromCache flag). */
 std::vector<std::uint8_t> encodeResult(const RunResult &r);
 
 /** Decode an encodeResult payload. Throws SnapshotError on any damage
- *  (bounds, section drift, trailing bytes). */
+ *  (bounds, section drift, trailing bytes, a status above Failed, an
+ *  attempts word other than 1). */
 RunResult decodeResult(const std::vector<std::uint8_t> &payload);
 
 class ResultStore

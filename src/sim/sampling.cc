@@ -271,7 +271,7 @@ runSampled(const std::string &workload, const SystemParams &params,
     }
 
     // Phase 2: the measurement windows, as ordinary sweep jobs under
-    // the run's isolation / retry policy and result store.
+    // the run's thread count and result store.
     std::vector<SweepJob> jobs(n);
     for (unsigned k = 0; k < n; k++) {
         SweepJob &j = jobs[k];
@@ -294,7 +294,6 @@ runSampled(const std::string &workload, const SystemParams &params,
     for (unsigned k = 0; k < n; k++) {
         if (!wins[k].ok()) {
             r.status = wins[k].status;
-            r.attempts = wins[k].attempts;
             r.error = strprintf("sampling window %u (%s): %s", k,
                                 jobs[k].cfg.label.c_str(),
                                 wins[k].error.c_str());
@@ -361,11 +360,9 @@ runSampled(const std::string &workload, const SystemParams &params,
             wm += strprintf("\"%s\":%.17g", m.name, m.get(wins[k]));
         }
         windowsJson += strprintf(
-            "{\"k\":%u,\"mark\":%llu,\"fromCache\":%s,\"attempts\":%u,"
-            "\"metrics\":{%s}}",
+            "{\"k\":%u,\"mark\":%llu,\"fromCache\":%s,\"metrics\":{%s}}",
             k, static_cast<unsigned long long>(grid[k]),
-            wins[k].fromCache ? "true" : "false", wins[k].attempts,
-            wm.c_str());
+            wins[k].fromCache ? "true" : "false", wm.c_str());
     }
 
     r.samplingJson = strprintf(

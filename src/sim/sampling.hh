@@ -58,8 +58,7 @@ std::vector<std::uint64_t> sampleGrid(std::uint64_t quota, unsigned n);
  * (non-zero). Returns the aggregated RunResult —
  * headline counters are whole-run estimates, latency means are window
  * means, and samplingJson holds the full grid / window / CI summary.
- * A failed window fails the whole sampled run (the sweep layer already
- * retried it if retries were configured).
+ * A failed window fails the whole sampled run.
  */
 RunResult runSampled(const std::string &workload,
                      const SystemParams &params, const RunOptions &opts,

@@ -5,10 +5,10 @@
  * continuation; the functional interpreter must reproduce the detail
  * run's mode-independent architectural facts (funcStateDigest) on
  * order-insensitive workloads at matched instruction counts; sampled
- * runs must be deterministic across sweep thread counts and isolation
- * modes; the "sampling" report key must appear exactly when
- * ROWSIM_SAMPLE is active; and malformed specs / incompatible
- * observability setups must fail loudly.
+ * runs must be deterministic across sweep thread counts; the
+ * "sampling" report key must appear exactly when ROWSIM_SAMPLE is
+ * active; and malformed specs / incompatible observability setups must
+ * fail loudly.
  */
 
 #include <gtest/gtest.h>
@@ -211,8 +211,8 @@ TEST(FuncMode, SampleSpecParsing)
 }
 
 // Sampled runs must be a pure function of the job set: identical
-// across sweep thread counts and across thread/process isolation.
-TEST(FuncMode, SampledRunDeterministicAcrossThreadsAndIsolation)
+// across sweep thread counts.
+TEST(FuncMode, SampledRunDeterministicAcrossThreads)
 {
     const std::string dir = scratchDir("sample-det");
     ScopedEnv ckpt("ROWSIM_CKPT_DIR", dir);
@@ -228,13 +228,6 @@ TEST(FuncMode, SampledRunDeterministicAcrossThreadsAndIsolation)
     EXPECT_EQ(eight.samplingJson, one.samplingJson);
     EXPECT_EQ(eight.toJson(), one.toJson());
 
-    ::setenv("ROWSIM_SWEEP_ISOLATE", "process", 1);
-    const RunResult isolated =
-        runExperiment("counter", eagerConfig(), 4, 80);
-    EXPECT_EQ(isolated.samplingJson, one.samplingJson);
-    EXPECT_EQ(isolated.toJson(), one.toJson());
-
-    ::unsetenv("ROWSIM_SWEEP_ISOLATE");
     ::unsetenv("ROWSIM_SWEEP_THREADS");
     std::filesystem::remove_all(dir);
 }

@@ -64,7 +64,7 @@ TEST(Options, TableListsEveryKnobOnce)
 {
     const std::set<std::string> names = tableNames();
     EXPECT_EQ(names.size(), knobs().size()) << "a knob is listed twice";
-    EXPECT_EQ(names.size(), 37u);
+    EXPECT_EQ(names.size(), 33u);
     for (const Knob &k : knobs()) {
         EXPECT_EQ(std::string(k.name).rfind("ROWSIM_", 0), 0u) << k.name;
         // Exactly one way to fill the field.
@@ -160,13 +160,11 @@ TEST(Options, BadValuesAreFatalAndNameTheKnob)
         {"ROWSIM_PROFILE_TOPK", "-5"},
         {"ROWSIM_PROFILE_TOPK", "0"},
         {"ROWSIM_SPANS_TOPK", "-5"},
-        {"ROWSIM_SWEEP_RETRIES", "4294967296"},
         {"ROWSIM_FAULTS_RATE", "10001"},
         {"ROWSIM_TORTURE_SEEDS", "0"},
         {"ROWSIM_LOG_LEVEL", "loud"},
         {"ROWSIM_MODE", "fast"},
         {"ROWSIM_FF", "2"},
-        {"ROWSIM_SWEEP_ISOLATE", "fiber"},
         {"ROWSIM_RESULTS", "sideways"},
         {"ROWSIM_SPANS", "maybe"},
         {"ROWSIM_TS", "maybe"},
@@ -197,11 +195,9 @@ TEST(Options, BadValuesAreFatalAndNameTheKnob)
 TEST(Options, CheckedNumericValuesResolve)
 {
     ScopedEnv threads("ROWSIM_SWEEP_THREADS", "0");
-    ScopedEnv retries("ROWSIM_SWEEP_RETRIES", "100");
     ScopedEnv topk("ROWSIM_PROFILE_TOPK", "3");
     const RunOptions o = resolveRunOptions();
     EXPECT_EQ(o.sweepThreads, 0u);
-    EXPECT_EQ(o.sweepRetries, 100u);
     EXPECT_EQ(o.profileTopK, 3u);
     EXPECT_STREQ(o.envText("ROWSIM_PROFILE_TOPK"), "3");
     EXPECT_EQ(o.envText("ROWSIM_SPANS_TOPK"), nullptr);

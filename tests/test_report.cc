@@ -188,7 +188,7 @@ TEST(RowsimReport, RendersHeartbeatStream)
 
     ASSERT_EQ(s.report(sink), 0);
     const std::string text = s.read("out.txt");
-    EXPECT_NE(text.find("rowsim sweep: 2 jobs (thread isolation)"),
+    EXPECT_NE(text.find("rowsim sweep: 2 jobs  queued 0  running 0  done 2"),
               std::string::npos);
     EXPECT_NE(text.find("COMPLETE: 2 ok, 0 failed"), std::string::npos);
     EXPECT_NE(text.find("finished"), std::string::npos);
@@ -222,13 +222,11 @@ TEST(RowsimReport, MixedRecordRendersEverySectionInOrder)
         "{\"workload\":\"cq\",\"config\":\"lazy\",\"profile\":" +
         r.profileJson + ",\"spans\":" + r.spanJson +
         ",\"timeseries\":" + r.tsJson + "}\n" +
-        "{\"ev\":\"sweep\",\"wall\":1,\"state\":\"start\",\"jobs\":1,"
-        "\"isolation\":\"thread\"}\n"
+        "{\"ev\":\"sweep\",\"wall\":1,\"state\":\"start\",\"jobs\":1}\n"
         "{\"ev\":\"job\",\"wall\":2,\"job\":\"j0\",\"state\":\"finished\","
-        "\"attempt\":1,\"workload\":\"cq\",\"config\":\"lazy\","
-        "\"status\":\"ok\"}\n"
+        "\"workload\":\"cq\",\"config\":\"lazy\",\"status\":\"ok\"}\n"
         "{\"ev\":\"sweep\",\"wall\":3,\"state\":\"end\",\"jobs\":1,"
-        "\"isolation\":\"thread\",\"ok\":1,\"failed\":0}\n";
+        "\"ok\":1,\"failed\":0}\n";
     ASSERT_EQ(s.report(s.write("mixed.jsonl", jsonl)), 0);
     text = s.read("out.txt");
     expectInOrder(text, {profileBanner, spansBanner, tsBanner, topBanner});

@@ -94,7 +94,6 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.config, b.config);
     EXPECT_EQ(a.status, b.status);
     EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.attempts, b.attempts);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.atomicsCommitted, b.atomicsCommitted);
@@ -131,9 +130,8 @@ TEST(ResultCodec, RoundTripsEveryField)
     expectSameResult(r, decodeResult(encodeResult(r)));
 
     RunResult failed = sampleResult();
-    failed.status = RunStatus::TimedOut;
-    failed.error = "exceeded 500 ms \"budget\"";
-    failed.attempts = 3;
+    failed.status = RunStatus::Failed;
+    failed.error = "watchdog: \"l1[3]\" made no progress";
     expectSameResult(failed, decodeResult(encodeResult(failed)));
 }
 
@@ -146,6 +144,28 @@ TEST(ResultCodec, RejectsDamage)
     std::vector<std::uint8_t> trailing = payload;
     trailing.push_back(0);
     EXPECT_THROW(decodeResult(trailing), SnapshotError);
+
+    // The status byte follows the section tag and two strings (each a
+    // u64 length and its bytes); the u32 attempts word follows the
+    // error string after it, and must read 1.
+    const RunResult r = sampleResult();
+    const std::size_t statusAt = 1 + 8 + std::string("result").size() +
+                                 8 + r.workload.size() + 8 +
+                                 r.config.size();
+    const std::size_t attemptsAt = statusAt + 1 + 8 + r.error.size();
+    ASSERT_EQ(payload[statusAt], 0u);
+    ASSERT_EQ(payload[attemptsAt], 1u);
+    std::vector<std::uint8_t> status = payload;
+    status[statusAt] = 2;
+    EXPECT_THROW(decodeResult(status), SnapshotError);
+    for (int word : {0, 2, 3}) {
+        std::vector<std::uint8_t> attempts = payload;
+        attempts[attemptsAt] = static_cast<std::uint8_t>(word);
+        EXPECT_THROW(decodeResult(attempts), SnapshotError) << word;
+    }
+    std::vector<std::uint8_t> high = payload;
+    high[attemptsAt + 3] = 1;
+    EXPECT_THROW(decodeResult(high), SnapshotError);
 }
 
 TEST(ResultStoreSuite, StoreLoadHitAndCounters)

@@ -3,12 +3,20 @@
  * Sweep-engine tests: parallel execution must be bit-identical to
  * serial (full stats tree, not just headline cycles), results must come
  * back in submission order, thread-count selection must honour the env
- * override, and a failing job must surface as the rethrown first error.
+ * override, a failing job must surface as the rethrown first error and
+ * leave the other jobs in the result store, and rowsim_sweep must reject
+ * malformed arguments by name.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +28,8 @@ using namespace rowsim;
 
 namespace
 {
+
+namespace fs = std::filesystem;
 
 /** ≥8 distinct configs x 2 seeds, spanning both contention extremes and
  *  every policy family; small quotas keep the suite fast. */
@@ -177,105 +187,86 @@ TEST(Sweep, DefaultThreadsHonoursEnvOverride)
 
 TEST(Sweep, OptionsFromEnv)
 {
-    ::setenv("ROWSIM_SWEEP_ISOLATE", "process", 1);
-    ::setenv("ROWSIM_SWEEP_TIMEOUT_MS", "1234", 1);
-    ::setenv("ROWSIM_SWEEP_RETRIES", "2", 1);
-    ::setenv("ROWSIM_SWEEP_BACKOFF_MS", "7", 1);
+    ::setenv("ROWSIM_SWEEP_THREADS", "5", 1);
+    ::setenv("ROWSIM_RESULTS", "on", 1);
+    ::setenv("ROWSIM_RESULTS_DIR", "sweep-env-store", 1);
     SweepOptions o = SweepOptions::fromEnv();
-    EXPECT_EQ(o.isolation, SweepIsolation::Process);
-    EXPECT_EQ(o.timeoutMs, 1234u);
-    EXPECT_EQ(o.retries, 2u);
-    EXPECT_EQ(o.backoffMs, 7u);
+    EXPECT_EQ(o.threads, 5u);
     EXPECT_FALSE(o.strict);
-    ::unsetenv("ROWSIM_SWEEP_ISOLATE");
-    ::unsetenv("ROWSIM_SWEEP_TIMEOUT_MS");
-    ::unsetenv("ROWSIM_SWEEP_RETRIES");
-    ::unsetenv("ROWSIM_SWEEP_BACKOFF_MS");
-    EXPECT_EQ(SweepOptions::fromEnv().isolation, SweepIsolation::Thread);
+    EXPECT_EQ(o.storeDir, "sweep-env-store");
+    ::unsetenv("ROWSIM_SWEEP_THREADS");
+    ::unsetenv("ROWSIM_RESULTS");
+    ::unsetenv("ROWSIM_RESULTS_DIR");
+    EXPECT_TRUE(SweepOptions::fromEnv().storeDir.empty());
 }
 
-TEST(Sweep, ProcessIsolationBitIdenticalToThreaded)
+// A failed job costs only itself: the jobs around it are stored, a
+// rerun serves them byte-identically, and the failure is not stored.
+TEST(Sweep, FailedJobKeepsTheOthersInTheStore)
 {
-    std::vector<SweepJob> jobs;
-    for (const char *w : {"pc", "cq", "tpcc"}) {
-        SweepJob j;
-        j.workload = w;
-        j.cfg = w[0] == 'p' ? eagerConfig() : lazyConfig();
-        j.numCores = 8;
-        j.quota = 40;
-        j.captureStatsJson = true;
-        jobs.push_back(std::move(j));
-    }
-    std::vector<RunResult> threaded = SweepEngine(2).run(jobs);
-
-    SweepOptions iso;
-    iso.threads = 2;
-    iso.isolation = SweepIsolation::Process;
-    std::vector<RunResult> isolated = SweepEngine(iso).run(jobs);
-
-    ASSERT_EQ(isolated.size(), jobs.size());
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-        ASSERT_TRUE(isolated[k].ok()) << isolated[k].error;
-        EXPECT_EQ(isolated[k].cycles, threaded[k].cycles) << k;
-        EXPECT_EQ(isolated[k].statsJson, threaded[k].statsJson)
-            << jobs[k].workload;
-    }
-}
-
-TEST(Sweep, ProcessIsolationToleratesCrashAndHang)
-{
+    const std::string dir = "sweep-failed-store";
+    fs::remove_all(dir);
     SweepJob good;
     good.workload = "canneal";
     good.cfg = eagerConfig();
     good.numCores = 8;
     good.quota = 20;
+    SweepJob bad = good;
+    bad.workload = "no-such-workload";
+    SweepJob other = good;
+    other.cfg = lazyConfig();
+    const std::vector<SweepJob> jobs = {good, bad, other};
 
-    std::vector<SweepJob> jobs;
-    jobs.push_back(good);
-    SweepJob crash = good;
-    crash.injectCrash = true;
-    jobs.push_back(crash);
-    SweepJob hang = good;
-    hang.injectHangMs = 60000;
-    jobs.push_back(hang);
-    jobs.push_back(good);
+    SweepOptions o;
+    o.threads = 2;
+    o.storeDir = dir;
+    const std::vector<RunResult> cold = SweepEngine(o).run(jobs);
+    const std::vector<RunResult> warm = SweepEngine(o).run(jobs);
+    ASSERT_EQ(warm.size(), 3u);
+    for (std::size_t k : {0u, 2u}) {
+        ASSERT_TRUE(cold[k].ok()) << cold[k].error;
+        EXPECT_FALSE(cold[k].fromCache) << k;
+        EXPECT_TRUE(warm[k].fromCache) << k;
+        EXPECT_EQ(warm[k].toJson(), cold[k].toJson()) << k;
+    }
+    EXPECT_EQ(cold[1].status, RunStatus::Failed);
+    EXPECT_EQ(warm[1].status, RunStatus::Failed);
+    EXPECT_FALSE(warm[1].fromCache);
 
-    SweepOptions iso;
-    iso.threads = 4;
-    iso.isolation = SweepIsolation::Process;
-    iso.timeoutMs = 1500;
-    iso.retries = 1;
-    iso.backoffMs = 10;
-    std::vector<RunResult> results = SweepEngine(iso).run(jobs);
-
-    ASSERT_EQ(results.size(), 4u);
-    EXPECT_TRUE(results[0].ok());
-    EXPECT_TRUE(results[3].ok());
-    EXPECT_EQ(results[0].cycles, results[3].cycles);
-
-    EXPECT_EQ(results[1].status, RunStatus::Crashed);
-    EXPECT_EQ(results[1].attempts, 2u); // retried once, then gave up
-    EXPECT_FALSE(results[1].error.empty());
-
-    EXPECT_EQ(results[2].status, RunStatus::TimedOut);
-    EXPECT_EQ(results[2].attempts, 2u);
+    std::size_t entries = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        entries += e.path().extension() == ".res";
+    EXPECT_EQ(entries, 2u);
+    fs::remove_all(dir);
 }
 
-TEST(Sweep, ProcessIsolationReportsCleanFailureWithoutRetry)
+// The CLI rejects a malformed number, and a retired flag, by name and
+// with a non-zero exit instead of running with a wrapped or default
+// value.
+TEST(Sweep, CliRejectsMalformedNumbersAndRetiredFlags)
 {
-    SweepJob bad;
-    bad.workload = "no-such-workload";
-    bad.cfg = eagerConfig();
-    bad.numCores = 8;
-    bad.quota = 20;
-
-    SweepOptions iso;
-    iso.isolation = SweepIsolation::Process;
-    iso.retries = 3; // must NOT be spent on a deterministic failure
-    iso.backoffMs = 10;
-    std::vector<RunResult> results = SweepEngine(iso).run({bad});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, RunStatus::Failed);
-    EXPECT_EQ(results[0].attempts, 1u);
-    EXPECT_FALSE(results[0].error.empty());
+    const std::string err = "rowsim_sweep_cli.err";
+    const struct
+    {
+        std::string args;
+        const char *flag;
+    } cases[] = {
+        {"--quota -1 --list fig06", "--quota"},
+        {"--jobs '' --list fig06", "--jobs"},
+        {"--jobs 1025 --list fig06", "--jobs"},
+        {"--quota 99999999999999999999999 --list fig06", "--quota"},
+        {"--isolate process fig06", "--isolate"},
+    };
+    for (const auto &c : cases) {
+        const std::string cmd = std::string(ROWSIM_SWEEP_PATH) + " " +
+                                c.args + " > /dev/null 2> " + err;
+        const int rc = std::system(cmd.c_str());
+        EXPECT_FALSE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << c.args;
+        std::ifstream in(err);
+        const std::string text{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+        EXPECT_NE(text.find(c.flag), std::string::npos)
+            << c.args << " gave \"" << text << "\"";
+    }
+    std::remove(err.c_str());
 }

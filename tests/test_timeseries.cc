@@ -372,7 +372,7 @@ TEST(TimeSeries, QuotaRemainsUpperBoundWhenCiNeverTightens)
 // Sweep determinism and snapshot round-trip
 // ---------------------------------------------------------------------
 
-TEST(TimeSeries, SweepDeterministicAcrossThreadCountsAndIsolation)
+TEST(TimeSeries, SweepDeterministicAcrossThreadCounts)
 {
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     std::vector<SweepJob> jobs;
@@ -391,10 +391,6 @@ TEST(TimeSeries, SweepDeterministicAcrossThreadCountsAndIsolation)
 
     std::vector<RunResult> serial = SweepEngine(1).run(jobs);
     std::vector<RunResult> parallel = SweepEngine(8).run(jobs);
-    SweepOptions iso;
-    iso.threads = 4;
-    iso.isolation = SweepIsolation::Process;
-    std::vector<RunResult> process = SweepEngine(iso).run(jobs);
 
     ASSERT_EQ(serial.size(), jobs.size());
     for (std::size_t k = 0; k < jobs.size(); ++k) {
@@ -402,9 +398,7 @@ TEST(TimeSeries, SweepDeterministicAcrossThreadCountsAndIsolation)
         EXPECT_FALSE(serial[k].tsJson.empty()) << k;
         EXPECT_EQ(serial[k].statsJson, parallel[k].statsJson) << k;
         EXPECT_EQ(serial[k].tsJson, parallel[k].tsJson) << k;
-        EXPECT_EQ(serial[k].statsJson, process[k].statsJson) << k;
-        EXPECT_EQ(serial[k].tsJson, process[k].tsJson) << k;
-        EXPECT_EQ(serial[k].converged, process[k].converged) << k;
+        EXPECT_EQ(serial[k].converged, parallel[k].converged) << k;
     }
 }
 

@@ -404,14 +404,14 @@ def validate_timeseries(text):
     return n
 
 
-HEARTBEAT_JOB_STATES = {"queued", "started", "retrying", "finished"}
+HEARTBEAT_JOB_STATES = {"queued", "started", "finished"}
 
 
 def validate_heartbeat(lines):
     """Validate a ROWSIM_HEARTBEAT JSONL stream.
 
     Checks every event's schema and the per-job lifecycle ordering
-    (queued -> started -> retrying* -> finished); when the sweep-end
+    (queued -> started -> finished); when the sweep-end
     event is present, its ok/failed tally must cover every job and every
     job must have finished. Returns (events, jobs seen).
     """
@@ -450,19 +450,16 @@ def validate_heartbeat(lines):
             if state not in HEARTBEAT_JOB_STATES:
                 raise ValidationError(
                     f"line {lineno}: bad job state {state!r}")
-            if ev.get("attempt", 0) < 1:
-                raise ValidationError(
-                    f"line {lineno}: job attempt must be >= 1")
-            if state in ("finished", "retrying") and not ev.get("status"):
+            if state == "finished" and not ev.get("status"):
                 raise ValidationError(
                     f"line {lineno}: {state} without a status")
             idx = int(key[1:])
             prev = jobs.get(idx)
-            if state == "started" and prev not in ("queued", "retrying"):
+            if state == "started" and prev != "queued":
                 raise ValidationError(
                     f"line {lineno}: job {idx} started from "
-                    f"{prev!r}, not queued/retrying")
-            if state in ("retrying", "finished") and prev != "started":
+                    f"{prev!r}, not queued")
+            if state == "finished" and prev != "started":
                 raise ValidationError(
                     f"line {lineno}: job {idx} {state} from {prev!r}, "
                     f"not started")
@@ -475,10 +472,6 @@ def validate_heartbeat(lines):
             if ev.get("jobs", 0) <= 0:
                 raise ValidationError(
                     f"line {lineno}: sweep without jobs")
-            if ev.get("isolation") not in ("thread", "process"):
-                raise ValidationError(
-                    f"line {lineno}: bad isolation "
-                    f"{ev.get('isolation')!r}")
             sweep_jobs = ev["jobs"]
             if state == "end":
                 end_tally = (ev.get("ok", -1), ev.get("failed", -1))
@@ -611,9 +604,6 @@ def _validate_sampling_object(s, where):
             raise ValidationError(
                 f"{where}: window {k} reports k={w.get('k')} "
                 f"mark={w.get('mark')}, expected k={k} mark={grid[k]}")
-        if w.get("attempts", 0) < 1:
-            raise ValidationError(
-                f"{where}: window {k} attempts must be >= 1")
         wm = w.get("metrics", {})
         if set(wm) != set(metrics):
             raise ValidationError(
@@ -912,37 +902,30 @@ def _selftest():
                          "converged": True, "atCycle": 16384}}})
     good_hb = [
         json.dumps({"ev": "sweep", "wall": 10, "state": "start",
-                    "jobs": 2, "isolation": "thread"}),
+                    "jobs": 2}),
         json.dumps({"ev": "job", "wall": 11, "job": "j0",
-                    "state": "queued", "attempt": 1, "workload": "pc",
+                    "state": "queued", "workload": "pc",
                     "config": "eager"}),
         json.dumps({"ev": "job", "wall": 11, "job": "j1",
-                    "state": "queued", "attempt": 1, "workload": "cq",
+                    "state": "queued", "workload": "cq",
                     "config": "lazy"}),
         json.dumps({"ev": "job", "wall": 12, "job": "j0",
-                    "state": "started", "attempt": 1, "workload": "pc",
+                    "state": "started", "workload": "pc",
                     "config": "eager"}),
         json.dumps({"ev": "run", "wall": 13, "job": "j0", "cycle": 4096,
                     "iters": 10, "quota": 100, "frac": 0.1,
                     "kcps": 850.0, "etaMs": 900, "rssKb": 51200}),
         json.dumps({"ev": "job", "wall": 14, "job": "j0",
-                    "state": "finished", "attempt": 1, "workload": "pc",
+                    "state": "finished", "workload": "pc",
                     "config": "eager", "status": "ok"}),
         json.dumps({"ev": "job", "wall": 14, "job": "j1",
-                    "state": "started", "attempt": 1, "workload": "cq",
-                    "config": "lazy"}),
-        json.dumps({"ev": "job", "wall": 15, "job": "j1",
-                    "state": "retrying", "attempt": 1, "workload": "cq",
-                    "config": "lazy", "status": "crashed"}),
-        json.dumps({"ev": "job", "wall": 16, "job": "j1",
-                    "state": "started", "attempt": 2, "workload": "cq",
+                    "state": "started", "workload": "cq",
                     "config": "lazy"}),
         json.dumps({"ev": "job", "wall": 17, "job": "j1",
-                    "state": "finished", "attempt": 2, "workload": "cq",
+                    "state": "finished", "workload": "cq",
                     "config": "lazy", "status": "ok"}),
         json.dumps({"ev": "sweep", "wall": 18, "state": "end",
-                    "jobs": 2, "ok": 2, "failed": 0,
-                    "isolation": "thread"}),
+                    "jobs": 2, "ok": 2, "failed": 0}),
     ]
 
     def make_sampling(quota=100, n=4, warm=2, detail=5, conf=0.95,
@@ -967,7 +950,6 @@ def _selftest():
                                    "lo": 8.0, "hi": 8.0}},
         }
         windows = [{"k": k, "mark": grid[k], "fromCache": False,
-                    "attempts": 1,
                     "metrics": {"cycles": cycles[k], "missLatency": 8.0}}
                    for k in range(n)]
         return {"workload": "cq", "config": "eager",
@@ -1200,7 +1182,7 @@ def _selftest():
                 validate_timeseries("{}")
 
         def test_heartbeat_accepts_good_stream(self):
-            self.assertEqual(validate_heartbeat(good_hb), (11, 2))
+            self.assertEqual(validate_heartbeat(good_hb), (9, 2))
 
         def test_heartbeat_rejects_unknown_event(self):
             with self.assertRaisesRegex(ValidationError, "unknown"):
@@ -1239,8 +1221,16 @@ def _selftest():
 
         def test_heartbeat_rejects_unfinished_job_at_end(self):
             bad = list(good_hb)
-            del bad[9]  # j1 never finishes
+            del bad[7]  # j1 never finishes
             with self.assertRaisesRegex(ValidationError, "finished"):
+                validate_heartbeat(bad)
+
+        def test_heartbeat_rejects_retrying_state(self):
+            bad = list(good_hb)
+            rec = json.loads(bad[5])
+            rec["state"] = "retrying"
+            bad[5] = json.dumps(rec)
+            with self.assertRaisesRegex(ValidationError, "bad job state"):
                 validate_heartbeat(bad)
 
         def test_heartbeat_rejects_empty_input(self):

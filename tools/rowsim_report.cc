@@ -29,7 +29,7 @@
  *    convergence outcome.
  *  - heartbeat ("ev" lines; ROWSIM_HEARTBEAT): drawn after the whole
  *    input as one per-job table merging "sweep" events (job total,
- *    isolation, final tally), "job" events (lifecycle, attempt, status)
+ *    final tally), "job" events (lifecycle, status)
  *    and "run" progress events (quota fraction, Kcycles/s, ETA, RSS).
  *
  * --follow redraws the heartbeat table as events arrive and exits on
@@ -492,7 +492,6 @@ struct JobRow
     std::string config;
     std::string state = "queued";
     std::string status;
-    unsigned attempt = 1;
     // Live progress from the latest run event.
     double frac = 0;
     double kcps = 0;
@@ -506,7 +505,6 @@ struct TopState
     bool sweepSeen = false;
     bool sweepEnded = false;
     std::size_t jobsTotal = 0, ok = 0, failed = 0;
-    std::string isolation;
     // Keyed by job index; the "jN" key of run events maps here.
     std::map<std::size_t, JobRow> jobs;
 
@@ -517,7 +515,6 @@ struct TopState
         if (kind == "sweep") {
             sweepSeen = true;
             jobsTotal = ev.at("jobs").asU64();
-            isolation = ev.at("isolation").str;
             if (ev.at("state").str == "end") {
                 sweepEnded = true;
                 ok = ev.at("ok").asU64();
@@ -535,8 +532,6 @@ struct TopState
         JobRow &row = jobs[idx];
         if (kind == "job") {
             row.state = ev.at("state").str;
-            row.attempt =
-                static_cast<unsigned>(ev.at("attempt").asU64());
             row.workload = ev.at("workload").str;
             row.config = ev.at("config").str;
             row.status = ev.at("status").str;
@@ -569,34 +564,30 @@ renderTop(const TopState &st, bool follow)
 {
     if (follow)
         std::printf("\x1b[H\x1b[2J"); // home + clear
-    std::size_t queued = 0, runningN = 0, done = 0, retrying = 0;
+    std::size_t queued = 0, runningN = 0, done = 0;
     for (const auto &kv : st.jobs) {
         const std::string &s = kv.second.state;
         if (s == "queued")
             queued++;
         else if (s == "started")
             runningN++;
-        else if (s == "retrying")
-            retrying++;
         else if (s == "finished")
             done++;
     }
-    std::printf("rowsim sweep: %zu jobs (%s isolation)  "
-                "queued %zu  running %zu  retrying %zu  done %zu",
-                st.jobsTotal, st.isolation.c_str(), queued, runningN,
-                retrying, done);
+    std::printf("rowsim sweep: %zu jobs  queued %zu  running %zu  done %zu",
+                st.jobsTotal, queued, runningN, done);
     if (st.sweepEnded)
         std::printf("  -- COMPLETE: %zu ok, %zu failed", st.ok,
                     st.failed);
     std::printf("\n\n");
-    std::printf("%5s %-12s %-14s %-9s %3s %7s %9s %8s %9s %-8s\n", "job",
-                "workload", "config", "state", "att", "prog", "kcyc/s",
-                "eta", "rssMB", "status");
+    std::printf("%5s %-12s %-14s %-9s %7s %9s %8s %9s %-8s\n", "job",
+                "workload", "config", "state", "prog", "kcyc/s", "eta",
+                "rssMB", "status");
     for (const auto &kv : st.jobs) {
         const JobRow &r = kv.second;
-        std::printf("%5zu %-12.12s %-14.14s %-9.9s %3u ", kv.first,
+        std::printf("%5zu %-12.12s %-14.14s %-9.9s ", kv.first,
                     r.workload.c_str(), r.config.c_str(),
-                    r.state.c_str(), r.attempt);
+                    r.state.c_str());
         if (r.seenRun && r.state != "finished") {
             std::printf("%6.1f%% %9.1f %8s %9.1f", 100.0 * r.frac,
                         r.kcps, fmtEta(r.etaMs).c_str(),

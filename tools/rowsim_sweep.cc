@@ -1,16 +1,15 @@
 /**
  * @file
- * rowsim_sweep: fault-tolerant, resumable figure sweeps.
+ * rowsim_sweep: resumable figure sweeps.
  *
  * Runs the full job matrix behind a figure (fig06 latency breakdown,
  * fig09 normalized-performance bars) through the SweepEngine, with the
  * content-addressed result store turned on so the sweep is an
  * incremental query: jobs whose key already has a valid entry are
- * served from disk, everything else is computed (optionally in isolated
- * worker processes with a wall-clock timeout and bounded retries) and
- * persisted for the next invocation. A crashing or hanging job never
- * takes the sweep down — it is reported in place and the rest
- * completes.
+ * served from disk, everything else is computed on the engine's thread
+ * pool and persisted as it finishes. A failing job is reported in place
+ * and the rest completes; a killed sweep leaves every finished job in
+ * the store for --resume.
  *
  * Typical flow:
  *   rowsim_sweep --store results/ fig09          # cold: compute + fill
@@ -21,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,8 +41,6 @@ struct CliOptions
     bool list = false;
     bool expectCached = false;
     std::string reportPath;
-    long injectCrash = -1;
-    long injectHang = -1;
     std::uint64_t quota = 0;            ///< 0 = per-workload default
     std::vector<std::string> onlyWorkloads; ///< empty = full matrix
     /** Environment policy; --store sets its storeDir. */
@@ -57,20 +53,15 @@ usage(FILE *out)
     std::fprintf(out,
         "usage: rowsim_sweep [options] <fig06|fig09>\n"
         "\n"
-        "Run a figure's full job matrix as a fault-tolerant, resumable\n"
-        "sweep backed by the content-addressed result store.\n"
+        "Run a figure's full job matrix as a resumable sweep backed by\n"
+        "the content-addressed result store.\n"
         "\n"
         "  --store DIR          enable the result store rooted at DIR\n"
         "                       (ROWSIM_RESULTS=on in that directory)\n"
         "  --resume             serve stored results without dispatching;\n"
         "                       only missing/invalid entries are computed\n"
-        "  --jobs N             worker count (default: cores, or\n"
-        "                       ROWSIM_SWEEP_THREADS)\n"
-        "  --isolate MODE       thread | process (default thread, or\n"
-        "                       ROWSIM_SWEEP_ISOLATE)\n"
-        "  --timeout MS         per-job wall-clock budget (process mode)\n"
-        "  --retries N          retry budget for crashed/timed-out jobs\n"
-        "  --backoff MS         base retry backoff (doubles per attempt)\n"
+        "  --jobs N             worker threads, 0 (serial) .. 1024\n"
+        "                       (default: cores, or ROWSIM_SWEEP_THREADS)\n"
         "  --strict             fail fast: abort the sweep on any failure\n"
         "  --report PATH        append one JSON line per result (- = stdout)\n"
         "  --quota N            override every job's iteration quota\n"
@@ -80,19 +71,23 @@ usage(FILE *out)
         "  --workload W         restrict the matrix to workload W\n"
         "                       (repeatable)\n"
         "  --list               print the job matrix and exit\n"
-        "  --expect-cached      exit 1 if any job had to be recomputed\n"
-        "  --inject-crash IDX   fault drill: job IDX aborts mid-run\n"
-        "  --inject-hang IDX    fault drill: job IDX hangs (needs --timeout)\n");
+        "  --expect-cached      exit 1 if any job had to be recomputed\n");
 }
 
-std::uint64_t
-parseNum(const char *flag, const char *value)
+/** --jobs, checked against the ROWSIM_SWEEP_THREADS range; 0 runs
+ *  serially, as that knob's 0 does (the engine reads a thread count of
+ *  0 as "the default"). */
+unsigned
+parseJobs(const char *text)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (!end || *end != '\0')
-        ROWSIM_FATAL("rowsim_sweep: %s expects a number, got \"%s\"", flag, value);
-    return v;
+    const std::uint64_t n = parseEnvU64("--jobs", text);
+    for (const Knob &k : knobs()) {
+        if (std::string(k.name) == "ROWSIM_SWEEP_THREADS" && n > k.hi)
+            ROWSIM_FATAL("--jobs: value %llu outside [0, %llu]",
+                         static_cast<unsigned long long>(n),
+                         static_cast<unsigned long long>(k.hi));
+    }
+    return std::max(static_cast<unsigned>(n), 1u);
 }
 
 /** The job matrix behind one figure. */
@@ -154,42 +149,19 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--resume") {
             o.resume = true;
         } else if (arg == "--jobs") {
-            o.sweep.threads =
-                static_cast<unsigned>(parseNum("--jobs", next("--jobs")));
-        } else if (arg == "--isolate") {
-            const std::string mode = next("--isolate");
-            if (mode == "thread")
-                o.sweep.isolation = SweepIsolation::Thread;
-            else if (mode == "process")
-                o.sweep.isolation = SweepIsolation::Process;
-            else
-                ROWSIM_FATAL("rowsim_sweep: --isolate wants thread|process, "
-                      "got \"%s\"", mode.c_str());
-        } else if (arg == "--timeout") {
-            o.sweep.timeoutMs = parseNum("--timeout", next("--timeout"));
-        } else if (arg == "--retries") {
-            o.sweep.retries = static_cast<unsigned>(
-                parseNum("--retries", next("--retries")));
-        } else if (arg == "--backoff") {
-            o.sweep.backoffMs = parseNum("--backoff", next("--backoff"));
+            o.sweep.threads = parseJobs(next("--jobs"));
         } else if (arg == "--strict") {
             o.sweep.strict = true;
         } else if (arg == "--report") {
             o.reportPath = next("--report");
         } else if (arg == "--quota") {
-            o.quota = parseNum("--quota", next("--quota"));
+            o.quota = parseEnvU64("--quota", next("--quota"));
         } else if (arg == "--workload") {
             o.onlyWorkloads.emplace_back(next("--workload"));
         } else if (arg == "--list") {
             o.list = true;
         } else if (arg == "--expect-cached") {
             o.expectCached = true;
-        } else if (arg == "--inject-crash") {
-            o.injectCrash = static_cast<long>(
-                parseNum("--inject-crash", next("--inject-crash")));
-        } else if (arg == "--inject-hang") {
-            o.injectHang = static_cast<long>(
-                parseNum("--inject-hang", next("--inject-hang")));
         } else if (!arg.empty() && arg[0] == '-') {
             usage(stderr);
             ROWSIM_FATAL("rowsim_sweep: unknown option \"%s\"", arg.c_str());
@@ -229,19 +201,6 @@ main(int argc, char **argv)
         for (SweepJob &j : jobs)
             j.quota = opt.quota;
     }
-    if (opt.injectCrash >= 0) {
-        if (static_cast<std::size_t>(opt.injectCrash) >= jobs.size())
-            ROWSIM_FATAL("rowsim_sweep: --inject-crash %ld out of range (%zu jobs)",
-                  opt.injectCrash, jobs.size());
-        jobs[static_cast<std::size_t>(opt.injectCrash)].injectCrash = true;
-    }
-    if (opt.injectHang >= 0) {
-        if (static_cast<std::size_t>(opt.injectHang) >= jobs.size())
-            ROWSIM_FATAL("rowsim_sweep: --inject-hang %ld out of range (%zu jobs)",
-                  opt.injectHang, jobs.size());
-        jobs[static_cast<std::size_t>(opt.injectHang)].injectHangMs =
-            10 * 60 * 1000; // well past any sane --timeout
-    }
 
     if (opt.list) {
         std::printf("%-4s %-12s %-24s %5s %4s\n", "idx", "workload",
@@ -264,8 +223,6 @@ main(int argc, char **argv)
         ResultStore store(opt.sweep.storeDir);
         for (std::size_t i = 0; i < jobs.size(); i++) {
             const SweepJob &j = jobs[i];
-            if (j.injectCrash || j.injectHangMs)
-                continue; // fault drills must actually run
             const std::uint64_t quota =
                 j.quota ? j.quota : defaultQuota(j.workload);
             const ResultKey key = ResultStore::keyFor(
@@ -287,11 +244,8 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("rowsim_sweep: %s, %zu jobs (%zu from store, %zu to run), "
-                "%s isolation\n",
-                opt.figure.c_str(), jobs.size(), precached, pending.size(),
-                opt.sweep.isolation == SweepIsolation::Process ? "process"
-                                                               : "thread");
+    std::printf("rowsim_sweep: %s, %zu jobs (%zu from store, %zu to run)\n",
+                opt.figure.c_str(), jobs.size(), precached, pending.size());
     std::fflush(stdout);
 
     if (!pending.empty()) {
@@ -315,10 +269,9 @@ main(int argc, char **argv)
                         r.fromCache ? " (cached)" : "",
                         static_cast<unsigned long long>(r.cycles));
         } else {
-            std::printf("[%3zu] %-12s %-24s %s after %u attempt%s: %s\n", i,
+            std::printf("[%3zu] %-12s %-24s %s: %s\n", i,
                         r.workload.c_str(), r.config.c_str(),
-                        runStatusName(r.status), r.attempts,
-                        r.attempts == 1 ? "" : "s", r.error.c_str());
+                        runStatusName(r.status), r.error.c_str());
         }
         if (!opt.reportPath.empty())
             writeRunReport(r, opt.reportPath);
