@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/sweep.hh"
@@ -209,15 +210,21 @@ geomean(const std::function<double(const std::string &)> &metric)
 /** Standard main: prewarm the memo cache through the parallel sweep
  *  engine, run benchmarks, then print the collected table. Prewarm runs
  *  before Initialize so the filter/list flags are still in argv. */
+inline int
+benchMain(int argc, char **argv)
+{
+    runPrewarm(argc, argv);
+    ::benchmark::Initialize(&argc, argv);
+    ::benchmark::RunSpecifiedBenchmarks();
+    table().print();
+    ::benchmark::Shutdown();
+    return 0;
+}
+
 #define ROWSIM_BENCH_MAIN()                                              \
     int main(int argc, char **argv)                                      \
     {                                                                    \
-        ::rowsim::bench::runPrewarm(argc, argv);                         \
-        ::benchmark::Initialize(&argc, argv);                            \
-        ::benchmark::RunSpecifiedBenchmarks();                           \
-        ::rowsim::bench::table().print();                                \
-        ::benchmark::Shutdown();                                         \
-        return 0;                                                        \
+        return ::rowsim::runMain(::rowsim::bench::benchMain, argc, argv); \
     }
 
 } // namespace rowsim::bench

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/log.hh"
 #include "sim/experiment.hh"
 #include "sim/options.hh"
 #include "sim/profiles.hh"
@@ -175,7 +176,7 @@ trim(const std::string &s)
 } // namespace
 
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     const char *path = argc > 1 ? argv[1] : "BENCH_perf.json";
     const std::uint64_t quota = argc > 2 ? parseEnvU64("quota", argv[2]) : 0;
@@ -223,4 +224,10 @@ main(int argc, char **argv)
     std::fclose(out);
     std::printf("appended to %s\n", path);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return rowsim::runMain(cliMain, argc, argv);
 }

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/log.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -52,7 +53,7 @@ run(std::uint64_t shared_words, AtomicPolicy policy)
 } // namespace
 
 int
-main()
+cliMain()
 {
     std::printf("Eager vs lazy vs RoW over contention degree "
                 "(32 threads, FAA kernel)\n\n");
@@ -79,4 +80,10 @@ main()
                 "uncontended -> eager wins.\nRoW should sit near "
                 "min(eager, lazy) across the whole sweep.\n");
     return 0;
+}
+
+int
+main()
+{
+    return rowsim::runMain(cliMain);
 }

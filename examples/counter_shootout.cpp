@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/log.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
@@ -54,7 +55,7 @@ policyName(AtomicPolicy p)
 } // namespace
 
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     const std::uint64_t n = argc > 1 ? parseEnvU64("cores", argv[1]) : 16;
     if (n == 0 || n > 1024)
@@ -107,4 +108,10 @@ main(int argc, char **argv)
                 "locked while its older\nloads commit; lazy and RoW keep "
                 "the lock window to a few cycles and win.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return rowsim::runMain(cliMain, argc, argv);
 }

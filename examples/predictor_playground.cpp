@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "common/log.hh"
 #include "row/predictor.hh"
 
 using namespace rowsim;
@@ -57,7 +58,7 @@ playPhases(PredictorUpdate update, const char *name)
 } // namespace
 
 int
-main()
+cliMain()
 {
     std::printf("RoW contention predictor under phase changes\n");
     std::printf("(64 entries x 4-bit counters, XOR-indexed; storage = 32 "
@@ -71,4 +72,10 @@ main()
                 "updates to flip back;\nU/D is symmetric and tracks "
                 "alternating phases more accurately (Fig. 12).\n");
     return 0;
+}
+
+int
+main()
+{
+    return rowsim::runMain(cliMain);
 }

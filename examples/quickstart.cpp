@@ -11,10 +11,11 @@
 
 #include <cstdio>
 
+#include "common/log.hh"
 #include "sim/experiment.hh"
 
 int
-main()
+cliMain()
 {
     using namespace rowsim;
 
@@ -38,4 +39,10 @@ main()
     std::printf("\nLower is better; 'pc' is contended, so lazy and RoW "
                 "should beat eager.\n");
     return 0;
+}
+
+int
+main()
+{
+    return rowsim::runMain(cliMain);
 }

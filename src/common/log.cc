@@ -153,7 +153,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    throw std::runtime_error("rowsim fatal: " + msg);
+    throw FatalError("rowsim fatal: " + msg);
 }
 
 void

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 namespace rowsim
@@ -62,6 +63,30 @@ void informImpl(const std::string &msg);
 void pushPanicHook(const void *owner,
                    std::function<void(const std::string &)> hook);
 void removePanicHook(const void *owner);
+
+/** What ROWSIM_FATAL throws: a user error, already reported on stderr. */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * The body of a program's main(): run @p body and turn a fatal into
+ * exit status 1. fatalImpl has printed the "fatal:" line already, so
+ * nothing is printed again. Panics (std::logic_error) and any other
+ * exception still escape and abort.
+ */
+template <class... Args>
+int
+runMain(int (*body)(Args...), Args... args)
+{
+    try {
+        return body(args...);
+    } catch (const FatalError &) {
+        return 1;
+    }
+}
 
 /** Abort on a simulator bug: a condition that must never happen. */
 #define ROWSIM_PANIC(...) \

@@ -198,8 +198,6 @@ Core::acquireLock(RobEntry &e, FillSource source, Cycle now)
     a.lockSource = source;
     if (SpanTracker::enabled() && spans_ && a.spanId)
         spans_->transition(a.spanId, SpanSeg::LockHeld, now);
-    if (Profiler::enabled(ProfCategory::Lines) && prof_)
-        prof_->lineAcquire(a.line(), coreId);
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u lock seq=%llu line=%#llx source=%d", coreId,
                  static_cast<unsigned long long>(e.seq),
@@ -511,13 +509,10 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
                      a.lockCycle == invalidCycle ? 0 : now - a.lockCycle),
                  contended ? 1 : 0, a.oracleContended ? 1 : 0);
 
-    if (prof_) {
-        if (Profiler::enabled(ProfCategory::Lines) &&
-            a.lockCycle != invalidCycle) {
-            prof_->lineRelease(line, now - a.lockCycle, contended);
-        }
-        if (Profiler::enabled(ProfCategory::Row) &&
-            params.atomicPolicy == AtomicPolicy::RoW) {
+    const bool row = params.atomicPolicy == AtomicPolicy::RoW;
+    if (SpanTracker::enabled() && spans_) {
+        spans_->release(line, contended);
+        if (row) {
             // Mispredict cost: a predicted-lazy atomic that saw no
             // contention wasted its ready->issue wait; a predicted-eager
             // atomic that hit contention paid a contended acquisition.
@@ -531,12 +526,12 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
                        a.lockCycle != invalidCycle) {
                 cost = a.lockCycle - a.issueCycle;
             }
-            prof_->rowOutcome(a.pc, a.predictedContended, contended,
-                              cost);
+            spans_->rowOutcome(a.pc, a.predictedContended, contended,
+                               cost);
         }
     }
 
-    if (params.atomicPolicy == AtomicPolicy::RoW)
+    if (row)
         rowPredictor.update(a.pc, contended, now);
     if (params.atomicPolicy == AtomicPolicy::Fenced) {
         memBarriers.erase(seq);

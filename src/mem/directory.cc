@@ -215,10 +215,6 @@ Directory::processRequest(std::size_t si, const Msg &msg, Cycle now,
             if (oracle)
                 oracle(line, req, e.owner, false, now);
             fwdGetX_++;
-            // Exclusive ownership moving between private caches: the
-            // ping-pong transfer the contention profile counts.
-            if (Profiler::enabled(ProfCategory::Lines) && prof_)
-                prof_->lineOwnerSwap(line);
             sendToCore(MsgType::FwdGetX, line, e.owner, req, now, false,
                        false, hint, msg.spanId);
             t.nextState = DirState::Modified;
@@ -358,11 +354,9 @@ Directory::deliver(const Msg &msg, Cycle now)
                 t.dataContentionHint = true;
             t.queued.push_back(msg);
             if (SpanTracker::enabled() && spans_ && msg.spanId)
-                spans_->dirQueued(msg.spanId, now);
+                spans_->dirQueued(msg.spanId, now, t.queued.size());
             queuedRequests_++;
             queueDepth_.sample(static_cast<double>(t.queued.size()));
-            if (Profiler::enabled(ProfCategory::Lines) && prof_)
-                prof_->lineQueueDepth(msg.line, t.queued.size());
             ROWSIM_TRACE(TraceCategory::Directory, now,
                          "dir%u queue line=%#llx %s from core%u depth=%zu",
                          bankIndex,

@@ -23,7 +23,6 @@
 #include "mem/cache_array.hh"
 #include "net/message.hh"
 #include "net/network.hh"
-#include "sim/profile.hh"
 
 namespace rowsim
 {
@@ -64,8 +63,6 @@ class Directory : public MsgHandler
     Cycle nextEventCycle(Cycle now) const;
 
     void setOracleHook(OracleHook hook) { oracle = std::move(hook); }
-    /** Attach the attribution profiler (System::setupProfiling). */
-    void setProfiler(Profiler *p) { prof_ = p; }
     /** Attach the span tracker (System::setupSpans). */
     void setSpans(SpanTracker *s) { spans_ = s; }
 
@@ -276,7 +273,6 @@ class Directory : public MsgHandler
     /** Number of lines currently Blocked (idle() fast path). */
     unsigned blockedLines = 0;
 
-    Profiler *prof_ = nullptr;
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;

@@ -256,9 +256,9 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
         src = FillSource::Memory;
     // Transfer provenance: a cache-to-cache fill means this line moved
     // between private caches (ping-pong ingredient).
-    if (Profiler::enabled(ProfCategory::Lines) && prof_ &&
-        msg.fromPrivateCache) {
-        prof_->lineRemoteFill(line);
+    if (SpanTracker::enabled() && spans_ && msg.fromPrivateCache &&
+        msg.spanId) {
+        spans_->ownerSwap(msg.spanId);
     }
     ROWSIM_TRACE(TraceCategory::Coherence, now,
                  "l1d%u fill line=%#llx state=%s from=%s latency=%llu",
@@ -416,8 +416,6 @@ PrivateCache::unlockNotify(Addr line, Cycle now)
             const Cycle arrival = it->arrival;
             it = stalledExternals.erase(it);
             lockStallCycles_.sample(static_cast<double>(now - m.sent));
-            if (Profiler::enabled(ProfCategory::Lines) && prof_)
-                prof_->lineLockStall(line, now - m.sent);
             // The victim span (the remote requester this Fwd/Inv serves)
             // spent [arrival, now] against our AQ lock.
             if (SpanTracker::enabled() && spans_ && m.spanId)
@@ -474,8 +472,6 @@ PrivateCache::tick(Cycle now)
                 const Cycle arrival = it->arrival;
                 it = stalledExternals.erase(it);
                 lockSteals_++;
-                if (Profiler::enabled(ProfCategory::Lines) && prof_)
-                    prof_->lineSteal(m.line);
                 if (SpanTracker::enabled() && spans_ && m.spanId)
                     spans_->lockStall(m.spanId, arrival, now);
                 ROWSIM_TRACE(TraceCategory::Coherence, now,

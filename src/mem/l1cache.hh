@@ -26,7 +26,6 @@
 #include "mem/mshr.hh"
 #include "net/message.hh"
 #include "net/network.hh"
-#include "sim/profile.hh"
 
 namespace rowsim
 {
@@ -115,8 +114,6 @@ class PrivateCache : public MsgHandler
                  FunctionalMemory *fmem);
 
     void setClient(MemClient *c) { client = c; }
-    /** Attach the attribution profiler (System::setupProfiling). */
-    void setProfiler(Profiler *p) { prof_ = p; }
     /** Attach the span tracker (System::setupSpans). */
     void setSpans(SpanTracker *s) { spans_ = s; }
 
@@ -293,7 +290,6 @@ class PrivateCache : public MsgHandler
 
     std::multimap<Cycle, MemResult> dueResults;
 
-    Profiler *prof_ = nullptr;
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;

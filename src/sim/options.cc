@@ -78,8 +78,6 @@ const Knob kKnobs[] = {
          o.profileMask = parseProfileCategories(v);
      }},
     {.name = "ROWSIM_PROFILE_JSON", .text = &O::profileJson},
-    {.name = "ROWSIM_PROFILE_TOPK",
-     .number = &O::profileTopK, .lo = 1, .hi = 1'000'000},
     {.name = "ROWSIM_SPANS", .flag = &O::spans},
     {.name = "ROWSIM_SPANS_JSON", .text = &O::spansJson},
     {.name = "ROWSIM_SPANS_TOPK",

@@ -83,7 +83,6 @@ struct RunOptions
 
     // Attribution.
     std::uint32_t profileMask = 0;
-    std::uint64_t profileTopK = 16;
     bool spans = false;
     std::uint64_t spansTopK = 64;
 

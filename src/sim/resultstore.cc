@@ -165,8 +165,10 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     // trajectory (architecture, seed, faults). On top of that, the key
     // carries the knobs that change what a RunResult *contains* without
     // changing the simulation — the profiler mask (profileJson and the
-    // stats JSON "profile" section), the span gate (spanJson), the interval-stats
-    // period as requested (statsJson interval series), the time-series
+    // stats JSON "profile" section), the span gate and, with spans on,
+    // the span top-K (spanJson's tables and retained records), the
+    // interval-stats period as requested (statsJson interval series), the
+    // time-series
     // engine (tsJson) — and the two that change the results
     // themselves: the convergence spec (the run stops at the
     // convergence cycle) and the execution mode, which is deliberately
@@ -182,6 +184,8 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     s.u64(quota);
     s.u32(opts.profileMask);
     s.b(opts.spans);
+    if (opts.spans)
+        s.u64(opts.spansTopK);
     s.u64(opts.statsInterval);
     s.b(opts.timeseries);
     // The rendered window, a constant since it stopped being a knob;

@@ -7,7 +7,8 @@
  * (architecture, seed, fault-injection setup), the workload, the
  * resolved per-core quota, the config label, the effective
  * observability knobs that shape the RunResult (profiler mask, span
- * gate, interval-stats period), and the result-schema version. Reruns
+ * gate and top-K, interval-stats period), and the result-schema
+ * version. Reruns
  * with an identical key are served from disk — byte-identical, in
  * microseconds — so figure regressions become incremental queries
  * instead of hour-long batches.
@@ -83,7 +84,8 @@ class ResultStore
      * resolved @p opts the run uses. Serialises the config fingerprint
      * (with the resolved fault setup), the result-schema version, and
      * the options that change what the RunResult contains or when the
-     * run stops: profiler mask, span gate, requested interval-stats
+     * run stops: profiler mask, span gate (with the span top-K when
+     * spans are on), requested interval-stats
      * period, time-series engine and window, convergence spec, and
      * execution mode.
      */

@@ -209,12 +209,15 @@ SpanTracker::dirBlockedWindow(std::uint64_t id, Cycle since, Cycle now)
 }
 
 void
-SpanTracker::dirQueued(std::uint64_t id, Cycle now)
+SpanTracker::dirQueued(std::uint64_t id, Cycle now, std::uint64_t depth)
 {
     if (id == 0)
         return;
-    if (open_.count(id))
-        dirQueuedAt_.emplace(id, now);
+    auto it = open_.find(id);
+    if (it == open_.end())
+        return;
+    dirQueuedAt_.emplace(id, now);
+    it->second.queuedMax = std::max(it->second.queuedMax, depth);
 }
 
 void
@@ -241,6 +244,49 @@ SpanTracker::lockStall(std::uint64_t id, Cycle arrival, Cycle now)
     if (it == open_.end())
         return;
     it->second.lockStall += now >= arrival ? now - arrival : 0;
+}
+
+void
+SpanTracker::ownerSwap(std::uint64_t id)
+{
+    if (id == 0)
+        return;
+    auto it = open_.find(id);
+    if (it != open_.end())
+        it->second.ownerSwaps++;
+}
+
+void
+SpanTracker::release(Addr line, bool contended)
+{
+    if (contended)
+        lines_[line].contendedReleases++;
+}
+
+void
+SpanTracker::rowOutcome(Addr pc, bool predicted_contended, bool contended,
+                        std::uint64_t cost)
+{
+    Agg &a = pcs_[pc];
+    a.row[predicted_contended ? 1 : 0][contended ? 1 : 0]++;
+    if (predicted_contended && !contended)
+        a.lazyWasteCycles += cost;
+    else if (!predicted_contended && contended)
+        a.eagerContendedCycles += cost;
+}
+
+SpanTracker::Agg
+SpanTracker::rowTotals() const
+{
+    Agg t;
+    for (const auto &kv : pcs_) {
+        for (int p = 0; p < 2; ++p)
+            for (int o = 0; o < 2; ++o)
+                t.row[p][o] += kv.second.row[p][o];
+        t.lazyWasteCycles += kv.second.lazyWasteCycles;
+        t.eagerContendedCycles += kv.second.eagerContendedCycles;
+    }
+    return t;
 }
 
 void
@@ -282,8 +328,14 @@ SpanTracker::aggregate(const Record &r)
         a.replays += r.replays;
     };
     fold(pcs_[r.pc]);
-    if (r.line != invalidAddr)
-        fold(lines_[r.line]);
+    if (r.line != invalidAddr) {
+        Agg &l = lines_[r.line];
+        fold(l);
+        if (r.core < 64)
+            l.coreMask |= 1ull << r.core;
+        l.ownerSwaps += r.ownerSwaps;
+        l.queuedMax = std::max(l.queuedMax, r.queuedMax);
+    }
 }
 
 void
@@ -355,6 +407,35 @@ aggJson(const SpanTracker::Agg &a)
     return out;
 }
 
+/** The line table's own columns. */
+std::string
+lineJson(const SpanTracker::Agg &a)
+{
+    return strprintf("\"coreMask\":\"%#llx\",\"ownerSwaps\":%llu,"
+                     "\"queuedMax\":%llu,\"contendedReleases\":%llu",
+                     static_cast<unsigned long long>(a.coreMask),
+                     static_cast<unsigned long long>(a.ownerSwaps),
+                     static_cast<unsigned long long>(a.queuedMax),
+                     static_cast<unsigned long long>(a.contendedReleases));
+}
+
+/** The RoW audit columns of a PC row (or of the totals). */
+std::string
+rowJson(const SpanTracker::Agg &a)
+{
+    return strprintf("\"eagerUncontended\":%llu,\"eagerContended\":%llu,"
+                     "\"lazyUncontended\":%llu,\"lazyContended\":%llu,"
+                     "\"lazyWasteCycles\":%llu,"
+                     "\"eagerContendedCycles\":%llu",
+                     static_cast<unsigned long long>(a.row[0][0]),
+                     static_cast<unsigned long long>(a.row[0][1]),
+                     static_cast<unsigned long long>(a.row[1][0]),
+                     static_cast<unsigned long long>(a.row[1][1]),
+                     static_cast<unsigned long long>(a.lazyWasteCycles),
+                     static_cast<unsigned long long>(
+                         a.eagerContendedCycles));
+}
+
 /** Top-K (by total, ties by address) slice of an aggregate map. */
 std::vector<std::pair<Addr, const SpanTracker::Agg *>>
 topAggs(const std::unordered_map<Addr, SpanTracker::Agg> &m,
@@ -381,9 +462,9 @@ std::string
 SpanTracker::toJson() const
 {
     std::string out = strprintf(
-        "{\"opened\":%llu,\"closed\":%llu,\"openAtEnd\":%llu,"
-        "\"truncated\":%llu",
-        static_cast<unsigned long long>(opened()),
+        "{\"cores\":%u,\"opened\":%llu,\"closed\":%llu,"
+        "\"openAtEnd\":%llu,\"truncated\":%llu",
+        numCores_, static_cast<unsigned long long>(opened()),
         static_cast<unsigned long long>(closed()),
         static_cast<unsigned long long>(openCount()),
         static_cast<unsigned long long>(truncated_));
@@ -410,15 +491,29 @@ SpanTracker::toJson() const
     for (std::size_t i = 0; i < pcs.size(); i++) {
         out += strprintf("%s{\"pc\":\"%#llx\",", i ? "," : "",
                          static_cast<unsigned long long>(pcs[i].first));
-        out += aggJson(*pcs[i].second);
+        out += aggJson(*pcs[i].second) + "," + rowJson(*pcs[i].second);
         out += "}";
     }
-    out += strprintf("],\"linesTracked\":%zu,\"lines\":[", lines_.size());
+    const Agg t = rowTotals();
+    const std::uint64_t updates =
+        t.row[0][0] + t.row[0][1] + t.row[1][0] + t.row[1][1];
+    out += strprintf("],\"row\":{%s,\"updates\":%llu,"
+                     "\"contendedOutcomes\":%llu,"
+                     "\"dispatchAccuracy\":%.6f}",
+                     rowJson(t).c_str(),
+                     static_cast<unsigned long long>(updates),
+                     static_cast<unsigned long long>(t.row[0][1] +
+                                                     t.row[1][1]),
+                     updates ? static_cast<double>(t.row[0][0] +
+                                                   t.row[1][1]) /
+                                   static_cast<double>(updates)
+                             : 0.0);
+    out += strprintf(",\"linesTracked\":%zu,\"lines\":[", lines_.size());
     auto lines = topAggs(lines_, k);
     for (std::size_t i = 0; i < lines.size(); i++) {
         out += strprintf("%s{\"line\":\"%#llx\",", i ? "," : "",
                          static_cast<unsigned long long>(lines[i].first));
-        out += aggJson(*lines[i].second);
+        out += aggJson(*lines[i].second) + "," + lineJson(*lines[i].second);
         out += "}";
     }
 

@@ -30,7 +30,17 @@
  * "critical" object on every retained record; rendered by
  * tools/rowsim_report).
  *
- * Modelled on the attribution profiler (src/sim/profile.hh): state is
+ * The tracker is the one per-line and per-PC attribution layer. The
+ * line table carries each hot line's acquiring cores, owner swaps
+ * (cache-to-cache fills), deepest directory queue, lock steals
+ * (replays), lock stalls and contended releases; the PC table carries
+ * the RoW decision audit, predicted × observed contention with the
+ * mispredict cost in cycles (the Fig. 12 accuracy from first
+ * principles). Release outcomes are recorded at the core's unlock
+ * site, keyed by line and PC, because a span closes at commit, one
+ * cycle before its unlock.
+ *
+ * Like the CPI-stack profiler (src/sim/profile.hh), state is
  * per-System, the enable gate is a static thread-local flag that
  * System::setupSpans() unconditionally re-applies per construction
  * (ROWSIM_SPANS env, overridden by SystemParams::spans), so parallel
@@ -125,6 +135,11 @@ class SpanTracker
         std::uint64_t netHops = 0;     ///< messages attributed
         std::uint64_t dirBlocked = 0;  ///< own Blocked window + queue wait
         std::uint64_t lockStall = 0;   ///< stalled against a remote lock
+        /** Fills served cache-to-cache (for an atomic's GetX, each is
+         *  one owner swap of the line). */
+        std::uint64_t ownerSwaps = 0;
+        /** Deepest directory queue the span's request joined. */
+        std::uint64_t queuedMax = 0;
 
         std::uint64_t total() const { return commit - dispatch; }
 
@@ -155,12 +170,28 @@ class SpanTracker
     void netHop(std::uint64_t id, Cycle sent, Cycle now);
     /** The span's own directory transaction left Blocked. */
     void dirBlockedWindow(std::uint64_t id, Cycle since, Cycle now);
-    /** The span's request was queued behind a Blocked line. */
-    void dirQueued(std::uint64_t id, Cycle now);
+    /** The span's request was queued behind a Blocked line, making the
+     *  line's queue @p depth deep. */
+    void dirQueued(std::uint64_t id, Cycle now, std::uint64_t depth);
     /** ... and is being processed now. */
     void dirDequeued(std::uint64_t id, Cycle now);
     /** The span's request sat stalled against a remote AQ lock. */
     void lockStall(std::uint64_t id, Cycle arrival, Cycle now);
+    /** The span's miss was filled from another private cache. */
+    void ownerSwap(std::uint64_t id);
+
+    // ---- release outcomes (core unlock site, after the span closed) ----
+
+    /** An atomic on @p line released its lock; @p contended is the
+     *  detector's verdict. Keyed by line, not span: spans close at
+     *  commit, one cycle before the unlock. */
+    void release(Addr line, bool contended);
+    /** The RoW predictor learned @p contended for @p pc after predicting
+     *  @p predicted_contended; @p cost is the mispredict's cycles (0 when
+     *  the prediction held). Called once per predictor update, so the
+     *  cross-tab totals equal the predictor's own counters. */
+    void rowOutcome(Addr pc, bool predicted_contended, bool contended,
+                    std::uint64_t cost);
 
     // ---- snapshot interaction ----
 
@@ -184,7 +215,8 @@ class SpanTracker
     /** The retained (top-K slowest) records, slowest first. */
     std::vector<Record> retained() const;
 
-    /** Per-PC / per-line aggregate of every closed span. */
+    /** Per-PC / per-line aggregate of every closed span, plus the
+     *  release outcomes recorded at the unlock site. */
     struct Agg
     {
         std::uint64_t count = 0;
@@ -194,11 +226,27 @@ class SpanTracker
         std::uint64_t dirBlocked = 0;
         std::uint64_t lockStall = 0;
         std::uint64_t lazy = 0;
-        std::uint64_t replays = 0;
+        std::uint64_t replays = 0;   ///< lock steals suffered
+        // Per-line view.
+        std::uint64_t coreMask = 0;  ///< acquiring cores (bit per id < 64)
+        std::uint64_t ownerSwaps = 0;
+        std::uint64_t queuedMax = 0;
+        std::uint64_t contendedReleases = 0;
+        // Per-PC view: the RoW decision audit.
+        /** row[predictedContended][observedContended] */
+        std::uint64_t row[2][2] = {{0, 0}, {0, 0}};
+        /** Σ wasted wait (predicted lazy, turned out uncontended). */
+        std::uint64_t lazyWasteCycles = 0;
+        /** Σ contended acquisition (predicted eager, was contended). */
+        std::uint64_t eagerContendedCycles = 0;
     };
 
     const std::unordered_map<Addr, Agg> &pcs() const { return pcs_; }
     const std::unordered_map<Addr, Agg> &lines() const { return lines_; }
+
+    /** The RoW audit summed over every PC (row, lazyWasteCycles and
+     *  eagerContendedCycles are the fields set). */
+    Agg rowTotals() const;
 
     /** Whole-run total-latency histogram (p50/p90/p99 source). */
     const Histogram &totalHist() const { return totalHist_; }

@@ -181,17 +181,13 @@ System::setupSelfChecking()
 void
 System::setupProfiling()
 {
-    Profiler::configure(opts_.profileMask, opts_.profileTopK);
+    Profiler::configure(opts_.profileMask);
     if (!Profiler::anyEnabled())
         return;
     profiler_ = std::make_unique<Profiler>(params_.numCores,
                                            params_.core.commitWidth);
     for (auto &c : cores)
         c->setProfiler(profiler_.get());
-    for (CoreId c = 0; c < params_.numCores; c++)
-        memsys.cache(c).setProfiler(profiler_.get());
-    for (unsigned b = 0; b < memsys.numBanks(); b++)
-        memsys.directory(b).setProfiler(profiler_.get());
 }
 
 void
@@ -477,7 +473,7 @@ System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
             }
         }
         if (all_done) {
-            if (profiler_ && Profiler::enabled(ProfCategory::Check))
+            if (profiler_)
                 profiler_->checkConservation(currentCycle, "end of run");
             return currentCycle;
         }

@@ -64,7 +64,7 @@ TEST(Options, TableListsEveryKnobOnce)
 {
     const std::set<std::string> names = tableNames();
     EXPECT_EQ(names.size(), knobs().size()) << "a knob is listed twice";
-    EXPECT_EQ(names.size(), 33u);
+    EXPECT_EQ(names.size(), 32u);
     for (const Knob &k : knobs()) {
         EXPECT_EQ(std::string(k.name).rfind("ROWSIM_", 0), 0u) << k.name;
         // Exactly one way to fill the field.
@@ -85,7 +85,6 @@ TEST(Options, DefaultsWithNoEnvironment)
     EXPECT_FALSE(o.timeseries);
     EXPECT_EQ(o.checkInterval, 1024u);
     EXPECT_EQ(o.faults.mask, 0u);
-    EXPECT_EQ(o.profileTopK, 16u);
     EXPECT_EQ(o.spansTopK, 64u);
     EXPECT_EQ(o.fastForward, FastForwardMode::On);
     EXPECT_EQ(o.ckptDir, "rowsim-ckpt");
@@ -157,8 +156,9 @@ TEST(Options, BadValuesAreFatalAndNameTheKnob)
         {"ROWSIM_SWEEP_THREADS", "-1"},
         {"ROWSIM_SWEEP_THREADS", "4x"},
         {"ROWSIM_SWEEP_THREADS", "4294967295"},
-        {"ROWSIM_PROFILE_TOPK", "-5"},
-        {"ROWSIM_PROFILE_TOPK", "0"},
+        {"ROWSIM_PROFILE", "lines"},
+        {"ROWSIM_PROFILE", "row"},
+        {"ROWSIM_PROFILE", "check"},
         {"ROWSIM_SPANS_TOPK", "-5"},
         {"ROWSIM_FAULTS_RATE", "10001"},
         {"ROWSIM_TORTURE_SEEDS", "0"},
@@ -195,12 +195,12 @@ TEST(Options, BadValuesAreFatalAndNameTheKnob)
 TEST(Options, CheckedNumericValuesResolve)
 {
     ScopedEnv threads("ROWSIM_SWEEP_THREADS", "0");
-    ScopedEnv topk("ROWSIM_PROFILE_TOPK", "3");
+    ScopedEnv topk("ROWSIM_SPANS_TOPK", "3");
     const RunOptions o = resolveRunOptions();
     EXPECT_EQ(o.sweepThreads, 0u);
-    EXPECT_EQ(o.profileTopK, 3u);
-    EXPECT_STREQ(o.envText("ROWSIM_PROFILE_TOPK"), "3");
-    EXPECT_EQ(o.envText("ROWSIM_SPANS_TOPK"), nullptr);
+    EXPECT_EQ(o.spansTopK, 3u);
+    EXPECT_STREQ(o.envText("ROWSIM_SPANS_TOPK"), "3");
+    EXPECT_EQ(o.envText("ROWSIM_HEARTBEAT_MS"), nullptr);
 }
 
 TEST(Options, MisspeltKnobIsFatalAndListsTheValidKnobs)
@@ -218,7 +218,8 @@ TEST(Options, MisspeltKnobIsFatalAndListsTheValidKnobs)
         "unknown environment variable ROWSIM_TRCE .*ROWSIM_TRACE,");
     // A variable that merely shares the prefix of a knob is no knob,
     // and neither is a retired knob.
-    for (const char *name : {"ROWSIM_TRACE_", "ROWSIM_CKPT"}) {
+    for (const char *name :
+         {"ROWSIM_TRACE_", "ROWSIM_CKPT", "ROWSIM_PROFILE_TOPK"}) {
         ScopedEnv env(name, "x");
         const std::string error = resolveError();
         EXPECT_NE(error.find(std::string(name) + " "), std::string::npos)

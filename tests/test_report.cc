@@ -126,8 +126,7 @@ TEST(RowsimReport, RendersProfileRecordsAndFoldedStacks)
 
     ASSERT_EQ(s.report("--collapsed " + s.dir + "/profile.folded " + in), 0);
     const std::string text = s.read("out.txt");
-    EXPECT_NE(text.find("=== cq/lazy (categories:"), std::string::npos);
-    EXPECT_NE(text.find("RoW decision audit"), std::string::npos);
+    EXPECT_NE(text.find("=== cq/lazy (categories: cpi"), std::string::npos);
     expectOnly(text, profileBanner);
     EXPECT_NE(s.read("profile.folded").find("cq/lazy;core0;"),
               std::string::npos);
@@ -136,7 +135,8 @@ TEST(RowsimReport, RendersProfileRecordsAndFoldedStacks)
 TEST(RowsimReport, RendersSpanRecords)
 {
     Scratch s("spans");
-    ExpConfig cfg = lazyConfig();
+    ExpConfig cfg = rowConfig(ContentionDetector::RWDir,
+                              PredictorUpdate::SaturateOnContention);
     cfg.spans = true;
     RunResult r = runExperiment("cq", cfg, 4, 60, 1, false);
     ASSERT_FALSE(r.spanJson.empty());
@@ -145,9 +145,13 @@ TEST(RowsimReport, RendersSpanRecords)
 
     ASSERT_EQ(s.report(in), 0);
     const std::string text = s.read("out.txt");
-    EXPECT_NE(text.find("cq/lazy"), std::string::npos);
+    EXPECT_NE(text.find("cq/" + r.config), std::string::npos);
     EXPECT_NE(text.find("critical path"), std::string::npos);
     EXPECT_NE(text.find("aqWait"), std::string::npos);
+    // The RoW audit and the line contention columns render from the
+    // span tables.
+    EXPECT_NE(text.find("RoW decision audit"), std::string::npos);
+    EXPECT_NE(text.find("swaps"), std::string::npos);
     expectOnly(text, spansBanner);
 }
 

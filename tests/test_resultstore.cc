@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/io.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "sim/experiment.hh"
@@ -201,7 +202,7 @@ TEST(ResultStoreSuite, KeyReactsToEveryInput)
     // be part of the key even though it does not change the simulated
     // trajectory.
     ExpConfig prof = eagerConfig();
-    prof.profile = profMask(ProfCategory::Lines);
+    prof.profile = profMask(ProfCategory::Cpi);
     EXPECT_NE(k, ResultStore::keyFor(makeParams(prof, 8, 1), "pc",
                                      "eager", 100));
     // The time-series engine shapes the RunResult (tsJson), and a
@@ -248,10 +249,12 @@ keyHexOf(const SystemParams &sp, const char *workload = "pc",
 /** Pinned keys of the KeyReactsToEveryInput matrix. */
 constexpr const char *kBaseKey =
     "7f8a194da9e7f67b6b272e14fbd75343752ce0afa5192e772072f22ad895c209";
+/** A cpi-profiled run. */
 constexpr const char *kProfileKey =
-    "a38d597d686b24fde84959e0555199fa9c4a95bc60cdce6aa4b5aa455a1b462f";
+    "d7f2f0c037ae6204886b7ba85e7f8ad8d73e78b0d832574606e0e84af0e85d32";
+/** A span-traced run at the default span top-K (64). */
 constexpr const char *kSpansKey =
-    "35b4a6c316845382a2fb68fce86247ca53f75b65668fde90717ba14644cf2e90";
+    "0753156f367460b5ca3a4c326ec95967ed9fd54083e66bd7b28e4dfaa8f11586";
 constexpr const char *kTimeSeriesKey =
     "c7d9e3666b43ddbf15670bc00c0ec9589dd1a50998b8314eefea136a3ae8b71b";
 constexpr const char *kConvergeKey =
@@ -309,7 +312,7 @@ TEST(ResultStoreSuite, KeysArePinned)
               "64fc92c886ac071874db2ba67e314b63329b61936f1f96181c11f673e713ac3c");
 
     ExpConfig prof = eagerConfig();
-    prof.profile = profMask(ProfCategory::Lines);
+    prof.profile = profMask(ProfCategory::Cpi);
     EXPECT_EQ(keyHexOf(makeParams(prof, 8, 1)), kProfileKey);
     ExpConfig spans = eagerConfig();
     spans.spans = true;
@@ -338,7 +341,7 @@ TEST(ResultStoreSuite, EnvironmentKeysArePinned)
 {
     // The same knobs set through the environment name the same entries
     // as when set explicitly.
-    expectEnvKey({{"ROWSIM_PROFILE", "lines"}}, kProfileKey);
+    expectEnvKey({{"ROWSIM_PROFILE", "cpi"}}, kProfileKey);
     expectEnvKey({{"ROWSIM_SPANS", "on"}}, kSpansKey);
     expectEnvKey({{"ROWSIM_STATS_INTERVAL", "500"}}, kIntervalKey);
     expectEnvKey({{"ROWSIM_TS", "on"}}, kTimeSeriesKey);
@@ -552,6 +555,43 @@ TEST(ResultStoreSuite, WarmRerunByteIdenticalThroughExperimentLayer)
 
     ::unsetenv("ROWSIM_RESULTS");
     ::unsetenv("ROWSIM_RESULTS_DIR");
+}
+
+TEST(ResultStoreSuite, SpanTopKKeysTheStore)
+{
+    // The stored spanJson holds top-K tables and records, so K keys the
+    // entry when spans are on; with spans off it shapes nothing and the
+    // key does not move.
+    const SystemParams base = makeParams(eagerConfig(), 8, 1);
+    RunOptions opts = resolveRunOptions(base);
+    const ResultKey off = ResultStore::keyFor(base, opts, "pc", "eager", 30);
+    opts.spansTopK = 2;
+    EXPECT_EQ(off, ResultStore::keyFor(base, opts, "pc", "eager", 30));
+    opts.spans = true;
+    const ResultKey two = ResultStore::keyFor(base, opts, "pc", "eager", 30);
+    opts.spansTopK = 64;
+    EXPECT_NE(two, ResultStore::keyFor(base, opts, "pc", "eager", 30));
+
+    // A store hit never serves another K's records.
+    const std::string dir = testDir("spantopk");
+    ::setenv("ROWSIM_RESULTS", "on", 1);
+    ::setenv("ROWSIM_RESULTS_DIR", dir.c_str(), 1);
+    ::setenv("ROWSIM_SPANS", "on", 1);
+    auto retained = [](const RunResult &r) {
+        return parseJson(r.spanJson).at("spans").arr.size();
+    };
+    ::setenv("ROWSIM_SPANS_TOPK", "8", 1);
+    const RunResult wide = runExperiment("pc", eagerConfig(), 8, 30, 1);
+    EXPECT_FALSE(wide.fromCache);
+    EXPECT_EQ(retained(wide), 8u);
+    ::setenv("ROWSIM_SPANS_TOPK", "2", 1);
+    const RunResult narrow = runExperiment("pc", eagerConfig(), 8, 30, 1);
+    EXPECT_FALSE(narrow.fromCache);
+    EXPECT_EQ(retained(narrow), 2u);
+    EXPECT_TRUE(runExperiment("pc", eagerConfig(), 8, 30, 1).fromCache);
+    for (const char *name : {"ROWSIM_RESULTS", "ROWSIM_RESULTS_DIR",
+                             "ROWSIM_SPANS", "ROWSIM_SPANS_TOPK"})
+        ::unsetenv(name);
 }
 
 TEST(ResultStoreSuite, StatsOnlyEntryUpgradedWhenStatsWanted)

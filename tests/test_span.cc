@@ -3,12 +3,14 @@
  * Span-tracker tests: segment conservation across fast-forward modes
  * (every span's segments must exactly tile dispatch→commit — close()
  * panics otherwise, so a clean run with spans on IS the check), span
- * counts against the commit stream in closed form, the off/on
- * equivalence guarantees (tracing must never perturb the simulated
- * machine, off-mode stats JSON must be byte-identical), sweep
- * determinism of the span summaries across thread counts, per-job
- * sink-file isolation under a concurrent sweep, restore-time span
- * truncation, and the per-message-type network latency histograms.
+ * counts against the commit stream in closed form, the per-cacheline
+ * contention table against a two-core ping-pong, the RoW audit against
+ * the predictor's own counters, the off/on equivalence guarantees
+ * (tracing must never perturb the simulated machine, off-mode stats
+ * JSON must be byte-identical), sweep determinism of the span summaries
+ * across thread counts, per-job sink-file isolation under a concurrent
+ * sweep, restore-time span truncation, and the per-message-type network
+ * latency histograms.
  */
 
 #include <gtest/gtest.h>
@@ -173,6 +175,76 @@ TEST(SpanCounts, PingPongClosedFormAndDrainedBooks)
     for (const SpanTracker::Record &r : sp->retained())
         netCycles += r.netCycles;
     EXPECT_GT(netCycles, 0u);
+}
+
+TEST(ProfileLines, PingPongLineTableHasKnownCounts)
+{
+    // The per-cacheline contention table is the span tracker's line
+    // view: on a two-core ping-pong over one shared word its counts
+    // follow from the lock stats in closed form.
+    auto sys = makeSpanSystem(pingPongProfile(), eagerConfig(), 2, 1);
+    sys->run(200);
+    // run() returns the moment the quota commits; drain the in-flight
+    // tail so every acquired lock has released and the books close.
+    sys->drain();
+
+    const SpanTracker *sp = sys->spans();
+    ASSERT_NE(sp, nullptr);
+    const Addr lockLine = lineAlign(addrmap::sharedAtomicWord(0));
+    ASSERT_TRUE(sp->lines().count(lockLine))
+        << "the shared word's line must be tracked";
+    const SpanTracker::Agg &line = sp->lines().at(lockLine);
+
+    // Every lock steal forces a replay of the victim's span, and every
+    // closed span unlocked once, so the line's acquisitions (closed
+    // spans plus replays) are the unlocks plus the forced unlocks.
+    const std::uint64_t unlocked = sys->totalCounter("atomicsUnlocked");
+    const std::uint64_t forced = sys->totalCounter("forcedUnlocks");
+    EXPECT_GT(unlocked, 0u);
+    EXPECT_EQ(line.replays, forced);
+    EXPECT_EQ(line.count + line.replays, unlocked + forced);
+
+    // Both cores hammer the same line; it must ping-pong between them.
+    EXPECT_EQ(line.coreMask, 0b11u);
+    EXPECT_GT(line.ownerSwaps, 0u);
+    EXPECT_GT(line.segs[static_cast<unsigned>(SpanSeg::LockHeld)], 0u);
+    EXPECT_GT(line.netCycles, 0u);
+
+    // The JSON dump names the line.
+    const std::string json = sp->toJson();
+    EXPECT_NE(json.find("\"linesTracked\""), std::string::npos);
+    EXPECT_NE(json.find(strprintf("\"line\":\"%#llx\"",
+                                  static_cast<unsigned long long>(
+                                      lockLine))),
+              std::string::npos);
+}
+
+TEST(SpanRow, AuditTotalsMatchPredictorCounters)
+{
+    // The PC table's RoW audit is recorded at the predictor's update
+    // site: the cross-tab sums to the predictor's updates and its
+    // observed-contended column to its contendedOutcomes.
+    auto sys = makeSpanSystem(
+        "pc",
+        rowConfig(ContentionDetector::RWDir,
+                  PredictorUpdate::SaturateOnContention),
+        8, 1);
+    sys->run(60);
+
+    std::uint64_t updates = 0, contended = 0;
+    for (CoreId c = 0; c < sys->numCores(); c++) {
+        updates +=
+            sys->core(c).predictor().stats().counterValue("updates");
+        contended += sys->core(c).predictor().stats().counterValue(
+            "contendedOutcomes");
+    }
+    ASSERT_GT(updates, 0u);
+
+    const SpanTracker::Agg t = sys->spans()->rowTotals();
+    EXPECT_EQ(t.row[0][0] + t.row[0][1] + t.row[1][0] + t.row[1][1],
+              updates);
+    EXPECT_EQ(t.row[0][1] + t.row[1][1], contended);
+    EXPECT_GT(t.lazyWasteCycles + t.eagerContendedCycles, 0u);
 }
 
 TEST(SpanOffOn, OffModeIsByteIdenticalAndTracingDoesNotPerturb)

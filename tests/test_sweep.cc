@@ -240,9 +240,9 @@ TEST(Sweep, FailedJobKeepsTheOthersInTheStore)
     fs::remove_all(dir);
 }
 
-// The CLI rejects a malformed number, and a retired flag, by name and
-// with a non-zero exit instead of running with a wrapped or default
-// value.
+// The CLI rejects a malformed number, a retired flag, and a store flag
+// without a store, by name and with a non-zero exit status instead of
+// running with a wrapped or default value (or aborting).
 TEST(Sweep, CliRejectsMalformedNumbersAndRetiredFlags)
 {
     const std::string err = "rowsim_sweep_cli.err";
@@ -256,17 +256,27 @@ TEST(Sweep, CliRejectsMalformedNumbersAndRetiredFlags)
         {"--jobs 1025 --list fig06", "--jobs"},
         {"--quota 99999999999999999999999 --list fig06", "--quota"},
         {"--isolate process fig06", "--isolate"},
+        // Without a store nothing could be served or kept.
+        {"--resume --workload pc --quota 20 fig06", "--resume"},
+        {"--expect-cached --workload pc --quota 20 fig06",
+         "--expect-cached"},
     };
     for (const auto &c : cases) {
         const std::string cmd = std::string(ROWSIM_SWEEP_PATH) + " " +
                                 c.args + " > /dev/null 2> " + err;
         const int rc = std::system(cmd.c_str());
-        EXPECT_FALSE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << c.args;
+        // A usage error exits with a status; it does not abort.
+        EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) != 0)
+            << c.args << " gave wait status " << rc;
         std::ifstream in(err);
         const std::string text{std::istreambuf_iterator<char>(in),
                                std::istreambuf_iterator<char>()};
         EXPECT_NE(text.find(c.flag), std::string::npos)
             << c.args << " gave \"" << text << "\"";
+        const std::size_t fatal = text.find("fatal:");
+        EXPECT_NE(fatal, std::string::npos) << c.args;
+        EXPECT_EQ(text.find("fatal:", fatal + 1), std::string::npos)
+            << c.args << " printed the fatal line twice: " << text;
     }
     std::remove(err.c_str());
 }

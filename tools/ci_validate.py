@@ -16,13 +16,15 @@ Subcommands:
                                 appending to one file); sim_cycles may
                                 legitimately change across commits.
   profile-schema PROFILE_JSONL  tools/rowsim_report profile records: run
-                                labels, CPI-stack slot conservation,
-                                hot-line table, RoW decision totals.
+                                labels, CPI-stack slot conservation.
   span-schema SPANS_JSONL       tools/rowsim_report span records: run
                                 labels, span count accounting, segment
                                 conservation (segments exactly tile
                                 dispatch->commit for every retained span
-                                and in aggregate), latency histograms.
+                                and in aggregate), latency histograms,
+                                the RoW audit (cross-tab cells sum to
+                                the updates) and the line table (no
+                                more acquiring cores than cores).
   store-schema PATH             content-addressed result-store entry
                                 (.res file) or a store directory: magic,
                                 schema version, embedded key vs file
@@ -188,14 +190,6 @@ def validate_profile_records(lines):
                     f"line {lineno} ({rec['workload']}), core "
                     f"{core['core']}: CPI stack sums to {total}, "
                     f"expected {rec['cycles'] * width}")
-        if p.get("linesTracked", 0) <= 0 or not p.get("lines"):
-            raise ValidationError(f"line {lineno}: no hot-line profile")
-        t = p["row"]["totals"]
-        if t["updates"] != (t["eagerUncontended"] + t["eagerContended"]
-                            + t["lazyUncontended"] + t["lazyContended"]):
-            raise ValidationError(
-                f"line {lineno}: RoW decision totals do not sum to "
-                f"updates")
         n += 1
     if n == 0:
         raise ValidationError("no profile records")
@@ -206,6 +200,11 @@ SPAN_SEGS = {
     "dispatchWait", "sbDrain", "aqWait", "execute", "l1Miss",
     "unblockWait", "lockHeld",
 }
+
+ROW_CELLS = (
+    "eagerUncontended", "eagerContended", "lazyUncontended",
+    "lazyContended",
+)
 
 
 def validate_span_records(lines):
@@ -263,6 +262,17 @@ def validate_span_records(lines):
                     raise ValidationError(
                         f"line {lineno}: {table} aggregate segments do "
                         f"not sum to its total")
+        # The RoW audit: one cross-tab cell per predictor update.
+        row = s["row"]
+        if row["updates"] != sum(row[c] for c in ROW_CELLS):
+            raise ValidationError(
+                f"line {lineno}: RoW audit cells do not sum to updates")
+        for agg in s.get("lines", []):
+            cores = bin(int(agg["coreMask"], 16)).count("1")
+            if cores > s["cores"]:
+                raise ValidationError(
+                    f"line {lineno}, line {agg['line']}: {cores} acquiring "
+                    f"cores on a {s['cores']}-core machine")
         n += 1
     if n == 0:
         raise ValidationError("no span records")
@@ -857,14 +867,11 @@ def _selftest():
             "cpi": [{"core": 0, "retired": 6, "frontendStall": 2,
                      "robFull": 2, "exec": 4, "sqDrainWait": 0,
                      "atomicLazyWait": 2, "atomicExecute": 2,
-                     "coherenceMiss": 1, "idle": 1}],
-            "linesTracked": 1, "lines": [{"line": 64}],
-            "row": {"totals": {"updates": 4, "eagerUncontended": 1,
-                               "eagerContended": 1, "lazyUncontended": 1,
-                               "lazyContended": 1}}}})
+                     "coherenceMiss": 1, "idle": 1}]}})
     good_span = json.dumps({
         "workload": "cq", "config": "eager", "cycles": 100,
         "spans": {
+            "cores": 2,
             "opened": 3, "closed": 2, "openAtEnd": 1, "truncated": 0,
             "segTotals": {"dispatchWait": 2, "sbDrain": 10, "aqWait": 4,
                           "execute": 6, "l1Miss": 20, "unblockWait": 0,
@@ -876,7 +883,13 @@ def _selftest():
                      "dispatchWait": 2, "sbDrain": 10, "aqWait": 4,
                      "execute": 6, "l1Miss": 20, "unblockWait": 0,
                      "lockHeld": 8}],
-            "lines": [],
+            "row": {"updates": 4, "eagerUncontended": 1,
+                    "eagerContended": 1, "lazyUncontended": 1,
+                    "lazyContended": 1},
+            "lines": [{"line": "0x40", "count": 2, "total": 50,
+                       "dispatchWait": 2, "sbDrain": 10, "aqWait": 4,
+                       "execute": 6, "l1Miss": 20, "unblockWait": 0,
+                       "lockHeld": 8, "coreMask": "0x3"}],
             "spans": [{"id": 1, "dispatch": 10, "commit": 40,
                        "total": 30,
                        "segs": {"dispatchWait": 1, "sbDrain": 6,
@@ -1069,12 +1082,6 @@ def _selftest():
             with self.assertRaisesRegex(ValidationError, "CPI stack"):
                 validate_profile_records([json.dumps(rec)])
 
-        def test_profile_rejects_unbalanced_row_totals(self):
-            rec = json.loads(good_profile)
-            rec["profile"]["row"]["totals"]["updates"] = 5
-            with self.assertRaisesRegex(ValidationError, "RoW"):
-                validate_profile_records([json.dumps(rec)])
-
         def test_profile_rejects_empty_input(self):
             with self.assertRaises(ValidationError):
                 validate_profile_records(["", "  "])
@@ -1114,6 +1121,18 @@ def _selftest():
             rec = json.loads(good_span)
             rec["spans"]["latency"]["count"] = 3
             with self.assertRaisesRegex(ValidationError, "histogram"):
+                validate_span_records([json.dumps(rec)])
+
+        def test_span_rejects_unbalanced_row_audit(self):
+            rec = json.loads(good_span)
+            rec["spans"]["row"]["updates"] = 5
+            with self.assertRaisesRegex(ValidationError, "RoW"):
+                validate_span_records([json.dumps(rec)])
+
+        def test_span_rejects_more_acquirers_than_cores(self):
+            rec = json.loads(good_span)
+            rec["spans"]["lines"][0]["coreMask"] = "0x7"
+            with self.assertRaisesRegex(ValidationError, "acquiring"):
                 validate_span_records([json.dumps(rec)])
 
         def test_span_rejects_empty_input(self):

@@ -12,14 +12,15 @@
  * carries is rendered, in this order:
  *
  *  - profile ("profile" member, raw "categories"; ROWSIM_PROFILE): the
- *    per-core CPI stack table with an aggregate percentage row, the
- *    top-K contended-line table, the RoW predicted x observed cross-tab
- *    with dispatch accuracy and mispredict cost. --collapsed PATH
- *    also writes flamegraph-style folded stacks ("label;coreN;bucket
- *    slots") for flamegraph.pl / speedscope.
+ *    per-core CPI stack table with an aggregate percentage row.
+ *    --collapsed PATH also writes flamegraph-style folded stacks
+ *    ("label;coreN;bucket slots") for flamegraph.pl / speedscope.
  *  - spans ("spans" member, raw "segTotals"; ROWSIM_SPANS): the Fig. 6
- *    segment breakdown with latency percentiles, the per-PC and
- *    per-line tables, and an ASCII waterfall plus critical-path
+ *    segment breakdown with latency percentiles, the per-PC table with
+ *    the RoW predicted x observed cross-tab (dispatch accuracy and
+ *    mispredict cost), the per-line contention table (acquiring cores,
+ *    owner swaps, directory queue depth, contended releases, lock
+ *    stalls), and an ASCII waterfall plus critical-path
  *    decomposition (network hops, directory blocking, lock stalls or
  *    unattributed protocol time) of each retained slowest span.
  *  - timeseries ("timeseries" member, raw "metrics"; ROWSIM_TS /
@@ -39,6 +40,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -113,74 +115,6 @@ printCpi(const Json &cpi, const std::string &label, std::FILE *collapsed)
     std::printf("\n");
 }
 
-void
-printLines(const Json &profile)
-{
-    const Json &lines = profile.at("lines");
-    if (lines.type != Json::Array)
-        return;
-    std::printf("  Contended lines (top %zu of %llu tracked, by hold "
-                "cycles):\n",
-                lines.arr.size(), profile.at("linesTracked").asU64());
-    if (lines.arr.empty())
-        return;
-    std::printf("    %-14s %9s %11s %6s %7s %6s %7s %10s %6s %5s %5s\n",
-                "line", "acquires", "holdCyc", "cont", "rfills", "swaps",
-                "stalls", "stallCyc", "steals", "qMax", "cores");
-    for (const Json &l : lines.arr) {
-        std::printf(
-            "    %-14s %9llu %11llu %6llu %7llu %6llu %7llu %10llu "
-            "%6llu %5llu %5llu\n",
-            l.at("line").str.c_str(), l.at("acquires").asU64(),
-            l.at("holdCycles").asU64(), l.at("contendedUnlocks").asU64(),
-            l.at("remoteFills").asU64(), l.at("ownerSwaps").asU64(),
-            l.at("lockStalls").asU64(), l.at("lockStallCycles").asU64(),
-            l.at("steals").asU64(), l.at("queuedMax").asU64(),
-            l.at("cores").asU64());
-    }
-}
-
-void
-printRow(const Json &row)
-{
-    if (row.type != Json::Object)
-        return;
-    const Json &t = row.at("totals");
-    std::printf("  RoW decision audit (predicted x observed):\n");
-    std::printf("    %-18s %14s %14s\n", "", "uncontended", "contended");
-    std::printf("    %-18s %14llu %14llu\n", "predicted eager",
-                t.at("eagerUncontended").asU64(),
-                t.at("eagerContended").asU64());
-    std::printf("    %-18s %14llu %14llu\n", "predicted lazy",
-                t.at("lazyUncontended").asU64(),
-                t.at("lazyContended").asU64());
-    std::printf("    updates=%llu contended=%llu accuracy=%.2f%%\n",
-                t.at("updates").asU64(), t.at("contendedOutcomes").asU64(),
-                100.0 * row.at("dispatchAccuracy").asDouble());
-    std::printf("    mispredict cost: lazy-waste=%llu cyc, "
-                "eager-contended=%llu cyc\n",
-                t.at("lazyWasteCycles").asU64(),
-                t.at("eagerContendedCycles").asU64());
-
-    const Json &pcs = row.at("pcs");
-    if (pcs.type != Json::Array || pcs.arr.empty())
-        return;
-    std::printf("    per-PC: %-14s %8s %8s %8s %8s %10s %10s\n", "pc",
-                "eagUnc", "eagCon", "lazUnc", "lazCon", "wasteCyc",
-                "eagConCyc");
-    for (const Json &p : pcs.arr) {
-        std::printf("            %-14s %8llu %8llu %8llu %8llu %10llu "
-                    "%10llu\n",
-                    p.at("pc").str.c_str(),
-                    p.at("eagerUncontended").asU64(),
-                    p.at("eagerContended").asU64(),
-                    p.at("lazyUncontended").asU64(),
-                    p.at("lazyContended").asU64(),
-                    p.at("lazyWasteCycles").asU64(),
-                    p.at("eagerContendedCycles").asU64());
-    }
-}
-
 /** Render one record: @p profile is the profiler object itself. */
 void
 renderProfile(const Json &profile, const std::string &label,
@@ -190,8 +124,6 @@ renderProfile(const Json &profile, const std::string &label,
                 label.c_str(), profile.at("categories").str.c_str(),
                 profile.at("commitWidth").asU64());
     printCpi(profile.at("cpi"), label, collapsed);
-    printLines(profile);
-    printRow(profile.at("row"));
     std::printf("\n");
 }
 
@@ -249,25 +181,93 @@ printSegTotals(const Json &spans)
                 t.at("lockStall").asU64());
 }
 
+/** The shared columns of a per-PC or per-line row: span count,
+ *  span-cycles, lazy decisions, replays and the main segments. */
 void
-printAggTable(const Json &arr, const char *title, const char *keyName,
-              unsigned long long tracked)
+printAggCells(const Json &a)
 {
-    if (arr.type != Json::Array || arr.arr.empty())
-        return;
-    std::printf("  %s (top %zu of %llu, by span-cycles):\n", title,
-                arr.arr.size(), tracked);
-    std::printf("    %-14s %8s %11s %7s %7s %9s %9s %9s %9s\n", keyName,
+    std::printf(" %8llu %11llu %7llu %7llu %9llu %9llu %9llu %9llu",
+                a.at("count").asU64(), a.at("total").asU64(),
+                a.at("lazy").asU64(), a.at("replays").asU64(),
+                a.at("sbDrain").asU64(), a.at("l1Miss").asU64(),
+                a.at("unblockWait").asU64(), a.at("lockHeld").asU64());
+}
+
+void
+printAggHeader(const char *title, const char *keyName, std::size_t shown,
+               unsigned long long tracked)
+{
+    std::printf("  %s (top %zu of %llu, by span-cycles):\n", title, shown,
+                tracked);
+    std::printf("    %-14s %8s %11s %7s %7s %9s %9s %9s %9s", keyName,
                 "count", "cycles", "lazy", "replays", "sbDrain", "l1Miss",
                 "unblock", "lockHeld");
-    for (const Json &a : arr.arr) {
-        std::printf("    %-14s %8llu %11llu %7llu %7llu %9llu %9llu "
-                    "%9llu %9llu\n",
-                    a.at(keyName).str.c_str(), a.at("count").asU64(),
-                    a.at("total").asU64(), a.at("lazy").asU64(),
-                    a.at("replays").asU64(), a.at("sbDrain").asU64(),
-                    a.at("l1Miss").asU64(), a.at("unblockWait").asU64(),
-                    a.at("lockHeld").asU64());
+}
+
+/** Per-PC table with its RoW audit cells, then the audit totals. */
+void
+printPcTable(const Json &spans)
+{
+    const Json &pcs = spans.at("pcs");
+    if (pcs.type == Json::Array && !pcs.arr.empty()) {
+        printAggHeader("Atomic PCs", "pc", pcs.arr.size(),
+                       spans.at("pcsTracked").asU64());
+        std::printf(" %8s %8s %8s %8s %10s %10s\n", "eagUnc", "eagCon",
+                    "lazUnc", "lazCon", "wasteCyc", "eagConCyc");
+        for (const Json &p : pcs.arr) {
+            std::printf("    %-14s", p.at("pc").str.c_str());
+            printAggCells(p);
+            std::printf(" %8llu %8llu %8llu %8llu %10llu %10llu\n",
+                        p.at("eagerUncontended").asU64(),
+                        p.at("eagerContended").asU64(),
+                        p.at("lazyUncontended").asU64(),
+                        p.at("lazyContended").asU64(),
+                        p.at("lazyWasteCycles").asU64(),
+                        p.at("eagerContendedCycles").asU64());
+        }
+    }
+
+    // The audit exists only under RoW, where the predictor updates.
+    const Json &t = spans.at("row");
+    if (t.type != Json::Object || t.at("updates").asU64() == 0)
+        return;
+    std::printf("  RoW decision audit (predicted x observed):\n");
+    std::printf("    %-18s %14s %14s\n", "", "uncontended", "contended");
+    std::printf("    %-18s %14llu %14llu\n", "predicted eager",
+                t.at("eagerUncontended").asU64(),
+                t.at("eagerContended").asU64());
+    std::printf("    %-18s %14llu %14llu\n", "predicted lazy",
+                t.at("lazyUncontended").asU64(),
+                t.at("lazyContended").asU64());
+    std::printf("    updates=%llu contended=%llu accuracy=%.2f%%\n",
+                t.at("updates").asU64(), t.at("contendedOutcomes").asU64(),
+                100.0 * t.at("dispatchAccuracy").asDouble());
+    std::printf("    mispredict cost: lazy-waste=%llu cyc, "
+                "eager-contended=%llu cyc\n",
+                t.at("lazyWasteCycles").asU64(),
+                t.at("eagerContendedCycles").asU64());
+}
+
+/** Per-line table with the contention columns. */
+void
+printLineTable(const Json &spans)
+{
+    const Json &lines = spans.at("lines");
+    if (lines.type != Json::Array || lines.arr.empty())
+        return;
+    printAggHeader("Cache lines", "line", lines.arr.size(),
+                   spans.at("linesTracked").asU64());
+    std::printf(" %5s %7s %5s %7s %9s\n", "cores", "swaps", "qMax",
+                "contRel", "lockStall");
+    for (const Json &l : lines.arr) {
+        std::printf("    %-14s", l.at("line").str.c_str());
+        printAggCells(l);
+        std::printf(" %5d %7llu %5llu %7llu %9llu\n",
+                    std::popcount(std::strtoull(
+                        l.at("coreMask").str.c_str(), nullptr, 16)),
+                    l.at("ownerSwaps").asU64(), l.at("queuedMax").asU64(),
+                    l.at("contendedReleases").asU64(),
+                    l.at("lockStall").asU64());
     }
 }
 
@@ -328,10 +328,8 @@ renderSpans(const Json &spans, const std::string &label)
     printHist("l1Miss", spans.at("missLatency"));
     printHist("lockHeld", spans.at("lockHeld"));
     printSegTotals(spans);
-    printAggTable(spans.at("pcs"), "Atomic PCs", "pc",
-                  spans.at("pcsTracked").asU64());
-    printAggTable(spans.at("lines"), "Cache lines", "line",
-                  spans.at("linesTracked").asU64());
+    printPcTable(spans);
+    printLineTable(spans);
 
     const Json &recs = spans.at("spans");
     if (recs.type == Json::Array && !recs.arr.empty()) {

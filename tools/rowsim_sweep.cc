@@ -60,6 +60,7 @@ usage(FILE *out)
         "                       (ROWSIM_RESULTS=on in that directory)\n"
         "  --resume             serve stored results without dispatching;\n"
         "                       only missing/invalid entries are computed\n"
+        "                       (needs --store or ROWSIM_RESULTS=on)\n"
         "  --jobs N             worker threads, 0 (serial) .. 1024\n"
         "                       (default: cores, or ROWSIM_SWEEP_THREADS)\n"
         "  --strict             fail fast: abort the sweep on any failure\n"
@@ -71,7 +72,8 @@ usage(FILE *out)
         "  --workload W         restrict the matrix to workload W\n"
         "                       (repeatable)\n"
         "  --list               print the job matrix and exit\n"
-        "  --expect-cached      exit 1 if any job had to be recomputed\n");
+        "  --expect-cached      exit 1 if any job had to be recomputed\n"
+        "                       (needs --store or ROWSIM_RESULTS=on)\n");
 }
 
 /** --jobs, checked against the ROWSIM_SWEEP_THREADS range; 0 runs
@@ -176,13 +178,19 @@ parseArgs(int argc, char **argv)
         usage(stderr);
         ROWSIM_FATAL("rowsim_sweep: no figure given");
     }
+    // Both flags ask about stored results; without a store every job
+    // would be recomputed and nothing kept.
+    if ((o.resume || o.expectCached) && o.sweep.storeDir.empty())
+        ROWSIM_FATAL("rowsim_sweep: %s needs a result store (--store DIR "
+                     "or ROWSIM_RESULTS=on)",
+                     o.resume ? "--resume" : "--expect-cached");
     return o;
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     const CliOptions opt = parseArgs(argc, argv);
 
@@ -219,7 +227,7 @@ main(int argc, char **argv)
     std::vector<RunResult> results(jobs.size());
     std::vector<bool> served(jobs.size(), false);
     std::size_t precached = 0;
-    if (opt.resume && !opt.sweep.storeDir.empty()) {
+    if (opt.resume) {
         ResultStore store(opt.sweep.storeDir);
         for (std::size_t i = 0; i < jobs.size(); i++) {
             const SweepJob &j = jobs[i];
@@ -287,4 +295,10 @@ main(int argc, char **argv)
         return 1;
     }
     return failedCount == 0 ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return rowsim::runMain(cliMain, argc, argv);
 }

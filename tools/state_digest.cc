@@ -199,7 +199,7 @@ runFuncCheck(const std::vector<std::string> &workloads)
 } // namespace
 
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     bool sections = false, funcCheck = false;
     std::vector<std::string> workloads;
@@ -225,4 +225,10 @@ main(int argc, char **argv)
     if (workloads.empty())
         workloads = kSuiteWorkloads;
     return runSuite(workloads, sections);
+}
+
+int
+main(int argc, char **argv)
+{
+    return rowsim::runMain(cliMain, argc, argv);
 }
