@@ -60,9 +60,8 @@ parseLogLevel(const std::string &name)
         return LogLevel::Warn;
     if (name == "info")
         return LogLevel::Info;
-    fatalImpl(__FILE__, __LINE__,
-              "bad ROWSIM_LOG_LEVEL '" + name +
-                  "' (valid: silent, warn, info)");
+    fatalImpl("bad ROWSIM_LOG_LEVEL '" + name +
+              "' (valid: silent, warn, info)");
 }
 
 std::string
@@ -149,9 +148,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
+    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::fflush(stderr);
     throw FatalError("rowsim fatal: " + msg);
 }

@@ -49,7 +49,8 @@ void setLogLevel(LogLevel level);
 LogLevel parseLogLevel(const std::string &name);
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+/** A user error names no source location: the message says what to fix. */
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -94,7 +95,7 @@ runMain(int (*body)(Args...), Args... args)
 
 /** Exit on a user error (bad configuration, invalid parameters). */
 #define ROWSIM_FATAL(...) \
-    ::rowsim::fatalImpl(__FILE__, __LINE__, ::rowsim::strprintf(__VA_ARGS__))
+    ::rowsim::fatalImpl(::rowsim::strprintf(__VA_ARGS__))
 
 #define ROWSIM_WARN(...) \
     ::rowsim::warnImpl(::rowsim::strprintf(__VA_ARGS__))

@@ -6,36 +6,6 @@ namespace rowsim
 {
 
 void
-Counter::save(Ser &s) const
-{
-    s.u64(value_);
-}
-
-void
-Counter::restore(Deser &d)
-{
-    value_ = d.u64();
-}
-
-void
-Average::save(Ser &s) const
-{
-    s.f64(sum_);
-    s.u64(count_);
-    s.f64(min_);
-    s.f64(max_);
-}
-
-void
-Average::restore(Deser &d)
-{
-    sum_ = d.f64();
-    count_ = d.u64();
-    min_ = d.f64();
-    max_ = d.f64();
-}
-
-void
 Histogram::save(Ser &s) const
 {
     s.f64(lo_);
@@ -45,7 +15,7 @@ Histogram::save(Ser &s) const
         s.u64(c);
     s.u64(underflow_);
     s.u64(overflow_);
-    avg_.save(s);
+    s.io(avg_);
 }
 
 void
@@ -65,7 +35,7 @@ Histogram::restore(Deser &d)
         c = d.u64();
     underflow_ = d.u64();
     overflow_ = d.u64();
-    avg_.restore(d);
+    d.io(avg_);
 }
 
 void
@@ -76,12 +46,12 @@ StatGroup::save(Ser &s) const
     s.u64(counters_.size());
     for (const auto &[name, c] : counters_) {
         s.str(name);
-        c.save(s);
+        s.io(c);
     }
     s.u64(averages_.size());
     for (const auto &[name, a] : averages_) {
         s.str(name);
-        a.save(s);
+        s.io(a);
     }
     s.u64(histograms_.size());
     for (const auto &[name, h] : histograms_) {
@@ -105,13 +75,13 @@ StatGroup::restore(Deser &d)
     const std::uint64_t nCounters = d.u64();
     for (std::uint64_t i = 0; i < nCounters; i++) {
         const std::string key = d.str();
-        counters_[key].restore(d);
+        d.io(counters_[key]);
     }
     averages_.clear();
     const std::uint64_t nAverages = d.u64();
     for (std::uint64_t i = 0; i < nAverages; i++) {
         const std::string key = d.str();
-        averages_[key].restore(d);
+        d.io(averages_[key]);
     }
     // Histograms have no default constructor (geometry is fixed at
     // creation); emplace each with the geometry peeked from the stream,

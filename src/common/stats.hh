@@ -33,8 +33,8 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar> void visit(Ar &ar) { ar.u64(value_); }
 
   private:
     std::uint64_t value_ = 0;
@@ -88,8 +88,16 @@ class Average
     double min() const { return min_; }
     double max() const { return max_; }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.f64(sum_);
+        ar.u64(count_);
+        ar.f64(min_);
+        ar.f64(max_);
+    }
 
   private:
     double sum_ = 0;

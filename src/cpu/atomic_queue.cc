@@ -88,72 +88,17 @@ AtomicQueue::find(SeqNum seq) const
     return -1;
 }
 
+template <class Ar>
 void
-AtomicQueue::save(Ser &s) const
+AtomicQueue::visit(Ar &ar)
 {
-    s.section("aq");
-    s.u32(capacity);
-    s.u32(headIdx);
-    s.u32(tailIdx);
-    s.u32(count);
-    for (const AqEntry &e : slots) {
-        s.b(e.valid);
-        s.u64(e.seq);
-        s.u64(e.pc);
-        s.u64(e.addr);
-        s.b(e.locked);
-        s.b(e.contended);
-        s.b(e.oracleContended);
-        s.b(e.onlyCalcAddr);
-        s.b(e.predictedContended);
-        s.u16(e.issuedCycle14);
-        s.b(e.timestampValid);
-        s.u8(static_cast<std::uint8_t>(e.lockSource));
-        s.u64(e.newValue);
-        s.u64(static_cast<std::uint64_t>(e.sqIdx));
-        s.u64(e.dispatchCycle);
-        s.u64(e.readyCycle);
-        s.u64(e.issueCycle);
-        s.u64(e.lockCycle);
-    }
+    ar.section("aq");
+    visitRing(ar, "AQ capacity", capacity, headIdx, tailIdx, count);
+    for (AqEntry &e : slots)
+        ar.io(e);
 }
 
-void
-AtomicQueue::restore(Deser &d)
-{
-    d.section("aq");
-    const std::uint32_t cap = d.u32();
-    if (cap != capacity) {
-        throw SnapshotError(strprintf(
-            "AQ capacity mismatch: image %u, configured %u", cap,
-            capacity));
-    }
-    headIdx = d.u32();
-    tailIdx = d.u32();
-    count = d.u32();
-    for (AqEntry &e : slots) {
-        e.valid = d.b();
-        e.seq = d.u64();
-        e.pc = d.u64();
-        e.addr = d.u64();
-        e.locked = d.b();
-        e.contended = d.b();
-        e.oracleContended = d.b();
-        e.onlyCalcAddr = d.b();
-        e.predictedContended = d.b();
-        e.issuedCycle14 = d.u16();
-        e.timestampValid = d.b();
-        e.lockSource = static_cast<FillSource>(d.u8());
-        e.newValue = d.u64();
-        e.sqIdx = static_cast<int>(d.u64());
-        e.dispatchCycle = d.u64();
-        e.readyCycle = d.u64();
-        e.issueCycle = d.u64();
-        e.lockCycle = d.u64();
-        // Span IDs are observability state, never serialized: a restored
-        // in-flight atomic is untraced (counted as spansTruncated).
-        e.spanId = 0;
-    }
-}
+template void AtomicQueue::visit(Ser &);
+template void AtomicQueue::visit(Deser &);
 
 } // namespace rowsim

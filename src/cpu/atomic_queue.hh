@@ -23,9 +23,6 @@
 namespace rowsim
 {
 
-class Ser;
-class Deser;
-
 /** One in-flight atomic RMW. */
 struct AqEntry
 {
@@ -75,6 +72,36 @@ struct AqEntry
 
     Addr line() const { return addr == invalidAddr ? invalidAddr
                                                    : lineAlign(addr); }
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.b(valid);
+        ar.u64(seq);
+        ar.u64(pc);
+        ar.u64(addr);
+        ar.b(locked);
+        ar.b(contended);
+        ar.b(oracleContended);
+        ar.b(onlyCalcAddr);
+        ar.b(predictedContended);
+        ar.u16(issuedCycle14);
+        ar.b(timestampValid);
+        ar.enumByte(lockSource, FillSource::Forwarded, "AQ lock source");
+        ar.u64(newValue);
+        ar.u64(sqIdx);
+        ar.u64(dispatchCycle);
+        ar.u64(readyCycle);
+        ar.u64(issueCycle);
+        ar.u64(lockCycle);
+        // Span IDs are observability state, never serialized: a
+        // restored in-flight atomic is untraced (counted as
+        // spansTruncated).
+        if constexpr (Ar::loading)
+            spanId = 0;
+    }
 };
 
 /** The queue itself: a circular FIFO of AqEntry. */
@@ -154,8 +181,8 @@ class AtomicQueue
      *  contended + only-calculate-address + 14-bit timestamp per entry. */
     unsigned rowStorageBits() const { return capacity * (1 + 1 + 14); }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     unsigned capacity;

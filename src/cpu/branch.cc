@@ -69,40 +69,21 @@ BranchPredictor::update(Addr pc, bool taken)
     return correct;
 }
 
+template <class Ar>
 void
-BranchPredictor::save(Ser &s) const
+BranchPredictor::visit(Ar &ar)
 {
-    s.section("branch");
-    s.u32(tableBits);
-    s.u32(historyBits);
-    s.u64(history);
-    for (std::uint8_t c : bimodal)
-        s.u8(c);
-    for (std::uint8_t c : gshare)
-        s.u8(c);
-    for (std::uint8_t c : chooser)
-        s.u8(c);
+    ar.section("branch");
+    ar.expect(tableBits, "branch predictor table bits");
+    ar.expect(historyBits, "branch predictor history bits");
+    ar.u64(history);
+    for (auto *table : {&bimodal, &gshare, &chooser}) {
+        for (std::uint8_t &c : *table)
+            ar.u8(c);
+    }
 }
 
-void
-BranchPredictor::restore(Deser &d)
-{
-    d.section("branch");
-    const std::uint32_t tb = d.u32();
-    const std::uint32_t hb = d.u32();
-    if (tb != tableBits || hb != historyBits) {
-        throw SnapshotError(strprintf(
-            "branch predictor geometry mismatch: image %u/%u bits, "
-            "configured %u/%u",
-            tb, hb, tableBits, historyBits));
-    }
-    history = d.u64();
-    for (std::uint8_t &c : bimodal)
-        c = d.u8();
-    for (std::uint8_t &c : gshare)
-        c = d.u8();
-    for (std::uint8_t &c : chooser)
-        c = d.u8();
-}
+template void BranchPredictor::visit(Ser &);
+template void BranchPredictor::visit(Deser &);
 
 } // namespace rowsim

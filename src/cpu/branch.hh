@@ -18,9 +18,6 @@
 namespace rowsim
 {
 
-class Ser;
-class Deser;
-
 /** Tournament (bimodal + gshare) direction predictor. */
 class BranchPredictor
 {
@@ -36,10 +33,9 @@ class BranchPredictor
 
     StatGroup &stats() { return stats_; }
 
-    /** Architectural state only (history + tables); stats travel in the
-     *  System's stats pass. */
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh): history and tables;
+     *  stats travel in the System's stats pass. */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     unsigned bimodalIndex(Addr pc) const;

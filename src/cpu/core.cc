@@ -1529,220 +1529,79 @@ Core::dumpDiag(std::FILE *out, Cycle now) const
     std::fprintf(out, "]}");
 }
 
+template <class Ar>
 void
-Core::save(Ser &s) const
+Core::visit(Ar &ar)
 {
-    s.section("core");
-    s.u32(coreId);
+    ar.section("core");
+    ar.expect(coreId, "core id");
 
     // Every ROB slot is serialized, stale entries included: restored slot
     // garbage then matches an uninterrupted run's, so any later image of
     // the two executions stays bit-identical.
-    s.u64(robSlots.size());
-    for (const RobEntry &e : robSlots) {
-        saveOp(s, e.op);
-        s.u64(e.seq);
-        s.b(e.busy);
-        s.b(e.issued);
-        s.b(e.completed);
-        s.b(e.wokeDependents);
-        s.u8(e.depsPending);
-        s.u16(e.replayGen);
-        s.u64(e.dispatchCycle);
-        s.u64(e.readyCycle);
-        s.u64(static_cast<std::uint64_t>(e.lqIdx));
-        s.u64(static_cast<std::uint64_t>(e.sqIdx));
-        s.u64(static_cast<std::uint64_t>(e.aqIdx));
-        s.u32(e.ssSet);
-        s.u8(static_cast<std::uint8_t>(e.astate));
-        s.b(e.lazySelected);
-        s.b(e.forwardedAtomic);
-        s.u64(e.waitStoreSeq);
-        s.u64(e.reissueReadyAt);
-        s.b(e.fillContentionHint);
-        s.u64(e.result);
-        s.u64(e.atomicNewValue);
-        s.u64(e.dependents.size());
-        for (SeqNum dep : e.dependents)
-            s.u64(dep);
+    ar.expect(std::uint64_t{robSlots.size()}, "ROB entries");
+    for (RobEntry &e : robSlots)
+        ar.io(e);
+
+    ar.io(lq);
+    ar.io(sq);
+    ar.io(aq);
+    ar.io(branchPred);
+    ar.io(storeSet);
+    ar.io(rowPredictor);
+
+    ar.u64(nextSeq);
+    ar.u64(commitSeq);
+
+    // priority_queue has no iterators: the image lists it in pop order
+    // (ascending SeqNum), which is also the order restore re-pushes in.
+    std::vector<SeqNum> ready;
+    if constexpr (!Ar::loading) {
+        for (auto q = readyQueue; !q.empty(); q.pop())
+            ready.push_back(q.top());
     }
-
-    lq.save(s);
-    sq.save(s);
-    aq.save(s);
-    branchPred.save(s);
-    storeSet.save(s);
-    rowPredictor.save(s);
-
-    s.u64(nextSeq);
-    s.u64(commitSeq);
-
-    // priority_queue has no iterators; copy-drain in pop order (ascending
-    // SeqNum), which is also exactly the order restore re-pushes in.
-    auto readyCopy = readyQueue;
-    s.u64(readyCopy.size());
-    while (!readyCopy.empty()) {
-        s.u64(readyCopy.top());
-        readyCopy.pop();
+    ar.list(ready, "ready queue", [&](auto &seq) { ar.u64(seq); });
+    if constexpr (Ar::loading) {
+        readyQueue = {};
+        for (SeqNum seq : ready)
+            readyQueue.push(seq);
     }
-
-    s.u64(waiting.size());
-    for (SeqNum w : waiting)
-        s.u64(w);
-
-    s.u64(completions.size());
-    for (const auto &[cycle, ev] : completions) {
-        s.u64(cycle);
-        s.u64(ev.first);
-        s.u16(ev.second);
-    }
-
-    s.u64(pendingUnlocks.size());
-    for (const auto &[cycle, seq] : pendingUnlocks) {
-        s.u64(cycle);
-        s.u64(seq);
-    }
-
-    s.u64(memBarriers.size());
-    for (SeqNum b : memBarriers)
-        s.u64(b);
-
-    s.u64(fwdLockWaiters.size());
-    for (const auto &[storeSeq, atomicSeq] : fwdLockWaiters) {
-        s.u64(storeSeq);
-        s.u64(atomicSeq);
-    }
-
-    s.u64(fetchBuffer.size());
-    for (const MicroOp &op : fetchBuffer)
-        saveOp(s, op);
-    s.u64(fetchBlockedBy);
-    s.u64(fetchBlockedUntil);
-    s.u32(iqOccupancy);
-    s.b(halted);
-    s.b(issueTruncated_);
-
-    s.u64(committedInsts);
-    s.u64(committedAtomicCount);
-    s.u64(iterations);
-
-    stream->save(s);
-}
-
-void
-Core::restore(Deser &d)
-{
-    d.section("core");
-    const CoreId id = d.u32();
-    if (id != coreId) {
-        throw SnapshotError(strprintf(
-            "core id mismatch: image core %u restored into core %u", id,
-            coreId));
-    }
-
-    const std::uint64_t nRob = d.u64();
-    if (nRob != robSlots.size()) {
-        throw SnapshotError(strprintf(
-            "ROB size mismatch: image %llu entries, configured %zu",
-            static_cast<unsigned long long>(nRob), robSlots.size()));
-    }
-    for (RobEntry &e : robSlots) {
-        restoreOp(d, e.op);
-        e.seq = d.u64();
-        e.busy = d.b();
-        e.issued = d.b();
-        e.completed = d.b();
-        e.wokeDependents = d.b();
-        e.depsPending = d.u8();
-        e.replayGen = d.u16();
-        e.dispatchCycle = d.u64();
-        e.readyCycle = d.u64();
-        e.lqIdx = static_cast<int>(d.u64());
-        e.sqIdx = static_cast<int>(d.u64());
-        e.aqIdx = static_cast<int>(d.u64());
-        e.ssSet = d.u32();
-        e.astate = static_cast<AState>(d.u8());
-        e.lazySelected = d.b();
-        e.forwardedAtomic = d.b();
-        e.waitStoreSeq = d.u64();
-        e.reissueReadyAt = d.u64();
-        e.fillContentionHint = d.b();
-        e.result = d.u64();
-        e.atomicNewValue = d.u64();
-        e.dependents.resize(d.u64());
-        for (SeqNum &dep : e.dependents)
-            dep = d.u64();
-    }
-
-    lq.restore(d);
-    sq.restore(d);
-    aq.restore(d);
-    branchPred.restore(d);
-    storeSet.restore(d);
-    rowPredictor.restore(d);
-
-    nextSeq = d.u64();
-    commitSeq = d.u64();
-
-    readyQueue = {};
-    const std::uint64_t nReady = d.u64();
-    for (std::uint64_t i = 0; i < nReady; i++)
-        readyQueue.push(d.u64());
 
     // Wake state is not in the image: every waiting op polls on the
     // next issue pass, as the saving run's would have.
-    waiting.resize(d.u64());
-    for (SeqNum &w : waiting) {
-        w = d.u64();
-        rob(w).wakeOn = WakeOn::Due;
-    }
+    ar.list(waiting, "waiting ops", [&](auto &seq) {
+        ar.u64(seq);
+        if constexpr (Ar::loading)
+            rob(seq).wakeOn = WakeOn::Due;
+    });
+    ar.list(completions, "completions", [&](auto &kv) {
+        ar.u64(kv.first);
+        ar.u64(kv.second.first);
+        ar.u16(kv.second.second);
+    });
+    const auto seqPair = [&](auto &kv) {
+        ar.u64(kv.first);
+        ar.u64(kv.second);
+    };
+    ar.list(pendingUnlocks, "pending unlocks", seqPair);
+    ar.list(memBarriers, "memory barriers", [&](auto &seq) { ar.u64(seq); });
+    ar.list(fwdLockWaiters, "forwarded-lock waiters", seqPair);
 
-    completions.clear();
-    const std::uint64_t nCompl = d.u64();
-    for (std::uint64_t i = 0; i < nCompl; i++) {
-        const Cycle cycle = d.u64();
-        const SeqNum seq = d.u64();
-        const std::uint16_t gen = d.u16();
-        completions.emplace_hint(completions.end(), cycle,
-                                 std::make_pair(seq, gen));
-    }
+    ar.list(fetchBuffer, "fetch buffer", [&](auto &op) { ar.io(op); });
+    ar.u64(fetchBlockedBy);
+    ar.u64(fetchBlockedUntil);
+    ar.u32(iqOccupancy);
+    ar.b(halted);
+    ar.b(issueTruncated_);
 
-    pendingUnlocks.clear();
-    const std::uint64_t nUnlocks = d.u64();
-    for (std::uint64_t i = 0; i < nUnlocks; i++) {
-        const Cycle cycle = d.u64();
-        const SeqNum seq = d.u64();
-        pendingUnlocks.emplace_hint(pendingUnlocks.end(), cycle, seq);
-    }
+    ar.u64(committedInsts);
+    ar.u64(committedAtomicCount);
+    ar.u64(iterations);
 
-    memBarriers.clear();
-    const std::uint64_t nBarriers = d.u64();
-    for (std::uint64_t i = 0; i < nBarriers; i++)
-        memBarriers.insert(memBarriers.end(), d.u64());
-
-    fwdLockWaiters.clear();
-    const std::uint64_t nFwd = d.u64();
-    for (std::uint64_t i = 0; i < nFwd; i++) {
-        const SeqNum storeSeq = d.u64();
-        const SeqNum atomicSeq = d.u64();
-        fwdLockWaiters.emplace_hint(fwdLockWaiters.end(), storeSeq,
-                                    atomicSeq);
-    }
-
-    fetchBuffer.resize(d.u64());
-    for (MicroOp &op : fetchBuffer)
-        restoreOp(d, op);
-    fetchBlockedBy = d.u64();
-    fetchBlockedUntil = d.u64();
-    iqOccupancy = d.u32();
-    halted = d.b();
-    issueTruncated_ = d.b();
-
-    committedInsts = d.u64();
-    committedAtomicCount = d.u64();
-    iterations = d.u64();
-
-    stream->restore(d);
+    ar.io(*stream);
 }
+
+template void Core::visit(Ser &);
+template void Core::visit(Deser &);
 
 } // namespace rowsim

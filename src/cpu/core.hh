@@ -125,11 +125,10 @@ class Core : public MemClient
      *  lines, and occupancy — emitted by System::dumpCrashDiagnostics. */
     void dumpDiag(std::FILE *out, Cycle now) const;
 
-    /** Architectural state: ROB, queues, predictors, scheduling events,
-     *  the instruction stream position. Stats travel in the System's
-     *  stats pass. */
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh): ROB, queues, predictors,
+     *  scheduling events, the instruction stream position. Stats travel
+     *  in the System's stats pass. */
+    template <class Ar> void visit(Ar &ar);
 
     /**
      * Functional fast-mode step (src/sim/funcmode.cc): architecturally
@@ -206,6 +205,37 @@ class Core : public MemClient
         std::uint64_t result = 0;
         std::uint64_t atomicNewValue = 0;
         std::vector<SeqNum> dependents;
+
+        /** Snapshot field list; wakeOn is restored by Core::visit. */
+        template <class Ar>
+        void
+        visit(Ar &ar)
+        {
+            ar.io(op);
+            ar.u64(seq);
+            ar.b(busy);
+            ar.b(issued);
+            ar.b(completed);
+            ar.b(wokeDependents);
+            ar.u8(depsPending);
+            ar.u16(replayGen);
+            ar.u64(dispatchCycle);
+            ar.u64(readyCycle);
+            ar.u64(lqIdx);
+            ar.u64(sqIdx);
+            ar.u64(aqIdx);
+            ar.u32(ssSet);
+            ar.enumByte(astate, AState::Done, "atomic state");
+            ar.b(lazySelected);
+            ar.b(forwardedAtomic);
+            ar.u64(waitStoreSeq);
+            ar.u64(reissueReadyAt);
+            ar.b(fillContentionHint);
+            ar.u64(result);
+            ar.u64(atomicNewValue);
+            ar.list(dependents, "ROB dependents",
+                    [&](auto &dep) { ar.u64(dep); });
+        }
     };
 
     // --- pipeline stages ---

@@ -152,96 +152,29 @@ StoreQueue::sbEmpty() const
 // All slots are serialized, invalid ones included: restored slot garbage
 // then matches an uninterrupted run's, keeping later images bit-identical.
 
+template <class Ar>
 void
-LoadQueue::save(Ser &s) const
+LoadQueue::visit(Ar &ar)
 {
-    s.section("lq");
-    s.u32(capacity);
-    s.u32(headIdx);
-    s.u32(tailIdx);
-    s.u32(count);
-    for (const LqEntry &e : slots) {
-        s.b(e.valid);
-        s.u64(e.seq);
-        s.u64(e.addr);
-        s.b(e.issued);
-        s.b(e.completed);
-        s.b(e.isAtomic);
-        s.u64(e.fwdFrom);
-    }
+    ar.section("lq");
+    visitRing(ar, "LQ capacity", capacity, headIdx, tailIdx, count);
+    for (LqEntry &e : slots)
+        ar.io(e);
 }
 
+template <class Ar>
 void
-LoadQueue::restore(Deser &d)
+StoreQueue::visit(Ar &ar)
 {
-    d.section("lq");
-    const std::uint32_t cap = d.u32();
-    if (cap != capacity) {
-        throw SnapshotError(strprintf(
-            "LQ capacity mismatch: image %u, configured %u", cap,
-            capacity));
-    }
-    headIdx = d.u32();
-    tailIdx = d.u32();
-    count = d.u32();
-    for (LqEntry &e : slots) {
-        e.valid = d.b();
-        e.seq = d.u64();
-        e.addr = d.u64();
-        e.issued = d.b();
-        e.completed = d.b();
-        e.isAtomic = d.b();
-        e.fwdFrom = d.u64();
-    }
+    ar.section("sq");
+    visitRing(ar, "SQ capacity", capacity, headIdx, tailIdx, count);
+    for (SqEntry &e : slots)
+        ar.io(e);
 }
 
-void
-StoreQueue::save(Ser &s) const
-{
-    s.section("sq");
-    s.u32(capacity);
-    s.u32(headIdx);
-    s.u32(tailIdx);
-    s.u32(count);
-    for (const SqEntry &e : slots) {
-        s.b(e.valid);
-        s.u64(e.seq);
-        s.u64(e.addr);
-        s.u64(e.value);
-        s.b(e.addressReady);
-        s.b(e.valueReady);
-        s.b(e.committed);
-        s.b(e.writeInFlight);
-        s.b(e.written);
-        s.b(e.isAtomic);
-    }
-}
-
-void
-StoreQueue::restore(Deser &d)
-{
-    d.section("sq");
-    const std::uint32_t cap = d.u32();
-    if (cap != capacity) {
-        throw SnapshotError(strprintf(
-            "SQ capacity mismatch: image %u, configured %u", cap,
-            capacity));
-    }
-    headIdx = d.u32();
-    tailIdx = d.u32();
-    count = d.u32();
-    for (SqEntry &e : slots) {
-        e.valid = d.b();
-        e.seq = d.u64();
-        e.addr = d.u64();
-        e.value = d.u64();
-        e.addressReady = d.b();
-        e.valueReady = d.b();
-        e.committed = d.b();
-        e.writeInFlight = d.b();
-        e.written = d.b();
-        e.isAtomic = d.b();
-    }
-}
+template void LoadQueue::visit(Ser &);
+template void LoadQueue::visit(Deser &);
+template void StoreQueue::visit(Ser &);
+template void StoreQueue::visit(Deser &);
 
 } // namespace rowsim

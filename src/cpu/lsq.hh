@@ -18,9 +18,6 @@
 namespace rowsim
 {
 
-class Ser;
-class Deser;
-
 /** Word-granular address (all simulated accesses are 8-byte words). */
 constexpr Addr
 wordAlign(Addr a)
@@ -39,6 +36,20 @@ struct LqEntry
     /** Store this load forwarded from (0: value came from the cache).
      *  Used to filter memory-order-violation scans. */
     SeqNum fwdFrom = 0;
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.b(valid);
+        ar.u64(seq);
+        ar.u64(addr);
+        ar.b(issued);
+        ar.b(completed);
+        ar.b(isAtomic);
+        ar.u64(fwdFrom);
+    }
 };
 
 struct SqEntry
@@ -56,6 +67,23 @@ struct SqEntry
     bool writeInFlight = false;
     bool written = false;
     bool isAtomic = false; ///< the STU micro-op of an atomic RMW
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.b(valid);
+        ar.u64(seq);
+        ar.u64(addr);
+        ar.u64(value);
+        ar.b(addressReady);
+        ar.b(valueReady);
+        ar.b(committed);
+        ar.b(writeInFlight);
+        ar.b(written);
+        ar.b(isAtomic);
+    }
 };
 
 /** Circular FIFO load queue. */
@@ -102,8 +130,8 @@ class LoadQueue
         }
     }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     unsigned capacity;
@@ -184,8 +212,8 @@ class StoreQueue
         }
     }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     unsigned capacity;

@@ -74,6 +74,24 @@ struct MicroOp
         return cls == OpClass::Load || cls == OpClass::Store ||
                cls == OpClass::AtomicRMW;
     }
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.enumByte(cls, OpClass::Nop, "op class");
+        ar.enumByte(aop, AtomicOp::Swap, "atomic op");
+        ar.u64(addr);
+        ar.u64(pc);
+        ar.u16(execLatency);
+        ar.u32(src0);
+        ar.u32(src1);
+        ar.b(takenBranch);
+        ar.u64(value);
+        ar.b(casExpectMismatch);
+        ar.b(endOfIteration);
+    }
 };
 
 } // namespace rowsim

@@ -74,37 +74,21 @@ StoreSet::clear()
         f = 0;
 }
 
+template <class Ar>
 void
-StoreSet::save(Ser &s) const
+StoreSet::visit(Ar &ar)
 {
-    s.section("storeset");
-    s.u32(ssitBits);
-    s.u64(lfst.size());
-    for (std::uint32_t v : ssit)
-        s.u32(v);
-    for (SeqNum v : lfst)
-        s.u64(v);
-    s.u32(nextSetId);
+    ar.section("storeset");
+    ar.expect(ssitBits, "store-set SSIT bits");
+    ar.expect(std::uint64_t{lfst.size()}, "store-set LFST entries");
+    for (std::uint32_t &v : ssit)
+        ar.u32(v);
+    for (SeqNum &v : lfst)
+        ar.u64(v);
+    ar.u32(nextSetId);
 }
 
-void
-StoreSet::restore(Deser &d)
-{
-    d.section("storeset");
-    const std::uint32_t bits = d.u32();
-    const std::uint64_t lfstEntries = d.u64();
-    if (bits != ssitBits || lfstEntries != lfst.size()) {
-        throw SnapshotError(strprintf(
-            "store-set geometry mismatch: image %u bits / %llu LFST "
-            "entries, configured %u / %zu",
-            bits, static_cast<unsigned long long>(lfstEntries), ssitBits,
-            lfst.size()));
-    }
-    for (std::uint32_t &v : ssit)
-        v = d.u32();
-    for (SeqNum &v : lfst)
-        v = d.u64();
-    nextSetId = d.u32();
-}
+template void StoreSet::visit(Ser &);
+template void StoreSet::visit(Deser &);
 
 } // namespace rowsim

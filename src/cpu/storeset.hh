@@ -19,9 +19,6 @@
 namespace rowsim
 {
 
-class Ser;
-class Deser;
-
 class StoreSet
 {
   public:
@@ -53,8 +50,8 @@ class StoreSet
 
     StatGroup &stats() { return stats_; }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     unsigned index(Addr pc) const;

@@ -1,6 +1,5 @@
 #include "cpu/stream.hh"
 
-#include "common/log.hh"
 #include "sim/snapshot.hh"
 
 namespace rowsim
@@ -20,29 +19,18 @@ InstStream::restore(Deser &)
                         "checkpointing");
 }
 
-// The loop body is config-derived; only the position needs to travel.
+template <class Ar>
 void
-LoopStream::save(Ser &s) const
+LoopStream::visit(Ar &ar)
 {
-    s.section("loopstream");
-    s.u64(body_.size());
-    s.u64(idx);
-}
-
-void
-LoopStream::restore(Deser &d)
-{
-    d.section("loopstream");
-    const std::uint64_t size = d.u64();
-    if (size != body_.size()) {
-        throw SnapshotError(strprintf(
-            "loop stream body mismatch: image has %llu ops, this run "
-            "built %zu",
-            static_cast<unsigned long long>(size), body_.size()));
-    }
-    idx = static_cast<std::size_t>(d.u64());
-    if (idx >= body_.size())
+    ar.section("loopstream");
+    ar.expect(std::uint64_t{body_.size()}, "loop stream body size");
+    ar.u64(idx);
+    if (Ar::loading && idx >= body_.size())
         throw SnapshotError("loop stream position out of range");
 }
+
+template void LoopStream::visit(Ser &);
+template void LoopStream::visit(Deser &);
 
 } // namespace rowsim

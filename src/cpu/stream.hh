@@ -10,12 +10,10 @@
 #include <vector>
 
 #include "cpu/microop.hh"
+#include "sim/snapshot.hh"
 
 namespace rowsim
 {
-
-class Ser;
-class Deser;
 
 /**
  * An infinite per-thread micro-op stream. Implementations must be
@@ -29,9 +27,12 @@ class InstStream
     /** Produce the next micro-op. */
     virtual MicroOp next() = 0;
 
-    /** Snapshot the stream's position. The defaults throw SnapshotError:
-     *  a stream type that cannot round-trip must refuse to checkpoint
-     *  rather than silently resume from the wrong place. */
+    /** Snapshot the stream's position. `Ser::io`/`Deser::io` reach a
+     *  stream through these virtual entry points; a checkpointable
+     *  stream forwards both to its visit() field list. The defaults
+     *  throw SnapshotError: a stream type that cannot round-trip must
+     *  refuse to checkpoint rather than silently resume from the wrong
+     *  place. */
     virtual void save(Ser &s) const;
     virtual void restore(Deser &d);
 };
@@ -54,8 +55,11 @@ class LoopStream : public InstStream
         return op;
     }
 
-    void save(Ser &s) const override;
-    void restore(Deser &d) override;
+    void save(Ser &s) const override { s.io(*this); }
+    void restore(Deser &d) override { d.io(*this); }
+    /** Snapshot field list: the position only (the body is
+     *  config-derived). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     std::vector<MicroOp> body_;

@@ -168,7 +168,7 @@ CacheArray::restore(Deser &d)
         }
         Line &l = lines[i];
         l.tag = d.vu64() << 6;
-        l.state = static_cast<CacheState>(d.u8());
+        d.enumByte(l.state, CacheState::Modified, "cache line state");
         l.lastUse = d.vu64();
     }
 }

@@ -624,22 +624,16 @@ Directory::save(Ser &s) const
         s.u32(t.pendingAcks);
         s.u64(t.dataReady);
         s.b(t.dataPending);
-        saveMsg(s, dataMsgOf(line, t));
+        s.io(dataMsgOf(line, t));
         s.u64(t.blockedSince);
-        s.u64(t.queued.size());
-        for (const Msg &m : t.queued)
-            saveMsg(s, m);
+        s.list(t.queued, "queued requests", [&](auto &m) { s.io(m); });
     }
 
-    s.u64(wake.size());
-    for (const auto &[cycle, line] : wake) {
-        s.u64(cycle);
-        s.u64(line);
-    }
-
-    s.u64(stallBuffer.size());
-    for (const Msg &m : stallBuffer)
-        saveMsg(s, m);
+    s.list(wake, "wake-ups", [&](auto &kv) {
+        s.u64(kv.first);
+        s.u64(kv.second);
+    });
+    s.list(stallBuffer, "stall buffer", [&](auto &m) { s.io(m); });
     s.u64(stalledUntil);
 
     llcArray.save(s);
@@ -683,6 +677,8 @@ Directory::restore(Deser &d)
         // Flag byte from save(): low bits = stable state, top bit =
         // quiescent (no transaction record).
         const std::uint8_t flag = d.u8();
+        if ((flag & 0x7f) > static_cast<std::uint8_t>(DirState::Blocked))
+            throw SnapshotError("corrupted directory state byte");
         slots[si].state = static_cast<DirState>(flag & 0x7f);
         slots[si].sharers = d.vu64();
         const std::uint64_t owner = d.vu64();
@@ -692,14 +688,14 @@ Directory::restore(Deser &d)
             continue;
         Txn &t = txns[recordFor(si)];
         t.requester = d.u32();
-        t.nextState = static_cast<DirState>(d.u8());
+        d.enumByte(t.nextState, DirState::Blocked, "directory next state");
         t.nextOwner = d.u32();
         t.nextSharers = d.u64();
         t.pendingAcks = d.u32();
         t.dataReady = d.u64();
         t.dataPending = d.b();
         Msg data;
-        restoreMsg(d, data);
+        d.io(data);
         t.dataType = data.type;
         t.dataDst = data.dst;
         t.dataFromMemory = data.fromMemory;
@@ -719,29 +715,14 @@ Directory::restore(Deser &d)
                 bankIndex, static_cast<unsigned long long>(line)));
         }
         t.blockedSince = d.u64();
-        const std::uint64_t nQueued = d.u64();
-        for (std::uint64_t q = 0; q < nQueued; q++) {
-            Msg m;
-            restoreMsg(d, m);
-            t.queued.push_back(m);
-        }
+        d.list(t.queued, "queued requests", [&](auto &m) { d.io(m); });
     }
 
-    wake.clear();
-    const std::uint64_t nWake = d.u64();
-    for (std::uint64_t i = 0; i < nWake; i++) {
-        const Cycle cycle = d.u64();
-        const Addr line = d.u64();
-        wake.emplace_hint(wake.end(), cycle, line);
-    }
-
-    stallBuffer.clear();
-    const std::uint64_t nStalled = d.u64();
-    for (std::uint64_t i = 0; i < nStalled; i++) {
-        Msg m;
-        restoreMsg(d, m);
-        stallBuffer.push_back(m);
-    }
+    d.list(wake, "wake-ups", [&](auto &kv) {
+        d.u64(kv.first);
+        d.u64(kv.second);
+    });
+    d.list(stallBuffer, "stall buffer", [&](auto &m) { d.io(m); });
     stalledUntil = d.u64();
 
     llcArray.restore(d);

@@ -1,7 +1,6 @@
 #include "mem/l1cache.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/log.hh"
 #include "common/trace.hh"
@@ -673,186 +672,40 @@ PrivateCache::inL1(Addr line) const
     return l1Array.peek(line) != nullptr;
 }
 
-namespace
-{
-
+template <class Ar>
 void
-saveAccess(Ser &s, const MemAccess &a)
+PrivateCache::visit(Ar &ar)
 {
-    s.u64(a.addr);
-    s.u64(a.token);
-    s.b(a.needExclusive);
-    s.b(a.isAtomic);
-    s.b(a.isWrite);
-    s.u64(a.writeValue);
+    ar.section("l1cache");
+    ar.io(l1Array);
+    ar.io(l2Array);
+
+    ar.list(mshrs, "MSHRs", [&](auto &kv) {
+        ar.u64(kv.first);
+        ar.io(kv.second);
+    });
+    ar.list(pendingAccesses, "pending accesses", [&](auto &p) {
+        ar.io(p.first);
+        ar.u64(p.second);
+    });
+    ar.list(evicting, "evicting lines", [&](auto &kv) {
+        ar.u64(kv.first);
+        ar.u64(kv.second);
+    });
+    ar.list(stalledExternals, "stalled externals", [&](auto &e) {
+        ar.io(e.msg);
+        ar.u64(e.arrival);
+    });
+    ar.list(deferredFills, "deferred fills", [&](auto &m) { ar.io(m); });
+    ar.list(dueResults, "due results", [&](auto &kv) {
+        ar.u64(kv.first);
+        ar.io(kv.second);
+    });
+
+    ar.u64(lockStealThreshold);
 }
 
-void
-restoreAccess(Deser &d, MemAccess &a)
-{
-    a.addr = d.u64();
-    a.token = d.u64();
-    a.needExclusive = d.b();
-    a.isAtomic = d.b();
-    a.isWrite = d.b();
-    a.writeValue = d.u64();
-}
-
-void
-saveResult(Ser &s, const MemResult &r)
-{
-    s.u64(r.token);
-    s.u64(r.addr);
-    s.u8(static_cast<std::uint8_t>(r.source));
-    s.u64(r.requestCycle);
-    s.u64(r.doneCycle);
-    s.u64(r.value);
-}
-
-void
-restoreResult(Deser &d, MemResult &r)
-{
-    r.token = d.u64();
-    r.addr = d.u64();
-    r.source = static_cast<FillSource>(d.u8());
-    r.requestCycle = d.u64();
-    r.doneCycle = d.u64();
-    r.value = d.u64();
-}
-
-} // namespace
-
-void
-PrivateCache::save(Ser &s) const
-{
-    s.section("l1cache");
-    l1Array.save(s);
-    l2Array.save(s);
-
-    // Unordered maps are serialized in sorted key order so images are
-    // identical regardless of hash-table iteration order.
-    std::map<Addr, const Mshr *> sortedMshrs;
-    for (const auto &kv : mshrs)
-        sortedMshrs.emplace(kv.first, &kv.second);
-    s.u64(sortedMshrs.size());
-    for (const auto &[line, m] : sortedMshrs) {
-        s.u64(line);
-        s.u64(m->line);
-        s.b(m->exclusiveRequested);
-        s.b(m->prefetchOnly);
-        s.u64(m->netIssueCycle);
-        s.u64(m->waiters.size());
-        for (const MshrWaiter &w : m->waiters) {
-            s.u64(w.token);
-            s.u64(w.requestCycle);
-            s.b(w.needExclusive);
-            s.b(w.isAtomic);
-            s.b(w.isWrite);
-            s.u64(w.writeValue);
-            s.u64(w.addr);
-        }
-    }
-
-    s.u64(pendingAccesses.size());
-    for (const auto &[a, cycle] : pendingAccesses) {
-        saveAccess(s, a);
-        s.u64(cycle);
-    }
-
-    std::map<Addr, Cycle> sortedEvicting(evicting.begin(), evicting.end());
-    s.u64(sortedEvicting.size());
-    for (const auto &[line, cycle] : sortedEvicting) {
-        s.u64(line);
-        s.u64(cycle);
-    }
-
-    s.u64(stalledExternals.size());
-    for (const StalledExternal &e : stalledExternals) {
-        saveMsg(s, e.msg);
-        s.u64(e.arrival);
-    }
-
-    s.u64(deferredFills.size());
-    for (const Msg &m : deferredFills)
-        saveMsg(s, m);
-
-    s.u64(dueResults.size());
-    for (const auto &[cycle, r] : dueResults) {
-        s.u64(cycle);
-        saveResult(s, r);
-    }
-
-    s.u64(lockStealThreshold);
-}
-
-void
-PrivateCache::restore(Deser &d)
-{
-    d.section("l1cache");
-    l1Array.restore(d);
-    l2Array.restore(d);
-
-    mshrs.clear();
-    const std::uint64_t nMshrs = d.u64();
-    for (std::uint64_t i = 0; i < nMshrs; i++) {
-        const Addr key = d.u64();
-        Mshr &m = mshrs[key];
-        m.line = d.u64();
-        m.exclusiveRequested = d.b();
-        m.prefetchOnly = d.b();
-        m.netIssueCycle = d.u64();
-        m.waiters.resize(d.u64());
-        for (MshrWaiter &w : m.waiters) {
-            w.token = d.u64();
-            w.requestCycle = d.u64();
-            w.needExclusive = d.b();
-            w.isAtomic = d.b();
-            w.isWrite = d.b();
-            w.writeValue = d.u64();
-            w.addr = d.u64();
-            w.spanId = 0; // spans never survive a restore
-        }
-    }
-
-    pendingAccesses.clear();
-    const std::uint64_t nPending = d.u64();
-    for (std::uint64_t i = 0; i < nPending; i++) {
-        MemAccess a;
-        restoreAccess(d, a);
-        const Cycle cycle = d.u64();
-        pendingAccesses.emplace_back(a, cycle);
-    }
-
-    evicting.clear();
-    const std::uint64_t nEvicting = d.u64();
-    for (std::uint64_t i = 0; i < nEvicting; i++) {
-        const Addr line = d.u64();
-        evicting[line] = d.u64();
-    }
-
-    stalledExternals.clear();
-    const std::uint64_t nStalled = d.u64();
-    for (std::uint64_t i = 0; i < nStalled; i++) {
-        StalledExternal e;
-        restoreMsg(d, e.msg);
-        e.arrival = d.u64();
-        stalledExternals.push_back(e);
-    }
-
-    deferredFills.resize(d.u64());
-    for (Msg &m : deferredFills)
-        restoreMsg(d, m);
-
-    dueResults.clear();
-    const std::uint64_t nDue = d.u64();
-    for (std::uint64_t i = 0; i < nDue; i++) {
-        const Cycle cycle = d.u64();
-        MemResult r;
-        restoreResult(d, r);
-        dueResults.emplace_hint(dueResults.end(), cycle, r);
-    }
-
-    lockStealThreshold = d.u64();
-}
+template void PrivateCache::visit(Ser &);
+template void PrivateCache::visit(Deser &);
 
 } // namespace rowsim

@@ -44,6 +44,21 @@ struct MemAccess
     std::uint64_t writeValue = 0;
     /** Atomic lifetime span (0 = untraced; src/sim/span.hh). */
     std::uint64_t spanId = 0;
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.u64(addr);
+        ar.u64(token);
+        ar.b(needExclusive);
+        ar.b(isAtomic);
+        ar.b(isWrite);
+        ar.u64(writeValue);
+        if constexpr (Ar::loading)
+            spanId = 0;
+    }
 };
 
 /** Completion record for loads and store writes. */
@@ -55,6 +70,19 @@ struct MemResult
     Cycle requestCycle = 0;  ///< when the core called access()
     Cycle doneCycle = 0;
     std::uint64_t value = 0; ///< loaded value (loads only)
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.u64(token);
+        ar.u64(addr);
+        ar.enumByte(source, FillSource::Forwarded, "fill source");
+        ar.u64(requestCycle);
+        ar.u64(doneCycle);
+        ar.u64(value);
+    }
 };
 
 /**
@@ -230,10 +258,9 @@ class PrivateCache : public MsgHandler
      *  @return true when the line was present. */
     bool funcDowngrade(Addr line, Cycle now);
 
-    /** Architectural state: arrays, MSHRs, buffers, due completions.
-     *  Stats travel in the System's stats pass. */
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh): arrays, MSHRs, buffers,
+     *  due completions. Stats travel in the System's stats pass. */
+    template <class Ar> void visit(Ar &ar);
 
     StatGroup &stats() { return stats_; }
 

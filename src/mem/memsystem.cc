@@ -158,28 +158,20 @@ FunctionalMemory::restore(Deser &d)
     }
 }
 
+template <class Ar>
 void
-MemSystem::save(Ser &s) const
+MemSystem::visit(Ar &ar)
 {
-    s.section("memsys");
-    net.save(s);
-    fmem.save(s);
-    for (const auto &c : caches)
-        c->save(s);
-    for (const auto &b : banks)
-        b->save(s);
+    ar.section("memsys");
+    ar.io(net);
+    ar.io(fmem);
+    for (auto &c : caches)
+        ar.io(*c);
+    for (auto &b : banks)
+        ar.io(*b);
 }
 
-void
-MemSystem::restore(Deser &d)
-{
-    d.section("memsys");
-    net.restore(d);
-    fmem.restore(d);
-    for (auto &c : caches)
-        c->restore(d);
-    for (auto &b : banks)
-        b->restore(d);
-}
+template void MemSystem::visit(Ser &);
+template void MemSystem::visit(Deser &);
 
 } // namespace rowsim

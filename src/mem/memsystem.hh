@@ -95,9 +95,9 @@ class MemSystem
      *  core activity. invalidCycle when quiescent (fast-forward bound). */
     Cycle nextEventCycle(Cycle now) const;
 
-    /** Compose every memory-side component's architectural state. */
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list: every memory-side component's
+     *  architectural state. */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     Network net;

@@ -27,6 +27,22 @@ struct MshrWaiter
     /** Atomic lifetime span of the waiting access (0 = untraced;
      *  observability-only, not serialized). */
     std::uint64_t spanId = 0;
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.u64(token);
+        ar.u64(requestCycle);
+        ar.b(needExclusive);
+        ar.b(isAtomic);
+        ar.b(isWrite);
+        ar.u64(writeValue);
+        ar.u64(addr);
+        if constexpr (Ar::loading)
+            spanId = 0; // spans never survive a restore
+    }
 };
 
 /** An outstanding miss: one per line with a request in the network. */
@@ -39,6 +55,18 @@ struct Mshr
     /** Cycle the GetS/GetX actually entered the network. */
     Cycle netIssueCycle = 0;
     std::vector<MshrWaiter> waiters;
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.u64(line);
+        ar.b(exclusiveRequested);
+        ar.b(prefetchOnly);
+        ar.u64(netIssueCycle);
+        ar.list(waiters, "MSHR waiters", [&](auto &w) { ar.io(w); });
+    }
 };
 
 } // namespace rowsim

@@ -79,6 +79,25 @@ struct Msg
     std::uint64_t spanId = 0;
 
     std::string toString() const;
+
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.enumByte(type, MsgType::Unblock, "message type");
+        ar.u64(line);
+        ar.u32(src);
+        ar.u32(dst);
+        ar.u32(requester);
+        ar.b(fromPrivateCache);
+        ar.b(excl);
+        ar.b(fromMemory);
+        ar.b(contentionHint);
+        ar.u64(sent);
+        if constexpr (Ar::loading)
+            spanId = 0;
+    }
 };
 
 /** Interface implemented by every network endpoint. */

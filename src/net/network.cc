@@ -333,7 +333,7 @@ Network::save(Ser &s) const
     for (const Pending *p : sorted) {
         s.u64(p->due);
         s.u64(p->order);
-        saveMsg(s, p->msg);
+        s.io(p->msg);
     }
 
     for (Cycle c : lastDelivery)
@@ -352,11 +352,18 @@ Network::restore(Deser &d)
             nodes, numNodes));
     }
 
-    std::vector<Pending> image(d.u64());
+    // A message takes 49 bytes: due, order and 33 of Msg fields.
+    const std::uint64_t n = d.u64();
+    if (n > d.remaining() / 49) {
+        throw SnapshotError(strprintf(
+            "network: %llu in-flight messages cannot fit in %zu bytes",
+            static_cast<unsigned long long>(n), d.remaining()));
+    }
+    std::vector<Pending> image(n);
     for (Pending &p : image) {
         p.due = d.u64();
         p.order = d.u64();
-        restoreMsg(d, p.msg);
+        d.io(p.msg);
     }
     std::sort(image.begin(), image.end());
     for (auto &bucket : ring_)

@@ -87,28 +87,17 @@ ContentionPredictor::storageBits() const
     return cfg.predictorEntries * cfg.counterBits;
 }
 
+template <class Ar>
 void
-ContentionPredictor::save(Ser &s) const
+ContentionPredictor::visit(Ar &ar)
 {
-    s.section("rowpred");
-    s.u64(table.size());
-    for (std::uint8_t c : table)
-        s.u8(c);
+    ar.section("rowpred");
+    ar.expect(std::uint64_t{table.size()}, "RoW predictor entries");
+    for (std::uint8_t &c : table)
+        ar.u8(c);
 }
 
-void
-ContentionPredictor::restore(Deser &d)
-{
-    d.section("rowpred");
-    const std::uint64_t entries = d.u64();
-    if (entries != table.size()) {
-        throw SnapshotError(strprintf(
-            "RoW predictor size mismatch: image %llu entries, "
-            "configured %zu",
-            static_cast<unsigned long long>(entries), table.size()));
-    }
-    for (std::uint8_t &c : table)
-        c = d.u8();
-}
+template void ContentionPredictor::visit(Ser &);
+template void ContentionPredictor::visit(Deser &);
 
 } // namespace rowsim

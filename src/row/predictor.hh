@@ -18,9 +18,6 @@
 namespace rowsim
 {
 
-class Ser;
-class Deser;
-
 class ContentionPredictor
 {
   public:
@@ -51,8 +48,8 @@ class ContentionPredictor
 
     StatGroup &stats() { return stats_; }
 
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list (sim/snapshot.hh). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     RowConfig cfg;

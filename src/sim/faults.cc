@@ -154,34 +154,22 @@ FaultInjector::attemptEviction(Cycle now)
     }
 }
 
+template <class Ar>
 void
-FaultInjector::save(Ser &s) const
+FaultInjector::visit(Ar &ar)
 {
-    s.section("faults");
-    s.u32(mask_);
-    s.u32(rate_);
+    ar.section("faults");
+    ar.expect(mask_, "fault injector mask");
+    ar.expect(rate_, "fault injector rate");
     std::uint64_t state[4];
     rng.getState(state);
-    for (std::uint64_t w : state)
-        s.u64(w);
+    for (std::uint64_t &w : state)
+        ar.u64(w);
+    if constexpr (Ar::loading)
+        rng.setState(state);
 }
 
-void
-FaultInjector::restore(Deser &d)
-{
-    d.section("faults");
-    const std::uint32_t mask = d.u32();
-    const std::uint32_t rate = d.u32();
-    if (mask != mask_ || rate != rate_) {
-        throw SnapshotError(strprintf(
-            "fault injector config mismatch: image mask %#x rate %u, "
-            "this run mask %#x rate %u",
-            mask, rate, mask_, rate_));
-    }
-    std::uint64_t state[4];
-    for (std::uint64_t &w : state)
-        w = d.u64();
-    rng.setState(state);
-}
+template void FaultInjector::visit(Ser &);
+template void FaultInjector::visit(Deser &);
 
 } // namespace rowsim

@@ -28,8 +28,6 @@ namespace rowsim
 {
 
 class System;
-class Ser;
-class Deser;
 
 /** One bit per fault family; combined into the injection mask. */
 enum class FaultCategory : std::uint32_t
@@ -86,11 +84,11 @@ class FaultInjector
 
     StatGroup &stats() { return stats_; }
 
-    /** Snapshot support: the RNG stream is the injector's only evolving
-     *  state (mask/seed/rate are config), and its position decides every
-     *  future fault, so it is part of the architectural image. */
-    void save(Ser &s) const;
-    void restore(Deser &d);
+    /** Snapshot field list: the RNG stream is the injector's only
+     *  evolving state (mask/seed/rate are config), and its position
+     *  decides every future fault, so it is part of the architectural
+     *  image. */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     /** Pick a line near the locked set (or any cached line) and try to

@@ -250,47 +250,30 @@ System::sectionDigests() const
 {
     auto &self = const_cast<System &>(*this);
     std::vector<std::pair<std::string, std::string>> out;
-    const auto digestOf = [](const Ser &s) {
+    const auto add = [&](std::string name, const Ser &s) {
         Sha256 h;
         h.update(s.bytes().data(), s.bytes().size());
-        return Sha256::hex(h.digest());
+        out.emplace_back(std::move(name), Sha256::hex(h.digest()));
+    };
+    const auto image = [](const auto &component) {
+        Ser s;
+        s.io(component);
+        return s;
     };
 
-    {
-        Ser s;
-        s.u64(currentCycle);
-        out.emplace_back("cycle", digestOf(s));
-    }
-    for (CoreId c = 0; c < cores.size(); c++) {
-        Ser s;
-        cores[c]->save(s);
-        out.emplace_back(strprintf("core%u", c), digestOf(s));
-    }
-    {
-        Ser s;
-        self.memsys.network().save(s);
-        out.emplace_back("network", digestOf(s));
-    }
-    {
-        Ser s;
-        self.memsys.functional().save(s);
-        out.emplace_back("fmem", digestOf(s));
-    }
-    for (CoreId c = 0; c < cores.size(); c++) {
-        Ser s;
-        self.memsys.cache(c).save(s);
-        out.emplace_back(strprintf("cache%u", c), digestOf(s));
-    }
-    for (unsigned b = 0; b < self.memsys.numBanks(); b++) {
-        Ser s;
-        self.memsys.directory(b).save(s);
-        out.emplace_back(strprintf("dir%u", b), digestOf(s));
-    }
-    if (faults_) {
-        Ser s;
-        faults_->save(s);
-        out.emplace_back("faults", digestOf(s));
-    }
+    Ser cycle;
+    cycle.u64(currentCycle);
+    add("cycle", cycle);
+    for (CoreId c = 0; c < cores.size(); c++)
+        add(strprintf("core%u", c), image(*cores[c]));
+    add("network", image(self.memsys.network()));
+    add("fmem", image(self.memsys.functional()));
+    for (CoreId c = 0; c < cores.size(); c++)
+        add(strprintf("cache%u", c), image(self.memsys.cache(c)));
+    for (unsigned b = 0; b < self.memsys.numBanks(); b++)
+        add(strprintf("dir%u", b), image(self.memsys.directory(b)));
+    if (faults_)
+        add("faults", image(*faults_));
     return out;
 }
 

@@ -8,7 +8,6 @@
 #include "common/io.hh"
 #include "common/log.hh"
 #include "common/sha256.hh"
-#include "cpu/microop.hh"
 #include "net/message.hh"
 #include "sim/faults.hh"
 
@@ -183,66 +182,56 @@ Deser::expectEnd() const
     }
 }
 
+std::uint64_t
+Deser::count(const char *what)
+{
+    const std::uint64_t n = u64();
+    if (n > remaining()) {
+        throw SnapshotError(strprintf(
+            "corrupted %s count %llu: only %zu bytes remain", what,
+            static_cast<unsigned long long>(n), remaining()));
+    }
+    return n;
+}
+
+void
+Deser::mismatch(const char *what, std::uint64_t image,
+                std::uint64_t configured)
+{
+    throw SnapshotError(strprintf(
+        "%s mismatch: image %llu, configured %llu", what,
+        static_cast<unsigned long long>(image),
+        static_cast<unsigned long long>(configured)));
+}
+
+void
+Deser::corrupt(const char *what, unsigned raw)
+{
+    throw SnapshotError(strprintf("corrupted %s byte %u", what, raw));
+}
+
 void
 saveMsg(Ser &s, const Msg &m)
 {
-    s.u8(static_cast<std::uint8_t>(m.type));
-    s.u64(m.line);
-    s.u32(m.src);
-    s.u32(m.dst);
-    s.u32(m.requester);
-    s.b(m.fromPrivateCache);
-    s.b(m.excl);
-    s.b(m.fromMemory);
-    s.b(m.contentionHint);
-    s.u64(m.sent);
+    s.io(m);
 }
 
 void
 restoreMsg(Deser &d, Msg &m)
 {
-    m.type = static_cast<MsgType>(d.u8());
-    m.line = d.u64();
-    m.src = d.u32();
-    m.dst = d.u32();
-    m.requester = d.u32();
-    m.fromPrivateCache = d.b();
-    m.excl = d.b();
-    m.fromMemory = d.b();
-    m.contentionHint = d.b();
-    m.sent = d.u64();
+    d.io(m);
 }
 
 void
-saveOp(Ser &s, const MicroOp &op)
+checkRing(const char *what, unsigned capacity, unsigned head,
+          unsigned tail, unsigned count)
 {
-    s.u8(static_cast<std::uint8_t>(op.cls));
-    s.u8(static_cast<std::uint8_t>(op.aop));
-    s.u64(op.addr);
-    s.u64(op.pc);
-    s.u16(op.execLatency);
-    s.u32(op.src0);
-    s.u32(op.src1);
-    s.b(op.takenBranch);
-    s.u64(op.value);
-    s.b(op.casExpectMismatch);
-    s.b(op.endOfIteration);
-}
-
-void
-restoreOp(Deser &d, MicroOp &op)
-{
-    op.cls = static_cast<OpClass>(d.u8());
-    op.aop = static_cast<AtomicOp>(d.u8());
-    op.addr = d.u64();
-    op.pc = d.u64();
-    op.execLatency = d.u16();
-    op.src0 = d.u32();
-    op.src1 = d.u32();
-    op.takenBranch = d.b();
-    op.value = d.u64();
-    op.casExpectMismatch = d.b();
-    op.endOfIteration = d.b();
+    if (head >= capacity || tail >= capacity || count > capacity ||
+        (head + count) % capacity != tail) {
+        throw SnapshotError(strprintf(
+            "%s ring out of range: head %u, tail %u, count %u", what,
+            head, tail, count));
+    }
 }
 
 std::uint64_t

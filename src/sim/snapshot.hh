@@ -16,8 +16,17 @@
  * files are all rejected with distinct named errors (see DESIGN.md
  * "Snapshot format & compatibility").
  *
- * Every stateful component implements `save(Ser &) const` /
- * `restore(Deser &)`; `System::save`/`System::restore` compose them, and
+ * Ser and Deser are also the two archives of one field list: a
+ * component lists its state once, in `template <class Ar> void
+ * visit(Ar &ar)`, and `ar.io(component)` writes or reads it. The same
+ * calls emit the bytes on save and check them on restore (geometry via
+ * `expect`, container counts bounded by the bytes left, enum bytes by
+ * their last enumerator), so every restore rejects an impossible image
+ * with a named SnapshotError. Custom encodings (delta-varint cache
+ * arrays, directory records, the value memory, statistics, the
+ * sampler, the network ring) stay hand-written `save`/`restore`
+ * leaves that `io` calls (DESIGN §10 "One field list").
+ * `System::save`/`System::restore` compose them, and
  * `System::stateDigest()` hashes the architectural sections into the
  * canonical golden digest CI compares across compilers.
  */
@@ -25,17 +34,19 @@
 #ifndef ROWSIM_SIM_SNAPSHOT_HH
 #define ROWSIM_SIM_SNAPSHOT_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rowsim
 {
 
 struct Msg;
-struct MicroOp;
 
 /** Current on-disk snapshot format version. Bumped on any incompatible
  *  payload layout change; readers reject other versions by name.
@@ -69,6 +80,10 @@ class SnapshotError : public std::runtime_error
 class Ser
 {
   public:
+    /** Archive side: visit() bodies branch on it for restore-only
+     *  fixups (`if constexpr (Ar::loading)`). */
+    static constexpr bool loading = false;
+
     void
     u8(std::uint8_t v)
     {
@@ -129,6 +144,69 @@ class Ser
      *  first misaligned field instead of yielding garbage state. */
     void section(const char *tag);
 
+    // ---- archive interface (the writing side of visit) ----
+
+    /** Write @p obj: its visit() field list, or the save() of a
+     *  hand-written leaf. visit() only reads its fields when handed a
+     *  Ser, which makes the const_cast safe. */
+    template <class T>
+    void
+    io(const T &obj)
+    {
+        if constexpr (requires(T &t, Ser &s) { t.visit(s); })
+            const_cast<T &>(obj).visit(*this);
+        else
+            obj.save(*this);
+    }
+
+    /** Configured geometry: written as u32 or u64 by the width of
+     *  @p v; the reader rejects any other value. */
+    template <class T>
+    void
+    expect(T v, const char *)
+    {
+        static_assert(std::is_unsigned_v<T> &&
+                      (sizeof(T) == 4 || sizeof(T) == 8));
+        if constexpr (sizeof(T) == 4)
+            u32(v);
+        else
+            u64(v);
+    }
+
+    /** An enum travels as one byte, range-checked on read. */
+    template <class E>
+    void
+    enumByte(E v, E, const char *)
+    {
+        static_assert(std::is_enum_v<E>);
+        u8(static_cast<std::uint8_t>(v));
+    }
+
+    /** A container: u64 count, then @p fn on each element in order. A
+     *  hash map goes in sorted key order, so images never depend on
+     *  the hash-table layout. */
+    template <class C, class Fn>
+    void
+    list(const C &c, const char *, Fn &&fn)
+    {
+        u64(c.size());
+        if constexpr (requires { typename C::hasher; }) {
+            std::vector<const typename C::value_type *> sorted;
+            sorted.reserve(c.size());
+            for (const auto &kv : c)
+                sorted.push_back(&kv);
+            std::sort(sorted.begin(), sorted.end(),
+                      [](const auto *a, const auto *b) {
+                          return a->first < b->first;
+                      });
+            for (const auto *kv : sorted)
+                fn(*kv);
+        } else {
+            for (const auto &e : c)
+                fn(e);
+        }
+    }
+
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
 
   private:
@@ -169,7 +247,104 @@ class Deser
     /** Reject images with bytes left over after a full restore. */
     void expectEnd() const;
 
+    // ---- archive interface (the reading side of visit) ----
+
+    static constexpr bool loading = true;
+
+    /** Field reads: one call per scalar, at the width the field was
+     *  written with (an int travels as u64, as `Ser` sign-extends it). */
+    template <class T> void u8(T &v) { v = field<T>(u8()); }
+    template <class T> void u16(T &v) { v = field<T>(u16()); }
+    template <class T> void u32(T &v) { v = field<T>(u32()); }
+    template <class T> void u64(T &v) { v = field<T>(u64()); }
+    void b(bool &v) { v = b(); }
+    void f64(double &v) { v = f64(); }
+
+    /** Read @p obj: its visit() field list, or the restore() of a
+     *  hand-written leaf. */
+    template <class T>
+    void
+    io(T &obj)
+    {
+        if constexpr (requires(T &t, Deser &d) { t.visit(d); })
+            obj.visit(*this);
+        else
+            obj.restore(*this);
+    }
+
+    /** Read configured geometry and reject an image that disagrees
+     *  with @p configured. */
+    template <class T>
+    void
+    expect(T configured, const char *what)
+    {
+        static_assert(std::is_unsigned_v<T> &&
+                      (sizeof(T) == 4 || sizeof(T) == 8));
+        const std::uint64_t image = sizeof(T) == 4 ? u32() : u64();
+        if (image != configured)
+            mismatch(what, image, configured);
+    }
+
+    /** Read an enum byte; anything past @p last is a corrupt image. */
+    template <class E>
+    void
+    enumByte(E &v, E last, const char *what)
+    {
+        static_assert(std::is_enum_v<E>);
+        const std::uint8_t raw = u8();
+        if (raw > static_cast<std::uint8_t>(last))
+            corrupt(what, raw);
+        v = static_cast<E>(raw);
+    }
+
+    /** Read a container count; every element takes at least one byte,
+     *  so a count above remaining() is a corrupt image. */
+    std::uint64_t count(const char *what);
+
+    /** Replace @p c's contents: count(), then @p fn fills each freshly
+     *  constructed element in order. Map keys are filled as the
+     *  element's mutable `first`. */
+    template <class C, class Fn>
+    void
+    list(C &c, const char *what, Fn &&fn)
+    {
+        const std::uint64_t n = count(what);
+        c.clear();
+        for (std::uint64_t i = 0; i < n; i++) {
+            Elem<C> e{};
+            fn(e);
+            c.insert(c.end(), std::move(e));
+        }
+    }
+
   private:
+    template <class C>
+    struct ElemOf
+    {
+        using type = typename C::value_type;
+    };
+    template <class C>
+        requires requires { typename C::mapped_type; }
+    struct ElemOf<C>
+    {
+        using type = std::pair<typename C::key_type,
+                               typename C::mapped_type>;
+    };
+    template <class C> using Elem = typename ElemOf<C>::type;
+
+    template <class T>
+    static T
+    field(std::uint64_t v)
+    {
+        static_assert(std::is_integral_v<T>,
+                      "enums travel through enumByte");
+        return static_cast<T>(v);
+    }
+
+    [[noreturn]] static void mismatch(const char *what, std::uint64_t image,
+                                      std::uint64_t configured);
+    [[noreturn]] static void corrupt(const char *what, unsigned raw);
+
     void need(std::size_t n) const;
 
     const std::uint8_t *data_;
@@ -177,12 +352,34 @@ class Deser
     std::size_t pos_ = 0;
 };
 
-// Shared aggregate encoders (used by the cache, directory, network, core
-// and workload serializers).
+/** `io` on a Msg under its older name: hand-built directory images in
+ *  the tests spell their records with these. */
 void saveMsg(Ser &s, const Msg &m);
 void restoreMsg(Deser &d, Msg &m);
-void saveOp(Ser &s, const MicroOp &op);
-void restoreOp(Deser &d, MicroOp &op);
+
+/** Throw unless @p head, @p tail and @p count describe a ring of
+ *  @p capacity slots. */
+void checkRing(const char *what, unsigned capacity, unsigned head,
+               unsigned tail, unsigned count);
+
+/**
+ * The index fields of a circular FIFO (LQ, SQ, AQ): configured
+ * capacity (@p what names it), then head, tail and occupancy. Restore
+ * rejects indices outside the ring and an occupancy that disagrees
+ * with them.
+ */
+template <class Ar>
+void
+visitRing(Ar &ar, const char *what, unsigned capacity, unsigned &head,
+          unsigned &tail, unsigned &count)
+{
+    ar.expect(capacity, what);
+    ar.u32(head);
+    ar.u32(tail);
+    ar.u32(count);
+    if constexpr (Ar::loading)
+        checkRing(what, capacity, head, tail, count);
+}
 
 struct SystemParams;
 

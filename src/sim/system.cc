@@ -572,69 +572,21 @@ System::drain()
     }
 }
 
+template <class Ar>
 void
-System::saveArch(Ser &s) const
+System::visitArch(Ar &ar)
 {
     // Integer-only pass: everything that decides future simulated
     // behaviour. stateDigest() hashes exactly these bytes, so no
     // floating-point value may land here (doubles travel in the stats
     // pass, which is outside the digest).
-    s.section("arch");
-    s.u64(currentCycle);
-    for (const auto &c : cores)
-        c->save(s);
-    memsys.save(s);
-    s.b(faults_ != nullptr);
-    if (faults_)
-        faults_->save(s);
-}
-
-void
-System::saveAux(Ser &s) const
-{
-    // Bookkeeping that steers wall-clock behaviour (watchdog cadence,
-    // fast-forward backoff) but never simulated results; kept out of
-    // the digest so ROWSIM_FF settings cannot perturb it.
-    s.section("aux");
-    for (const auto &p : coreProgress_) {
-        s.u64(p.insts);
-        s.u64(p.cycle);
-    }
-    s.u64(lastWatchdogScan_);
-    s.u64(lastStructScan_);
-    s.u64(ffSkipped_);
-    s.u64(ffBackoff_);
-    s.u64(ffBackoffLen_);
-    s.u64(checker_->lastSweepAt());
-    s.u64(checker_->sweepsRun());
-}
-
-void
-System::saveStats(Ser &s) const
-{
-    s.section("stats");
-    const_cast<System &>(*this).forEachStatGroup(
-        [&](StatGroup &g) { g.save(s); });
-    sampler_.save(s);
-}
-
-void
-System::save(Ser &s) const
-{
-    saveArch(s);
-    saveAux(s);
-    saveStats(s);
-}
-
-void
-System::restore(Deser &d)
-{
-    d.section("arch");
-    currentCycle = d.u64();
+    ar.section("arch");
+    ar.u64(currentCycle);
     for (auto &c : cores)
-        c->restore(d);
-    memsys.restore(d);
-    const bool had_faults = d.b();
+        ar.io(*c);
+    ar.io(memsys);
+    bool had_faults = faults_ != nullptr;
+    ar.b(had_faults);
     if (had_faults != (faults_ != nullptr)) {
         throw SnapshotError(strprintf(
             "fault-injection mismatch: image was taken %s fault "
@@ -643,26 +595,50 @@ System::restore(Deser &d)
             faults_ ? "with" : "without"));
     }
     if (faults_)
-        faults_->restore(d);
+        ar.io(*faults_);
+}
 
-    d.section("aux");
+template <class Ar>
+void
+System::visit(Ar &ar)
+{
+    visitArch(ar);
+
+    // Bookkeeping that steers wall-clock behaviour (watchdog cadence,
+    // fast-forward backoff) but never simulated results; kept out of
+    // the digest so ROWSIM_FF settings cannot perturb it.
+    ar.section("aux");
     for (auto &p : coreProgress_) {
-        p.insts = d.u64();
-        p.cycle = d.u64();
+        ar.u64(p.insts);
+        ar.u64(p.cycle);
     }
-    lastWatchdogScan_ = d.u64();
-    lastStructScan_ = d.u64();
-    ffSkipped_ = d.u64();
-    ffBackoff_ = d.u64();
-    ffBackoffLen_ = d.u64();
-    const Cycle last_sweep = d.u64();
-    const std::uint64_t sweeps = d.u64();
-    checker_->restoreSweepState(last_sweep, sweeps);
+    ar.u64(lastWatchdogScan_);
+    ar.u64(lastStructScan_);
+    ar.u64(ffSkipped_);
+    ar.u64(ffBackoff_);
+    ar.u64(ffBackoffLen_);
+    Cycle last_sweep = checker_->lastSweepAt();
+    std::uint64_t sweeps = checker_->sweepsRun();
+    ar.u64(last_sweep);
+    ar.u64(sweeps);
+    if constexpr (Ar::loading)
+        checker_->restoreSweepState(last_sweep, sweeps);
 
-    d.section("stats");
-    forEachStatGroup([&](StatGroup &g) { g.restore(d); });
-    sampler_.restore(d);
+    ar.section("stats");
+    forEachStatGroup([&](StatGroup &g) { ar.io(g); });
+    ar.io(sampler_);
+}
 
+void
+System::save(Ser &s) const
+{
+    const_cast<System &>(*this).visit(s);
+}
+
+void
+System::restore(Deser &d)
+{
+    visit(d);
     d.expectEnd();
     // Span state is never serialized: any span still open crossed the
     // restore point, and atomics in flight inside the image can never
@@ -701,7 +677,7 @@ std::string
 System::stateDigest() const
 {
     Ser arch;
-    saveArch(arch);
+    const_cast<System &>(*this).visitArch(arch);
     const std::uint64_t fp = configFingerprint();
     std::uint8_t fp_bytes[8];
     for (unsigned i = 0; i < 8; i++)

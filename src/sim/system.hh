@@ -219,10 +219,10 @@ class System
      *  when @p warm_iters is non-zero — return early (cores unhalted)
      *  once every core has committed warm_iters iterations. */
     Cycle runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters);
-    /** The three save() passes (see save()). */
-    void saveArch(Ser &s) const;
-    void saveAux(Ser &s) const;
-    void saveStats(Ser &s) const;
+    /** The snapshot field list (see save()): the architectural pass
+     *  visitArch(), then the auxiliary and statistics passes. */
+    template <class Ar> void visit(Ar &ar);
+    template <class Ar> void visitArch(Ar &ar);
     /** Call @p f on every statistic group in the one canonical order —
      *  sim, then per core {core, branch predictor, RoW predictor, L1},
      *  then per directory bank, then network — the order snapshots,

@@ -197,46 +197,26 @@ makeStreams(const WorkloadProfile &profile, unsigned num_cores,
     return out;
 }
 
-// The profile itself is config-derived; the RNG and iteration buffer are
-// the stream's only evolving state.
+template <class Ar>
 void
-KernelStream::save(Ser &s) const
+KernelStream::visit(Ar &ar)
 {
-    s.section("kernelstream");
-    s.u32(tid);
+    ar.section("kernelstream");
+    ar.expect(tid, "kernel stream thread id");
     std::uint64_t rngState[4];
     rng.getState(rngState);
-    for (std::uint64_t w : rngState)
-        s.u64(w);
-    s.u64(iterCount);
-    s.u64(buf.size());
-    for (const MicroOp &op : buf)
-        saveOp(s, op);
-    s.u64(bufPos);
-}
-
-void
-KernelStream::restore(Deser &d)
-{
-    d.section("kernelstream");
-    const CoreId id = d.u32();
-    if (id != tid) {
-        throw SnapshotError(strprintf(
-            "kernel stream thread mismatch: image tid %u restored into "
-            "tid %u",
-            id, tid));
-    }
-    std::uint64_t rngState[4];
     for (std::uint64_t &w : rngState)
-        w = d.u64();
-    rng.setState(rngState);
-    iterCount = d.u64();
-    buf.resize(d.u64());
-    for (MicroOp &op : buf)
-        restoreOp(d, op);
-    bufPos = static_cast<std::size_t>(d.u64());
-    if (bufPos > buf.size())
+        ar.u64(w);
+    if constexpr (Ar::loading)
+        rng.setState(rngState);
+    ar.u64(iterCount);
+    ar.list(buf, "kernel stream ops", [&](auto &op) { ar.io(op); });
+    ar.u64(bufPos);
+    if (Ar::loading && bufPos > buf.size())
         throw SnapshotError("kernel stream position out of range");
 }
+
+template void KernelStream::visit(Ser &);
+template void KernelStream::visit(Deser &);
 
 } // namespace rowsim

@@ -135,8 +135,11 @@ class KernelStream : public InstStream
 
     MicroOp next() override;
 
-    void save(Ser &s) const override;
-    void restore(Deser &d) override;
+    void save(Ser &s) const override { s.io(*this); }
+    void restore(Deser &d) override { d.io(*this); }
+    /** Snapshot field list: the RNG and iteration buffer are the
+     *  stream's only evolving state (the profile is config-derived). */
+    template <class Ar> void visit(Ar &ar);
 
   private:
     void genIteration();

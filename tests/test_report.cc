@@ -132,6 +132,34 @@ TEST(RowsimReport, RendersProfileRecordsAndFoldedStacks)
               std::string::npos);
 }
 
+TEST(RowsimReport, RendersSeveralFilesInTheOrderGiven)
+{
+    // A sweep splits each sink into per-job .jN files; one call renders
+    // them all, in argument order, into one folded-stacks file.
+    Scratch s("several");
+    ExpConfig cfg = lazyConfig();
+    cfg.profile = profCategoryAll;
+    RunResult r = runExperiment("cq", cfg, 4, 60, 1, false);
+    ASSERT_FALSE(r.profileJson.empty());
+    const std::string j0 =
+        s.write("p.j0.jsonl", runRecord(r, "profile", r.profileJson));
+    r.workload = "pc";
+    const std::string j1 =
+        s.write("p.j1.jsonl", runRecord(r, "profile", r.profileJson));
+
+    ASSERT_EQ(s.report("--collapsed " + s.dir + "/p.folded " + j1 + " " +
+                       j0),
+              0);
+    expectInOrder(s.read("out.txt"),
+                  {"=== pc/lazy (categories", "=== cq/lazy (categories"});
+    const std::string folded = s.read("p.folded");
+    EXPECT_NE(folded.find("pc/lazy;core0;"), std::string::npos);
+    EXPECT_NE(folded.find("cq/lazy;core0;"), std::string::npos);
+
+    // One unreadable file among several still fails the call.
+    EXPECT_EQ(s.report(j0 + " " + s.dir + "/missing.jsonl"), 1);
+}
+
 TEST(RowsimReport, RendersSpanRecords)
 {
     Scratch s("spans");
@@ -243,7 +271,7 @@ TEST(RowsimReport, ExitCodes)
     Scratch s("exit");
     EXPECT_EQ(s.report(""), 2);
     EXPECT_EQ(s.report("--collapsed"), 2);
-    EXPECT_EQ(s.report("a b"), 2);
+    EXPECT_EQ(s.report("--follow a b"), 2);
     EXPECT_EQ(s.report("--follow -"), 2);
     EXPECT_EQ(s.report(s.dir + "/missing.json"), 1);
     EXPECT_EQ(s.report(s.write("none.jsonl", "{\"cycles\": 1}\nnot json\n")),

@@ -2,10 +2,12 @@
  * @file
  * One report front end for every JSON sink the simulator writes.
  *
- *   rowsim_report [--collapsed PATH] FILE|-   render FILE once and exit
- *   rowsim_report --follow FILE               tail a heartbeat stream live
+ *   rowsim_report [--collapsed PATH] FILE|-...  render each FILE in order
+ *   rowsim_report --follow FILE                 tail a heartbeat stream
  *
- * FILE is a stats-JSON report (System::dumpStatsJson), a raw sink object
+ * Several FILEs render one after another, as a shell loop over them
+ * would (a sweep writes one `.jN` file per job and sink). FILE is a
+ * stats-JSON report (System::dumpStatsJson), a raw sink object
  * (Profiler / SpanTracker / IntervalSampler ::toJson()), or a JSONL
  * stream of run records or heartbeat events; "-" reads stdin. There is
  * no subcommand: each record says what it holds, and every section it
@@ -796,14 +798,15 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: rowsim_report [--collapsed PATH] FILE|-\n"
+        "usage: rowsim_report [--collapsed PATH] FILE|-...\n"
         "       rowsim_report --follow FILE\n"
         "  FILE: a stats JSON report, a raw profiler / span-tracker /\n"
         "        time-series JSON object, or a JSONL stream of run\n"
         "        records (ROWSIM_PROFILE_JSON, ROWSIM_SPANS_JSON,\n"
         "        ROWSIM_REPORT) or heartbeat events (ROWSIM_HEARTBEAT).\n"
-        "        Every section a record carries is rendered. '-' reads\n"
-        "        stdin.\n"
+        "        Every section a record carries is rendered; several\n"
+        "        FILEs render in the order given (a sweep's .jN files).\n"
+        "        '-' reads stdin.\n"
         "  --collapsed PATH: also write flamegraph folded stacks\n"
         "        (label;coreN;bucket slots) to PATH.\n"
         "  --follow: tail a heartbeat stream into a live per-job table,\n"
@@ -816,7 +819,7 @@ usage()
 int
 main(int argc, char **argv)
 {
-    const char *input = nullptr;
+    std::vector<const char *> inputs;
     const char *collapsedPath = nullptr;
     bool followMode = false;
     for (int i = 1; i < argc; ++i) {
@@ -826,17 +829,16 @@ main(int argc, char **argv)
             collapsedPath = argv[i];
         } else if (std::strcmp(argv[i], "--follow") == 0) {
             followMode = true;
-        } else if (!input) {
-            input = argv[i];
         } else {
-            usage();
+            inputs.push_back(argv[i]);
         }
     }
-    if (!input || (followMode && (collapsedPath ||
-                                  std::strcmp(input, "-") == 0)))
+    if (inputs.empty() ||
+        (followMode && (collapsedPath || inputs.size() > 1 ||
+                        std::strcmp(inputs[0], "-") == 0)))
         usage();
     if (followMode)
-        return followStream(input);
+        return followStream(inputs[0]);
 
     std::FILE *collapsed = nullptr;
     if (collapsedPath) {
@@ -847,7 +849,9 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    const int rc = renderOnce(input, collapsed);
+    int rc = 0;
+    for (const char *input : inputs)
+        rc = std::max(rc, renderOnce(input, collapsed));
     if (collapsed)
         std::fclose(collapsed);
     return rc;
