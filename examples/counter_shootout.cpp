@@ -9,7 +9,7 @@
  * The private loads miss the caches, so an eagerly executed atomic holds
  * its cacheline locked while they commit — exactly the §III pathology.
  *
- *   ./build/examples/counter_shootout [cores]   (1 .. 1024, default 16)
+ *   ./build/examples/counter_shootout [cores]   (1 .. 64, default 16)
  */
 
 #include <cstdio>
@@ -58,9 +58,9 @@ int
 cliMain(int argc, char **argv)
 {
     const std::uint64_t n = argc > 1 ? parseEnvU64("cores", argv[1]) : 16;
-    if (n == 0 || n > 1024)
-        ROWSIM_FATAL("cores: value %llu outside [1, 1024]",
-                     static_cast<unsigned long long>(n));
+    if (n == 0 || n > maxCores)
+        ROWSIM_FATAL("cores: value %llu outside [1, %u]",
+                     static_cast<unsigned long long>(n), maxCores);
     const unsigned cores = static_cast<unsigned>(n);
     const std::uint64_t quota = 80;
 

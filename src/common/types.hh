@@ -34,6 +34,10 @@ constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
 /** Sentinel core id (e.g. "no owner" in the directory). */
 constexpr CoreId invalidCore = std::numeric_limits<CoreId>::max();
 
+/** Largest simulated core count: the directory's sharer mask is one
+ *  std::uint64_t with a bit per core. */
+constexpr unsigned maxCores = 64;
+
 /** Cacheline size. Fixed at 64 bytes, as in all modern x86 parts. */
 constexpr unsigned lineBytes = 64;
 constexpr unsigned lineShift = 6;

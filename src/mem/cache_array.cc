@@ -1,6 +1,7 @@
 #include "mem/cache_array.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "sim/snapshot.hh"
@@ -24,7 +25,8 @@ fillSourceName(FillSource s)
 
 CacheArray::CacheArray(unsigned sets, unsigned ways)
     : numSets(sets), numWays(ways),
-      lines(static_cast<std::size_t>(sets) * ways)
+      lines(static_cast<std::size_t>(sets) * ways),
+      touched((static_cast<std::size_t>(sets) + 63) / 64)
 {
     ROWSIM_ASSERT(sets > 0 && (sets & (sets - 1)) == 0,
                   "cache sets must be a power of two, got %u", sets);
@@ -89,6 +91,9 @@ void
 CacheArray::fill(Line *way, Addr line_addr, CacheState state, Cycle now)
 {
     ROWSIM_ASSERT(way != nullptr, "fill into null way");
+    // victim() chose the way in this line's set.
+    const unsigned set = setIndex(line_addr);
+    touched[set / 64] |= 1ULL << (set % 64);
     way->tag = lineAlign(line_addr);
     way->state = state;
     way->lastUse = now;
@@ -113,34 +118,49 @@ CacheArray::invalidate(Addr line_addr)
     return false;
 }
 
+template <typename Fn>
+void
+CacheArray::forEachTouchedSet(Fn &&fn) const
+{
+    for (std::size_t w = 0; w < touched.size(); w++) {
+        for (std::uint64_t bits = touched[w]; bits; bits &= bits - 1)
+            fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+}
+
 void
 CacheArray::save(Ser &s) const
 {
     // Sparse: only valid lines travel. Invalid slots are canonical
     // (default-constructed; invalidation resets the LRU stamp), so
     // skipping them is exact — and it shrinks large, mostly-cold
-    // arrays from megabytes to the touched working set.
+    // arrays from megabytes to the touched working set. Valid lines
+    // lie in touched sets only, so the walk skips the rest.
     s.section("cachearray");
     s.u32(numSets);
     s.u32(numWays);
     std::uint64_t valid = 0;
-    for (const Line &l : lines)
-        valid += l.valid();
+    forEachTouchedSet([&](std::size_t set) {
+        for (std::size_t i = set * numWays; i < (set + 1) * numWays; i++)
+            valid += lines[i].valid();
+    });
     s.u64(valid);
     // Compact encoding: slot indices as ascending deltas, tags with the
     // always-zero line-offset bits shifted off, LRU stamps as varints.
     // Large arrays are second only to the directory in image size.
     std::uint64_t prevSlot = 0;
-    for (std::size_t i = 0; i < lines.size(); i++) {
-        const Line &l = lines[i];
-        if (!l.valid())
-            continue;
-        s.vu64(i - prevSlot);
-        prevSlot = i;
-        s.vu64(l.tag >> 6); // tags are lineAlign()ed: low 6 bits zero
-        s.u8(static_cast<std::uint8_t>(l.state));
-        s.vu64(l.lastUse);
-    }
+    forEachTouchedSet([&](std::size_t set) {
+        for (std::size_t i = set * numWays; i < (set + 1) * numWays; i++) {
+            const Line &l = lines[i];
+            if (!l.valid())
+                continue;
+            s.vu64(i - prevSlot);
+            prevSlot = i;
+            s.vu64(l.tag >> 6); // tags are lineAlign()ed: low 6 bits zero
+            s.u8(static_cast<std::uint8_t>(l.state));
+            s.vu64(l.lastUse);
+        }
+    });
 }
 
 void
@@ -155,19 +175,38 @@ CacheArray::restore(Deser &d)
             "%ux%u",
             sets, ways, numSets, numWays));
     }
-    std::fill(lines.begin(), lines.end(), Line{});
+    // Only touched sets can differ from the canonical empty slot.
+    forEachTouchedSet([&](std::size_t set) {
+        std::fill_n(lines.begin() + static_cast<std::ptrdiff_t>(set * numWays),
+                    numWays, Line{});
+    });
+    std::fill(touched.begin(), touched.end(), 0);
     const std::uint64_t valid = d.u64();
     std::uint64_t prevSlot = 0;
     for (std::uint64_t k = 0; k < valid; k++) {
-        const std::uint64_t i = prevSlot + d.vu64();
+        const std::uint64_t delta = d.vu64();
+        if (k > 0 && delta == 0) {
+            throw SnapshotError(strprintf(
+                "cache array slot %llu repeated",
+                static_cast<unsigned long long>(prevSlot)));
+        }
+        const std::uint64_t i = prevSlot + delta;
         prevSlot = i;
         if (i >= lines.size()) {
             throw SnapshotError(strprintf(
                 "cache array slot %llu out of range (%zu lines)",
                 static_cast<unsigned long long>(i), lines.size()));
         }
+        const Addr tag = d.vu64() << 6;
+        const std::size_t set = i / numWays;
+        if (setIndex(tag) != set) {
+            throw SnapshotError(strprintf(
+                "cache array tag %#llx maps to set %u, stored in set %zu",
+                static_cast<unsigned long long>(tag), setIndex(tag), set));
+        }
+        touched[set / 64] |= 1ULL << (set % 64);
         Line &l = lines[i];
-        l.tag = d.vu64() << 6;
+        l.tag = tag;
         d.enumByte(l.state, CacheState::Modified, "cache line state");
         l.lastUse = d.vu64();
     }

@@ -78,14 +78,22 @@ class CacheArray
 
     /** Serialize the valid lines (sparse, with their slot indices and
      *  LRU stamps) so restored victim choices replay exactly. Invalid
-     *  slots are canonical and need no bytes. */
+     *  slots are canonical and need no bytes. Both walk only the sets
+     *  a fill or restore has written (the touched-set bitmap). */
     void save(Ser &s) const;
     void restore(Deser &d);
 
   private:
+    /** Apply @p fn(set) to every touched set, in ascending order. */
+    template <typename Fn> void forEachTouchedSet(Fn &&fn) const;
+
     unsigned numSets;
     unsigned numWays;
     std::vector<Line> lines; ///< numSets x numWays, row-major
+    /** One bit per set that fill() or restore() ever wrote. Only
+     *  fill() makes a slot valid, so every valid line lies in a marked
+     *  set; sets outside it hold default-constructed slots. */
+    std::vector<std::uint64_t> touched;
 };
 
 } // namespace rowsim

@@ -478,6 +478,18 @@ Directory::lineSharers(Addr line) const
     return si == npos ? 0 : slots[si].sharers;
 }
 
+std::uint64_t
+Directory::lineHolders(Addr line) const
+{
+    const std::size_t si = find(lineAlign(line));
+    if (si == npos)
+        return 0;
+    const Slot &e = slots[si];
+    return e.state == DirState::Modified && e.owner != invalidCore
+               ? e.sharers | coreBit(e.owner)
+               : e.sharers;
+}
+
 void
 Directory::funcSetLine(Addr line, DirState state, CoreId owner,
                        std::uint64_t sharers)

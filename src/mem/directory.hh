@@ -136,6 +136,9 @@ class Directory : public MsgHandler
 
     /** Sharer bitmask of @p line (0 when untracked). */
     std::uint64_t lineSharers(Addr line) const;
+    /** Sharers plus the owner of a Modified line: every cache that may
+     *  hold a private copy of @p line (0 when untracked). */
+    std::uint64_t lineHolders(Addr line) const;
     /** Overwrite one entry's stable state with a transaction's end
      *  state (refuses Blocked entries: func mode never runs while a
      *  detail transaction is in flight). */

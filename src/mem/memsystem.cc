@@ -1,8 +1,10 @@
 #include "mem/memsystem.hh"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
+#include "common/log.hh"
 #include "sim/snapshot.hh"
 
 namespace rowsim
@@ -11,6 +13,11 @@ namespace rowsim
 MemSystem::MemSystem(const SystemParams &params)
     : net(params.numCores, params.net)
 {
+    if (params.numCores > maxCores) {
+        ROWSIM_FATAL("numCores %u exceeds the %u-core limit (the "
+                     "directory's sharer mask has one bit per core)",
+                     params.numCores, maxCores);
+    }
     caches.reserve(params.numCores);
     banks.reserve(params.numCores);
     for (CoreId c = 0; c < params.numCores; c++) {
@@ -84,11 +91,13 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
         // GetX end state: every other copy dropped, requester Modified,
         // directory M/{requester}/no sharers. An M holder elsewhere is
         // the cache-to-cache forward detail mode serves via FwdGetX.
-        for (CoreId o = 0; o < cores; o++) {
-            if (o != c && caches[o]->funcDropLine(line) ==
-                              CacheState::Modified) {
+        // The home bank's sharers plus owner cover every private copy
+        // (checker category swmr), so only those caches are visited.
+        for (std::uint64_t holders = home.lineHolders(line) & ~bit(c);
+             holders; holders &= holders - 1) {
+            const auto o = static_cast<CoreId>(std::countr_zero(holders));
+            if (caches[o]->funcDropLine(line) == CacheState::Modified)
                 remote = true;
-            }
         }
         if (!remote)
             home.funcTouchLlc(line, now);

@@ -59,6 +59,8 @@ class FunctionalMemory
 class MemSystem
 {
   public:
+    /** Fatal when params.numCores exceeds maxCores (the sharer mask
+     *  has one bit per core), before any cache or bank is built. */
     explicit MemSystem(const SystemParams &params);
 
     PrivateCache &cache(CoreId core) { return *caches[core]; }

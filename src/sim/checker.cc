@@ -1,5 +1,7 @@
 #include "sim/checker.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdlib>
 #include <unordered_map>
@@ -163,14 +165,18 @@ Checker::checkSwmr(Cycle /* now */)
     // non-Blocked entry: recorded sharers/owner are a superset of actual
     // holders (silent Shared evictions shrink only the actual set), and
     // a recorded owner can be trusted to produce the data (M copy, or a
-    // writeback / refetch in flight).
+    // writeback / refetch in flight). Each visited line leaves
+    // `holders`, so what remains afterwards has no entry at all.
     for (unsigned b = 0; b < mem.numBanks(); b++) {
         mem.directory(b).forEachLine([&](const Directory::LineInfo &i) {
+            auto it = holders.find(i.line);
+            std::uint64_t actual = 0;
+            if (it != holders.end()) {
+                actual = it->second.anyMask;
+                holders.erase(it);
+            }
             if (i.state == DirState::Blocked)
                 return;
-            auto it = holders.find(i.line);
-            const std::uint64_t actual =
-                it == holders.end() ? 0 : it->second.anyMask;
             std::uint64_t recorded = i.sharers;
             if (i.state == DirState::Modified) {
                 if (i.owner >= n) {
@@ -204,6 +210,23 @@ Checker::checkSwmr(Cycle /* now */)
                              static_cast<int>(i.state));
             }
         });
+    }
+
+    // Pass 4: a private copy of a line its home bank has no entry for
+    // is covered by no sharer bit (the lowest such line is named).
+    if (!holders.empty()) {
+        const auto it = std::min_element(
+            holders.begin(), holders.end(),
+            [](const auto &a, const auto &b) { return a.first < b.first; });
+        const Addr line = it->first;
+        ROWSIM_PANIC("[check:swmr] l1d%u holds line %#llx but dir%u has "
+                     "no entry for it (holder mask %#llx)",
+                     static_cast<CoreId>(
+                         std::countr_zero(it->second.anyMask)),
+                     static_cast<unsigned long long>(line),
+                     static_cast<unsigned>(mem.network().homeBank(line)) -
+                         n,
+                     static_cast<unsigned long long>(it->second.anyMask));
     }
 }
 

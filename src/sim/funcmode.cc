@@ -159,18 +159,7 @@ System::runFunctional(std::uint64_t iter_quota, std::uint64_t warm_iters)
         if (all_done || warm)
             break;
     }
-
-    // Re-anchor the timing-side bookkeeping at the new cycle: the
-    // watchdog / service schedule must not see the functional segment
-    // as a detail-mode commit drought, and interval sampling resumes
-    // from here.
-    for (CoreId c = 0; c < cores.size(); c++) {
-        coreProgress_[c].insts = cores[c]->committedInstructions();
-        coreProgress_[c].cycle = currentCycle;
-    }
-    lastWatchdogScan_ = currentCycle;
-    lastStructScan_ = currentCycle;
-    recomputeNextService();
+    finishFunctional();
     return currentCycle;
 }
 
@@ -207,13 +196,26 @@ System::runFunctionalToInstCounts(
         if (all_done)
             break;
     }
+    finishFunctional();
+}
 
+void
+System::finishFunctional()
+{
+    // Re-anchor the timing-side bookkeeping at the new cycle: the
+    // watchdog / service schedule must not see the functional segment
+    // as a detail-mode commit drought, and interval sampling resumes
+    // from here.
     for (CoreId c = 0; c < cores.size(); c++) {
         coreProgress_[c].insts = cores[c]->committedInstructions();
         coreProgress_[c].cycle = currentCycle;
     }
     lastWatchdogScan_ = currentCycle;
     lastStructScan_ = currentCycle;
+    // The functional path never ticks the checker: sweep once here,
+    // so ROWSIM_CHECK covers the state it leaves behind.
+    if (Checker::anyEnabled())
+        checker_->sweep(currentCycle);
     recomputeNextService();
 }
 

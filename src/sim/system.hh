@@ -82,7 +82,9 @@ class System
      * in either mode at any cycle boundary. Refused (fatal) under
      * fault injection, whose per-tick RNG draws have no functional
      * equivalent. Must start from a quiesced system (nothing in
-     * flight), which construction and drain() both guarantee.
+     * flight), which construction and drain() both guarantee. Both
+     * functional entry points run every enabled checker category
+     * once on return.
      */
     Cycle runFunctional(std::uint64_t iter_quota,
                         std::uint64_t warm_iters = 0);
@@ -247,6 +249,9 @@ class System
      *  nextServiceCycle_ — the common-case tick does one comparison. */
     void serviceTick();
     void recomputeNextService();
+    /** End of a functional segment: re-anchor the timing-side
+     *  bookkeeping at currentCycle and sweep the enabled checks. */
+    void finishFunctional();
     /** Earliest cycle anything can happen absent new work; invalidCycle
      *  when fully quiescent. */
     Cycle nextEventCycle() const;

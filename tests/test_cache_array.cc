@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/cache_array.hh"
+#include "sim/snapshot.hh"
 
 using namespace rowsim;
 
@@ -15,6 +20,121 @@ Addr
 lineAt(unsigned set, unsigned tag_mult, unsigned sets)
 {
     return (static_cast<Addr>(tag_mult) * sets + set) * lineBytes;
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes
+imageOf(const CacheArray &a)
+{
+    Ser s;
+    a.save(s);
+    return s.bytes();
+}
+
+/** Slot 0 of a fresh array: victim() picks the first invalid way, so
+ *  on an empty array a set-0 line gets set 0, way 0. */
+const CacheArray::Line *
+firstSlot(CacheArray &fresh)
+{
+    return fresh.victim(0, nullptr, 0);
+}
+
+/** Reference encoder: the image format written by walking every slot
+ *  of the array from @p slots (its slot 0), touched or not. */
+Bytes
+fullWalkImage(const CacheArray &a, const CacheArray::Line *slots)
+{
+    const std::size_t n = static_cast<std::size_t>(a.sets()) * a.ways();
+    Ser s;
+    s.section("cachearray");
+    s.u32(a.sets());
+    s.u32(a.ways());
+    std::uint64_t valid = 0;
+    for (std::size_t i = 0; i < n; i++)
+        valid += slots[i].valid();
+    s.u64(valid);
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < n; i++) {
+        if (!slots[i].valid())
+            continue;
+        s.vu64(i - prev);
+        prev = i;
+        s.vu64(slots[i].tag >> 6);
+        s.u8(static_cast<std::uint8_t>(slots[i].state));
+        s.vu64(slots[i].lastUse);
+    }
+    return s.bytes();
+}
+
+/** @p n seeded random operations: fills (evicting the LRU way when the
+ *  set is full), in-place state changes, LRU touches and
+ *  invalidations. Most land on 8 hot sets starting at @p hot_base, so
+ *  most sets stay untouched. */
+void
+randomOps(CacheArray &a, Rng &r, unsigned n, unsigned hot_base, Cycle &now)
+{
+    for (unsigned k = 0; k < n; k++) {
+        const auto set = static_cast<unsigned>(
+            r.chance(0.8) ? (hot_base + 29 * r.below(8)) % a.sets()
+                          : r.below(a.sets()));
+        const Addr line =
+            lineAt(set, static_cast<unsigned>(r.below(2 * a.ways())),
+                   a.sets());
+        now++;
+        switch (r.below(4)) {
+          case 0:
+          case 1:
+            if (!a.peek(line)) {
+                a.fill(a.victim(line, nullptr, now), line,
+                       r.chance(0.5) ? CacheState::Shared
+                                     : CacheState::Modified,
+                       now);
+            }
+            break;
+          case 2:
+            if (auto *l = a.lookup(line, now))
+                l->state = r.chance(0.5) ? CacheState::Shared
+                                         : CacheState::Modified;
+            break;
+          default:
+            a.invalidate(line);
+            break;
+        }
+    }
+}
+
+/** Restore @p img into a fresh 16x2 array; returns the SnapshotError
+ *  message, or "" when the image was accepted. */
+std::string
+restoreError(const Bytes &img)
+{
+    CacheArray a(16, 2);
+    Deser d(img);
+    try {
+        a.restore(d);
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A 16x2 image of (slot delta, line) entries in the save() encoding. */
+Bytes
+handImage(const std::vector<std::pair<std::uint64_t, Addr>> &entries)
+{
+    Ser s;
+    s.section("cachearray");
+    s.u32(16);
+    s.u32(2);
+    s.u64(entries.size());
+    for (const auto &[delta, line] : entries) {
+        s.vu64(delta);
+        s.vu64(line >> 6);
+        s.u8(static_cast<std::uint8_t>(CacheState::Shared));
+        s.vu64(1);
+    }
+    return s.bytes();
 }
 } // namespace
 
@@ -134,4 +254,85 @@ TEST(CacheArray, PeekDoesNotPerturbLru)
     c.peek(lineAt(0, 0, 4));
     auto *victim = c.victim(lineAt(0, 2, 4), nullptr, 3);
     EXPECT_EQ(victim->tag, lineAt(0, 0, 4));
+}
+
+// save() walks only the sets fill() or restore() marked. Over seeded
+// random fill / invalidate / state-change sequences its bytes must
+// equal the full walk over every slot.
+TEST(CacheArray, TouchedSetSaveMatchesFullWalk)
+{
+    for (std::uint64_t seed = 1; seed <= 5; seed++) {
+        SCOPED_TRACE(seed);
+        CacheArray a(256, 4);
+        const CacheArray::Line *slots = firstSlot(a);
+        Rng r(seed);
+        Cycle now = 0;
+        EXPECT_EQ(imageOf(a), fullWalkImage(a, slots));
+        for (unsigned round = 0; round < 40; round++) {
+            randomOps(a, r, 50, static_cast<unsigned>(seed) * 11, now);
+            ASSERT_EQ(imageOf(a), fullWalkImage(a, slots))
+                << "round " << round;
+        }
+    }
+}
+
+// restore() clears only the sets the array had touched. Restoring into
+// a used array (lines in sets the image never touched) must leave
+// exactly the state a fresh array gets: the same bytes from save() and
+// from the full walk, and the same behaviour afterwards.
+TEST(CacheArray, RestoreIntoUsedArrayMatchesFresh)
+{
+    Cycle now = 0;
+    CacheArray src(256, 4);
+    Rng r1(1);
+    randomOps(src, r1, 600, 0, now);
+    const Bytes img = imageOf(src);
+
+    CacheArray used(256, 4);
+    const CacheArray::Line *usedSlots = firstSlot(used);
+    Rng r2(2);
+    randomOps(used, r2, 600, 100, now);
+    ASSERT_NE(imageOf(used), img);
+
+    CacheArray fresh(256, 4);
+    const CacheArray::Line *freshSlots = firstSlot(fresh);
+    Deser d1(img);
+    used.restore(d1);
+    Deser d2(img);
+    fresh.restore(d2);
+
+    EXPECT_EQ(imageOf(fresh), img);
+    EXPECT_EQ(imageOf(used), img);
+    EXPECT_EQ(fullWalkImage(used, usedSlots), img)
+        << "a line of the used array outlived the restore";
+
+    Rng a(3), b(3);
+    Cycle ta = now, tb = now;
+    randomOps(used, a, 400, 50, ta);
+    randomOps(fresh, b, 400, 50, tb);
+    EXPECT_EQ(imageOf(used), imageOf(fresh));
+    EXPECT_EQ(fullWalkImage(used, usedSlots),
+              fullWalkImage(fresh, freshSlots));
+}
+
+// Two slots of one image can never be the same: after the first line a
+// zero slot delta is corrupt (the first line may sit in slot 0).
+TEST(CacheArray, RestoreRejectsRepeatedSlot)
+{
+    EXPECT_EQ(restoreError(handImage({{0, lineAt(0, 1, 16)}})), "");
+    const std::string err = restoreError(
+        handImage({{0, lineAt(0, 1, 16)}, {0, lineAt(0, 2, 16)}}));
+    EXPECT_NE(err.find("slot 0 repeated"), std::string::npos) << err;
+}
+
+// A line can only live in the set its address maps to.
+TEST(CacheArray, RestoreRejectsTagOutsideItsSet)
+{
+    // Slot 2 is set 1, way 0 of a 16x2 array.
+    EXPECT_EQ(restoreError(handImage({{2, lineAt(1, 3, 16)}})), "");
+    const std::string err =
+        restoreError(handImage({{2, lineAt(0, 3, 16)}}));
+    EXPECT_NE(err.find("maps to set 0, stored in set 1"),
+              std::string::npos)
+        << err;
 }

@@ -166,6 +166,41 @@ TEST_F(CheckerTest, TwoModifiedCopiesAreCaught)
     EXPECT_NE(what.find("single-writer"), std::string::npos) << what;
 }
 
+// A Shared private copy of a line its home bank has no entry for is
+// covered by no sharer bit: the functional exclusive path would never
+// invalidate it. The sweep must name the line and the holder.
+TEST_F(CheckerTest, UntrackedSharedCopyIsCaught)
+{
+    auto sys = makeCounterSystem(4, 1, "swmr", 1024);
+    sys->run(5);
+    sys->drain();
+    EXPECT_NO_THROW(sys->checker().sweep(sys->now()));
+
+    const Addr line = lineAlign(addrmap::sharedDataLine(77));
+    const unsigned bank =
+        static_cast<unsigned>(sys->mem().network().homeBank(line)) - 4;
+    ASSERT_EQ(sys->mem().directory(bank).lineState(line), DirState::Invalid);
+    sys->mem().cache(2).testSetLineState(line, CacheState::Shared,
+                                         sys->now());
+
+    ::testing::internal::CaptureStderr();
+    std::string what;
+    try {
+        sys->checker().sweep(sys->now());
+        FAIL() << "untracked Shared copy was not detected";
+    } catch (const std::logic_error &e) {
+        what = e.what();
+    }
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(what.find("[check:swmr]"), std::string::npos) << what;
+    EXPECT_NE(what.find("l1d2"), std::string::npos) << what;
+    EXPECT_NE(what.find(strprintf("%#llx",
+                                  static_cast<unsigned long long>(line))),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("no entry"), std::string::npos) << what;
+}
+
 TEST_F(CheckerTest, EventMacroGatesOnCategory)
 {
     Checker::configure(

@@ -7,12 +7,15 @@
  * order-insensitive workloads at matched instruction counts; sampled
  * runs must be deterministic across sweep thread counts; the
  * "sampling" report key must appear exactly when ROWSIM_SAMPLE is
- * active; and malformed specs / incompatible observability setups must
- * fail loudly.
+ * active; malformed specs / incompatible observability setups must
+ * fail loudly; and the directory's sharers plus owner must cover every
+ * private copy functional mode leaves behind (the exclusive path
+ * invalidates only those caches).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +24,9 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/rng.hh"
+#include "mem/memsystem.hh"
+#include "sim/checker.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/sampling.hh"
@@ -354,4 +360,166 @@ TEST(FuncMode, IncompatibleSetupsAreFatal)
         EXPECT_THROW(runExperiment("counter", eagerConfig(), 4, 60),
                      std::runtime_error);
     }
+}
+
+// The oracle for the exclusive path's filtered invalidation: after every
+// funcAccess, each valid L2 line of every cache is covered by its home
+// bank's sharers plus the owner of a Modified entry, so invalidating
+// only those caches drops every other copy. Small arrays at 32 cores
+// and a line pool several times their capacity make conflict
+// evictions (clean and dirty) part of the mix.
+TEST(FuncMode, DirectoryCoversEveryPrivateCopy)
+{
+    SystemParams sp;
+    sp.numCores = 32;
+    sp.mem.l1Sets = 4;
+    sp.mem.l1Ways = 2;
+    sp.mem.l2Sets = 8;
+    sp.mem.l2Ways = 4;
+    sp.mem.l3SetsPerBank = 16;
+    sp.mem.l3Ways = 4;
+    MemSystem mem(sp);
+    const unsigned cores = sp.numCores;
+
+    const auto home = [&](Addr line) -> Directory & {
+        return mem.directory(
+            static_cast<unsigned>(mem.network().homeBank(line)) - cores);
+    };
+    const auto l2Set = [&](Addr line) {
+        return lineNum(line) & (sp.mem.l2Sets - 1);
+    };
+    // First private copy outside its home bank's sharers plus owner
+    // (or an M copy the bank does not record as owned), or "".
+    const auto uncovered = [&]() -> std::string {
+        std::string bad;
+        for (CoreId c = 0; c < cores && bad.empty(); c++) {
+            mem.cache(c).forEachL2Line([&](Addr line, CacheState st) {
+                Directory &dir = home(line);
+                const bool m = dir.lineState(line) == DirState::Modified &&
+                               dir.lineOwner(line) < cores;
+                std::uint64_t covered = dir.lineSharers(line);
+                if (m)
+                    covered |= 1ULL << dir.lineOwner(line);
+                if (bad.empty() &&
+                    (!(covered >> c & 1) ||
+                     (st == CacheState::Modified &&
+                      (!m || dir.lineOwner(line) != c)))) {
+                    bad = strprintf("l1d%u holds line %#llx (state %d) "
+                                    "outside sharers+owner %#llx",
+                                    c,
+                                    static_cast<unsigned long long>(line),
+                                    static_cast<int>(st),
+                                    static_cast<unsigned long long>(
+                                        covered));
+                }
+            });
+        }
+        return bad;
+    };
+
+    // 32 lines every core touches, plus 48 lines of its own per core:
+    // each cache holds 32 lines over 8 sets, so private traffic keeps
+    // evicting shared copies (clean ones silently, leaving stale
+    // sharer bits) and dirty ones (writebacks).
+    const auto pick = [&](Rng &r, CoreId c) -> Addr {
+        if (r.chance(0.5))
+            return r.below(32) * lineBytes;
+        return (4096 + c * 64 + r.below(48)) * Addr{lineBytes};
+    };
+
+    Rng rng(24);
+    std::uint64_t evictions = 0, dirtyEvictions = 0, remoteFills = 0,
+                  invalidatingWrites = 0;
+    for (std::uint64_t step = 1; step <= 20000; step++) {
+        const auto c = static_cast<CoreId>(rng.below(cores));
+        const Addr line = pick(rng, c);
+        const bool exclusive = rng.chance(0.4);
+
+        // What the removed broadcast would have seen: the other caches
+        // holding the line, and whether one of them held it Modified.
+        std::uint64_t others = 0;
+        bool remoteM = false;
+        for (CoreId o = 0; o < cores; o++) {
+            const CacheState st = mem.cache(o).lineState(line);
+            if (o != c && st != CacheState::Invalid) {
+                others |= 1ULL << o;
+                remoteM |= st == CacheState::Modified;
+            }
+        }
+        std::vector<std::pair<Addr, CacheState>> before;
+        mem.cache(c).forEachL2Line([&](Addr l, CacheState st) {
+            if (l2Set(l) == l2Set(line))
+                before.emplace_back(l, st);
+        });
+
+        const bool remote = mem.funcAccess(c, line, exclusive, step);
+        const CacheState mine = mem.cache(c).lineState(line);
+        if (exclusive) {
+            ASSERT_EQ(remote, remoteM) << "step " << step;
+            ASSERT_EQ(mine, CacheState::Modified);
+            for (std::uint64_t o = others; o; o &= o - 1) {
+                ASSERT_EQ(mem.cache(static_cast<CoreId>(
+                                        std::countr_zero(o)))
+                              .lineState(line),
+                          CacheState::Invalid)
+                    << "step " << step << ": a copy survived a write";
+            }
+            invalidatingWrites += others != 0;
+        } else {
+            ASSERT_NE(mine, CacheState::Invalid);
+        }
+        remoteFills += remote;
+        for (const auto &[l, st] : before) {
+            if (mem.cache(c).lineState(l) != CacheState::Invalid)
+                continue;
+            evictions++;
+            if (st == CacheState::Modified) {
+                dirtyEvictions++;
+                ASSERT_NE(home(l).lineOwner(l), c)
+                    << "dirty victim 0x" << std::hex << l
+                    << " still owned by its evictor";
+            }
+        }
+        const std::string bad = uncovered();
+        ASSERT_EQ(bad, "") << "step " << step;
+    }
+    // The mix did reach every path (about 4.6k / 2.6k / 3.9k / 3.9k).
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(dirtyEvictions, 500u);
+    EXPECT_GT(remoteFills, 1000u);
+    EXPECT_GT(invalidatingWrites, 1000u);
+}
+
+// Functional warm-up on every workload profile leaves state the swmr
+// check accepts at each warm mark. The functional entry points sweep
+// the enabled checks once on return, so ROWSIM_CHECK covers sampled
+// runs; the sweep counts prove each entry point did.
+TEST(FuncMode, WarmupIsSwmrCleanOnEveryProfile)
+{
+    const std::uint32_t saved = Checker::mask();
+    std::vector<std::string> profiles = allWorkloads();
+    profiles.push_back("counter");
+    for (const std::string &wl : profiles) {
+        SCOPED_TRACE(wl);
+        SystemParams sp = makeParams(
+            rowConfig(ContentionDetector::RWDir,
+                      PredictorUpdate::SaturateOnContention),
+            32, 5);
+        sp.checkCategories = "swmr";
+        System sys(sp, makeStreams(profileFor(wl), 32, 5));
+        ASSERT_TRUE(Checker::enabled(CheckCategory::Swmr));
+        std::uint64_t sweeps = sys.checker().sweepsRun();
+        for (std::uint64_t mark : {4, 8, 12}) {
+            ASSERT_NO_THROW(sys.runFunctional(16, mark)) << "mark " << mark;
+            EXPECT_EQ(sys.checker().sweepsRun(), ++sweeps)
+                << "runFunctional must sweep once on return";
+        }
+        std::vector<std::uint64_t> targets;
+        for (CoreId c = 0; c < 32; c++)
+            targets.push_back(sys.core(c).committedInstructions() + 500);
+        ASSERT_NO_THROW(sys.runFunctionalToInstCounts(targets));
+        EXPECT_EQ(sys.checker().sweepsRun(), sweeps + 1)
+            << "runFunctionalToInstCounts must sweep once on return";
+    }
+    Checker::configure(saved);
 }

@@ -200,3 +200,20 @@ TEST(SystemIntegration, NetworkAndDirectoryStatsPopulated)
         getx += sys.mem().directory(b).stats().counterValue("getX");
     EXPECT_GT(getx, 0u);
 }
+
+// The directory's sharer mask has one bit per core: a System past the
+// limit is refused before any cache or bank is built, naming the
+// limit. Only the first value past it is tried.
+TEST(SystemIntegration, MoreCoresThanTheSharerMaskIsFatal)
+{
+    SystemParams sp;
+    sp.numCores = maxCores + 1;
+    try {
+        System sys(sp, {});
+        FAIL() << "a 65-core System was accepted";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("65"), std::string::npos) << what;
+        EXPECT_NE(what.find("64-core limit"), std::string::npos) << what;
+    }
+}
