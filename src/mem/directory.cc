@@ -471,23 +471,14 @@ Directory::testSetLine(Addr line, DirState state, CoreId owner,
     e.sharers = sharers;
 }
 
-std::uint64_t
-Directory::lineSharers(Addr line) const
-{
-    const std::size_t si = find(lineAlign(line));
-    return si == npos ? 0 : slots[si].sharers;
-}
-
-std::uint64_t
-Directory::lineHolders(Addr line) const
+Directory::StableLine
+Directory::stableLine(Addr line) const
 {
     const std::size_t si = find(lineAlign(line));
     if (si == npos)
-        return 0;
+        return {};
     const Slot &e = slots[si];
-    return e.state == DirState::Modified && e.owner != invalidCore
-               ? e.sharers | coreBit(e.owner)
-               : e.sharers;
+    return {e.state, e.owner, e.sharers};
 }
 
 void

@@ -134,11 +134,16 @@ class Directory : public MsgHandler
     // snapshot taken at a func-mode cycle boundary holds only stable
     // coherence states. These hooks assert the entry is not mid-flight.
 
-    /** Sharer bitmask of @p line (0 when untracked). */
-    std::uint64_t lineSharers(Addr line) const;
-    /** Sharers plus the owner of a Modified line: every cache that may
-     *  hold a private copy of @p line (0 when untracked). */
-    std::uint64_t lineHolders(Addr line) const;
+    /** One line's stable state: Invalid, no owner and no sharers when
+     *  the bank never saw the line. */
+    struct StableLine
+    {
+        DirState state = DirState::Invalid;
+        CoreId owner = invalidCore;
+        std::uint64_t sharers = 0;
+    };
+    /** The stable state of @p line, in one line-table probe. */
+    StableLine stableLine(Addr line) const;
     /** Overwrite one entry's stable state with a transaction's end
      *  state (refuses Blocked entries: func mode never runs while a
      *  detail transaction is in flight). */

@@ -86,6 +86,10 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
 
     bool remote = false;
     std::vector<Addr> dirtyVictims;
+    const Directory::StableLine entry = home.stableLine(line);
+    const bool ownedElsewhere = entry.state == DirState::Modified &&
+                                entry.owner != invalidCore &&
+                                entry.owner != c;
 
     if (exclusive) {
         // GetX end state: every other copy dropped, requester Modified,
@@ -93,8 +97,10 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
         // the cache-to-cache forward detail mode serves via FwdGetX.
         // The home bank's sharers plus owner cover every private copy
         // (checker category swmr), so only those caches are visited.
-        for (std::uint64_t holders = home.lineHolders(line) & ~bit(c);
-             holders; holders &= holders - 1) {
+        std::uint64_t holders = entry.sharers & ~bit(c);
+        if (ownedElsewhere)
+            holders |= bit(entry.owner);
+        for (; holders; holders &= holders - 1) {
             const auto o = static_cast<CoreId>(std::countr_zero(holders));
             if (caches[o]->funcDropLine(line) == CacheState::Modified)
                 remote = true;
@@ -107,14 +113,10 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
     } else {
         // GetS end state: an M owner is downgraded and becomes a
         // sharer (FwdGetS), otherwise data comes from the LLC/memory.
-        std::uint64_t sharers = home.lineSharers(line) | bit(c);
-        if (home.lineState(line) == DirState::Modified) {
-            const CoreId o = home.lineOwner(line);
-            if (o != invalidCore && o != c &&
-                caches[o]->funcDowngrade(line, now)) {
-                remote = true;
-                sharers |= bit(o);
-            }
+        std::uint64_t sharers = entry.sharers | bit(c);
+        if (ownedElsewhere && caches[entry.owner]->funcDowngrade(line, now)) {
+            remote = true;
+            sharers |= bit(entry.owner);
         }
         if (!remote)
             home.funcTouchLlc(line, now);

@@ -381,9 +381,9 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     RunOptions opts = resolveRunOptions(sp, store_dir);
     applyRunRules(opts);
 
-    // SMARTS-style checkpointed sampling — functional warm-up to a
-    // checkpoint grid, short detail windows from each checkpoint (sweep
-    // jobs, so they cache and parallelize individually), batch-means
+    // SMARTS-style sampling — functional warm-up imaged in memory at a
+    // grid of marks, short detail windows from each image (sweep jobs,
+    // so they cache and parallelize individually), batch-means
     // aggregation. The windows go through the result store themselves;
     // the aggregate bypasses it.
     if (opts.sample.active) {

@@ -98,7 +98,6 @@ const Knob kKnobs[] = {
      .parse = [](O &o, const Knob &k, const char *v) {
          o.sample = parseSampleSpec(k.name, v);
      }},
-    {.name = "ROWSIM_CKPT_DIR", .text = &O::ckptDir},
     {.name = "ROWSIM_RESULTS", .flag = &O::results},
     {.name = "ROWSIM_RESULTS_DIR", .text = &O::resultsDir},
     {.name = "ROWSIM_SWEEP_THREADS",

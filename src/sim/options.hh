@@ -90,7 +90,6 @@ struct RunOptions
     bool funcMode = false;
     FastForwardMode fastForward = FastForwardMode::On;
     SampleSpec sample;
-    std::string ckptDir = "rowsim-ckpt";
 
     // Output sinks (empty = off; "-" = stdout where a sink allows it).
     std::string report;

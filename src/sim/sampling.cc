@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 
 #include "common/log.hh"
@@ -76,135 +75,76 @@ windowLabel(const std::string &label, const SampleSpec &spec,
                              static_cast<unsigned long long>(quota), k);
 }
 
-/** One aggregated metric: how to read it from a window result, how to
- *  write the whole-run value back into the aggregate result, and
- *  whether the window value is an additive count (extrapolated by
- *  quota / detailIters) or already a rate/mean. */
-struct MetricDef
+/** One aggregated metric: its report name and RunResult field. */
+template <class T> struct Metric
 {
     const char *name;
-    double (*get)(const RunResult &);
-    void (*set)(RunResult &, double);
-    bool extrapolate;
+    T RunResult::*field;
 };
 
-constexpr MetricDef kSampledMetrics[] = {
-    {"cycles", [](const RunResult &w) { return double(w.cycles); },
-     [](RunResult &r, double v) {
-         r.cycles = static_cast<Cycle>(std::llround(v));
-     },
-     true},
-    {"instructions",
-     [](const RunResult &w) { return double(w.instructions); },
-     [](RunResult &r, double v) {
-         r.instructions = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsCommitted",
-     [](const RunResult &w) { return double(w.atomicsCommitted); },
-     [](RunResult &r, double v) {
-         r.atomicsCommitted = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsUnlocked",
-     [](const RunResult &w) { return double(w.atomicsUnlocked); },
-     [](RunResult &r, double v) {
-         r.atomicsUnlocked = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"detectedContended",
-     [](const RunResult &w) { return double(w.detectedContended); },
-     [](RunResult &r, double v) {
-         r.detectedContended = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"oracleContended",
-     [](const RunResult &w) { return double(w.oracleContended); },
-     [](RunResult &r, double v) {
-         r.oracleContended = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsForwarded",
-     [](const RunResult &w) { return double(w.atomicsForwarded); },
-     [](RunResult &r, double v) {
-         r.atomicsForwarded = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsPromoted",
-     [](const RunResult &w) { return double(w.atomicsPromoted); },
-     [](RunResult &r, double v) {
-         r.atomicsPromoted = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"forcedUnlocks",
-     [](const RunResult &w) { return double(w.forcedUnlocks); },
-     [](RunResult &r, double v) {
-         r.forcedUnlocks = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"eagerIssued",
-     [](const RunResult &w) { return double(w.eagerIssued); },
-     [](RunResult &r, double v) {
-         r.eagerIssued = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"lazyIssued", [](const RunResult &w) { return double(w.lazyIssued); },
-     [](RunResult &r, double v) {
-         r.lazyIssued = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsPer10k",
-     [](const RunResult &w) { return w.atomicsPer10k; },
-     [](RunResult &r, double v) { r.atomicsPer10k = v; }, false},
-    {"contendedPct", [](const RunResult &w) { return w.contendedPct; },
-     [](RunResult &r, double v) { r.contendedPct = v; }, false},
-    {"missLatency", [](const RunResult &w) { return w.missLatency; },
-     [](RunResult &r, double v) { r.missLatency = v; }, false},
-    {"dispatchToIssue",
-     [](const RunResult &w) { return w.dispatchToIssue; },
-     [](RunResult &r, double v) { r.dispatchToIssue = v; }, false},
-    {"issueToLock", [](const RunResult &w) { return w.issueToLock; },
-     [](RunResult &r, double v) { r.issueToLock = v; }, false},
-    {"lockToUnlock", [](const RunResult &w) { return w.lockToUnlock; },
-     [](RunResult &r, double v) { r.lockToUnlock = v; }, false},
-    {"olderUnexecuted",
-     [](const RunResult &w) { return w.olderUnexecuted; },
-     [](RunResult &r, double v) { r.olderUnexecuted = v; }, false},
-    {"youngerStarted",
-     [](const RunResult &w) { return w.youngerStarted; },
-     [](RunResult &r, double v) { r.youngerStarted = v; }, false},
-    {"predAccuracy", [](const RunResult &w) { return w.predAccuracy; },
-     [](RunResult &r, double v) { r.predAccuracy = v; }, false},
+/** Additive counts: extrapolated by quota / detailIters into whole-run
+ *  estimates. Reported before the means, in this order. */
+constexpr Metric<std::uint64_t> kCountMetrics[] = {
+    {"cycles", &RunResult::cycles},
+    {"instructions", &RunResult::instructions},
+    {"atomicsCommitted", &RunResult::atomicsCommitted},
+    {"atomicsUnlocked", &RunResult::atomicsUnlocked},
+    {"detectedContended", &RunResult::detectedContended},
+    {"oracleContended", &RunResult::oracleContended},
+    {"atomicsForwarded", &RunResult::atomicsForwarded},
+    {"atomicsPromoted", &RunResult::atomicsPromoted},
+    {"forcedUnlocks", &RunResult::forcedUnlocks},
+    {"eagerIssued", &RunResult::eagerIssued},
+    {"lazyIssued", &RunResult::lazyIssued},
 };
+
+/** Rates and means: the whole-run estimate is the window mean. */
+constexpr Metric<double> kMeanMetrics[] = {
+    {"atomicsPer10k", &RunResult::atomicsPer10k},
+    {"contendedPct", &RunResult::contendedPct},
+    {"missLatency", &RunResult::missLatency},
+    {"dispatchToIssue", &RunResult::dispatchToIssue},
+    {"issueToLock", &RunResult::issueToLock},
+    {"lockToUnlock", &RunResult::lockToUnlock},
+    {"olderUnexecuted", &RunResult::olderUnexecuted},
+    {"youngerStarted", &RunResult::youngerStarted},
+    {"predAccuracy", &RunResult::predAccuracy},
+};
+
+/** The run options window @p job resolves to. The sampled run keys its
+ *  store lookups with the same resolution the window stores under. */
+RunOptions
+windowOptions(const SweepJob &job, const std::string &storeDir)
+{
+    RunOptions opts = resolveRunOptions(job.windowParams, storeDir);
+    applyRunRules(opts);
+    return opts;
+}
+
+/** Result-store key of window @p job run under @p opts. */
+ResultKey
+windowKey(const SweepJob &job, const RunOptions &opts)
+{
+    return ResultStore::keyFor(job.windowParams, opts, job.workload,
+                               job.cfg.label,
+                               job.windowStartIters + job.windowWarmIters +
+                                   job.windowIters);
+}
 
 } // namespace
 
 RunResult
 runDetailWindow(const SweepJob &job, const std::string &storeDir)
 {
-    SystemParams sp = job.windowParams;
-    sp.mode = ExecMode::Detail;
+    const SystemParams &sp = job.windowParams;
     const std::uint64_t stop =
         job.windowStartIters + job.windowWarmIters + job.windowIters;
-
-    // Windows are first-class store citizens: a sampled rerun with the
-    // same layout restores, at most, nothing. Same rules as
-    // runAndCollect (a cached window emits no telemetry).
-    RunOptions opts = resolveRunOptions(sp, storeDir);
-    applyRunRules(opts);
-    std::unique_ptr<ResultStore> store = ResultStore::open(opts);
-    ResultKey key{};
-    if (store) {
-        key = ResultStore::keyFor(sp, opts, job.workload, job.cfg.label,
-                                  stop);
-        RunResult cached;
-        if (store->serve(key, job.captureStatsJson, cached))
-            return cached;
-    }
+    const RunOptions opts = windowOptions(job, storeDir);
 
     const WorkloadProfile profile = profileFor(job.workload);
     System sys(sp, opts, makeStreams(profile, sp.numCores, sp.seed));
-    sys.restoreCheckpoint(job.ckptPath);
+    Deser image(job.image->bytes());
+    sys.restore(image);
     if (job.windowWarmIters)
         sys.runWarmup(stop, job.windowStartIters + job.windowWarmIters);
 
@@ -216,15 +156,14 @@ runDetailWindow(const SweepJob &job, const std::string &storeDir)
     r.config = job.cfg.label;
     r.cycles = end - base.cycle;
     // Latency means are read whole: the timing stats were empty at the
-    // func-written checkpoint, so they cover exactly this window's
+    // func-written image, so they cover exactly this window's
     // detail-warm + measured segment (see the header contract).
     collectMetrics(sys, base, r);
 
-    if (job.captureStatsJson)
-        r.statsJson = sys.statsJson();
-
-    if (store)
-        store->store(key, r);
+    // Windows are first-class store citizens: runSampled serves the
+    // ones already stored and runs only the rest.
+    if (std::unique_ptr<ResultStore> store = ResultStore::open(opts))
+        store->store(windowKey(job, opts), r);
     return r;
 }
 
@@ -240,38 +179,6 @@ runSampled(const std::string &workload, const SystemParams &params,
     const unsigned n = spec.checkpoints;
     const std::vector<std::uint64_t> grid = sampleGrid(quota, n);
 
-    // Phase 1: one functional system warms through the grid, dropping a
-    // checkpoint at every mark. If the full grid already exists on disk
-    // the func run is skipped entirely (the embedded config fingerprint
-    // protects against restoring a stale layout into the wrong config).
-    std::vector<std::string> paths(n);
-    bool allExist = true;
-    for (unsigned k = 0; k < n; k++) {
-        paths[k] = checkpointFile(
-            opts.ckptDir, workload, label,
-            strprintf("-c%u-s%llu-q%llu-n%u-k%u.fckpt", params.numCores,
-                      static_cast<unsigned long long>(params.seed),
-                      static_cast<unsigned long long>(quota), n, k));
-        std::error_code ec;
-        if (!std::filesystem::exists(paths[k], ec))
-            allExist = false;
-    }
-    if (!allExist) {
-        const WorkloadProfile profile = profileFor(workload);
-        System sys(params, opts,
-                   makeStreams(profile, params.numCores, params.seed));
-        std::error_code ec;
-        std::filesystem::create_directories(
-            std::filesystem::path(paths[0]).parent_path(), ec);
-        for (unsigned k = 0; k < n; k++) {
-            if (grid[k] > 0)
-                sys.runFunctional(quota, grid[k]);
-            sys.saveCheckpoint(paths[k]);
-        }
-    }
-
-    // Phase 2: the measurement windows, as ordinary sweep jobs under
-    // the run's thread count and result store.
     std::vector<SweepJob> jobs(n);
     for (unsigned k = 0; k < n; k++) {
         SweepJob &j = jobs[k];
@@ -279,14 +186,50 @@ runSampled(const std::string &workload, const SystemParams &params,
         j.cfg.label = windowLabel(label, spec, quota, k);
         j.numCores = params.numCores;
         j.seed = params.seed;
-        j.ckptPath = paths[k];
         j.windowParams = params;
+        j.windowParams.mode = ExecMode::Detail;
         j.windowStartIters = grid[k];
         j.windowWarmIters = spec.warmIters;
         j.windowIters = spec.detailIters;
     }
-    const std::vector<RunResult> wins =
-        SweepEngine(SweepOptions::from(opts)).run(jobs);
+
+    // Phase 1: serve every window the result store already holds.
+    const SweepOptions sweep = SweepOptions::from(opts);
+    std::vector<RunResult> wins(n);
+    std::vector<unsigned> missing;
+    const RunOptions wopts = windowOptions(jobs[0], sweep.storeDir);
+    const std::unique_ptr<ResultStore> store = ResultStore::open(wopts);
+    for (unsigned k = 0; k < n; k++) {
+        if (!store ||
+            !store->serve(windowKey(jobs[k], wopts), false, wins[k]))
+            missing.push_back(k);
+    }
+
+    // Phase 2: one functional system warms through the grid up to the
+    // last missing mark, imaging the state in memory at every missing
+    // mark. Phase 3: only those windows run, as ordinary sweep jobs
+    // under the run's thread count and result store.
+    if (!missing.empty()) {
+        std::vector<SweepJob> todo;
+        {
+            const WorkloadProfile profile = profileFor(workload);
+            System sys(params, opts,
+                       makeStreams(profile, params.numCores, params.seed));
+            for (unsigned k = 0; todo.size() < missing.size(); k++) {
+                if (grid[k] > 0)
+                    sys.runFunctional(quota, grid[k]);
+                if (k != missing[todo.size()])
+                    continue;
+                auto image = std::make_shared<Ser>();
+                sys.save(*image);
+                todo.push_back(jobs[k]);
+                todo.back().image = std::move(image);
+            }
+        } // the functional System is gone before the windows start
+        const std::vector<RunResult> ran = SweepEngine(sweep).run(todo);
+        for (std::size_t i = 0; i < missing.size(); i++)
+            wins[missing[i]] = ran[i];
+    }
 
     RunResult r;
     r.workload = workload;
@@ -301,34 +244,34 @@ runSampled(const std::string &workload, const SystemParams &params,
         }
     }
 
-    // Phase 3: batch-means aggregation. Every metric gets a mean,
-    // stddev, and Student-t CI over the window values; additive
-    // counters are extrapolated by quota / detailIters into whole-run
-    // estimates, which also fill the headline RunResult fields (so a
-    // fig09 ranking of sampled runs works unchanged).
+    // Batch-means aggregation. Every metric gets a mean, stddev, and
+    // Student-t CI over the window values; additive counts are
+    // extrapolated by quota / detailIters into whole-run estimates,
+    // which also fill the headline RunResult fields (so a fig09 ranking
+    // of sampled runs works unchanged).
     const double scale = static_cast<double>(quota) /
                          static_cast<double>(spec.detailIters);
     std::string metricsJson;
-    for (const MetricDef &m : kSampledMetrics) {
+    // Aggregate one metric over the windows; returns its estimate.
+    auto aggregate = [&](const char *name, auto field, bool extrapolate) {
         double sum = 0.0;
-        for (unsigned k = 0; k < n; k++)
-            sum += m.get(wins[k]);
+        for (const RunResult &w : wins)
+            sum += static_cast<double>(w.*field);
         const double mean = sum / n;
         double s2 = 0.0;
-        for (unsigned k = 0; k < n; k++) {
-            const double d = m.get(wins[k]) - mean;
+        for (const RunResult &w : wins) {
+            const double d = static_cast<double>(w.*field) - mean;
             s2 += d * d;
         }
         const double stddev = n > 1 ? std::sqrt(s2 / (n - 1)) : 0.0;
-        const double estimate = m.extrapolate ? mean * scale : mean;
-        m.set(r, estimate);
+        const double estimate = extrapolate ? mean * scale : mean;
 
         std::string ci = "null";
         if (n > 1) {
             const double p = 1.0 - (1.0 - spec.confidence) / 2.0;
             // CI of the window mean; for extrapolated counters the
             // same scale applies to the mean and the halfwidth.
-            const double cs = m.extrapolate ? scale : 1.0;
+            const double cs = extrapolate ? scale : 1.0;
             const double hw =
                 tQuantile(p, n - 1) * stddev / std::sqrt(double(n)) * cs;
             ci = strprintf("{\"confidence\":%.6g,\"halfwidth\":%.17g,"
@@ -339,11 +282,18 @@ runSampled(const std::string &workload, const SystemParams &params,
         if (!metricsJson.empty())
             metricsJson += ",";
         metricsJson += strprintf(
-            "\"%s\":{\"mean\":%.17g,\"stddev\":%.17g,\"estimate\":%.17g,"
-            "\"extrapolated\":%s,\"ci\":%s}",
-            m.name, mean, stddev, estimate,
-            m.extrapolate ? "true" : "false", ci.c_str());
+            "\"%s\":{\"mean\":%.17g,\"stddev\":%.17g,"
+            "\"estimate\":%.17g,\"extrapolated\":%s,\"ci\":%s}",
+            name, mean, stddev, estimate, extrapolate ? "true" : "false",
+            ci.c_str());
+        return estimate;
+    };
+    for (const auto &m : kCountMetrics) {
+        r.*m.field = static_cast<std::uint64_t>(
+            std::llround(aggregate(m.name, m.field, true)));
     }
+    for (const auto &m : kMeanMetrics)
+        r.*m.field = aggregate(m.name, m.field, false);
 
     std::string gridJson, windowsJson;
     for (unsigned k = 0; k < n; k++) {
@@ -354,11 +304,14 @@ runSampled(const std::string &workload, const SystemParams &params,
         gridJson += strprintf(
             "%llu", static_cast<unsigned long long>(grid[k]));
         std::string wm;
-        for (const MetricDef &m : kSampledMetrics) {
-            if (!wm.empty())
-                wm += ",";
-            wm += strprintf("\"%s\":%.17g", m.name, m.get(wins[k]));
-        }
+        auto put = [&](const char *name, double v) {
+            wm += strprintf("%s\"%s\":%.17g", wm.empty() ? "" : ",",
+                            name, v);
+        };
+        for (const auto &m : kCountMetrics)
+            put(m.name, static_cast<double>(wins[k].*m.field));
+        for (const auto &m : kMeanMetrics)
+            put(m.name, wins[k].*m.field);
         windowsJson += strprintf(
             "{\"k\":%u,\"mark\":%llu,\"fromCache\":%s,\"metrics\":{%s}}",
             k, static_cast<unsigned long long>(grid[k]),

@@ -1,6 +1,5 @@
 #include "sim/snapshot.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 
@@ -300,20 +299,6 @@ configFingerprint(const SystemParams &params, std::uint32_t fault_mask,
     return fp;
 }
 
-std::string
-checkpointFile(const std::string &dir, const std::string &workload,
-               const std::string &label, const std::string &shape)
-{
-    auto sanitize = [](std::string s) {
-        for (char &ch : s) {
-            if (!std::isalnum(static_cast<unsigned char>(ch)))
-                ch = '_';
-        }
-        return s;
-    };
-    return dir + "/" + sanitize(workload) + "-" + sanitize(label) + shape;
-}
-
 void
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &payload,
@@ -333,8 +318,7 @@ writeSnapshotFile(const std::string &path,
     file.raw(trailer.data(), trailer.size());
 
     // Tmp+rename via the shared helper: readers only ever observe
-    // complete images, even when parallel sweep workers race on the
-    // same checkpoint key.
+    // complete images.
     try {
         atomicWriteFile(path, file.bytes());
     } catch (const IoError &e) {

@@ -400,22 +400,10 @@ std::uint64_t configFingerprint(const SystemParams &params,
                                 std::uint32_t fault_rate);
 
 /**
- * Checkpoint file `<dir>/<workload>-<label><shape>`, with every
- * character of workload and label outside [A-Za-z0-9] replaced by '_'.
- * Sampling checkpoints put everything that decides the warmed
- * trajectory into the name, so a stale file can never be restored into
- * the wrong run (the embedded config fingerprint backstops the rest).
- */
-std::string checkpointFile(const std::string &dir,
-                           const std::string &workload,
-                           const std::string &label,
-                           const std::string &shape);
-
-/**
  * Write one checkpoint file: magic, format version, @p fingerprint,
  * payload length, payload, SHA-256(payload). The file is written to a
- * temporary name and atomically renamed, so concurrent sweep workers
- * racing on the same checkpoint key never expose a partial image.
+ * temporary name and atomically renamed, so a reader never sees a
+ * partial image.
  * Throws SnapshotError on I/O failure.
  */
 void writeSnapshotFile(const std::string &path,

@@ -66,14 +66,17 @@ failedResult(const SweepJob &job, std::string error)
 /** One job, executed on the calling pool thread. */
 RunResult
 executeJob(const SweepJob &job, std::size_t index,
-           const std::string &storeDir)
+           const std::string &storeDir, const std::string &outerKey)
 {
     // Scope the trace / profile / span / crash sinks to the job so
     // concurrent jobs write disjoint suffixed files. The key is derived
     // from the job *index*, not the worker, so the file set is
-    // identical for any thread count.
-    Trace::scopeToJob(strprintf("j%zu", index));
-    if (!job.ckptPath.empty())
+    // identical for any thread count; a sweep started inside a job (a
+    // sampled run's windows) nests under that job's key.
+    Trace::scopeToJob(outerKey.empty()
+                          ? strprintf("j%zu", index)
+                          : strprintf("%s.j%zu", outerKey.c_str(), index));
+    if (job.image)
         return runDetailWindow(job, storeDir);
     return runExperiment(job.workload, job.cfg, job.numCores, job.quota,
                          job.seed, job.captureStatsJson, storeDir);
@@ -99,6 +102,7 @@ warnFailures(const std::vector<SweepJob> &jobs,
 std::vector<RunResult>
 SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
 {
+    const std::string outerKey = Trace::jobKey();
     std::vector<RunResult> results(jobs.size());
     std::vector<std::exception_ptr> errors(jobs.size());
 
@@ -113,7 +117,8 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
             hb_.emitJob(i, "started", jobs[i].workload,
                         jobs[i].cfg.label, nullptr);
             try {
-                results[i] = executeJob(jobs[i], i, opts_.storeDir);
+                results[i] =
+                    executeJob(jobs[i], i, opts_.storeDir, outerKey);
             } catch (const std::exception &e) {
                 errors[i] = std::current_exception();
                 results[i] = failedResult(jobs[i], e.what());

@@ -27,6 +27,7 @@
 #define ROWSIM_SIM_SWEEP_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,8 @@
 
 namespace rowsim
 {
+
+class Ser;
 
 /** One independent simulation in a sweep. */
 struct SweepJob
@@ -51,16 +54,16 @@ struct SweepJob
     bool captureStatsJson = false;
 
     // ---- SMARTS measurement-window support (src/sim/sampling.cc) ----
-    // A non-empty ckptPath turns the job into one detail window of a
-    // sampled run: restore the (func-warmed) checkpoint, detail-warm
+    // A non-null image turns the job into one detail window of a
+    // sampled run: restore the (func-warmed) in-memory image, detail-warm
     // to windowStartIters + windowWarmIters, then measure exactly
     // windowIters more iterations per core and report the deltas.
     // `cfg` then only carries the window's reporting label; the
     // simulated configuration comes from windowParams (ExpConfig
     // cannot express every ablation runExperimentParams can).
-    std::string ckptPath;
+    std::shared_ptr<const Ser> image;
     SystemParams windowParams;
-    /** Checkpoint mark m_k in per-core committed iterations. */
+    /** Image mark m_k in per-core committed iterations. */
     std::uint64_t windowStartIters = 0;
     /** Detail warm-up iterations before measurement starts. */
     std::uint64_t windowWarmIters = 0;

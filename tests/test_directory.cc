@@ -387,7 +387,7 @@ TEST_F(DirectoryTest, LineTableKeepsEveryLineAcrossResizes)
                                            : DirState::Modified;
         ASSERT_EQ(dir.lineState(a), want) << "line " << k;
         EXPECT_EQ(dir.lineOwner(a), k % 3 == 2 ? k % cores : invalidCore);
-        EXPECT_EQ(dir.lineSharers(a), k % 3 == 1 ? sharersOf(k) : 0u);
+        EXPECT_EQ(dir.stableLine(a).sharers, k % 3 == 1 ? sharersOf(k) : 0u);
         // Any byte address inside the line finds it.
         EXPECT_EQ(dir.lineState(a + lineBytes - 1), want);
     }
@@ -399,7 +399,7 @@ TEST_F(DirectoryTest, LineTableKeepsEveryLineAcrossResizes)
                          bankLine(7) + 2 * lineBytes}) {
         EXPECT_EQ(dir.lineState(a), DirState::Invalid);
         EXPECT_EQ(dir.lineOwner(a), invalidCore);
-        EXPECT_EQ(dir.lineSharers(a), 0u);
+        EXPECT_EQ(dir.stableLine(a).sharers, 0u);
     }
 
     // forEachLine visits each line exactly once.
@@ -559,7 +559,7 @@ TEST_F(DirectoryTest, QueuedPutMDrainsThroughDeliverAfterRestore)
     sendToDir(MsgType::Unblock, 2, a);
     settle(now + 600);
     EXPECT_EQ(dir.lineState(a), DirState::Shared);
-    EXPECT_EQ(dir.lineSharers(a), 0b0100u);
+    EXPECT_EQ(dir.stableLine(a).sharers, 0b0100u);
     EXPECT_TRUE(dir.idle());
 }
 

@@ -19,6 +19,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,6 +82,26 @@ scratchDir(const std::string &tag)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir;
+}
+
+/** @p json with every window's cache provenance marked as served. */
+std::string
+allFromCache(std::string json)
+{
+    const std::string f = "\"fromCache\":false", t = "\"fromCache\":true";
+    for (std::size_t at; (at = json.find(f)) != std::string::npos;)
+        json.replace(at, f.size(), t);
+    return json;
+}
+
+std::size_t
+countOf(const std::string &text, const std::string &what)
+{
+    std::size_t n = 0;
+    for (std::size_t at = 0; (at = text.find(what, at)) != std::string::npos;
+         at += what.size())
+        n++;
+    return n;
 }
 
 } // namespace
@@ -220,8 +242,6 @@ TEST(FuncMode, SampleSpecParsing)
 // across sweep thread counts.
 TEST(FuncMode, SampledRunDeterministicAcrossThreads)
 {
-    const std::string dir = scratchDir("sample-det");
-    ScopedEnv ckpt("ROWSIM_CKPT_DIR", dir);
     ScopedEnv sample("ROWSIM_SAMPLE", "4:1:4");
 
     ::setenv("ROWSIM_SWEEP_THREADS", "1", 1);
@@ -235,7 +255,6 @@ TEST(FuncMode, SampledRunDeterministicAcrossThreads)
     EXPECT_EQ(eight.toJson(), one.toJson());
 
     ::unsetenv("ROWSIM_SWEEP_THREADS");
-    std::filesystem::remove_all(dir);
 }
 
 // Sampled aggregate shape: the grid follows the documented arithmetic,
@@ -244,9 +263,6 @@ TEST(FuncMode, SampledRunDeterministicAcrossThreads)
 // preserving the historical report byte layout.
 TEST(FuncMode, SamplingReportShapeAndAbsence)
 {
-    const std::string dir = scratchDir("sample-shape");
-    ScopedEnv ckpt("ROWSIM_CKPT_DIR", dir);
-
     const RunResult plain = runExperiment("counter", eagerConfig(), 4, 80);
     EXPECT_TRUE(plain.samplingJson.empty());
     EXPECT_EQ(plain.toJson().find("\"sampling\""), std::string::npos)
@@ -270,7 +286,6 @@ TEST(FuncMode, SamplingReportShapeAndAbsence)
         EXPECT_GT(s.cycles, plain.cycles / 4);
         EXPECT_LT(s.cycles, plain.cycles * 4);
     }
-    std::filesystem::remove_all(dir);
 }
 
 // Sampling windows are first-class result-store citizens: a sampled
@@ -279,7 +294,6 @@ TEST(FuncMode, SamplingReportShapeAndAbsence)
 TEST(FuncMode, SampledWindowsServeFromResultStore)
 {
     const std::string dir = scratchDir("sample-store");
-    ScopedEnv ckpt("ROWSIM_CKPT_DIR", dir + "/ckpt");
     ScopedEnv results("ROWSIM_RESULTS", "on");
     ScopedEnv resultsDir("ROWSIM_RESULTS_DIR", dir + "/store");
     ScopedEnv sample("ROWSIM_SAMPLE", "3:1:3");
@@ -299,12 +313,98 @@ TEST(FuncMode, SampledWindowsServeFromResultStore)
               std::string::npos);
 
     // Identical apart from the cache provenance marker.
-    std::string a = cold.samplingJson, b = warm.samplingJson;
-    const std::string f = "\"fromCache\":false", t = "\"fromCache\":true";
-    for (std::size_t at; (at = a.find(f)) != std::string::npos;)
-        a.replace(at, f.size(), t);
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(allFromCache(cold.samplingJson), warm.samplingJson);
 
+    std::filesystem::remove_all(dir);
+}
+
+// The store is the rerun cache at window granularity: with any one
+// window's entry gone, the rerun warms up only as far as that window's
+// mark (the last mark included), runs that window alone, and reproduces
+// the cold aggregate.
+TEST(FuncMode, SampledRerunRecomputesExactlyTheMissingWindow)
+{
+    const std::string dir = scratchDir("sample-partial");
+    ScopedEnv results("ROWSIM_RESULTS", "on");
+    ScopedEnv resultsDir("ROWSIM_RESULTS_DIR", dir);
+    ScopedEnv sample("ROWSIM_SAMPLE", "3:1:3");
+
+    const RunResult cold = runExperiment("counter", eagerConfig(), 4, 60);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ(countOf(cold.samplingJson, "\"fromCache\":false"), 3u);
+
+    std::vector<std::filesystem::path> entries;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), 3u) << "one store entry per window";
+
+    for (const std::filesystem::path &entry : entries) {
+        std::filesystem::remove(entry);
+        const RunResult rerun =
+            runExperiment("counter", eagerConfig(), 4, 60);
+        ASSERT_TRUE(rerun.ok());
+        EXPECT_EQ(countOf(rerun.samplingJson, "\"fromCache\":false"), 1u)
+            << "after removing " << entry;
+        EXPECT_EQ(allFromCache(rerun.toJson()), allFromCache(cold.toJson()))
+            << "after removing " << entry;
+        EXPECT_TRUE(std::filesystem::exists(entry))
+            << "the recomputed window is stored again";
+    }
+    std::filesystem::remove_all(dir);
+}
+
+// The warm grid lives in memory: a sampled run writes nothing to its
+// working directory.
+TEST(FuncMode, SampledRunLeavesTheWorkingDirectoryEmpty)
+{
+    const std::string dir =
+        std::filesystem::absolute(scratchDir("sample-cwd")).string();
+    const std::filesystem::path home = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+    RunResult r;
+    {
+        ScopedEnv sample("ROWSIM_SAMPLE", "2:1:2");
+        r = runExperiment("counter", lazyConfig(), 4, 40);
+    }
+    std::filesystem::current_path(home);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
+// A sampled run inside a sweep job starts a sweep of its own: the
+// windows' sinks nest under the outer job's key, so two sampled
+// experiments of two windows each trace into four distinct files.
+TEST(FuncMode, NestedWindowSinksDoNotCollide)
+{
+    const std::string dir = scratchDir("sample-trace");
+    ScopedEnv sample("ROWSIM_SAMPLE", "2:1:2");
+    ScopedEnv trace("ROWSIM_TRACE", "atomic");
+    ScopedEnv text("ROWSIM_TRACE_FILE", dir + "/t.txt");
+    ScopedEnv json("ROWSIM_TRACE_JSON", dir + "/t.json");
+
+    std::vector<SweepJob> jobs(2);
+    jobs[0].cfg = eagerConfig();
+    jobs[1].cfg = lazyConfig();
+    for (SweepJob &j : jobs) {
+        j.workload = "counter";
+        j.numCores = 4;
+        j.quota = 40;
+    }
+    for (const RunResult &r : SweepEngine(2).run(jobs))
+        ASSERT_TRUE(r.ok()) << r.error;
+
+    std::vector<std::string> traces;
+    for (const char *key : {"j0.j0", "j0.j1", "j1.j0", "j1.j1"}) {
+        const std::string path = dir + "/t." + key + ".txt";
+        std::ifstream in(path);
+        ASSERT_TRUE(in) << path;
+        traces.emplace_back(std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>());
+        EXPECT_FALSE(traces.back().empty()) << path;
+        for (std::size_t i = 0; i + 1 < traces.size(); i++)
+            EXPECT_NE(traces[i], traces.back()) << path;
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -394,16 +494,15 @@ TEST(FuncMode, DirectoryCoversEveryPrivateCopy)
         std::string bad;
         for (CoreId c = 0; c < cores && bad.empty(); c++) {
             mem.cache(c).forEachL2Line([&](Addr line, CacheState st) {
-                Directory &dir = home(line);
-                const bool m = dir.lineState(line) == DirState::Modified &&
-                               dir.lineOwner(line) < cores;
-                std::uint64_t covered = dir.lineSharers(line);
+                const Directory::StableLine e = home(line).stableLine(line);
+                const bool m =
+                    e.state == DirState::Modified && e.owner < cores;
+                std::uint64_t covered = e.sharers;
                 if (m)
-                    covered |= 1ULL << dir.lineOwner(line);
+                    covered |= 1ULL << e.owner;
                 if (bad.empty() &&
                     (!(covered >> c & 1) ||
-                     (st == CacheState::Modified &&
-                      (!m || dir.lineOwner(line) != c)))) {
+                     (st == CacheState::Modified && (!m || e.owner != c)))) {
                     bad = strprintf("l1d%u holds line %#llx (state %d) "
                                     "outside sharers+owner %#llx",
                                     c,

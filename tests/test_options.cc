@@ -64,7 +64,7 @@ TEST(Options, TableListsEveryKnobOnce)
 {
     const std::set<std::string> names = tableNames();
     EXPECT_EQ(names.size(), knobs().size()) << "a knob is listed twice";
-    EXPECT_EQ(names.size(), 32u);
+    EXPECT_EQ(names.size(), 31u);
     for (const Knob &k : knobs()) {
         EXPECT_EQ(std::string(k.name).rfind("ROWSIM_", 0), 0u) << k.name;
         // Exactly one way to fill the field.
@@ -87,7 +87,6 @@ TEST(Options, DefaultsWithNoEnvironment)
     EXPECT_EQ(o.faults.mask, 0u);
     EXPECT_EQ(o.spansTopK, 64u);
     EXPECT_EQ(o.fastForward, FastForwardMode::On);
-    EXPECT_EQ(o.ckptDir, "rowsim-ckpt");
     EXPECT_FALSE(o.results);
     EXPECT_EQ(o.resultsDir, "rowsim-results");
     EXPECT_FALSE(o.sweepThreads.has_value());
@@ -219,7 +218,8 @@ TEST(Options, MisspeltKnobIsFatalAndListsTheValidKnobs)
     // A variable that merely shares the prefix of a knob is no knob,
     // and neither is a retired knob.
     for (const char *name :
-         {"ROWSIM_TRACE_", "ROWSIM_CKPT", "ROWSIM_PROFILE_TOPK"}) {
+         {"ROWSIM_TRACE_", "ROWSIM_CKPT", "ROWSIM_CKPT_DIR",
+          "ROWSIM_PROFILE_TOPK"}) {
         ScopedEnv env(name, "x");
         const std::string error = resolveError();
         EXPECT_NE(error.find(std::string(name) + " "), std::string::npos)
