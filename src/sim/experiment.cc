@@ -472,9 +472,10 @@ runExperiment(const std::string &workload, const ExpConfig &cfg,
 RunResult
 runExperimentParams(const std::string &workload, const SystemParams &params,
                     const std::string &label, std::uint64_t quota,
-                    bool capture_stats)
+                    bool capture_stats, const std::string &store_dir)
 {
-    return runAndCollect(workload, params, label, quota, capture_stats, "");
+    return runAndCollect(workload, params, label, quota, capture_stats,
+                         store_dir);
 }
 
 } // namespace rowsim

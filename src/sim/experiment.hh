@@ -205,13 +205,15 @@ SystemParams makeParams(const ExpConfig &cfg, unsigned num_cores,
 /**
  * Run @p workload with explicit SystemParams — the entry point for
  * microarchitectural ablations (AQ size, re-issue delay, lock-steal
- * threshold, ...) that ExpConfig does not expose.
+ * threshold, ...) that ExpConfig does not expose, and for every sweep
+ * job. The other parameters are runExperiment's.
  */
 RunResult runExperimentParams(const std::string &workload,
                               const SystemParams &params,
                               const std::string &label,
                               std::uint64_t quota = 0,
-                              bool capture_stats = false);
+                              bool capture_stats = false,
+                              const std::string &store_dir = "");
 
 } // namespace rowsim
 

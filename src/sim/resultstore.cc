@@ -202,14 +202,6 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     return h.digest();
 }
 
-ResultKey
-ResultStore::keyFor(const SystemParams &params, const std::string &workload,
-                    const std::string &label, std::uint64_t quota)
-{
-    return keyFor(params, resolveRunOptions(params), workload, label,
-                  quota);
-}
-
 std::string
 ResultStore::keyHex(const ResultKey &key)
 {

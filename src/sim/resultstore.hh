@@ -93,10 +93,6 @@ class ResultStore
                             const RunOptions &opts,
                             const std::string &workload,
                             const std::string &label, std::uint64_t quota);
-    /** keyFor() with the options @p params resolve to now. */
-    static ResultKey keyFor(const SystemParams &params,
-                            const std::string &workload,
-                            const std::string &label, std::uint64_t quota);
 
     static std::string keyHex(const ResultKey &key);
 

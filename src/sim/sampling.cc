@@ -116,7 +116,7 @@ constexpr Metric<double> kMeanMetrics[] = {
 RunOptions
 windowOptions(const SweepJob &job, const std::string &storeDir)
 {
-    RunOptions opts = resolveRunOptions(job.windowParams, storeDir);
+    RunOptions opts = resolveRunOptions(job.params, storeDir);
     applyRunRules(opts);
     return opts;
 }
@@ -125,8 +125,7 @@ windowOptions(const SweepJob &job, const std::string &storeDir)
 ResultKey
 windowKey(const SweepJob &job, const RunOptions &opts)
 {
-    return ResultStore::keyFor(job.windowParams, opts, job.workload,
-                               job.cfg.label,
+    return ResultStore::keyFor(job.params, opts, job.workload, job.label,
                                job.windowStartIters + job.windowWarmIters +
                                    job.windowIters);
 }
@@ -136,7 +135,7 @@ windowKey(const SweepJob &job, const RunOptions &opts)
 RunResult
 runDetailWindow(const SweepJob &job, const std::string &storeDir)
 {
-    const SystemParams &sp = job.windowParams;
+    const SystemParams &sp = job.params;
     const std::uint64_t stop =
         job.windowStartIters + job.windowWarmIters + job.windowIters;
     const RunOptions opts = windowOptions(job, storeDir);
@@ -153,7 +152,7 @@ runDetailWindow(const SweepJob &job, const std::string &storeDir)
 
     RunResult r;
     r.workload = job.workload;
-    r.config = job.cfg.label;
+    r.config = job.label;
     r.cycles = end - base.cycle;
     // Latency means are read whole: the timing stats were empty at the
     // func-written image, so they cover exactly this window's
@@ -183,11 +182,9 @@ runSampled(const std::string &workload, const SystemParams &params,
     for (unsigned k = 0; k < n; k++) {
         SweepJob &j = jobs[k];
         j.workload = workload;
-        j.cfg.label = windowLabel(label, spec, quota, k);
-        j.numCores = params.numCores;
-        j.seed = params.seed;
-        j.windowParams = params;
-        j.windowParams.mode = ExecMode::Detail;
+        j.label = windowLabel(label, spec, quota, k);
+        j.params = params;
+        j.params.mode = ExecMode::Detail;
         j.windowStartIters = grid[k];
         j.windowWarmIters = spec.warmIters;
         j.windowIters = spec.detailIters;
@@ -238,7 +235,7 @@ runSampled(const std::string &workload, const SystemParams &params,
         if (!wins[k].ok()) {
             r.status = wins[k].status;
             r.error = strprintf("sampling window %u (%s): %s", k,
-                                jobs[k].cfg.label.c_str(),
+                                jobs[k].label.c_str(),
                                 wins[k].error.c_str());
             return r;
         }

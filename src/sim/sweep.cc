@@ -48,6 +48,18 @@ SweepOptions::fromEnv()
     return from(resolveRunOptions());
 }
 
+SweepJob
+sweepJob(const std::string &workload, const ExpConfig &cfg,
+         unsigned num_cores, std::uint64_t quota, std::uint64_t seed)
+{
+    SweepJob j;
+    j.workload = workload;
+    j.params = makeParams(cfg, num_cores, seed);
+    j.label = cfg.label;
+    j.quota = quota;
+    return j;
+}
+
 namespace
 {
 
@@ -57,7 +69,7 @@ failedResult(const SweepJob &job, std::string error)
 {
     RunResult r;
     r.workload = job.workload;
-    r.config = job.cfg.label;
+    r.config = job.label;
     r.status = RunStatus::Failed;
     r.error = std::move(error);
     return r;
@@ -78,8 +90,8 @@ executeJob(const SweepJob &job, std::size_t index,
                           : strprintf("%s.j%zu", outerKey.c_str(), index));
     if (job.image)
         return runDetailWindow(job, storeDir);
-    return runExperiment(job.workload, job.cfg, job.numCores, job.quota,
-                         job.seed, job.captureStatsJson, storeDir);
+    return runExperimentParams(job.workload, job.params, job.label,
+                               job.quota, job.captureStatsJson, storeDir);
 }
 
 /** Non-strict completion report: name every failed job. */
@@ -91,7 +103,7 @@ warnFailures(const std::vector<SweepJob> &jobs,
         if (!results[i].ok()) {
             ROWSIM_WARN("sweep: job %zu (%s/%s) failed: %s", i,
                         jobs[i].workload.c_str(),
-                        jobs[i].cfg.label.c_str(),
+                        jobs[i].label.c_str(),
                         results[i].error.c_str());
         }
     }
@@ -115,7 +127,7 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
             if (i >= jobs.size())
                 return;
             hb_.emitJob(i, "started", jobs[i].workload,
-                        jobs[i].cfg.label, nullptr);
+                        jobs[i].label, nullptr);
             try {
                 results[i] =
                     executeJob(jobs[i], i, opts_.storeDir, outerKey);
@@ -127,7 +139,7 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
                 results[i] = failedResult(jobs[i], "unknown exception");
             }
             hb_.emitJob(i, "finished", jobs[i].workload,
-                        jobs[i].cfg.label,
+                        jobs[i].label,
                         runStatusName(results[i].status));
         }
     };
@@ -167,7 +179,7 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
         hb_.emitSweep("start", jobs.size(), 0, 0);
         for (std::size_t i = 0; i < jobs.size(); i++) {
             hb_.emitJob(i, "queued", jobs[i].workload,
-                        jobs[i].cfg.label, nullptr);
+                        jobs[i].label, nullptr);
         }
     }
     std::vector<RunResult> results = runThreaded(jobs);

@@ -44,11 +44,14 @@ class Ser;
 struct SweepJob
 {
     std::string workload;
-    ExpConfig cfg;
-    unsigned numCores = 32;
+    /** The simulated system: makeParams() of an ExpConfig, or any
+     *  ablation runExperimentParams can run (AQ size, re-issue delay,
+     *  lock-steal threshold, ...). */
+    SystemParams params;
+    /** Reporting label; also the result-store key's label component. */
+    std::string label;
     /** Per-core iterations; 0 = the workload's default quota. */
     std::uint64_t quota = 0;
-    std::uint64_t seed = 1;
     /** Capture System::dumpStatsJson into RunResult::statsJson
      *  (determinism audits; large, so off by default). */
     bool captureStatsJson = false;
@@ -58,11 +61,7 @@ struct SweepJob
     // sampled run: restore the (func-warmed) in-memory image, detail-warm
     // to windowStartIters + windowWarmIters, then measure exactly
     // windowIters more iterations per core and report the deltas.
-    // `cfg` then only carries the window's reporting label; the
-    // simulated configuration comes from windowParams (ExpConfig
-    // cannot express every ablation runExperimentParams can).
     std::shared_ptr<const Ser> image;
-    SystemParams windowParams;
     /** Image mark m_k in per-core committed iterations. */
     std::uint64_t windowStartIters = 0;
     /** Detail warm-up iterations before measurement starts. */
@@ -70,6 +69,11 @@ struct SweepJob
     /** Measured iterations per core. */
     std::uint64_t windowIters = 0;
 };
+
+/** The job runExperiment(@p workload, @p cfg, ...) runs. */
+SweepJob sweepJob(const std::string &workload, const ExpConfig &cfg,
+                  unsigned num_cores = 32, std::uint64_t quota = 0,
+                  std::uint64_t seed = 1);
 
 /** Execution policy for one sweep. */
 struct SweepOptions

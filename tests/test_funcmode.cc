@@ -383,14 +383,9 @@ TEST(FuncMode, NestedWindowSinksDoNotCollide)
     ScopedEnv text("ROWSIM_TRACE_FILE", dir + "/t.txt");
     ScopedEnv json("ROWSIM_TRACE_JSON", dir + "/t.json");
 
-    std::vector<SweepJob> jobs(2);
-    jobs[0].cfg = eagerConfig();
-    jobs[1].cfg = lazyConfig();
-    for (SweepJob &j : jobs) {
-        j.workload = "counter";
-        j.numCores = 4;
-        j.quota = 40;
-    }
+    const std::vector<SweepJob> jobs = {
+        sweepJob("counter", eagerConfig(), 4, 40),
+        sweepJob("counter", lazyConfig(), 4, 40)};
     for (const RunResult &r : SweepEngine(2).run(jobs))
         ASSERT_TRUE(r.ok()) << r.error;
 

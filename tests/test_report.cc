@@ -206,16 +206,8 @@ TEST(RowsimReport, RendersHeartbeatStream)
     Scratch s("heartbeat");
     const std::string sink = s.dir + "/heartbeat.jsonl";
     ::setenv("ROWSIM_HEARTBEAT", sink.c_str(), 1);
-    std::vector<SweepJob> jobs(2);
-    jobs[0].workload = "cq";
-    jobs[0].cfg = eagerConfig();
-    jobs[1].workload = "pc";
-    jobs[1].cfg = lazyConfig();
-    for (SweepJob &j : jobs) {
-        j.numCores = 4;
-        j.quota = 30;
-    }
-    SweepEngine(2).run(jobs);
+    SweepEngine(2).run({sweepJob("cq", eagerConfig(), 4, 30),
+                        sweepJob("pc", lazyConfig(), 4, 30)});
     ::unsetenv("ROWSIM_HEARTBEAT");
 
     ASSERT_EQ(s.report(sink), 0);

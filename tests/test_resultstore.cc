@@ -116,11 +116,19 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.converged, b.converged);
 }
 
+/** ResultStore::keyFor under the options @p params resolve to now. */
+ResultKey
+keyOf(const SystemParams &params, const std::string &workload,
+      const std::string &label, std::uint64_t quota)
+{
+    return ResultStore::keyFor(params, resolveRunOptions(params), workload,
+                               label, quota);
+}
+
 ResultKey
 sampleKey(std::uint64_t quota = 100)
 {
-    return ResultStore::keyFor(makeParams(eagerConfig(), 8, 1), "pc",
-                               "eager", quota);
+    return keyOf(makeParams(eagerConfig(), 8, 1), "pc", "eager", quota);
 }
 
 } // namespace
@@ -188,51 +196,43 @@ TEST(ResultStoreSuite, StoreLoadHitAndCounters)
 TEST(ResultStoreSuite, KeyReactsToEveryInput)
 {
     const SystemParams base = makeParams(eagerConfig(), 8, 1);
-    const ResultKey k = ResultStore::keyFor(base, "pc", "eager", 100);
-    EXPECT_NE(k, ResultStore::keyFor(base, "cq", "eager", 100));
-    EXPECT_NE(k, ResultStore::keyFor(base, "pc", "lazy-label", 100));
-    EXPECT_NE(k, ResultStore::keyFor(base, "pc", "eager", 101));
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(eagerConfig(), 16, 1),
-                                     "pc", "eager", 100));
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(eagerConfig(), 8, 2),
-                                     "pc", "eager", 100));
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(lazyConfig(), 8, 1), "pc",
-                                     "eager", 100));
+    const ResultKey k = keyOf(base, "pc", "eager", 100);
+    EXPECT_NE(k, keyOf(base, "cq", "eager", 100));
+    EXPECT_NE(k, keyOf(base, "pc", "lazy-label", 100));
+    EXPECT_NE(k, keyOf(base, "pc", "eager", 101));
+    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 16, 1), "pc", "eager", 100));
+    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 8, 2), "pc", "eager", 100));
+    EXPECT_NE(k, keyOf(makeParams(lazyConfig(), 8, 1), "pc", "eager", 100));
     // The profiler mask shapes the RunResult (profileJson), so it must
     // be part of the key even though it does not change the simulated
     // trajectory.
     ExpConfig prof = eagerConfig();
     prof.profile = profMask(ProfCategory::Cpi);
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(prof, 8, 1), "pc",
-                                     "eager", 100));
+    EXPECT_NE(k, keyOf(makeParams(prof, 8, 1), "pc", "eager", 100));
     // The time-series engine shapes the RunResult (tsJson), and a
     // convergence spec changes the simulated stop cycle itself — both
     // must key the store.
     ExpConfig ts = eagerConfig();
     ts.timeseries = true;
     const ResultKey kTs =
-        ResultStore::keyFor(makeParams(ts, 8, 1), "pc", "eager", 100);
+        keyOf(makeParams(ts, 8, 1), "pc", "eager", 100);
     EXPECT_NE(k, kTs);
     ExpConfig conv = eagerConfig();
     conv.converge = ConvergeSpec{true, "instructions", 0.05};
     const ResultKey kConv =
-        ResultStore::keyFor(makeParams(conv, 8, 1), "pc", "eager", 100);
+        keyOf(makeParams(conv, 8, 1), "pc", "eager", 100);
     EXPECT_NE(k, kConv);
     EXPECT_NE(kTs, kConv);
     // Every component of the spec is significant: metric, bound,
     // confidence.
     conv.converge = ConvergeSpec{true, "atomics", 0.05};
-    EXPECT_NE(kConv, ResultStore::keyFor(makeParams(conv, 8, 1), "pc",
-                                         "eager", 100));
+    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", "eager", 100));
     conv.converge = ConvergeSpec{true, "instructions", 0.01};
-    EXPECT_NE(kConv, ResultStore::keyFor(makeParams(conv, 8, 1), "pc",
-                                         "eager", 100));
+    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", "eager", 100));
     conv.converge = ConvergeSpec{true, "instructions", 0.05, 0.99};
-    EXPECT_NE(kConv, ResultStore::keyFor(makeParams(conv, 8, 1), "pc",
-                                         "eager", 100));
+    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", "eager", 100));
     // Deterministic: same inputs, same key.
-    EXPECT_EQ(k, ResultStore::keyFor(makeParams(eagerConfig(), 8, 1),
-                                     "pc", "eager", 100));
+    EXPECT_EQ(k, keyOf(makeParams(eagerConfig(), 8, 1), "pc", "eager", 100));
 }
 
 namespace
@@ -243,7 +243,7 @@ keyHexOf(const SystemParams &sp, const char *workload = "pc",
          const char *label = "eager", std::uint64_t quota = 100)
 {
     return ResultStore::keyHex(
-        ResultStore::keyFor(sp, workload, label, quota));
+        keyOf(sp, workload, label, quota));
 }
 
 /** Pinned keys of the KeyReactsToEveryInput matrix. */

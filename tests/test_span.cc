@@ -280,14 +280,9 @@ TEST(SpanSweep, SummariesDeterministicAcrossThreadCounts)
 {
     std::vector<SweepJob> jobs;
     for (const char *w : {"pc", "cq", "sps", "tatp"}) {
-        for (const ExpConfig &cfg : {eagerConfig(), lazyConfig()}) {
-            SweepJob j;
-            j.workload = w;
-            j.cfg = cfg;
-            j.cfg.spans = true;
-            j.numCores = 8;
-            j.quota = 30;
-            jobs.push_back(std::move(j));
+        for (ExpConfig cfg : {eagerConfig(), lazyConfig()}) {
+            cfg.spans = true;
+            jobs.push_back(sweepJob(w, cfg, 8, 30));
         }
     }
     std::vector<RunResult> serial = SweepEngine(1).run(jobs);
@@ -297,7 +292,7 @@ TEST(SpanSweep, SummariesDeterministicAcrossThreadCounts)
         EXPECT_EQ(serial[k].cycles, parallel[k].cycles) << k;
         ASSERT_FALSE(serial[k].spanJson.empty()) << k;
         EXPECT_EQ(serial[k].spanJson, parallel[k].spanJson)
-            << jobs[k].workload << "/" << jobs[k].cfg.label;
+            << jobs[k].workload << "/" << jobs[k].label;
     }
 }
 
@@ -314,14 +309,8 @@ TEST(SpanSweep, ConcurrentJobsWriteDisjointSuffixedTraceFiles)
         ScopedEnv cat("ROWSIM_TRACE", "span");
         ScopedEnv spans("ROWSIM_SPANS", "on");
         std::vector<SweepJob> jobs;
-        for (const char *w : {"cq", "sps"}) {
-            SweepJob j;
-            j.workload = w;
-            j.cfg = eagerConfig();
-            j.numCores = 4;
-            j.quota = 30;
-            jobs.push_back(std::move(j));
-        }
+        for (const char *w : {"cq", "sps"})
+            jobs.push_back(sweepJob(w, eagerConfig(), 4, 30));
         SweepEngine(2).run(jobs);
     }
     // The sweep worker scoped each job's sinks by job index: no shared

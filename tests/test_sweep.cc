@@ -5,7 +5,8 @@
  * back in submission order, thread-count selection must honour the env
  * override, a failing job must surface as the rethrown first error and
  * leave the other jobs in the result store, and rowsim_sweep must reject
- * malformed arguments by name.
+ * malformed arguments by name. The figure table's cells look results up
+ * by (workload, label), so each pair must name one configuration.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +18,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/figures.hh"
+#include "sim/profiles.hh"
+#include "sim/snapshot.hh"
 #include "sim/sweep.hh"
 
 using namespace rowsim;
@@ -54,12 +60,7 @@ jobMatrix()
     unsigned i = 0;
     for (const ExpConfig &cfg : configs) {
         for (std::uint64_t seed : {1ull, 7ull}) {
-            SweepJob j;
-            j.workload = workloads[i % 8];
-            j.cfg = cfg;
-            j.numCores = 8;
-            j.quota = 40;
-            j.seed = seed;
+            SweepJob j = sweepJob(workloads[i % 8], cfg, 8, 40, seed);
             j.captureStatsJson = true;
             jobs.push_back(std::move(j));
         }
@@ -84,22 +85,16 @@ TEST(Sweep, ParallelBitIdenticalToSerial)
         EXPECT_EQ(serial[k].cycles, parallel[k].cycles) << k;
         EXPECT_FALSE(serial[k].statsJson.empty()) << k;
         EXPECT_EQ(serial[k].statsJson, parallel[k].statsJson)
-            << jobs[k].workload << "/" << jobs[k].cfg.label << " seed "
-            << jobs[k].seed;
+            << jobs[k].workload << "/" << jobs[k].label << " seed "
+            << jobs[k].params.seed;
     }
 }
 
 TEST(Sweep, ResultsInSubmissionOrder)
 {
     std::vector<SweepJob> jobs;
-    for (const char *w : {"pc", "canneal", "cq"}) {
-        SweepJob j;
-        j.workload = w;
-        j.cfg = eagerConfig();
-        j.numCores = 8;
-        j.quota = 30;
-        jobs.push_back(std::move(j));
-    }
+    for (const char *w : {"pc", "canneal", "cq"})
+        jobs.push_back(sweepJob(w, eagerConfig(), 8, 30));
     std::vector<RunResult> results = SweepEngine(3).run(jobs);
     ASSERT_EQ(results.size(), 3u);
     for (std::size_t k = 0; k < jobs.size(); ++k)
@@ -108,15 +103,10 @@ TEST(Sweep, ResultsInSubmissionOrder)
 
 TEST(Sweep, MatchesDirectRunExperiment)
 {
-    SweepJob j;
-    j.workload = "tpcc";
-    j.cfg = lazyConfig();
-    j.numCores = 8;
-    j.quota = 40;
+    SweepJob j = sweepJob("tpcc", lazyConfig(), 8, 40);
     j.captureStatsJson = true;
     std::vector<RunResult> viaSweep = SweepEngine(4).run({j});
-    RunResult direct = runExperiment(j.workload, j.cfg, j.numCores,
-                                     j.quota, j.seed, true);
+    RunResult direct = runExperiment("tpcc", lazyConfig(), 8, 40, 1, true);
     ASSERT_EQ(viaSweep.size(), 1u);
     EXPECT_EQ(viaSweep[0].cycles, direct.cycles);
     EXPECT_EQ(viaSweep[0].statsJson, direct.statsJson);
@@ -125,11 +115,7 @@ TEST(Sweep, MatchesDirectRunExperiment)
 TEST(Sweep, StrictModeRethrowsFirstErrorInSubmissionOrder)
 {
     std::vector<SweepJob> jobs;
-    SweepJob good;
-    good.workload = "canneal";
-    good.cfg = eagerConfig();
-    good.numCores = 8;
-    good.quota = 20;
+    const SweepJob good = sweepJob("canneal", eagerConfig(), 8, 20);
     jobs.push_back(good);
     SweepJob bad = good;
     bad.workload = "no-such-workload";
@@ -144,11 +130,7 @@ TEST(Sweep, StrictModeRethrowsFirstErrorInSubmissionOrder)
 TEST(Sweep, ErrorsCapturedPerJobWithoutAborting)
 {
     std::vector<SweepJob> jobs;
-    SweepJob good;
-    good.workload = "canneal";
-    good.cfg = eagerConfig();
-    good.numCores = 8;
-    good.quota = 20;
+    const SweepJob good = sweepJob("canneal", eagerConfig(), 8, 20);
     jobs.push_back(good);
     SweepJob bad = good;
     bad.workload = "no-such-workload";
@@ -206,15 +188,10 @@ TEST(Sweep, FailedJobKeepsTheOthersInTheStore)
 {
     const std::string dir = "sweep-failed-store";
     fs::remove_all(dir);
-    SweepJob good;
-    good.workload = "canneal";
-    good.cfg = eagerConfig();
-    good.numCores = 8;
-    good.quota = 20;
+    const SweepJob good = sweepJob("canneal", eagerConfig(), 8, 20);
     SweepJob bad = good;
     bad.workload = "no-such-workload";
-    SweepJob other = good;
-    other.cfg = lazyConfig();
+    const SweepJob other = sweepJob("canneal", lazyConfig(), 8, 20);
     const std::vector<SweepJob> jobs = {good, bad, other};
 
     SweepOptions o;
@@ -256,8 +233,9 @@ TEST(Sweep, CliRejectsMalformedNumbersAndRetiredFlags)
         {"--jobs 1025 --list fig06", "--jobs"},
         {"--quota 99999999999999999999999 --list fig06", "--quota"},
         {"--isolate process fig06", "--isolate"},
-        // Without a store nothing could be served or kept.
+        // Retired: every job already serves a stored result itself.
         {"--resume --workload pc --quota 20 fig06", "--resume"},
+        // Without a store nothing could be served or kept.
         {"--expect-cached --workload pc --quota 20 fig06",
          "--expect-cached"},
     };
@@ -279,4 +257,140 @@ TEST(Sweep, CliRejectsMalformedNumbersAndRetiredFlags)
             << c.args << " printed the fatal line twice: " << text;
     }
     std::remove(err.c_str());
+}
+
+namespace
+{
+
+/** Run rowsim_sweep with @p args; its exit status and stdout. */
+std::pair<int, std::string>
+runSweepCli(const std::string &args)
+{
+    // ctest runs the tests of this file concurrently: one file each.
+    const std::string out =
+        std::string("rowsim_sweep_cli.") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".out";
+    const std::string cmd = std::string(ROWSIM_SWEEP_PATH) + " " + args +
+                            " > " + out + " 2> /dev/null";
+    const int rc = std::system(cmd.c_str());
+    std::ifstream in(out);
+    std::string text{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+    std::remove(out.c_str());
+    return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, text};
+}
+
+} // namespace
+
+// A (workload, label) pair is the only key the cells read a result by:
+// within an entry it must name one configuration, and one job.
+TEST(FigureTable, WorkloadLabelNamesOneConfig)
+{
+    for (const Figure &f : figures()) {
+        std::map<std::pair<std::string, std::string>, std::uint64_t> seen;
+        for (const SweepJob &j : f.jobs) {
+            const std::uint64_t fp = configFingerprint(j.params, 0, 0, 0);
+            const auto [it, fresh] =
+                seen.emplace(std::pair(j.workload, j.label), fp);
+            EXPECT_TRUE(fresh) << f.name << ": " << j.workload << "/"
+                               << j.label << " runs twice";
+            EXPECT_EQ(it->second, fp)
+                << f.name << ": " << j.workload << "/" << j.label
+                << " names two configurations";
+        }
+    }
+}
+
+// The matrices CI compares across builds keep their size and order:
+// fig09 is every Fig. 9 bar for every atomic-intensive workload,
+// workload-major, and fig06 is eager then lazy per workload.
+TEST(FigureTable, MatricesKeepTheirOrder)
+{
+    const std::vector<SweepJob> &fig09 = findFigure("fig09").jobs;
+    const std::vector<ExpConfig> cfgs = fig9Configs();
+    ASSERT_EQ(fig09.size(), 104u);
+    std::size_t i = 0;
+    for (const std::string &w : atomicIntensiveWorkloads()) {
+        for (const ExpConfig &cfg : cfgs) {
+            EXPECT_EQ(fig09[i].workload, w) << i;
+            EXPECT_EQ(fig09[i].label, cfg.label) << i;
+            EXPECT_EQ(configFingerprint(fig09[i].params, 0, 0, 0),
+                      configFingerprint(makeParams(cfg, 32, 1), 0, 0, 0))
+                << i;
+            EXPECT_FALSE(fig09[i].captureStatsJson) << i;
+            i++;
+        }
+    }
+    EXPECT_EQ(findFigure("fig06").jobs.size(), 26u);
+    EXPECT_TRUE(findFigure("fig02").jobs.empty());
+}
+
+TEST(FigureTable, TablePrintsTheBenchLayout)
+{
+    FigureTable t("T");
+    t.cell("a", "x", 1.0);
+    t.cell("b", "y", 2.5);
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *f = open_memstream(&buf, &len);
+    t.print(f);
+    std::fclose(f);
+    const std::string text(buf, len);
+    std::free(buf);
+    EXPECT_EQ(text, "\n=== T ===\n"
+                    "                           x            y\n"
+                    "a                      1.000            -\n"
+                    "b                          -        2.500\n");
+}
+
+// --list without a figure names every entry with its job count.
+TEST(Sweep, CliListsTheFigureTable)
+{
+    const auto [rc, text] = runSweepCli("--list");
+    EXPECT_EQ(rc, 0) << text;
+    for (const Figure &f : figures()) {
+        char line[64];
+        std::snprintf(line, sizeof line, "%-20s %4zu jobs\n",
+                      f.name.c_str(), f.jobs.size());
+        EXPECT_NE(text.find(line), std::string::npos) << f.name << text;
+    }
+    const auto [bad, none] = runSweepCli("fig99");
+    EXPECT_EQ(bad, 1);
+}
+
+// A figure with no sweep jobs still prints its table.
+TEST(Sweep, CliPrintsAFigureWithoutJobs)
+{
+    const auto [rc, text] = runSweepCli("fig02");
+    EXPECT_EQ(rc, 0) << text;
+    EXPECT_NE(text.find("fig02, 0 jobs"), std::string::npos) << text;
+    EXPECT_NE(text.find("=== Fig. 2 — microbenchmark cycles per iteration"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("new/SWAP"), std::string::npos) << text;
+}
+
+// A figure run fills the store and prints its table; the rerun serves
+// every job from the store and prints the same table.
+TEST(Sweep, CliFigureRerunIsCached)
+{
+    const std::string dir = "sweep-cli-store";
+    fs::remove_all(dir);
+    const std::string args = "--store " + dir + " --quota 20 fig05";
+    const auto [rc, cold] = runSweepCli(args);
+    ASSERT_EQ(rc, 0) << cold;
+    EXPECT_NE(cold.find("13 ok (0 cached), 0 failed"), std::string::npos)
+        << cold;
+    const std::size_t table = cold.find("\n=== Fig. 5");
+    ASSERT_NE(table, std::string::npos) << cold;
+
+    const auto [rc2, warm] = runSweepCli("--expect-cached " + args);
+    EXPECT_EQ(rc2, 0) << warm;
+    EXPECT_NE(warm.find("13 ok (13 cached), 0 failed"), std::string::npos)
+        << warm;
+    const std::size_t warmTable = warm.find("\n=== Fig. 5");
+    ASSERT_NE(warmTable, std::string::npos) << warm;
+    EXPECT_EQ(warm.substr(warmTable), cold.substr(table));
+    fs::remove_all(dir);
 }

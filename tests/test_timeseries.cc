@@ -377,14 +377,11 @@ TEST(TimeSeries, SweepDeterministicAcrossThreadCounts)
     ScopedEnv interval("ROWSIM_STATS_INTERVAL", "1024");
     std::vector<SweepJob> jobs;
     for (const char *w : {"pc", "canneal", "cq", "tatp"}) {
-        SweepJob j;
-        j.workload = w;
-        j.cfg = eagerConfig();
-        j.cfg.timeseries = true;
+        ExpConfig cfg = eagerConfig();
+        cfg.timeseries = true;
         if (std::string(w) == "cq")
-            j.cfg.converge = ConvergeSpec{true, "instructions", 0.25};
-        j.numCores = 8;
-        j.quota = 40;
+            cfg.converge = ConvergeSpec{true, "instructions", 0.25};
+        SweepJob j = sweepJob(w, cfg, 8, 40);
         j.captureStatsJson = true;
         jobs.push_back(std::move(j));
     }

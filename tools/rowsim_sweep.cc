@@ -1,20 +1,20 @@
 /**
  * @file
- * rowsim_sweep: resumable figure sweeps.
+ * rowsim_sweep: regenerate one paper figure through the result store.
  *
- * Runs the full job matrix behind a figure (fig06 latency breakdown,
- * fig09 normalized-performance bars) through the SweepEngine, with the
- * content-addressed result store turned on so the sweep is an
- * incremental query: jobs whose key already has a valid entry are
- * served from disk, everything else is computed on the engine's thread
- * pool and persisted as it finishes. A failing job is reported in place
- * and the rest completes; a killed sweep leaves every finished job in
- * the store for --resume.
+ * Runs the job matrix of any entry of the figure table (src/sim/
+ * figures.hh) through the SweepEngine and prints one line per job, then
+ * the figure's tables. With a result store every job is an incremental
+ * query: a job whose key already has a valid entry is served from disk,
+ * everything else is computed on the engine's thread pool and persisted
+ * as it finishes. A failing job is reported in place and the rest
+ * completes; a killed sweep leaves every finished job in the store, so
+ * a rerun computes only the holes.
  *
  * Typical flow:
+ *   rowsim_sweep --list                          # the figure table
  *   rowsim_sweep --store results/ fig09          # cold: compute + fill
  *   rowsim_sweep --store results/ fig09          # warm: seconds, not hours
- *   rowsim_sweep --store results/ --resume fig09 # recompute only holes
  */
 
 #include <algorithm>
@@ -25,8 +25,7 @@
 
 #include "common/log.hh"
 #include "sim/experiment.hh"
-#include "sim/profiles.hh"
-#include "sim/resultstore.hh"
+#include "sim/figures.hh"
 #include "sim/sweep.hh"
 
 using namespace rowsim;
@@ -37,7 +36,6 @@ namespace
 struct CliOptions
 {
     std::string figure;
-    bool resume = false;
     bool list = false;
     bool expectCached = false;
     std::string reportPath;
@@ -51,16 +49,14 @@ void
 usage(FILE *out)
 {
     std::fprintf(out,
-        "usage: rowsim_sweep [options] <fig06|fig09>\n"
+        "usage: rowsim_sweep [options] <figure>\n"
+        "       rowsim_sweep --list\n"
         "\n"
-        "Run a figure's full job matrix as a resumable sweep backed by\n"
-        "the content-addressed result store.\n"
+        "Run a figure's full job matrix, backed by the content-addressed\n"
+        "result store when one is on, and print the figure's tables.\n"
         "\n"
         "  --store DIR          enable the result store rooted at DIR\n"
         "                       (ROWSIM_RESULTS=on in that directory)\n"
-        "  --resume             serve stored results without dispatching;\n"
-        "                       only missing/invalid entries are computed\n"
-        "                       (needs --store or ROWSIM_RESULTS=on)\n"
         "  --jobs N             worker threads, 0 (serial) .. 1024\n"
         "                       (default: cores, or ROWSIM_SWEEP_THREADS)\n"
         "  --strict             fail fast: abort the sweep on any failure\n"
@@ -70,8 +66,9 @@ usage(FILE *out)
         "                       Long quotas are where sampled execution\n"
         "                       (ROWSIM_SAMPLE) beats detail wall clock\n"
         "  --workload W         restrict the matrix to workload W\n"
-        "                       (repeatable)\n"
-        "  --list               print the job matrix and exit\n"
+        "                       (repeatable; the tables are then skipped)\n"
+        "  --list               print the job matrix and exit; without a\n"
+        "                       figure, name every figure and its job count\n"
         "  --expect-cached      exit 1 if any job had to be recomputed\n"
         "                       (needs --store or ROWSIM_RESULTS=on)\n");
 }
@@ -92,44 +89,6 @@ parseJobs(const char *text)
     return std::max(static_cast<unsigned>(n), 1u);
 }
 
-/** The job matrix behind one figure. */
-std::vector<SweepJob>
-jobsFor(const std::string &figure)
-{
-    std::vector<SweepJob> jobs;
-    if (figure == "fig09") {
-        // Fig. 9: every policy bar for every atomic-intensive workload,
-        // full stats captured so downstream plotting can drill in.
-        for (const std::string &w : atomicIntensiveWorkloads()) {
-            for (const ExpConfig &cfg : fig9Configs()) {
-                SweepJob j;
-                j.workload = w;
-                j.cfg = cfg;
-                j.numCores = 32;
-                j.seed = 1;
-                j.captureStatsJson = true;
-                jobs.push_back(std::move(j));
-            }
-        }
-    } else if (figure == "fig06") {
-        // Fig. 6: eager vs lazy atomic-phase latency breakdown.
-        for (const std::string &w : atomicIntensiveWorkloads()) {
-            for (const ExpConfig &cfg : {eagerConfig(), lazyConfig()}) {
-                SweepJob j;
-                j.workload = w;
-                j.cfg = cfg;
-                j.numCores = 32;
-                j.seed = 1;
-                jobs.push_back(std::move(j));
-            }
-        }
-    } else {
-        ROWSIM_FATAL("rowsim_sweep: unknown figure \"%s\" (want fig06 or fig09)",
-              figure.c_str());
-    }
-    return jobs;
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -148,8 +107,6 @@ parseArgs(int argc, char **argv)
             o.sweep.storeDir = next("--store");
             if (o.sweep.storeDir.empty())
                 ROWSIM_FATAL("rowsim_sweep: --store needs a directory");
-        } else if (arg == "--resume") {
-            o.resume = true;
         } else if (arg == "--jobs") {
             o.sweep.threads = parseJobs(next("--jobs"));
         } else if (arg == "--strict") {
@@ -178,12 +135,10 @@ parseArgs(int argc, char **argv)
         usage(stderr);
         ROWSIM_FATAL("rowsim_sweep: no figure given");
     }
-    // Both flags ask about stored results; without a store every job
-    // would be recomputed and nothing kept.
-    if ((o.resume || o.expectCached) && o.sweep.storeDir.empty())
-        ROWSIM_FATAL("rowsim_sweep: %s needs a result store (--store DIR "
-                     "or ROWSIM_RESULTS=on)",
-                     o.resume ? "--resume" : "--expect-cached");
+    // Without a store every job would be recomputed and nothing kept.
+    if (o.expectCached && o.sweep.storeDir.empty())
+        ROWSIM_FATAL("rowsim_sweep: --expect-cached needs a result store "
+                     "(--store DIR or ROWSIM_RESULTS=on)");
     return o;
 }
 
@@ -194,7 +149,14 @@ cliMain(int argc, char **argv)
 {
     const CliOptions opt = parseArgs(argc, argv);
 
-    std::vector<SweepJob> jobs = jobsFor(opt.figure);
+    if (opt.list && opt.figure.empty()) {
+        for (const Figure &f : figures())
+            std::printf("%-20s %4zu jobs\n", f.name.c_str(), f.jobs.size());
+        return 0;
+    }
+
+    const Figure &fig = findFigure(opt.figure);
+    std::vector<SweepJob> jobs = fig.jobs;
     if (!opt.onlyWorkloads.empty()) {
         std::erase_if(jobs, [&](const SweepJob &j) {
             return std::find(opt.onlyWorkloads.begin(),
@@ -215,52 +177,19 @@ cliMain(int argc, char **argv)
                     "config", "cores", "seed");
         for (std::size_t i = 0; i < jobs.size(); i++)
             std::printf("%-4zu %-12s %-24s %5u %4llu\n", i,
-                        jobs[i].workload.c_str(), jobs[i].cfg.label.c_str(),
-                        jobs[i].numCores,
-                        static_cast<unsigned long long>(jobs[i].seed));
+                        jobs[i].workload.c_str(), jobs[i].label.c_str(),
+                        jobs[i].params.numCores,
+                        static_cast<unsigned long long>(
+                            jobs[i].params.seed));
         return 0;
     }
 
-    // --resume: answer as much of the query as possible straight from
-    // the store, and only dispatch the holes (missing, quarantined, or
-    // schema-stale entries) to the engine.
-    std::vector<RunResult> results(jobs.size());
-    std::vector<bool> served(jobs.size(), false);
-    std::size_t precached = 0;
-    if (opt.resume) {
-        ResultStore store(opt.sweep.storeDir);
-        for (std::size_t i = 0; i < jobs.size(); i++) {
-            const SweepJob &j = jobs[i];
-            const std::uint64_t quota =
-                j.quota ? j.quota : defaultQuota(j.workload);
-            const ResultKey key = ResultStore::keyFor(
-                makeParams(j.cfg, j.numCores, j.seed), j.workload,
-                j.cfg.label, quota);
-            if (store.serve(key, j.captureStatsJson, results[i])) {
-                served[i] = true;
-                precached++;
-            }
-        }
-    }
-
-    std::vector<SweepJob> pending;
-    std::vector<std::size_t> pendingIdx;
-    for (std::size_t i = 0; i < jobs.size(); i++) {
-        if (!served[i]) {
-            pending.push_back(jobs[i]);
-            pendingIdx.push_back(i);
-        }
-    }
-
-    std::printf("rowsim_sweep: %s, %zu jobs (%zu from store, %zu to run)\n",
-                opt.figure.c_str(), jobs.size(), precached, pending.size());
+    std::printf("rowsim_sweep: %s, %zu jobs\n", opt.figure.c_str(),
+                jobs.size());
     std::fflush(stdout);
 
-    if (!pending.empty()) {
-        std::vector<RunResult> ran = SweepEngine(opt.sweep).run(pending);
-        for (std::size_t k = 0; k < pendingIdx.size(); k++)
-            results[pendingIdx[k]] = std::move(ran[k]);
-    }
+    // Each job serves a stored result or computes and stores its own.
+    const std::vector<RunResult> results = SweepEngine(opt.sweep).run(jobs);
 
     std::size_t okCount = 0, cachedCount = 0, failedCount = 0;
     for (std::size_t i = 0; i < results.size(); i++) {
@@ -286,6 +215,15 @@ cliMain(int argc, char **argv)
     }
     std::printf("rowsim_sweep: %zu ok (%zu cached), %zu failed\n", okCount,
                 cachedCount, failedCount);
+
+    // The tables read every job of the figure; a filtered or failed
+    // sweep has holes in them.
+    if (!opt.onlyWorkloads.empty()) {
+        std::printf("rowsim_sweep: --workload given, tables skipped\n");
+    } else if (failedCount == 0) {
+        for (const FigureTable &t : fig.cells(FigureResults(jobs, results)))
+            t.print(stdout);
+    }
 
     if (opt.expectCached && cachedCount != results.size()) {
         std::fprintf(stderr,
