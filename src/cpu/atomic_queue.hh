@@ -124,6 +124,8 @@ class AtomicQueue
     AqEntry &entry(unsigned idx) { return slots[idx]; }
     const AqEntry &entry(unsigned idx) const { return slots[idx]; }
     AqEntry &head();
+    /** Sequence number of the head entry; 0 when empty. */
+    SeqNum oldestSeq() const { return count == 0 ? 0 : slots[headIdx].seq; }
 
     /** Is @p line locked by any entry (cache-locking snoop)? */
     bool lineLocked(Addr line) const;

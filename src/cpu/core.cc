@@ -131,6 +131,7 @@ void
 Core::externalRequestSnoop(Addr line, Cycle now)
 {
     (void)now;
+    interruptSleep();
     const ContentionDetector det = params.row.detector;
     aq.forEachMatching(line, [det](AqEntry &e) {
         if (det == ContentionDetector::EW) {
@@ -146,12 +147,14 @@ void
 Core::oracleContentionHint(Addr line, Cycle now)
 {
     (void)now;
+    interruptSleep();
     aq.forEachMatching(line, [](AqEntry &e) { e.oracleContended = true; });
 }
 
 void
 Core::accessDone(const MemResult &r)
 {
+    interruptSleep();
     if (r.token & sbWriteToken) {
         // A store-buffer write completed. Post-commit, so it must not
         // touch the ROB (the slot may have been reused): the token
@@ -286,6 +289,7 @@ Core::atomicLineReady(std::uint64_t tok, Addr line, FillSource source,
                       Cycle netIssueCycle, bool contentionHint, Cycle now)
 {
     (void)netIssueCycle;
+    interruptSleep();
     const SeqNum seq = tok & 0xffffffffffffULL;
     const auto gen = static_cast<std::uint16_t>(tok >> 48);
     RobEntry &e = rob(seq);
@@ -328,6 +332,7 @@ Core::tryForceUnlock(Addr line, Cycle now)
     if (seq <= commitSeq)
         return false;
 
+    interruptSleep();
     RobEntry &e = rob(seq);
     AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
     a.locked = false;
@@ -1379,6 +1384,37 @@ Core::dispatchStage(Cycle now)
 void
 Core::tick(Cycle now)
 {
+    if (now < sleepUntil_) {
+        sleptTicks_++;
+        if (sleepMode_ != FastForwardMode::Check)
+            return;
+        const Cycle until = sleepUntil_;
+        const std::uint64_t before = tickFingerprint();
+        tickStages(now);
+        if (tickFingerprint() != before) {
+            ROWSIM_PANIC("[ff-check] core %u predicted idle until %llu "
+                         "acted at cycle %llu",
+                         coreId, static_cast<unsigned long long>(until),
+                         static_cast<unsigned long long>(now));
+        }
+        return;
+    }
+    tickStages(now);
+    if (sleepMode_ == FastForwardMode::Off)
+        return;
+    // The first predicted-idle tick still acts: issueStage sorts and
+    // compacts `waiting` and clears issueTruncated_, and dispatch may
+    // fetch one op into an empty fetch buffer. Once such a tick has run
+    // with nothing interrupting, every tick up to the next event is a
+    // no-op.
+    const Cycle next = nextEventCycle(now);
+    sleepUntil_ = now < idleUntil_ ? next : 0;
+    idleUntil_ = next;
+}
+
+void
+Core::tickStages(Cycle now)
+{
     processCompletions(now);
 
     while (!pendingUnlocks.empty() && pendingUnlocks.begin()->first <= now) {
@@ -1407,9 +1443,53 @@ Core::drained() const
            completions.empty() && pendingUnlocks.empty();
 }
 
+std::uint64_t
+Core::tickFingerprint() const
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+    };
+    mix(nextSeq);
+    mix(commitSeq);
+    mix(committedInsts);
+    mix(committedAtomicCount);
+    mix(iterations);
+    mix(robCount());
+    mix(iqOccupancy);
+    mix(lq.size());
+    mix(lq.oldestSeq());
+    mix(sq.size());
+    mix(sq.headEntry() ? sq.headEntry()->seq : 0);
+    mix(aq.size());
+    mix(aq.oldestSeq());
+    mix(readyQueue.size());
+    mix(waiting.size());
+    mix(completions.size());
+    mix(pendingUnlocks.size());
+    mix(memBarriers.size());
+    mix(fwdLockWaiters.size());
+    mix(fetchBuffer.size());
+    mix(fetchBlockedBy);
+    mix(fetchBlockedUntil);
+    mix(issueTruncated_);
+    for (const auto &kv : stats_.counters())
+        mix(kv.second.value());
+    for (const auto &kv : stats_.averages())
+        mix(kv.second.count());
+    for (const auto &kv : stats_.histograms())
+        mix(kv.second.summary().count());
+    return h;
+}
+
 Cycle
 Core::nextEventCycle(Cycle now) const
 {
+    // Asleep: the deadline was this very answer when the sleep began,
+    // and nothing has changed the core since.
+    if (now < sleepUntil_)
+        return sleepUntil_;
+
     const Cycle next_tick = now + 1;
 
     // Work that would proceed on the very next tick: ready ops, a
@@ -1535,6 +1615,8 @@ Core::visit(Ar &ar)
 {
     ar.section("core");
     ar.expect(coreId, "core id");
+    if constexpr (Ar::loading)
+        interruptSleep();
 
     // Every ROB slot is serialized, stale entries included: restored slot
     // garbage then matches an uninterrupted run's, so any later image of

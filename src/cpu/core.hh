@@ -43,6 +43,7 @@
 #include "cpu/stream.hh"
 #include "mem/l1cache.hh"
 #include "row/predictor.hh"
+#include "sim/options.hh"
 #include "sim/profile.hh"
 
 namespace rowsim
@@ -58,7 +59,7 @@ class Core : public MemClient
          FunctionalMemory *fmem, InstStream *stream);
 
     /** Advance one cycle: complete, commit, drain stores, issue,
-     *  dispatch. */
+     *  dispatch. A no-op while the core sleeps (setSleepMode). */
     void tick(Cycle now);
 
     // MemClient interface (called by the private cache).
@@ -75,7 +76,12 @@ class Core : public MemClient
     void oracleContentionHint(Addr line, Cycle now);
 
     /** Stop fetching new work (quota reached); in-flight ops drain. */
-    void halt() { halted = true; }
+    void
+    halt()
+    {
+        halted = true;
+        interruptSleep();
+    }
     bool isHalted() const { return halted; }
     /** True when the pipeline has fully drained. */
     bool drained() const;
@@ -104,6 +110,19 @@ class Core : public MemClient
     void setProfiler(Profiler *p) { prof_ = p; }
     /** Attach the span tracker (System::setupSpans). */
     void setSpans(SpanTracker *s) { spans_ = s; }
+    /**
+     * Idle sleep, handed over by the System under ROWSIM_FF (DESIGN §9).
+     * Off ticks every cycle. On: after a tick that was itself predicted
+     * idle, tick() returns at once until nextEventCycle; every call that
+     * mutates the core from outside its tick wakes it. Check ticks
+     * through each sleep and panics if a tick inside it changes the
+     * core. Host-only: never in the image, so a restored or new core
+     * starts awake.
+     */
+    void setSleepMode(FastForwardMode m) { sleepMode_ = m; }
+    /** Ticks that fell inside a sleep: skipped under On, audited under
+     *  Check (host telemetry; outside the stats and the image). */
+    std::uint64_t sleptTicks() const { return sleptTicks_; }
     BranchPredictor &branchPredictor() { return branchPred; }
     StoreSet &storeSets() { return storeSet; }
     const AtomicQueue &atomicQueue() const { return aq; }
@@ -239,6 +258,8 @@ class Core : public MemClient
     };
 
     // --- pipeline stages ---
+    /** One full cycle of every stage (tick() minus the sleep gate). */
+    void tickStages(Cycle now);
     void processCompletions(Cycle now);
     void commitStage(Cycle now);
     void drainStores(Cycle now);
@@ -314,6 +335,17 @@ class Core : public MemClient
      *  per tick when the cpi profile category is on). */
     void profileCommitSlots(unsigned retired);
 
+    /** Something outside the tick changed the core: no sleep and no
+     *  idle prediction survives it. */
+    void
+    interruptSleep()
+    {
+        sleepUntil_ = 0;
+        idleUntil_ = 0;
+    }
+    /** ROWSIM_FF=check: the fields a tick can change, hashed. */
+    std::uint64_t tickFingerprint() const;
+
     CoreId coreId;
     CoreParams params;
     PrivateCache *cache;
@@ -368,6 +400,15 @@ class Core : public MemClient
 
     Profiler *prof_ = nullptr;
     SpanTracker *spans_ = nullptr;
+
+    // Idle sleep (setSleepMode); host-only, never in the image.
+    FastForwardMode sleepMode_ = FastForwardMode::Off;
+    /** tick() is a no-op before this cycle. */
+    Cycle sleepUntil_ = 0;
+    /** nextEventCycle at the last tick that ran: ticks before it are
+     *  predicted idle unless an outside call interrupts. */
+    Cycle idleUntil_ = 0;
+    std::uint64_t sleptTicks_ = 0;
 
     StatGroup stats_;
     // Dispatch and issue.

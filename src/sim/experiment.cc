@@ -341,6 +341,15 @@ recordLine(const RunResult &r, const char *key, const std::string &json)
                      json.c_str());
 }
 
+/** Inside a sweep worker a sink path carries the job key (like the
+ *  trace sinks), so concurrent jobs never write one file; "-" stays
+ *  stdout. */
+std::string
+jobPath(const std::string &path)
+{
+    return path == "-" ? path : suffixJobPath(path, Trace::jobKey());
+}
+
 /** The per-run JSON sinks that need only the RunResult (run report,
  *  profile record, span record) — shared by live runs and result-store
  *  hits, so a warm rerun still feeds every figure script. */
@@ -351,11 +360,6 @@ emitRunSinks(const RunResult &r, const RunOptions &opts)
     // touching the harness call sites.
     if (!opts.report.empty())
         writeRunReport(r, opts.report);
-    // Inside a sweep worker the record paths carry the job key (like
-    // the trace sinks), so concurrent jobs never interleave one file.
-    auto jobPath = [](const std::string &path) {
-        return path == "-" ? path : suffixJobPath(path, Trace::jobKey());
-    };
     if (!opts.profileJson.empty() && !r.profileJson.empty()) {
         appendLine(jobPath(opts.profileJson),
                    recordLine(r, "profile", r.profileJson), "profile JSON");
@@ -398,9 +402,12 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     std::unique_ptr<ResultStore> store = ResultStore::open(opts);
     ResultKey key{};
     if (store) {
-        key = ResultStore::keyFor(sp, opts, workload, label, quota);
+        key = ResultStore::keyFor(sp, opts, workload, quota);
         RunResult cached;
         if (store->serve(key, capture_stats, cached)) {
+            // The entry may have been stored under another label of
+            // the same configuration.
+            cached.config = label;
             emitRunSinks(cached, opts);
             return cached;
         }
@@ -447,12 +454,12 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     if (opts.statsJson == "-") {
         sys.dumpStatsJson(stdout);
     } else if (!opts.statsJson.empty()) {
-        if (std::FILE *f = std::fopen(opts.statsJson.c_str(), "w")) {
+        const std::string path = jobPath(opts.statsJson);
+        if (std::FILE *f = std::fopen(path.c_str(), "w")) {
             sys.dumpStatsJson(f);
             std::fclose(f);
         } else {
-            ROWSIM_WARN("cannot open stats JSON file '%s'",
-                        opts.statsJson.c_str());
+            ROWSIM_WARN("cannot open stats JSON file '%s'", path.c_str());
         }
     }
     return r;

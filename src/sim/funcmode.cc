@@ -50,6 +50,7 @@ Core::funcRun(const std::function<bool(Addr, bool)> &access,
               unsigned max_ops, std::uint64_t iter_limit,
               std::uint64_t inst_limit, Cycle now)
 {
+    interruptSleep();
     std::uint64_t retired = 0;
     while (retired < max_ops && !halted) {
         if (iter_limit && iterations >= iter_limit)

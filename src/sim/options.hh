@@ -35,13 +35,14 @@
 namespace rowsim
 {
 
-/** Idle fast-forward operating mode (ROWSIM_FF). */
+/** Idle fast-forward operating mode (ROWSIM_FF): the System's skip of
+ *  idle windows and each core's idle sleep (Core::setSleepMode). */
 enum class FastForwardMode : std::uint8_t
 {
     Off,
     On,
     /** Equivalence-assert mode: tick through each predicted idle
-     *  window and panic if any instruction would have committed. */
+     *  window and each core sleep, and panic if anything acted. */
     Check,
 };
 

@@ -158,8 +158,8 @@ ResultStore::open(const RunOptions &opts)
 
 ResultKey
 ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
-                    const std::string &workload, const std::string &label,
-                    std::uint64_t quota)
+                    const std::string &workload, std::uint64_t quota,
+                    const std::string &window)
 {
     // The fingerprint covers everything that changes the simulated
     // trajectory (architecture, seed, faults). On top of that, the key
@@ -180,7 +180,7 @@ ResultStore::keyFor(const SystemParams &params, const RunOptions &opts,
     s.u64(configFingerprint(params, opts.faults.mask, opts.faults.seed,
                             opts.faults.rate));
     s.str(workload);
-    s.str(label);
+    s.str(window);
     s.u64(quota);
     s.u32(opts.profileMask);
     s.b(opts.spans);

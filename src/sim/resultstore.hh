@@ -5,7 +5,7 @@
  * Every completed run can be persisted under a key that captures
  * everything the result depends on: the configuration fingerprint
  * (architecture, seed, fault-injection setup), the workload, the
- * resolved per-core quota, the config label, the effective
+ * resolved per-core quota, a sampling window's layout, the effective
  * observability knobs that shape the RunResult (profiler mask, span
  * gate and top-K, interval-stats period), and the result-schema
  * version. Reruns
@@ -53,9 +53,12 @@ struct SystemParams;
  *  v4: the Fig. 6 percentiles are filled for every detail run, no
  *      longer only for runs profiled with the retired "pcs" category
  *      (a v3 entry of an unprofiled run holds zero percentiles).
+ *  v5: the config label left the key (label aliases of one
+ *  configuration share an entry; a hit is served under the label the
+ *  run asked for); a sampling window is keyed by its layout instead.
  *  The u32 after the error text held a retry count; it is written as 1
- *  and anything else is damage, so the layout, and v4, stand. */
-constexpr std::uint32_t resultSchemaVersion = 4;
+ *  and anything else is damage, so the layout stands. */
+constexpr std::uint32_t resultSchemaVersion = 5;
 
 /** SHA-256 store key. */
 using ResultKey = std::array<std::uint8_t, 32>;
@@ -80,19 +83,21 @@ class ResultStore
     static std::unique_ptr<ResultStore> open(const RunOptions &opts);
 
     /**
-     * Key for one (params, workload, label, quota) run with the
-     * resolved @p opts the run uses. Serialises the config fingerprint
-     * (with the resolved fault setup), the result-schema version, and
-     * the options that change what the RunResult contains or when the
-     * run stops: profiler mask, span gate (with the span top-K when
-     * spans are on), requested interval-stats
-     * period, time-series engine and window, convergence spec, and
-     * execution mode.
+     * Key for one (params, workload, quota) run with the resolved
+     * @p opts the run uses. Serialises the config fingerprint (with the
+     * resolved fault setup), the result-schema version, and the options
+     * that change what the RunResult contains or when the run stops:
+     * profiler mask, span gate (with the span top-K when spans are on),
+     * requested interval-stats period, time-series engine and window,
+     * convergence spec, and execution mode. The label is not in it:
+     * two labels of one configuration name one entry. @p window is a
+     * sampling window's layout (SweepJob::window), empty for a whole
+     * run.
      */
     static ResultKey keyFor(const SystemParams &params,
                             const RunOptions &opts,
-                            const std::string &workload,
-                            const std::string &label, std::uint64_t quota);
+                            const std::string &workload, std::uint64_t quota,
+                            const std::string &window = {});
 
     static std::string keyHex(const ResultKey &key);
 

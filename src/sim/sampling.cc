@@ -62,17 +62,16 @@ sampleGrid(std::uint64_t quota, unsigned n)
 namespace
 {
 
-/** Window reporting label; also the store key's label component, so it
- *  encodes everything of the sampling layout the window depends on. */
+/** Window layout tag: everything of the sampling layout the window
+ *  depends on. It keys the window's stored result and suffixes its
+ *  reporting label. */
 std::string
-windowLabel(const std::string &label, const SampleSpec &spec,
-            std::uint64_t quota, unsigned k)
+windowTag(const SampleSpec &spec, std::uint64_t quota, unsigned k)
 {
-    return label + strprintf("#s%u.%llu.%llu.q%llu.k%u", spec.checkpoints,
-                             static_cast<unsigned long long>(spec.warmIters),
-                             static_cast<unsigned long long>(
-                                 spec.detailIters),
-                             static_cast<unsigned long long>(quota), k);
+    return strprintf("#s%u.%llu.%llu.q%llu.k%u", spec.checkpoints,
+                     static_cast<unsigned long long>(spec.warmIters),
+                     static_cast<unsigned long long>(spec.detailIters),
+                     static_cast<unsigned long long>(quota), k);
 }
 
 /** One aggregated metric: its report name and RunResult field. */
@@ -125,9 +124,10 @@ windowOptions(const SweepJob &job, const std::string &storeDir)
 ResultKey
 windowKey(const SweepJob &job, const RunOptions &opts)
 {
-    return ResultStore::keyFor(job.params, opts, job.workload, job.label,
+    return ResultStore::keyFor(job.params, opts, job.workload,
                                job.windowStartIters + job.windowWarmIters +
-                                   job.windowIters);
+                                   job.windowIters,
+                               job.window);
 }
 
 } // namespace
@@ -182,7 +182,8 @@ runSampled(const std::string &workload, const SystemParams &params,
     for (unsigned k = 0; k < n; k++) {
         SweepJob &j = jobs[k];
         j.workload = workload;
-        j.label = windowLabel(label, spec, quota, k);
+        j.window = windowTag(spec, quota, k);
+        j.label = label + j.window;
         j.params = params;
         j.params.mode = ExecMode::Detail;
         j.windowStartIters = grid[k];
@@ -197,8 +198,10 @@ runSampled(const std::string &workload, const SystemParams &params,
     const RunOptions wopts = windowOptions(jobs[0], sweep.storeDir);
     const std::unique_ptr<ResultStore> store = ResultStore::open(wopts);
     for (unsigned k = 0; k < n; k++) {
-        if (!store ||
-            !store->serve(windowKey(jobs[k], wopts), false, wins[k]))
+        if (store &&
+            store->serve(windowKey(jobs[k], wopts), false, wins[k]))
+            wins[k].config = jobs[k].label;
+        else
             missing.push_back(k);
     }
 

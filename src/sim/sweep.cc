@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <map>
+#include <optional>
 #include <thread>
 
 #include "common/heartbeat.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
+#include "sim/profiles.hh"
+#include "sim/resultstore.hh"
 #include "sim/sampling.hh"
 
 namespace rowsim
@@ -94,6 +98,45 @@ executeJob(const SweepJob &job, std::size_t index,
                                job.quota, job.captureStatsJson, storeDir);
 }
 
+/** The result-store key @p job runs under; none for a window job or a
+ *  job whose store is off. */
+std::optional<ResultKey>
+storeKey(const SweepJob &job, const std::string &storeDir)
+{
+    if (job.image)
+        return std::nullopt;
+    RunOptions opts = resolveRunOptions(job.params, storeDir);
+    applyRunRules(opts);
+    if (!opts.results)
+        return std::nullopt;
+    const std::uint64_t quota =
+        job.quota ? job.quota : defaultQuota(job.workload);
+    return ResultStore::keyFor(job.params, opts, job.workload, quota);
+}
+
+/** Split @p jobs into those that simulate and those that repeat an
+ *  earlier job's result-store key (a label alias of one configuration):
+ *  those run afterwards, as store hits. Without a store every job
+ *  simulates. */
+void
+splitRepeats(const std::vector<SweepJob> &jobs, const std::string &storeDir,
+             std::vector<std::size_t> &first, std::vector<std::size_t> &repeat)
+{
+    std::map<ResultKey, std::size_t> seen;
+    for (std::size_t i = 0; i < jobs.size(); i++) {
+        std::optional<ResultKey> key;
+        try {
+            key = storeKey(jobs[i], storeDir);
+        } catch (const std::exception &) {
+            // Options that do not resolve fail the job inside its run.
+        }
+        if (key && !seen.emplace(*key, i).second)
+            repeat.push_back(i);
+        else
+            first.push_back(i);
+    }
+}
+
 /** Non-strict completion report: name every failed job. */
 void
 warnFailures(const std::vector<SweepJob> &jobs,
@@ -111,21 +154,22 @@ warnFailures(const std::vector<SweepJob> &jobs,
 
 } // namespace
 
-std::vector<RunResult>
-SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
+void
+SweepEngine::runThreaded(const std::vector<SweepJob> &jobs,
+                         const std::vector<std::size_t> &todo,
+                         std::vector<RunResult> &results,
+                         std::vector<std::exception_ptr> &errors)
 {
     const std::string outerKey = Trace::jobKey();
-    std::vector<RunResult> results(jobs.size());
-    std::vector<std::exception_ptr> errors(jobs.size());
-
     std::atomic<std::size_t> nextJob{0};
 
     auto worker = [&]() {
         for (;;) {
-            const std::size_t i =
+            const std::size_t t =
                 nextJob.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
+            if (t >= todo.size())
                 return;
+            const std::size_t i = todo[t];
             hb_.emitJob(i, "started", jobs[i].workload,
                         jobs[i].label, nullptr);
             try {
@@ -148,25 +192,13 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
     // the code path of an 8-thread sweep, so serial-vs-parallel
     // comparisons differ only in scheduling.
     const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(opts_.threads, jobs.size()));
+        std::min<std::size_t>(opts_.threads, todo.size()));
     std::vector<std::thread> pool;
     pool.reserve(n);
     for (unsigned t = 0; t < n; t++)
         pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
-
-    if (opts_.strict) {
-        // Deterministic failure reporting: first failed job in
-        // submission order, independent of which worker hit it first.
-        for (std::size_t i = 0; i < errors.size(); i++) {
-            if (errors[i])
-                std::rethrow_exception(errors[i]);
-        }
-    } else {
-        warnFailures(jobs, results);
-    }
-    return results;
 }
 
 std::vector<RunResult>
@@ -182,7 +214,23 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
                         jobs[i].label, nullptr);
         }
     }
-    std::vector<RunResult> results = runThreaded(jobs);
+    std::vector<RunResult> results(jobs.size());
+    std::vector<std::exception_ptr> errors(jobs.size());
+    std::vector<std::size_t> first, repeat;
+    splitRepeats(jobs, opts_.storeDir, first, repeat);
+    runThreaded(jobs, first, results, errors);
+    runThreaded(jobs, repeat, results, errors);
+
+    if (opts_.strict) {
+        // Deterministic failure reporting: first failed job in
+        // submission order, independent of which worker hit it first.
+        for (std::size_t i = 0; i < errors.size(); i++) {
+            if (errors[i])
+                std::rethrow_exception(errors[i]);
+        }
+    } else {
+        warnFailures(jobs, results);
+    }
     if (hb_.enabled()) {
         std::size_t ok = 0;
         for (const RunResult &r : results)

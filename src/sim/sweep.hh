@@ -14,7 +14,10 @@
  * want all-or-nothing behaviour opt into SweepOptions::strict. Failures
  * are not retried: the simulator is deterministic, so a rerun fails the
  * same way. With a result store, every finished job is kept, so a
- * killed sweep resumes by computing only the missing entries.
+ * killed sweep resumes by computing only the missing entries, and jobs
+ * that share a store key (label aliases of one configuration) simulate
+ * once: the repeats run after every other job, as store hits under
+ * their own labels.
  *
  * Determinism: each simulation is a pure function of its SweepJob — a
  * System touches no cross-run mutable state (trace sinks, checker
@@ -27,6 +30,7 @@
 #define ROWSIM_SIM_SWEEP_HH
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +52,7 @@ struct SweepJob
      *  ablation runExperimentParams can run (AQ size, re-issue delay,
      *  lock-steal threshold, ...). */
     SystemParams params;
-    /** Reporting label; also the result-store key's label component. */
+    /** Reporting label; not part of the result-store key. */
     std::string label;
     /** Per-core iterations; 0 = the workload's default quota. */
     std::uint64_t quota = 0;
@@ -68,6 +72,9 @@ struct SweepJob
     std::uint64_t windowWarmIters = 0;
     /** Measured iterations per core. */
     std::uint64_t windowIters = 0;
+    /** The sampling layout the window belongs to (grid, warm and detail
+     *  lengths, window index): its result-store key component. */
+    std::string window;
 };
 
 /** The job runExperiment(@p workload, @p cfg, ...) runs. */
@@ -120,7 +127,12 @@ class SweepEngine
     static unsigned defaultThreads();
 
   private:
-    std::vector<RunResult> runThreaded(const std::vector<SweepJob> &jobs);
+    /** Run jobs[i] for every i of @p todo on the pool, filling
+     *  results[i] and, on failure, errors[i]. */
+    void runThreaded(const std::vector<SweepJob> &jobs,
+                     const std::vector<std::size_t> &todo,
+                     std::vector<RunResult> &results,
+                     std::vector<std::exception_ptr> &errors);
 
     SweepOptions opts_;
     /** The heartbeat sink, resolved per run(). */

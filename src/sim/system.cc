@@ -59,6 +59,14 @@ System::System(const SystemParams &params, const RunOptions &opts,
     setupSelfChecking();
     setupProfiling();
     setupSpans();
+    // Idle cores sleep under the fast-forward mode (DESIGN §9), except
+    // while CPI stacks classify every tick: the bucket of a waiting
+    // head reads MSHR state that moves while the core sleeps.
+    const FastForwardMode sleep = Profiler::enabled(ProfCategory::Cpi)
+                                      ? FastForwardMode::Off
+                                      : opts_.fastForward;
+    for (auto &c : cores)
+        c->setSleepMode(sleep);
 
     // Every panic — checker violation, watchdog fire, protocol assert —
     // dumps the diagnostics snapshot before unwinding.

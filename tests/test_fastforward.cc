@@ -4,7 +4,8 @@
  * never change a simulated result. Every (workload, policy) case runs
  * with ROWSIM_FF=0 and ROWSIM_FF=1 and the full stats tree must be
  * byte-identical; check mode (tick-through + per-window audit) must run
- * panic-free; fault injection must force fast-forward off.
+ * panic-free; fault injection must force fast-forward off. Idle cores
+ * sleep under the same mode: mid-run images must not see it either.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
+#include "sim/snapshot.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -31,6 +33,18 @@ runWithFF(const char *ff, const std::string &w, const ExpConfig &cfg,
                                 /*capture_stats=*/true);
     ::unsetenv("ROWSIM_FF");
     return r;
+}
+
+std::unique_ptr<System>
+systemWithFF(const char *ff, const std::string &w, const ExpConfig &cfg,
+             unsigned cores = 16)
+{
+    ::setenv("ROWSIM_FF", ff, 1);
+    const SystemParams sp = makeParams(cfg, cores, 1);
+    auto sys = std::make_unique<System>(
+        sp, makeStreams(profileFor(w), sp.numCores, sp.seed));
+    ::unsetenv("ROWSIM_FF");
+    return sys;
 }
 
 } // namespace
@@ -78,6 +92,22 @@ TEST(FastForward, CheckModeAuditsCleanAndMatchesOff)
     RunResult chk = runWithFF("check", "pc", row, 60);
     EXPECT_EQ(off.cycles, chk.cycles);
     EXPECT_EQ(off.statsJson, chk.statsJson);
+
+    // Check mode also audits every core sleep tick by tick. The work-
+    // stealing raytrace runs, one lazy and one RoW, are where a sleep
+    // that skipped the bookkeeping of its first idle tick gets caught.
+    struct Case
+    {
+        ExpConfig cfg;
+        std::uint64_t quota;
+        unsigned cores;
+    };
+    for (const Case &c : {Case{lazyConfig(), 80, 32}, Case{row, 20, 16}}) {
+        RunResult o = runWithFF("0", "raytrace", c.cfg, c.quota, c.cores);
+        RunResult k = runWithFF("check", "raytrace", c.cfg, c.quota, c.cores);
+        EXPECT_EQ(o.cycles, k.cycles) << c.cfg.label;
+        EXPECT_EQ(o.statsJson, k.statsJson) << c.cfg.label;
+    }
 }
 
 TEST(FastForward, ForcedOffUnderFaultInjection)
@@ -136,4 +166,72 @@ TEST(FastForward, SkipsActuallyHappenOnIdleWorkloads)
     sys.run(60);
     ::unsetenv("ROWSIM_FF");
     EXPECT_GT(sys.fastForwardedCycles(), 0u);
+}
+
+TEST(FastForward, CoresSleepOnContendedWorkloads)
+{
+    // Contended eager atomics spend most ticks waiting on remote fills
+    // and held locks: nearly every core tick is provably idle, while
+    // the System-wide skip rarely applies because some core is busy.
+    for (const char *ff : {"0", "1"}) {
+        auto sys = systemWithFF(ff, "pc", eagerConfig());
+        sys->run(60);
+        const double ticked = static_cast<double>(
+            sys->now() - sys->fastForwardedCycles());
+        std::uint64_t slept = 0;
+        for (CoreId c = 0; c < sys->numCores(); c++)
+            slept += sys->core(c).sleptTicks();
+        if (ff[0] == '0') {
+            EXPECT_EQ(slept, 0u);
+        } else {
+            EXPECT_GT(static_cast<double>(slept) /
+                          (ticked * sys->numCores()),
+                      0.80);
+        }
+    }
+}
+
+TEST(FastForward, MidRunImagesIdenticalWhileCoresSleep)
+{
+    // The warm stop lands mid-run, where a sleeping core would show any
+    // bookkeeping of its first idle tick that was skipped. The image
+    // taken there must match the FF=0 run's, and a fresh System restored
+    // from it must finish exactly as the FF=0 run does.
+    struct Case
+    {
+        const char *workload;
+        ExpConfig cfg;
+        std::uint64_t quota;
+    };
+    const Case cases[] = {
+        {"pc", eagerConfig(), 60},
+        {"pc", lazyConfig(), 60},
+        {"pc", rowConfig(ContentionDetector::RWDir,
+                         PredictorUpdate::SaturateOnContention), 60},
+        {"canneal", eagerConfig(), 80},
+        {"canneal", lazyConfig(), 80},
+        {"cq", rowConfig(ContentionDetector::RWDir,
+                         PredictorUpdate::UpDown, true), 60},
+        {"tpcc", fencedConfig(), 40},
+        {"streamcluster", rowConfig(ContentionDetector::RW,
+                                    PredictorUpdate::UpDown), 40},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.workload) + "/" + c.cfg.label);
+        auto off = systemWithFF("0", c.workload, c.cfg);
+        auto on = systemWithFF("1", c.workload, c.cfg);
+        off->runWarmup(c.quota, c.quota / 2);
+        on->runWarmup(c.quota, c.quota / 2);
+        ASSERT_EQ(off->stateDigest(), on->stateDigest());
+
+        Ser image;
+        on->save(image);
+        on = systemWithFF("1", c.workload, c.cfg);
+        Deser d(image.bytes());
+        on->restore(d);
+
+        EXPECT_EQ(off->run(c.quota), on->run(c.quota));
+        EXPECT_EQ(off->stateDigest(), on->stateDigest());
+        EXPECT_EQ(off->statsJson(), on->statsJson());
+    }
 }

@@ -119,16 +119,16 @@ expectSameResult(const RunResult &a, const RunResult &b)
 /** ResultStore::keyFor under the options @p params resolve to now. */
 ResultKey
 keyOf(const SystemParams &params, const std::string &workload,
-      const std::string &label, std::uint64_t quota)
+      std::uint64_t quota, const std::string &window = {})
 {
     return ResultStore::keyFor(params, resolveRunOptions(params), workload,
-                               label, quota);
+                               quota, window);
 }
 
 ResultKey
 sampleKey(std::uint64_t quota = 100)
 {
-    return keyOf(makeParams(eagerConfig(), 8, 1), "pc", "eager", quota);
+    return keyOf(makeParams(eagerConfig(), 8, 1), "pc", quota);
 }
 
 } // namespace
@@ -196,43 +196,44 @@ TEST(ResultStoreSuite, StoreLoadHitAndCounters)
 TEST(ResultStoreSuite, KeyReactsToEveryInput)
 {
     const SystemParams base = makeParams(eagerConfig(), 8, 1);
-    const ResultKey k = keyOf(base, "pc", "eager", 100);
-    EXPECT_NE(k, keyOf(base, "cq", "eager", 100));
-    EXPECT_NE(k, keyOf(base, "pc", "lazy-label", 100));
-    EXPECT_NE(k, keyOf(base, "pc", "eager", 101));
-    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 16, 1), "pc", "eager", 100));
-    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 8, 2), "pc", "eager", 100));
-    EXPECT_NE(k, keyOf(makeParams(lazyConfig(), 8, 1), "pc", "eager", 100));
+    const ResultKey k = keyOf(base, "pc", 100);
+    EXPECT_NE(k, keyOf(base, "cq", 100));
+    // A sampling window's layout keys its entry; the label does not.
+    EXPECT_NE(k, keyOf(base, "pc", 100, "#s4.1.2.q100.k1"));
+    EXPECT_NE(k, keyOf(base, "pc", 101));
+    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 16, 1), "pc", 100));
+    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 8, 2), "pc", 100));
+    EXPECT_NE(k, keyOf(makeParams(lazyConfig(), 8, 1), "pc", 100));
     // The profiler mask shapes the RunResult (profileJson), so it must
     // be part of the key even though it does not change the simulated
     // trajectory.
     ExpConfig prof = eagerConfig();
     prof.profile = profMask(ProfCategory::Cpi);
-    EXPECT_NE(k, keyOf(makeParams(prof, 8, 1), "pc", "eager", 100));
+    EXPECT_NE(k, keyOf(makeParams(prof, 8, 1), "pc", 100));
     // The time-series engine shapes the RunResult (tsJson), and a
     // convergence spec changes the simulated stop cycle itself — both
     // must key the store.
     ExpConfig ts = eagerConfig();
     ts.timeseries = true;
     const ResultKey kTs =
-        keyOf(makeParams(ts, 8, 1), "pc", "eager", 100);
+        keyOf(makeParams(ts, 8, 1), "pc", 100);
     EXPECT_NE(k, kTs);
     ExpConfig conv = eagerConfig();
     conv.converge = ConvergeSpec{true, "instructions", 0.05};
     const ResultKey kConv =
-        keyOf(makeParams(conv, 8, 1), "pc", "eager", 100);
+        keyOf(makeParams(conv, 8, 1), "pc", 100);
     EXPECT_NE(k, kConv);
     EXPECT_NE(kTs, kConv);
     // Every component of the spec is significant: metric, bound,
     // confidence.
     conv.converge = ConvergeSpec{true, "atomics", 0.05};
-    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", "eager", 100));
+    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", 100));
     conv.converge = ConvergeSpec{true, "instructions", 0.01};
-    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", "eager", 100));
+    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", 100));
     conv.converge = ConvergeSpec{true, "instructions", 0.05, 0.99};
-    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", "eager", 100));
+    EXPECT_NE(kConv, keyOf(makeParams(conv, 8, 1), "pc", 100));
     // Deterministic: same inputs, same key.
-    EXPECT_EQ(k, keyOf(makeParams(eagerConfig(), 8, 1), "pc", "eager", 100));
+    EXPECT_EQ(k, keyOf(makeParams(eagerConfig(), 8, 1), "pc", 100));
 }
 
 namespace
@@ -240,27 +241,26 @@ namespace
 
 std::string
 keyHexOf(const SystemParams &sp, const char *workload = "pc",
-         const char *label = "eager", std::uint64_t quota = 100)
+         std::uint64_t quota = 100, const char *window = "")
 {
-    return ResultStore::keyHex(
-        keyOf(sp, workload, label, quota));
+    return ResultStore::keyHex(keyOf(sp, workload, quota, window));
 }
 
 /** Pinned keys of the KeyReactsToEveryInput matrix. */
 constexpr const char *kBaseKey =
-    "7f8a194da9e7f67b6b272e14fbd75343752ce0afa5192e772072f22ad895c209";
+    "0fdd4aa82fde71473685067482ca76a648e5259702e9f515688ecbea902a7f35";
 /** A cpi-profiled run. */
 constexpr const char *kProfileKey =
-    "d7f2f0c037ae6204886b7ba85e7f8ad8d73e78b0d832574606e0e84af0e85d32";
+    "509d1b66b9ca52012273e2037436ce4bae95e3f39e5336981501eb9625684b3c";
 /** A span-traced run at the default span top-K (64). */
 constexpr const char *kSpansKey =
-    "0753156f367460b5ca3a4c326ec95967ed9fd54083e66bd7b28e4dfaa8f11586";
+    "2001102cae44c3e2f274444ef3708886417c46e5a209ab937ff6d0124206dab6";
 constexpr const char *kTimeSeriesKey =
-    "c7d9e3666b43ddbf15670bc00c0ec9589dd1a50998b8314eefea136a3ae8b71b";
+    "ab8499208a00abd0714744f0ce5f71f6ea7dcb0702bf8c91899d2c9ed7aee1d7";
 constexpr const char *kConvergeKey =
-    "037b57fb42413eae09e5189fc03d852fd3241f4a395c3d5d29b0ec7461dc75b2";
+    "909ede20d0269dd21a0ec7d9395d92192cb0556046369b871a6174edc2b39f07";
 constexpr const char *kIntervalKey =
-    "da2f73eaae2a3e1e4077c220c9f493fcfa5f325537f138f7079fc2a5f0a6f416";
+    "0232e6a3c605c8db41b4404b3a4a903da2d8d38fc25f7a160b40c36ac777c86e";
 
 /**
  * Expect the base configuration's key under the environment @p env to
@@ -299,17 +299,17 @@ TEST(ResultStoreSuite, KeysArePinned)
     const SystemParams base = makeParams(eagerConfig(), 8, 1);
     EXPECT_EQ(keyHexOf(base), kBaseKey);
     EXPECT_EQ(keyHexOf(base, "cq"),
-              "b3fd938b6eaf23b3e7e6da1bd84b446fadd6d8d0f5f08b02715551bd35f54cd4");
-    EXPECT_EQ(keyHexOf(base, "pc", "lazy-label"),
-              "ba5486e8c4421479118693e02a9336d3cb0ed47affdbf8eb4d9eb66d79a95c0e");
-    EXPECT_EQ(keyHexOf(base, "pc", "eager", 101),
-              "2964af97e87c891e781a4871fda3e01ae19d086e9e4f8646284770b48bb19346");
+              "e500990245f20293bb9af75767b4d92e34cf37e7192ca3b060b90664dd99b423");
+    EXPECT_EQ(keyHexOf(base, "pc", 100, "#s4.1.2.q100.k1"),
+              "1276468088190124db75e17b0a7d64b86cd018cb9b5f35d1e4caa1a2e547012d");
+    EXPECT_EQ(keyHexOf(base, "pc", 101),
+              "7855ef8c68910c2e81e6569c9662b923e41b2ed7d494a103ae188e4762a80876");
     EXPECT_EQ(keyHexOf(makeParams(eagerConfig(), 16, 1)),
-              "94c8a79666923b020c663122c5efdf1362cab4c728c5065812118ede8c73fc94");
+              "35f123dc5b01e42dca518ca6fc305b2af7d192c563596594a282c943e2a4ac7c");
     EXPECT_EQ(keyHexOf(makeParams(eagerConfig(), 8, 2)),
-              "e73230c6fc4e805c6a90c1c940191d529163e789be80b8904deb6ad4595430ef");
+              "809bd1a4339d7ad1426d83f75ded25272e361b03946178c8a426d905818c63dd");
     EXPECT_EQ(keyHexOf(makeParams(lazyConfig(), 8, 1)),
-              "64fc92c886ac071874db2ba67e314b63329b61936f1f96181c11f673e713ac3c");
+              "319aa38482815e6ff0afdea9de38cfed78c315e4bcf34a2cd32d02f5150face0");
 
     ExpConfig prof = eagerConfig();
     prof.profile = profMask(ProfCategory::Cpi);
@@ -325,13 +325,13 @@ TEST(ResultStoreSuite, KeysArePinned)
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)), kConvergeKey);
     conv.converge = ConvergeSpec{true, "atomics", 0.05};
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)),
-              "07941755b76f6ea1c7bfa67ebd4f6e09093b8fc0b39f9ca5d326fbcf9d3a3a23");
+              "cb4487b1f0565de78143baa53b8db31af1db10138c737ee0f9a7feaf0b86b71a");
     conv.converge = ConvergeSpec{true, "instructions", 0.01};
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)),
-              "05611ac0057634eec80ab84ad1f3d5b3b7b64c43a893cd0f21a1a4fbe288469d");
+              "bbd6c64e1ad7e07162ce35eb0821a7b395cadd5ba64280c7d97440bf696ed24a");
     conv.converge = ConvergeSpec{true, "instructions", 0.05, 0.99};
     EXPECT_EQ(keyHexOf(makeParams(conv, 8, 1)),
-              "c9b4e2b2c669721962d9748a1b34428f370288feecfad85e338c8a41ae3f5b14");
+              "7dd0ecc1f65d8559f3e8dcacd05e196eb1c6ed01a17564b9cb707ce5258b5f0f");
     SystemParams interval = base;
     interval.statsInterval = 500;
     EXPECT_EQ(keyHexOf(interval), kIntervalKey);
@@ -347,10 +347,10 @@ TEST(ResultStoreSuite, EnvironmentKeysArePinned)
     expectEnvKey({{"ROWSIM_TS", "on"}}, kTimeSeriesKey);
     expectEnvKey({{"ROWSIM_CONVERGE", "instructions:0.05"}}, kConvergeKey);
     expectEnvKey({{"ROWSIM_MODE", "func"}},
-                 "4440b25e90ab758530a77fd7e0a9992992c48f1f1905eff2efd189a34616cba9");
+                 "519c2d9036af0dd5af51f8747899dc5509b7f0257625725fd7bfdadc1a8b11ef");
     expectEnvKey({{"ROWSIM_MODE", "detail"}}, kBaseKey);
     expectEnvKey({{"ROWSIM_FAULTS", "netdelay"}},
-                 "dfc04eeea3e92831bf8267b20f9c8c52fb9a0ccfb7bc1965bafe940c8df5faf1");
+                 "603d2a2eaf000453a62a40b68dea0959609780ce2f916eda0fcc67fe4ac44920");
 }
 
 TEST(ResultStoreSuite, BitFlipIsQuarantinedThenRecomputed)
@@ -564,13 +564,13 @@ TEST(ResultStoreSuite, SpanTopKKeysTheStore)
     // key does not move.
     const SystemParams base = makeParams(eagerConfig(), 8, 1);
     RunOptions opts = resolveRunOptions(base);
-    const ResultKey off = ResultStore::keyFor(base, opts, "pc", "eager", 30);
+    const ResultKey off = ResultStore::keyFor(base, opts, "pc", 30);
     opts.spansTopK = 2;
-    EXPECT_EQ(off, ResultStore::keyFor(base, opts, "pc", "eager", 30));
+    EXPECT_EQ(off, ResultStore::keyFor(base, opts, "pc", 30));
     opts.spans = true;
-    const ResultKey two = ResultStore::keyFor(base, opts, "pc", "eager", 30);
+    const ResultKey two = ResultStore::keyFor(base, opts, "pc", 30);
     opts.spansTopK = 64;
-    EXPECT_NE(two, ResultStore::keyFor(base, opts, "pc", "eager", 30));
+    EXPECT_NE(two, ResultStore::keyFor(base, opts, "pc", 30));
 
     // A store hit never serves another K's records.
     const std::string dir = testDir("spantopk");

@@ -4,8 +4,9 @@
  * serial (full stats tree, not just headline cycles), results must come
  * back in submission order, thread-count selection must honour the env
  * override, a failing job must surface as the rethrown first error and
- * leave the other jobs in the result store, and rowsim_sweep must reject
- * malformed arguments by name. The figure table's cells look results up
+ * leave the other jobs in the result store, label aliases of one
+ * configuration must simulate once, every job must write its own stats
+ * tree, and rowsim_sweep must reject malformed arguments by name. The figure table's cells look results up
  * by (workload, label), so each pair must name one configuration.
  */
 
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/experiment.hh"
 #include "sim/figures.hh"
 #include "sim/profiles.hh"
@@ -215,6 +217,66 @@ TEST(Sweep, FailedJobKeepsTheOthersInTheStore)
         entries += e.path().extension() == ".res";
     EXPECT_EQ(entries, 2u);
     fs::remove_all(dir);
+}
+
+// Two labels of one configuration (figure tables name the same machine
+// differently, e.g. RW+Dir_Sat and thr_400) share one store entry: the
+// sweep simulates it once and serves the repeat under its own label.
+TEST(Sweep, LabelAliasesSimulateOnce)
+{
+    const std::string dir = "sweep-label-alias";
+    fs::remove_all(dir);
+    const SweepJob job = sweepJob("canneal", eagerConfig(), 8, 20);
+    SweepJob alias = job;
+    alias.label = "alias";
+
+    SweepOptions o;
+    o.threads = 2;
+    o.storeDir = dir;
+    const std::vector<RunResult> r = SweepEngine(o).run({job, alias});
+    ASSERT_EQ(r.size(), 2u);
+    ASSERT_TRUE(r[0].ok()) << r[0].error;
+    ASSERT_TRUE(r[1].ok()) << r[1].error;
+    EXPECT_FALSE(r[0].fromCache);
+    EXPECT_TRUE(r[1].fromCache);
+    EXPECT_EQ(r[0].cycles, r[1].cycles);
+    EXPECT_EQ(r[0].config, "eager");
+    EXPECT_EQ(r[1].config, "alias");
+
+    std::size_t entries = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        entries += e.path().extension() == ".res";
+    EXPECT_EQ(entries, 1u);
+    fs::remove_all(dir);
+}
+
+// ROWSIM_STATS_JSON carries the job key inside a sweep, like every other
+// per-run sink: concurrent jobs never truncate one shared file.
+TEST(Sweep, EveryJobWritesItsOwnStatsTree)
+{
+    const std::vector<SweepJob> jobs = {
+        sweepJob("canneal", eagerConfig(), 8, 20),
+        sweepJob("canneal", lazyConfig(), 8, 20)};
+    ::setenv("ROWSIM_STATS_JSON", "sweep-stats.json", 1);
+    SweepOptions o;
+    o.threads = 2;
+    const std::vector<RunResult> r = SweepEngine(o).run(jobs);
+    ::unsetenv("ROWSIM_STATS_JSON");
+
+    EXPECT_FALSE(fs::exists("sweep-stats.json"));
+    for (std::size_t k = 0; k < jobs.size(); k++) {
+        ASSERT_TRUE(r[k].ok()) << r[k].error;
+        const std::string path = "sweep-stats.j" + std::to_string(k) +
+                                 ".json";
+        std::ifstream in(path);
+        ASSERT_TRUE(in) << path;
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        const Json tree = parseJson(text);
+        EXPECT_EQ(tree.at("cycles").asU64(), r[k].cycles) << path;
+        EXPECT_TRUE(tree.at("groups").has("sim")) << path;
+        fs::remove(path);
+    }
 }
 
 // The CLI rejects a malformed number, a retired flag, and a store flag
