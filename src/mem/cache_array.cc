@@ -1,7 +1,6 @@
 #include "mem/cache_array.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/log.hh"
 #include "sim/snapshot.hh"
@@ -24,9 +23,8 @@ fillSourceName(FillSource s)
 }
 
 CacheArray::CacheArray(unsigned sets, unsigned ways)
-    : numSets(sets), numWays(ways),
-      lines(static_cast<std::size_t>(sets) * ways),
-      touched((static_cast<std::size_t>(sets) + 63) / 64)
+    : numSets(sets), numWays(ways), setLines(sets),
+      allocated((static_cast<std::size_t>(sets) + 63) / 64)
 {
     ROWSIM_ASSERT(sets > 0 && (sets & (sets - 1)) == 0,
                   "cache sets must be a power of two, got %u", sets);
@@ -40,31 +38,54 @@ CacheArray::setIndex(Addr line_addr) const
 }
 
 CacheArray::Line *
-CacheArray::lookup(Addr line_addr, Cycle now)
+CacheArray::allocSet(unsigned set)
 {
-    Addr aligned = lineAlign(line_addr);
-    unsigned set = setIndex(aligned);
-    for (unsigned w = 0; w < numWays; w++) {
-        Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
-        if (l.valid() && l.tag == aligned) {
-            l.lastUse = now;
-            return &l;
-        }
+    const std::size_t chunk = usedSets / kChunkSets;
+    if (chunk == chunks.size())
+        chunks.push_back(std::make_unique<Line[]>(kChunkSets * numWays));
+    Line *lines = chunks[chunk].get() + usedSets % kChunkSets * numWays;
+    // A reused chunk still holds the lines of an earlier restore.
+    std::fill_n(lines, numWays, Line{});
+    usedSets++;
+    setLines[set] = lines;
+    allocated[set / 64] |= 1ULL << (set % 64);
+    return lines;
+}
+
+const CacheArray::Line &
+CacheArray::slot(std::size_t i) const
+{
+    static const Line canonical;
+    const Line *lines = setLines[i / numWays];
+    return lines ? lines[i % numWays] : canonical;
+}
+
+CacheArray::Line *
+CacheArray::find(Addr aligned) const
+{
+    Line *lines = setLines[setIndex(aligned)];
+    if (!lines)
+        return nullptr; // absent set: every way invalid
+    for (Line *l = lines; l != lines + numWays; l++) {
+        if (l->valid() && l->tag == aligned)
+            return l;
     }
     return nullptr;
+}
+
+CacheArray::Line *
+CacheArray::lookup(Addr line_addr, Cycle now)
+{
+    Line *l = find(lineAlign(line_addr));
+    if (l)
+        l->lastUse = now;
+    return l;
 }
 
 const CacheArray::Line *
 CacheArray::peek(Addr line_addr) const
 {
-    Addr aligned = lineAlign(line_addr);
-    unsigned set = setIndex(aligned);
-    for (unsigned w = 0; w < numWays; w++) {
-        const Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
-        if (l.valid() && l.tag == aligned)
-            return &l;
-    }
-    return nullptr;
+    return find(lineAlign(line_addr));
 }
 
 CacheArray::Line *
@@ -72,17 +93,18 @@ CacheArray::victim(Addr line_addr, const std::function<bool(Addr)> &pinned,
                    Cycle now)
 {
     (void)now;
-    Addr aligned = lineAlign(line_addr);
-    unsigned set = setIndex(aligned);
+    const unsigned set = setIndex(lineAlign(line_addr));
+    Line *lines = setLines[set];
+    if (!lines)
+        return allocSet(set); // all ways invalid: way 0
     Line *best = nullptr;
-    for (unsigned w = 0; w < numWays; w++) {
-        Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
-        if (!l.valid())
-            return &l;
-        if (pinned && pinned(l.tag))
+    for (Line *l = lines; l != lines + numWays; l++) {
+        if (!l->valid())
+            return l;
+        if (pinned && pinned(l->tag))
             continue;
-        if (!best || l.lastUse < best->lastUse)
-            best = &l;
+        if (!best || l->lastUse < best->lastUse)
+            best = l;
     }
     return best;
 }
@@ -91,9 +113,6 @@ void
 CacheArray::fill(Line *way, Addr line_addr, CacheState state, Cycle now)
 {
     ROWSIM_ASSERT(way != nullptr, "fill into null way");
-    // victim() chose the way in this line's set.
-    const unsigned set = setIndex(line_addr);
-    touched[set / 64] |= 1ULL << (set % 64);
     way->tag = lineAlign(line_addr);
     way->state = state;
     way->lastUse = now;
@@ -102,58 +121,37 @@ CacheArray::fill(Line *way, Addr line_addr, CacheState state, Cycle now)
 bool
 CacheArray::invalidate(Addr line_addr)
 {
-    Addr aligned = lineAlign(line_addr);
-    unsigned set = setIndex(aligned);
-    for (unsigned w = 0; w < numWays; w++) {
-        Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
-        if (l.valid() && l.tag == aligned) {
-            l.state = CacheState::Invalid;
-            l.tag = invalidAddr;
-            // Canonical invalid slot (snapshots serialize valid lines
-            // only; a stale LRU stamp here is never read).
-            l.lastUse = 0;
-            return true;
-        }
-    }
-    return false;
-}
-
-template <typename Fn>
-void
-CacheArray::forEachTouchedSet(Fn &&fn) const
-{
-    for (std::size_t w = 0; w < touched.size(); w++) {
-        for (std::uint64_t bits = touched[w]; bits; bits &= bits - 1)
-            fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-    }
+    Line *l = find(lineAlign(line_addr));
+    if (!l)
+        return false;
+    l->clear();
+    return true;
 }
 
 void
 CacheArray::save(Ser &s) const
 {
     // Sparse: only valid lines travel. Invalid slots are canonical
-    // (default-constructed; invalidation resets the LRU stamp), so
-    // skipping them is exact — and it shrinks large, mostly-cold
-    // arrays from megabytes to the touched working set. Valid lines
-    // lie in touched sets only, so the walk skips the rest.
+    // (absent sets, and Line::clear() on invalidation), so skipping
+    // them is exact — and it shrinks large, mostly-cold arrays from
+    // megabytes to the touched working set. Valid lines lie in sets
+    // with storage only, so the walk skips the rest.
     s.section("cachearray");
     s.u32(numSets);
     s.u32(numWays);
     std::uint64_t valid = 0;
-    forEachTouchedSet([&](std::size_t set) {
-        for (std::size_t i = set * numWays; i < (set + 1) * numWays; i++)
-            valid += lines[i].valid();
-    });
+    forEachLine([&](Addr, CacheState) { valid++; });
     s.u64(valid);
     // Compact encoding: slot indices as ascending deltas, tags with the
     // always-zero line-offset bits shifted off, LRU stamps as varints.
     // Large arrays are second only to the directory in image size.
     std::uint64_t prevSlot = 0;
-    forEachTouchedSet([&](std::size_t set) {
-        for (std::size_t i = set * numWays; i < (set + 1) * numWays; i++) {
-            const Line &l = lines[i];
+    forEachAllocatedSet([&](std::size_t set) {
+        for (std::size_t w = 0; w < numWays; w++) {
+            const Line &l = setLines[set][w];
             if (!l.valid())
                 continue;
+            const std::size_t i = set * numWays + w;
             s.vu64(i - prevSlot);
             prevSlot = i;
             s.vu64(l.tag >> 6); // tags are lineAlign()ed: low 6 bits zero
@@ -175,12 +173,12 @@ CacheArray::restore(Deser &d)
             "%ux%u",
             sets, ways, numSets, numWays));
     }
-    // Only touched sets can differ from the canonical empty slot.
-    forEachTouchedSet([&](std::size_t set) {
-        std::fill_n(lines.begin() + static_cast<std::ptrdiff_t>(set * numWays),
-                    numWays, Line{});
-    });
-    std::fill(touched.begin(), touched.end(), 0);
+    // Take the whole pool back: the image's sets are allocated afresh
+    // in image order, exactly as in a fresh array.
+    forEachAllocatedSet([&](std::size_t set) { setLines[set] = nullptr; });
+    std::fill(allocated.begin(), allocated.end(), 0);
+    usedSets = 0;
+    const std::size_t slots = static_cast<std::size_t>(numSets) * numWays;
     const std::uint64_t valid = d.u64();
     std::uint64_t prevSlot = 0;
     for (std::uint64_t k = 0; k < valid; k++) {
@@ -192,20 +190,20 @@ CacheArray::restore(Deser &d)
         }
         const std::uint64_t i = prevSlot + delta;
         prevSlot = i;
-        if (i >= lines.size()) {
+        if (i >= slots) {
             throw SnapshotError(strprintf(
                 "cache array slot %llu out of range (%zu lines)",
-                static_cast<unsigned long long>(i), lines.size()));
+                static_cast<unsigned long long>(i), slots));
         }
         const Addr tag = d.vu64() << 6;
-        const std::size_t set = i / numWays;
+        const auto set = static_cast<unsigned>(i / numWays);
         if (setIndex(tag) != set) {
             throw SnapshotError(strprintf(
-                "cache array tag %#llx maps to set %u, stored in set %zu",
+                "cache array tag %#llx maps to set %u, stored in set %u",
                 static_cast<unsigned long long>(tag), setIndex(tag), set));
         }
-        touched[set / 64] |= 1ULL << (set % 64);
-        Line &l = lines[i];
+        Line *lines = setLines[set] ? setLines[set] : allocSet(set);
+        Line &l = lines[i % numWays];
         l.tag = tag;
         d.enumByte(l.state, CacheState::Modified, "cache line state");
         l.lastUse = d.vu64();

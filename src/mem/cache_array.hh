@@ -7,8 +7,10 @@
 #ifndef ROWSIM_MEM_CACHE_ARRAY_HH
 #define ROWSIM_MEM_CACHE_ARRAY_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -34,6 +36,10 @@ class CacheArray
         CacheState state = CacheState::Invalid;
         std::uint64_t lastUse = 0;   ///< LRU timestamp
         bool valid() const { return state != CacheState::Invalid; }
+        /** Reset to the canonical invalid slot: no tag, no LRU stamp
+         *  (snapshots serialize valid lines only, so every invalid
+         *  slot must read the same). */
+        void clear() { *this = Line{}; }
     };
 
     CacheArray(unsigned sets, unsigned ways);
@@ -47,7 +53,8 @@ class CacheArray
      * Choose a victim way in the set of @p line_addr. Lines for which
      * @p pinned returns true are skipped (AQ-locked lines). Returns
      * nullptr when every way is pinned (caller must retry later).
-     * Prefers invalid ways, then LRU.
+     * Prefers invalid ways, then LRU. The set's storage is allocated
+     * here on its first use.
      */
     Line *victim(Addr line_addr,
                  const std::function<bool(Addr)> &pinned, Cycle now);
@@ -64,36 +71,75 @@ class CacheArray
     /** Set index for an address (exposed for AQ set/way annotations). */
     unsigned setIndex(Addr line_addr) const;
 
-    /** Apply @p fn(tag, state) to every valid line (invariant checkers,
-     *  diagnostics; does not touch replacement state). */
+    /** Slot @p i (set-major: set i / ways, way i % ways), read-only; a
+     *  set without storage reads as canonical invalid slots. */
+    const Line &slot(std::size_t i) const;
+
+    /** Sets with storage (host-only: the array's footprint, not its
+     *  simulated state). */
+    std::size_t allocatedSets() const { return usedSets; }
+
+    /** Apply @p fn(tag, state) to every valid line in ascending slot
+     *  order (invariant checkers, diagnostics, fault injection's
+     *  victim pick; does not touch replacement state). */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (const Line &l : lines) {
-            if (l.valid())
-                fn(l.tag, l.state);
-        }
+        forEachAllocatedSet([&](std::size_t set) {
+            for (const Line *l = setLines[set]; l != setLines[set] + numWays;
+                 l++) {
+                if (l->valid())
+                    fn(l->tag, l->state);
+            }
+        });
     }
 
     /** Serialize the valid lines (sparse, with their slot indices and
      *  LRU stamps) so restored victim choices replay exactly. Invalid
      *  slots are canonical and need no bytes. Both walk only the sets
-     *  a fill or restore has written (the touched-set bitmap). */
+     *  with storage; restore() allocates exactly the image's sets. */
     void save(Ser &s) const;
     void restore(Deser &d);
 
   private:
-    /** Apply @p fn(set) to every touched set, in ascending order. */
-    template <typename Fn> void forEachTouchedSet(Fn &&fn) const;
+    /** Sets per pool chunk. */
+    static constexpr std::size_t kChunkSets = 16;
+
+    /** Give @p set storage from the pool (all ways canonical invalid)
+     *  and return its way 0. */
+    Line *allocSet(unsigned set);
+    /** The valid line @p aligned in its set, or nullptr. */
+    Line *find(Addr aligned) const;
+
+    /** Apply @p fn(set) to every set with storage, in ascending
+     *  order. */
+    template <typename Fn>
+    void
+    forEachAllocatedSet(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < allocated.size(); w++) {
+            for (std::uint64_t bits = allocated[w]; bits; bits &= bits - 1)
+                fn(w * 64 +
+                   static_cast<std::size_t>(std::countr_zero(bits)));
+        }
+    }
 
     unsigned numSets;
     unsigned numWays;
-    std::vector<Line> lines; ///< numSets x numWays, row-major
-    /** One bit per set that fill() or restore() ever wrote. Only
-     *  fill() makes a slot valid, so every valid line lies in a marked
-     *  set; sets outside it hold default-constructed slots. */
-    std::vector<std::uint64_t> touched;
+    /**
+     * Per-set storage, nullptr while the set has none (every way
+     * invalid). Only victim() and restore() allocate, so lookups,
+     * peeks and invalidations of a cold set cost no memory. Storage
+     * comes from fixed-size chunks handed out in first-use order; a
+     * chunk never moves, so a Line * stays valid until the next
+     * restore(), which takes the pool back and hands it out again.
+     */
+    std::vector<Line *> setLines;
+    std::vector<std::unique_ptr<Line[]>> chunks;
+    std::size_t usedSets = 0; ///< sets handed out from the pool
+    /** One bit per set with storage, for the ordered walks. */
+    std::vector<std::uint64_t> allocated;
 };
 
 } // namespace rowsim

@@ -69,6 +69,8 @@ class Directory : public MsgHandler
     /** Directory state probe for tests. */
     DirState lineState(Addr line) const;
     CoreId lineOwner(Addr line) const;
+    /** LLC sets with storage (host-only footprint). */
+    std::size_t allocatedSets() const { return llcArray.allocatedSets(); }
 
     /** Read-only view of one directory entry (invariant checkers). */
     struct LineInfo

@@ -190,9 +190,7 @@ PrivateCache::evictLine(CacheArray::Line *way, Cycle now)
         writebacks_++;
     }
     l1Array.invalidate(victim_line);
-    way->state = CacheState::Invalid;
-    way->tag = invalidAddr;
-    way->lastUse = 0; // canonical invalid slot, see CacheArray::save
+    way->clear();
 }
 
 bool
@@ -570,9 +568,7 @@ PrivateCache::funcInstall(Addr line, CacheState state, Cycle now,
             if (way->state == CacheState::Modified && evicted_dirty)
                 evicted_dirty->push_back(way->tag);
             l1Array.invalidate(way->tag);
-            way->state = CacheState::Invalid;
-            way->tag = invalidAddr;
-            way->lastUse = 0; // canonical invalid slot (CacheArray::save)
+            way->clear();
         }
         l2Array.fill(way, line, state, now);
     }

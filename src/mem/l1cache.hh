@@ -221,6 +221,13 @@ class PrivateCache : public MsgHandler
         l1Array.forEachLine(fn);
     }
 
+    /** L1 plus L2 sets with storage (host-only footprint). */
+    std::size_t
+    allocatedSets() const
+    {
+        return l1Array.allocatedSets() + l2Array.allocatedSets();
+    }
+
     /**
      * Fault injection: forcibly evict @p line from the unit as if chosen
      * as a victim (PutM if Modified — exercising the crossing races).

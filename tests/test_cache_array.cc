@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/cache_array.hh"
+#include "sim/experiment.hh"
+#include "sim/profiles.hh"
 #include "sim/snapshot.hh"
+#include "sim/system.hh"
+#include "sim/workloads.hh"
 
 using namespace rowsim;
 
@@ -32,18 +37,10 @@ imageOf(const CacheArray &a)
     return s.bytes();
 }
 
-/** Slot 0 of a fresh array: victim() picks the first invalid way, so
- *  on an empty array a set-0 line gets set 0, way 0. */
-const CacheArray::Line *
-firstSlot(CacheArray &fresh)
-{
-    return fresh.victim(0, nullptr, 0);
-}
-
 /** Reference encoder: the image format written by walking every slot
- *  of the array from @p slots (its slot 0), touched or not. */
+ *  of the array, with storage or not. */
 Bytes
-fullWalkImage(const CacheArray &a, const CacheArray::Line *slots)
+fullWalkImage(const CacheArray &a)
 {
     const std::size_t n = static_cast<std::size_t>(a.sets()) * a.ways();
     Ser s;
@@ -52,17 +49,18 @@ fullWalkImage(const CacheArray &a, const CacheArray::Line *slots)
     s.u32(a.ways());
     std::uint64_t valid = 0;
     for (std::size_t i = 0; i < n; i++)
-        valid += slots[i].valid();
+        valid += a.slot(i).valid();
     s.u64(valid);
     std::uint64_t prev = 0;
     for (std::size_t i = 0; i < n; i++) {
-        if (!slots[i].valid())
+        const CacheArray::Line &l = a.slot(i);
+        if (!l.valid())
             continue;
         s.vu64(i - prev);
         prev = i;
-        s.vu64(slots[i].tag >> 6);
-        s.u8(static_cast<std::uint8_t>(slots[i].state));
-        s.vu64(slots[i].lastUse);
+        s.vu64(l.tag >> 6);
+        s.u8(static_cast<std::uint8_t>(l.state));
+        s.vu64(l.lastUse);
     }
     return s.bytes();
 }
@@ -256,7 +254,7 @@ TEST(CacheArray, PeekDoesNotPerturbLru)
     EXPECT_EQ(victim->tag, lineAt(0, 0, 4));
 }
 
-// save() walks only the sets fill() or restore() marked. Over seeded
+// save() walks only the sets with storage. Over seeded
 // random fill / invalidate / state-change sequences its bytes must
 // equal the full walk over every slot.
 TEST(CacheArray, TouchedSetSaveMatchesFullWalk)
@@ -264,20 +262,20 @@ TEST(CacheArray, TouchedSetSaveMatchesFullWalk)
     for (std::uint64_t seed = 1; seed <= 5; seed++) {
         SCOPED_TRACE(seed);
         CacheArray a(256, 4);
-        const CacheArray::Line *slots = firstSlot(a);
         Rng r(seed);
         Cycle now = 0;
-        EXPECT_EQ(imageOf(a), fullWalkImage(a, slots));
+        EXPECT_EQ(imageOf(a), fullWalkImage(a));
         for (unsigned round = 0; round < 40; round++) {
             randomOps(a, r, 50, static_cast<unsigned>(seed) * 11, now);
-            ASSERT_EQ(imageOf(a), fullWalkImage(a, slots))
+            ASSERT_EQ(imageOf(a), fullWalkImage(a))
                 << "round " << round;
         }
     }
 }
 
-// restore() clears only the sets the array had touched. Restoring into
-// a used array (lines in sets the image never touched) must leave
+// restore() takes back the storage of every set the array had used.
+// Restoring into a used array (lines in sets the image never touched)
+// must leave
 // exactly the state a fresh array gets: the same bytes from save() and
 // from the full walk, and the same behaviour afterwards.
 TEST(CacheArray, RestoreIntoUsedArrayMatchesFresh)
@@ -289,13 +287,11 @@ TEST(CacheArray, RestoreIntoUsedArrayMatchesFresh)
     const Bytes img = imageOf(src);
 
     CacheArray used(256, 4);
-    const CacheArray::Line *usedSlots = firstSlot(used);
     Rng r2(2);
     randomOps(used, r2, 600, 100, now);
     ASSERT_NE(imageOf(used), img);
 
     CacheArray fresh(256, 4);
-    const CacheArray::Line *freshSlots = firstSlot(fresh);
     Deser d1(img);
     used.restore(d1);
     Deser d2(img);
@@ -303,16 +299,16 @@ TEST(CacheArray, RestoreIntoUsedArrayMatchesFresh)
 
     EXPECT_EQ(imageOf(fresh), img);
     EXPECT_EQ(imageOf(used), img);
-    EXPECT_EQ(fullWalkImage(used, usedSlots), img)
+    EXPECT_EQ(fullWalkImage(used), img)
         << "a line of the used array outlived the restore";
+    EXPECT_EQ(used.allocatedSets(), fresh.allocatedSets());
 
     Rng a(3), b(3);
     Cycle ta = now, tb = now;
     randomOps(used, a, 400, 50, ta);
     randomOps(fresh, b, 400, 50, tb);
     EXPECT_EQ(imageOf(used), imageOf(fresh));
-    EXPECT_EQ(fullWalkImage(used, usedSlots),
-              fullWalkImage(fresh, freshSlots));
+    EXPECT_EQ(fullWalkImage(used), fullWalkImage(fresh));
 }
 
 // Two slots of one image can never be the same: after the first line a
@@ -335,4 +331,116 @@ TEST(CacheArray, RestoreRejectsTagOutsideItsSet)
     EXPECT_NE(err.find("maps to set 0, stored in set 1"),
               std::string::npos)
         << err;
+}
+
+// A set gets storage on its first victim() only: lookups, peeks and
+// invalidations of a cold set answer a miss and allocate nothing.
+TEST(CacheArray, MissesOnAbsentSetsAllocateNothing)
+{
+    CacheArray c(4096, 16);
+    for (unsigned set = 0; set < 4096; set += 7) {
+        const Addr line = lineAt(set, 3, 4096);
+        EXPECT_EQ(c.lookup(line, 1), nullptr);
+        EXPECT_EQ(c.peek(line), nullptr);
+        EXPECT_FALSE(c.invalidate(line));
+    }
+    EXPECT_EQ(c.allocatedSets(), 0u);
+    EXPECT_EQ(imageOf(c), fullWalkImage(c));
+
+    const Addr line = lineAt(5, 1, 4096);
+    c.fill(c.victim(line, nullptr, 1), line, CacheState::Shared, 1);
+    EXPECT_EQ(c.allocatedSets(), 1u);
+    // Emptying the set again keeps its storage.
+    EXPECT_TRUE(c.invalidate(line));
+    EXPECT_EQ(c.peek(line), nullptr);
+    EXPECT_EQ(c.allocatedSets(), 1u);
+}
+
+// Storage comes in chunks that never move: a way handed out before the
+// pool grew is still the line's slot after many more sets arrived.
+TEST(CacheArray, WayPointersSurvivePoolGrowth)
+{
+    CacheArray c(1024, 4);
+    const Addr first = lineAt(3, 0, 1024);
+    CacheArray::Line *way = c.victim(first, nullptr, 1);
+    c.fill(way, first, CacheState::Modified, 1);
+    for (unsigned set = 4; set < 1024; set += 3) {
+        const Addr line = lineAt(set, 1, 1024);
+        c.fill(c.victim(line, nullptr, set), line, CacheState::Shared, set);
+    }
+    ASSERT_GT(c.allocatedSets(), 64u); // several chunks
+    EXPECT_EQ(c.lookup(first, 5000), way);
+    EXPECT_EQ(way->tag, first);
+    EXPECT_EQ(way->state, CacheState::Modified);
+    EXPECT_EQ(way->lastUse, 5000u);
+}
+
+// restore() into a fresh array gives storage to exactly the sets that
+// hold a line of the image.
+TEST(CacheArray, RestoreAllocatesExactlyTheImageSets)
+{
+    Cycle now = 0;
+    CacheArray src(256, 4);
+    Rng r(4);
+    randomOps(src, r, 600, 0, now);
+    std::set<unsigned> sets;
+    src.forEachLine([&](Addr tag, CacheState) {
+        sets.insert(src.setIndex(tag));
+    });
+    ASSERT_FALSE(sets.empty());
+    // Invalidations leave some used sets without a valid line.
+    ASSERT_GT(src.allocatedSets(), sets.size());
+
+    CacheArray fresh(256, 4);
+    const Bytes img = imageOf(src);
+    Deser d(img);
+    fresh.restore(d);
+    EXPECT_EQ(fresh.allocatedSets(), sets.size());
+    EXPECT_EQ(imageOf(fresh), img);
+}
+
+// forEachLine visits in ascending slot order (set-major, then way),
+// not in the order the sets got storage: fault injection picks its
+// victim by index into this walk.
+TEST(CacheArray, ForEachLineWalksInSlotOrder)
+{
+    CacheArray c(64, 2);
+    for (unsigned k = 0; k < 64; k++) {
+        const unsigned set = (64 - 1 - k) * 5 % 64; // scattered, descending
+        for (unsigned t = 0; t < 2; t++) {
+            const Addr line = lineAt(set, t + 1, 64);
+            c.fill(c.victim(line, nullptr, k), line, CacheState::Shared, k);
+        }
+    }
+    c.invalidate(lineAt(7, 1, 64)); // a hole inside a set
+    std::vector<Addr> expected;
+    for (std::size_t i = 0; i < 64 * 2; i++) {
+        if (c.slot(i).valid())
+            expected.push_back(c.slot(i).tag);
+    }
+    std::vector<Addr> walked;
+    c.forEachLine([&](Addr tag, CacheState) { walked.push_back(tag); });
+    EXPECT_EQ(walked.size(), 64u * 2 - 1);
+    EXPECT_EQ(walked, expected);
+}
+
+// Building the paper's 32-core machine allocates no cache storage: the
+// L1, L2 and LLC arrays get sets as the run first fills them.
+TEST(CacheArray, FreshSystemAllocatesNoSets)
+{
+    const unsigned cores = 32;
+    System sys(makeParams(rowConfig(ContentionDetector::RWDir,
+                                    PredictorUpdate::SaturateOnContention),
+                          cores, 1),
+               makeStreams(profileFor("cq"), cores, 1));
+    for (CoreId c = 0; c < cores; c++)
+        EXPECT_EQ(sys.mem().cache(c).allocatedSets(), 0u) << "core " << c;
+    for (unsigned b = 0; b < sys.mem().numBanks(); b++)
+        EXPECT_EQ(sys.mem().directory(b).allocatedSets(), 0u) << "bank " << b;
+
+    sys.runCycles(2000);
+    std::size_t used = 0;
+    for (unsigned b = 0; b < sys.mem().numBanks(); b++)
+        used += sys.mem().directory(b).allocatedSets();
+    EXPECT_GT(used, 0u);
 }

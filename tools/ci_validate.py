@@ -37,9 +37,12 @@ Subcommands:
                                 consistency, convergence outcome; in a
                                 stats JSON, each metric's count and
                                 points against the "intervals" series.
-  heartbeat-schema PATH         ROWSIM_HEARTBEAT JSONL stream: event
+  heartbeat-schema PATH [--max-rss-mib N]
+                                ROWSIM_HEARTBEAT JSONL stream: event
                                 schemas (run/job/sweep), per-job
-                                lifecycle ordering, final sweep tallies.
+                                lifecycle ordering, final sweep tallies;
+                                with N, no run event's resident set
+                                (rssKb) above N MiB.
   sampling-schema PATH          sampled-run report ("sampling" object in
                                 a run report / JSONL, or the raw
                                 object): spec shape, checkpoint grid
@@ -417,13 +420,14 @@ def validate_timeseries(text):
 HEARTBEAT_JOB_STATES = {"queued", "started", "finished"}
 
 
-def validate_heartbeat(lines):
+def validate_heartbeat(lines, max_rss_mib=None):
     """Validate a ROWSIM_HEARTBEAT JSONL stream.
 
     Checks every event's schema and the per-job lifecycle ordering
     (queued -> started -> finished); when the sweep-end
     event is present, its ok/failed tally must cover every job and every
-    job must have finished. Returns (events, jobs seen).
+    job must have finished. With max_rss_mib, every run event's rssKb
+    must stay within it. Returns (events, jobs seen).
     """
     jobs = {}          # index -> last state
     sweep_jobs = None
@@ -452,6 +456,11 @@ def validate_heartbeat(lines):
                 raise ValidationError(f"line {lineno}: negative kcps")
             if "rssKb" not in ev:
                 raise ValidationError(f"line {lineno}: run without rssKb")
+            if max_rss_mib is not None and \
+                    ev["rssKb"] > max_rss_mib * 1024:
+                raise ValidationError(
+                    f"line {lineno}: resident set {ev['rssKb']} kB "
+                    f"exceeds {max_rss_mib} MiB")
         elif kind == "job":
             key, state = ev.get("job", ""), ev.get("state")
             if not key.startswith("j") or not key[1:].isdigit():
@@ -1252,6 +1261,12 @@ def _selftest():
             with self.assertRaisesRegex(ValidationError, "bad job state"):
                 validate_heartbeat(bad)
 
+        def test_heartbeat_rss_bound(self):
+            # The good stream's run event reports 51200 kB = 50 MiB.
+            self.assertEqual(validate_heartbeat(good_hb, 50), (9, 2))
+            with self.assertRaisesRegex(ValidationError, "exceeds 49 MiB"):
+                validate_heartbeat(good_hb, 49)
+
         def test_heartbeat_rejects_empty_input(self):
             with self.assertRaises(ValidationError):
                 validate_heartbeat([""])
@@ -1448,8 +1463,12 @@ def main(argv):
             print(f"timeseries schema ok: {n} records")
             return 0
         if cmd == "heartbeat-schema":
+            max_rss_mib = None
+            rest = argv[3:]
+            if rest[:1] == ["--max-rss-mib"]:
+                max_rss_mib = int(rest[1])
             with open(argv[2]) as f:
-                n, jobs = validate_heartbeat(f)
+                n, jobs = validate_heartbeat(f, max_rss_mib)
             print(f"heartbeat schema ok: {n} events, {jobs} jobs")
             return 0
         if cmd == "sampling-schema":
