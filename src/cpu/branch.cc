@@ -77,10 +77,9 @@ BranchPredictor::visit(Ar &ar)
     ar.expect(tableBits, "branch predictor table bits");
     ar.expect(historyBits, "branch predictor history bits");
     ar.u64(history);
-    for (auto *table : {&bimodal, &gshare, &chooser}) {
-        for (std::uint8_t &c : *table)
-            ar.u8(c);
-    }
+    ar.array(bimodal.data(), bimodal.size(), "branch bimodal table");
+    ar.array(gshare.data(), gshare.size(), "branch gshare table");
+    ar.array(chooser.data(), chooser.size(), "branch chooser table");
 }
 
 template void BranchPredictor::visit(Ser &);

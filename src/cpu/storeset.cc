@@ -81,10 +81,8 @@ StoreSet::visit(Ar &ar)
     ar.section("storeset");
     ar.expect(ssitBits, "store-set SSIT bits");
     ar.expect(std::uint64_t{lfst.size()}, "store-set LFST entries");
-    for (std::uint32_t &v : ssit)
-        ar.u32(v);
-    for (SeqNum &v : lfst)
-        ar.u64(v);
+    ar.array(ssit.data(), ssit.size(), "store-set SSIT");
+    ar.array(lfst.data(), lfst.size(), "store-set LFST");
     ar.u32(nextSetId);
 }
 

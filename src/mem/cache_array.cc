@@ -1,6 +1,9 @@
 #include "mem/cache_array.hh"
 
 #include <algorithm>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "sim/snapshot.hh"
@@ -37,15 +40,22 @@ CacheArray::setIndex(Addr line_addr) const
     return static_cast<unsigned>(lineNum(line_addr)) & (numSets - 1);
 }
 
+static_assert(std::is_trivially_destructible_v<CacheArray::Line>,
+              "chunks are raw storage that allocSet fills in place");
+
 CacheArray::Line *
 CacheArray::allocSet(unsigned set)
 {
     const std::size_t chunk = usedSets / kChunkSets;
-    if (chunk == chunks.size())
-        chunks.push_back(std::make_unique<Line[]>(kChunkSets * numWays));
+    if (chunk == chunks.size()) {
+        // Raw storage: each set's lines are made below, once.
+        chunks.emplace_back(static_cast<Line *>(
+            ::operator new(kChunkSets * numWays * sizeof(Line))));
+    }
     Line *lines = chunks[chunk].get() + usedSets % kChunkSets * numWays;
-    // A reused chunk still holds the lines of an earlier restore.
-    std::fill_n(lines, numWays, Line{});
+    // Canonical invalid ways, also over the lines an earlier restore
+    // left in a reused chunk (Line is trivially destructible).
+    std::uninitialized_fill_n(lines, numWays, Line{});
     usedSets++;
     setLines[set] = lines;
     allocated[set / 64] |= 1ULL << (set % 64);
@@ -139,9 +149,11 @@ CacheArray::save(Ser &s) const
     s.section("cachearray");
     s.u32(numSets);
     s.u32(numWays);
+    // One pass: the valid-line count is written as a placeholder and
+    // patched once the lines are out.
+    const std::size_t countAt = s.size();
+    s.u64(0);
     std::uint64_t valid = 0;
-    forEachLine([&](Addr, CacheState) { valid++; });
-    s.u64(valid);
     // Compact encoding: slot indices as ascending deltas, tags with the
     // always-zero line-offset bits shifted off, LRU stamps as varints.
     // Large arrays are second only to the directory in image size.
@@ -157,8 +169,10 @@ CacheArray::save(Ser &s) const
             s.vu64(l.tag >> 6); // tags are lineAlign()ed: low 6 bits zero
             s.u8(static_cast<std::uint8_t>(l.state));
             s.vu64(l.lastUse);
+            valid++;
         }
     });
+    s.patchU64(countAt, valid);
 }
 
 void
@@ -188,25 +202,31 @@ CacheArray::restore(Deser &d)
                 "cache array slot %llu repeated",
                 static_cast<unsigned long long>(prevSlot)));
         }
+        // prevSlot < slots, so this also rejects a delta that wraps.
+        if (delta >= slots - prevSlot) {
+            throw SnapshotError(strprintf(
+                "cache array slot %llu + %llu out of range (%zu lines)",
+                static_cast<unsigned long long>(prevSlot),
+                static_cast<unsigned long long>(delta), slots));
+        }
         const std::uint64_t i = prevSlot + delta;
         prevSlot = i;
-        if (i >= slots) {
-            throw SnapshotError(strprintf(
-                "cache array slot %llu out of range (%zu lines)",
-                static_cast<unsigned long long>(i), slots));
-        }
         const Addr tag = d.vu64() << 6;
-        const auto set = static_cast<unsigned>(i / numWays);
-        if (setIndex(tag) != set) {
+        const unsigned set = setIndex(tag);
+        // The slot's way in the tag's set; outside [0, ways) the slot
+        // lies in another set (no division on the common path).
+        const std::uint64_t way = i - std::uint64_t{set} * numWays;
+        if (way >= numWays) {
             throw SnapshotError(strprintf(
-                "cache array tag %#llx maps to set %u, stored in set %u",
-                static_cast<unsigned long long>(tag), setIndex(tag), set));
+                "cache array tag %#llx maps to set %u, stored in set %llu",
+                static_cast<unsigned long long>(tag), set,
+                static_cast<unsigned long long>(i / numWays)));
         }
+        CacheState state;
+        d.enumByte(state, CacheState::Modified, "cache line state");
+        const std::uint64_t lastUse = d.vu64();
         Line *lines = setLines[set] ? setLines[set] : allocSet(set);
-        Line &l = lines[i % numWays];
-        l.tag = tag;
-        d.enumByte(l.state, CacheState::Modified, "cache line state");
-        l.lastUse = d.vu64();
+        lines[way] = Line{tag, state, lastUse};
     }
 }
 

@@ -136,7 +136,13 @@ class CacheArray
      * restore(), which takes the pool back and hands it out again.
      */
     std::vector<Line *> setLines;
-    std::vector<std::unique_ptr<Line[]>> chunks;
+    /** Frees a chunk's raw storage (its lines are trivially
+     *  destructible). */
+    struct ChunkFree
+    {
+        void operator()(Line *p) const { ::operator delete(p); }
+    };
+    std::vector<std::unique_ptr<Line, ChunkFree>> chunks;
     std::size_t usedSets = 0; ///< sets handed out from the pool
     /** One bit per set with storage, for the ordered walks. */
     std::vector<std::uint64_t> allocated;

@@ -597,13 +597,13 @@ Directory::save(Ser &s) const
     };
 
     // Sorted line order: images must not depend on the table layout.
-    std::vector<std::pair<Addr, std::size_t>> sorted;
+    std::vector<KeyedWord> sorted;
     sorted.reserve(usedSlots);
     for (std::size_t si = 0; si < slots.size(); si++) {
         if (slots[si].line != invalidAddr)
             sorted.emplace_back(slots[si].line, si);
     }
-    std::sort(sorted.begin(), sorted.end());
+    sortByKey(sorted);
     s.u64(sorted.size());
     Addr prevLine = 0;
     for (const auto &[line, si] : sorted) {
@@ -674,17 +674,33 @@ Directory::restore(Deser &d)
 
     Addr prevLine = 0;
     for (std::uint64_t i = 0; i < nEntries; i++) {
-        const Addr line = prevLine + d.vu64();
+        // Lines strictly ascend: a zero gap repeats a line, and a gap
+        // that wraps past 2^64 lands on or before an earlier one (or on
+        // invalidAddr, the empty-slot marker).
+        const std::uint64_t gap = d.vu64();
+        if (i > 0 && gap == 0) {
+            throw SnapshotError(strprintf(
+                "directory bank %u line %#llx repeated", bankIndex,
+                static_cast<unsigned long long>(prevLine)));
+        }
+        if (gap >= invalidAddr - prevLine) {
+            throw SnapshotError(strprintf(
+                "directory bank %u line gap %#llx after line %#llx wraps",
+                bankIndex, static_cast<unsigned long long>(gap),
+                static_cast<unsigned long long>(prevLine)));
+        }
+        const Addr line = prevLine + gap;
         prevLine = line;
-        const std::size_t si = findOrInsert(line);
         // Flag byte from save(): low bits = stable state, top bit =
         // quiescent (no transaction record).
         const std::uint8_t flag = d.u8();
         if ((flag & 0x7f) > static_cast<std::uint8_t>(DirState::Blocked))
             throw SnapshotError("corrupted directory state byte");
-        slots[si].state = static_cast<DirState>(flag & 0x7f);
-        slots[si].sharers = d.vu64();
+        const std::uint64_t sharers = d.vu64();
         const std::uint64_t owner = d.vu64();
+        const std::size_t si = findOrInsert(line);
+        slots[si].state = static_cast<DirState>(flag & 0x7f);
+        slots[si].sharers = sharers;
         slots[si].owner = owner == 0 ? invalidCore
                                      : static_cast<CoreId>(owner - 1);
         if (flag & 0x80)

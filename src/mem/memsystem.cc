@@ -142,9 +142,8 @@ FunctionalMemory::save(Ser &s) const
     // node), then delta-varint encoding — address gaps are mostly one
     // word (streams touch consecutive addresses) and data words are
     // mostly small, so an entry costs ~2-4 bytes instead of 16.
-    std::vector<std::pair<Addr, std::uint64_t>> sorted(words.begin(),
-                                                       words.end());
-    std::sort(sorted.begin(), sorted.end());
+    std::vector<KeyedWord> sorted(words.begin(), words.end());
+    sortByKey(sorted);
     s.u64(sorted.size());
     Addr prev = 0;
     for (const auto &[addr, value] : sorted) {
@@ -159,11 +158,32 @@ FunctionalMemory::restore(Deser &d)
 {
     d.section("fmem");
     words.clear();
+    // A word takes at least two bytes (gap, value): bound the count
+    // before anything is sized by it.
     const std::uint64_t n = d.u64();
+    if (n > d.remaining() / 2) {
+        throw SnapshotError(strprintf(
+            "value memory: %llu words cannot fit in %zu bytes",
+            static_cast<unsigned long long>(n), d.remaining()));
+    }
     words.reserve(n);
     Addr prev = 0;
     for (std::uint64_t i = 0; i < n; i++) {
-        const Addr addr = prev + d.vu64();
+        // Addresses strictly ascend: a zero gap repeats one, and a gap
+        // that wraps past 2^64 lands on or before an earlier one.
+        const std::uint64_t gap = d.vu64();
+        if (i > 0 && gap == 0) {
+            throw SnapshotError(strprintf(
+                "value memory address %#llx repeated",
+                static_cast<unsigned long long>(prev)));
+        }
+        if (gap > ~prev) {
+            throw SnapshotError(strprintf(
+                "value memory address gap %#llx after %#llx wraps",
+                static_cast<unsigned long long>(gap),
+                static_cast<unsigned long long>(prev)));
+        }
+        const Addr addr = prev + gap;
         prev = addr;
         words[addr] = d.vu64();
     }

@@ -93,8 +93,7 @@ ContentionPredictor::visit(Ar &ar)
 {
     ar.section("rowpred");
     ar.expect(std::uint64_t{table.size()}, "RoW predictor entries");
-    for (std::uint8_t &c : table)
-        ar.u8(c);
+    ar.array(table.data(), table.size(), "RoW predictor table");
 }
 
 template void ContentionPredictor::visit(Ser &);

@@ -253,9 +253,10 @@ System::sectionDigests() const
 {
     auto &self = const_cast<System &>(*this);
     std::vector<std::pair<std::string, std::string>> out;
-    const auto add = [&](std::string name, const Ser &s) {
+    const auto add = [&](std::string name, Ser s) {
+        const std::vector<std::uint8_t> &bytes = s.bytes();
         Sha256 h;
-        h.update(s.bytes().data(), s.bytes().size());
+        h.update(bytes.data(), bytes.size());
         out.emplace_back(std::move(name), Sha256::hex(h.digest()));
     };
     const auto image = [](const auto &component) {
@@ -266,7 +267,7 @@ System::sectionDigests() const
 
     Ser cycle;
     cycle.u64(currentCycle);
-    add("cycle", cycle);
+    add("cycle", std::move(cycle));
     for (CoreId c = 0; c < cores.size(); c++)
         add(strprintf("core%u", c), image(*cores[c]));
     add("network", image(self.memsys.network()));

@@ -1,5 +1,7 @@
 #include "sim/snapshot.hh"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -40,14 +42,14 @@ void
 Ser::str(const std::string &s)
 {
     u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    raw(s.data(), s.size());
 }
 
 void
 Ser::raw(const void *data, std::size_t len)
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf_.insert(buf_.end(), p, p + len);
+    if (len)
+        std::memcpy(claim(len), data, len);
 }
 
 void
@@ -58,55 +60,48 @@ Ser::section(const char *tag)
 }
 
 void
-Deser::need(std::size_t n) const
+Ser::grow(std::size_t n)
 {
-    if (size_ - pos_ < n) {
-        throw SnapshotError(
-            strprintf("truncated image: need %zu bytes at offset %zu, "
-                      "only %zu remain",
-                      n, pos_, size_ - pos_));
-    }
+    // Zero-fill one step past the request: as many bytes as are
+    // written, between 256 B and 64 KiB, so a small archive stays small
+    // and a large one is not zeroed far beyond its end. Capacity grows
+    // in powers of two, as appending byte by byte would.
+    const std::size_t step =
+        std::clamp<std::size_t>(pos_, 256, std::size_t{1} << 16);
+    const std::size_t want = pos_ + std::max(n, step);
+    if (want > buf_.capacity())
+        buf_.reserve(std::bit_ceil(want));
+    buf_.resize(want);
 }
 
-std::uint8_t
-Deser::u8()
+void
+Ser::unfinished() const
 {
-    need(1);
-    return data_[pos_++];
+    ROWSIM_PANIC("Ser::bytes() const on an unfinished archive (%zu bytes "
+                 "written, %zu buffered): call finish() first",
+                 pos_, buf_.size());
 }
 
-std::uint16_t
-Deser::u16()
+void
+Deser::truncated(std::size_t n) const
 {
-    need(2);
-    std::uint16_t v = 0;
-    for (unsigned i = 0; i < 2; i++)
-        v |= static_cast<std::uint16_t>(data_[pos_++]) << (8 * i);
-    return v;
+    throw SnapshotError(
+        strprintf("truncated image: need %zu bytes at offset %zu, "
+                  "only %zu remain",
+                  n, pos_, size_ - pos_));
 }
 
-std::uint32_t
-Deser::u32()
+void
+Deser::truncatedTable(const char *what, std::size_t n) const
 {
-    need(4);
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; i++)
-        v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-Deser::u64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; i++)
-        v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
+    throw SnapshotError(
+        strprintf("truncated image: %s needs %zu bytes at offset %zu, "
+                  "only %zu remain",
+                  what, n, pos_, size_ - pos_));
 }
 
 std::uint64_t
-Deser::vu64()
+Deser::vu64Checked()
 {
     std::uint64_t v = 0;
     for (unsigned shift = 0; shift < 70; shift += 7) {
@@ -121,13 +116,10 @@ Deser::vu64()
     throw SnapshotError("varint longer than 10 bytes");
 }
 
-bool
-Deser::b()
+void
+Deser::corruptBool(unsigned raw)
 {
-    const std::uint8_t v = u8();
-    if (v > 1)
-        throw SnapshotError(strprintf("corrupted bool value %u", v));
-    return v != 0;
+    throw SnapshotError(strprintf("corrupted bool value %u", raw));
 }
 
 double
@@ -207,6 +199,39 @@ void
 Deser::corrupt(const char *what, unsigned raw)
 {
     throw SnapshotError(strprintf("corrupted %s byte %u", what, raw));
+}
+
+void
+sortByKey(std::vector<KeyedWord> &v)
+{
+    const std::size_t n = v.size();
+    if (n == 0)
+        return;
+    // One counting pass for all eight key bytes.
+    std::array<std::array<std::size_t, 256>, 8> at{};
+    for (const KeyedWord &e : v) {
+        for (unsigned b = 0; b < 8; b++)
+            at[b][(e.first >> (8 * b)) & 0xff]++;
+    }
+    std::vector<KeyedWord> scratch(n);
+    KeyedWord *src = v.data();
+    KeyedWord *dst = scratch.data();
+    for (unsigned b = 0; b < 8; b++) {
+        std::array<std::size_t, 256> &pos = at[b];
+        if (pos[(src[0].first >> (8 * b)) & 0xff] == n)
+            continue; // every key has this byte: the pass keeps the order
+        std::size_t sum = 0;
+        for (std::size_t &c : pos) {
+            const std::size_t here = c;
+            c = sum;
+            sum += here;
+        }
+        for (std::size_t i = 0; i < n; i++)
+            dst[pos[(src[i].first >> (8 * b)) & 0xff]++] = src[i];
+        std::swap(src, dst);
+    }
+    if (src != v.data())
+        v.swap(scratch);
 }
 
 void

@@ -76,7 +76,43 @@ class SnapshotError : public std::runtime_error
     }
 };
 
-/** Serializer: appends explicitly little-endian fields to a buffer. */
+/** Store @p v at @p p least significant byte first. Written with
+ *  shifts, so the bytes do not depend on the host; compilers fold the
+ *  loop into one store on a little-endian host. */
+template <class T>
+inline void
+storeLe(std::uint8_t *p, T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    for (unsigned i = 0; i < sizeof(T); i++)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Load a little-endian @p T from @p p (the inverse of storeLe). */
+template <class T>
+inline T
+loadLe(const std::uint8_t *p)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    for (unsigned i = 0; i < sizeof(T); i++)
+        v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    return v;
+}
+
+/** Longest LEB128 encoding of a u64. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/**
+ * Serializer: appends explicitly little-endian fields to a buffer.
+ *
+ * Every write is inline and costs one capacity check: the buffer is
+ * kept a little longer than the bytes written (zero-filled slack, at
+ * most 64 KiB), and a write that does not fit grows it out of line.
+ * finish() (or bytes() on a non-const Ser) trims the slack, so a
+ * finished archive holds exactly the image; only a finished Ser may be
+ * read through a const reference (System::save finishes its images).
+ */
 class Ser
 {
   public:
@@ -84,33 +120,10 @@ class Ser
      *  fixups (`if constexpr (Ar::loading)`). */
     static constexpr bool loading = false;
 
-    void
-    u8(std::uint8_t v)
-    {
-        buf_.push_back(v);
-    }
-
-    void
-    u16(std::uint16_t v)
-    {
-        buf_.push_back(static_cast<std::uint8_t>(v));
-        buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (unsigned i = 0; i < 4; i++)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (unsigned i = 0; i < 8; i++)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
+    void u8(std::uint8_t v) { *claim(1) = v; }
+    void u16(std::uint16_t v) { storeLe(claim(2), v); }
+    void u32(std::uint32_t v) { storeLe(claim(4), v); }
+    void u64(std::uint64_t v) { storeLe(claim(8), v); }
     void b(bool v) { u8(v ? 1 : 0); }
 
     /** Unsigned LEB128: 1 byte for values < 128, up to 10 for the full
@@ -120,11 +133,19 @@ class Ser
     void
     vu64(std::uint64_t v)
     {
-        while (v >= 0x80) {
-            buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-            v >>= 7;
+        if (v < 0x80) [[likely]] {
+            *claim(1) = static_cast<std::uint8_t>(v);
+            return;
         }
-        buf_.push_back(static_cast<std::uint8_t>(v));
+        // Longer values: one capacity check, then a tight byte loop.
+        ensure(kMaxVarintBytes);
+        std::uint8_t *p = buf_.data() + pos_;
+        do {
+            *p++ = static_cast<std::uint8_t>(v) | 0x80;
+            v >>= 7;
+        } while (v >= 0x80);
+        *p++ = static_cast<std::uint8_t>(v);
+        pos_ = static_cast<std::size_t>(p - buf_.data());
     }
 
     /** Doubles travel as IEEE-754 bit patterns: exact round-trips, and
@@ -143,6 +164,20 @@ class Ser
      *  verifies it by name, catching any producer/consumer drift at the
      *  first misaligned field instead of yielding garbage state. */
     void section(const char *tag);
+
+    /** Bytes written so far. */
+    std::size_t size() const { return pos_; }
+
+    /** Overwrite the u64 written at offset @p at (a count known only
+     *  after the elements it counts were written). */
+    void
+    patchU64(std::size_t at, std::uint64_t v)
+    {
+        storeLe(buf_.data() + at, v);
+    }
+
+    /** Capacity hint: room for @p n bytes in all, allocated once. */
+    void reserve(std::size_t n) { buf_.reserve(n); }
 
     // ---- archive interface (the writing side of visit) ----
 
@@ -182,6 +217,20 @@ class Ser
         u8(static_cast<std::uint8_t>(v));
     }
 
+    /** A fixed-size table of unsigned integers: its @p n elements at
+     *  their own width, one after the other, with no count (the
+     *  table's size is configured geometry). The bytes are those of
+     *  one u8/u16/u32/u64 call per element. */
+    template <class T>
+    void
+    array(const T *p, std::size_t n, const char *)
+    {
+        static_assert(std::is_unsigned_v<T>);
+        std::uint8_t *out = claim(n * sizeof(T));
+        for (std::size_t i = 0; i < n; i++)
+            storeLe(out + i * sizeof(T), p[i]);
+    }
+
     /** A container: u64 count, then @p fn on each element in order. A
      *  hash map goes in sorted key order, so images never depend on
      *  the hash-table layout. */
@@ -207,14 +256,60 @@ class Ser
         }
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
+    /** Drop the slack (no reallocation): until the next write,
+     *  bytes() is exactly the image. */
+    void finish() { buf_.resize(pos_); }
+
+    /** The image: every byte written, and nothing else (finishes the
+     *  archive first). */
+    const std::vector<std::uint8_t> &
+    bytes()
+    {
+        finish();
+        return buf_;
+    }
+
+    /** The image of a finished archive. Read-only, so threads may share
+     *  a finished `const Ser`; an unfinished one is a programming error
+     *  and panics. */
+    const std::vector<std::uint8_t> &
+    bytes() const
+    {
+        if (buf_.size() != pos_) [[unlikely]]
+            unfinished();
+        return buf_;
+    }
 
   private:
+    /** Make room for @p n more bytes. */
+    void
+    ensure(std::size_t n)
+    {
+        if (buf_.size() - pos_ < n) [[unlikely]]
+            grow(n);
+    }
+
+    /** Claim the next @p n bytes and return where they start. */
+    std::uint8_t *
+    claim(std::size_t n)
+    {
+        ensure(n);
+        std::uint8_t *p = buf_.data() + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    void grow(std::size_t n);
+    [[noreturn]] void unfinished() const;
+
+    /** [0, pos_) is the image; [pos_, size()) zero-filled slack. */
     std::vector<std::uint8_t> buf_;
+    std::size_t pos_ = 0;
 };
 
 /** Deserializer over a byte buffer; every read is bounds-checked and
- *  failures throw SnapshotError. */
+ *  failures throw SnapshotError. Reads are inline, each with one bounds
+ *  check; only failures and the rare varint forms leave the header. */
 class Deser
 {
   public:
@@ -228,12 +323,48 @@ class Deser
     {
     }
 
-    std::uint8_t u8();
-    std::uint16_t u16();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    std::uint64_t vu64();
-    bool b();
+    std::uint8_t
+    u8()
+    {
+        need(1);
+        return data_[pos_++];
+    }
+
+    std::uint16_t u16() { return fixed<std::uint16_t>(); }
+    std::uint32_t u32() { return fixed<std::uint32_t>(); }
+    std::uint64_t u64() { return fixed<std::uint64_t>(); }
+
+    std::uint64_t
+    vu64()
+    {
+        if (pos_ < size_ && data_[pos_] < 0x80) [[likely]]
+            return data_[pos_++];
+        // Up to nine bytes with no check per byte; ten-byte values,
+        // the image's last bytes and malformed varints take the checked
+        // path from the first byte again.
+        if (size_ - pos_ >= kMaxVarintBytes) {
+            std::uint64_t v = 0;
+            for (unsigned i = 0; i < kMaxVarintBytes - 1; i++) {
+                const std::uint8_t byte = data_[pos_ + i];
+                v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+                if (!(byte & 0x80)) {
+                    pos_ += i + 1;
+                    return v;
+                }
+            }
+        }
+        return vu64Checked();
+    }
+
+    bool
+    b()
+    {
+        const std::uint8_t v = u8();
+        if (v > 1) [[unlikely]]
+            corruptBool(v);
+        return v != 0;
+    }
+
     double f64();
     std::string str();
 
@@ -297,6 +428,21 @@ class Deser
         v = static_cast<E>(raw);
     }
 
+    /** Fill the @p n-element table at @p p (see Ser::array): one
+     *  bounds check for the whole table, then one load per element. */
+    template <class T>
+    void
+    array(T *p, std::size_t n, const char *what)
+    {
+        static_assert(std::is_unsigned_v<T>);
+        if (remaining() / sizeof(T) < n) [[unlikely]]
+            truncatedTable(what, n * sizeof(T));
+        const std::uint8_t *in = data_ + pos_;
+        for (std::size_t i = 0; i < n; i++)
+            p[i] = loadLe<T>(in + i * sizeof(T));
+        pos_ += n * sizeof(T);
+    }
+
     /** Read a container count; every element takes at least one byte,
      *  so a count above remaining() is a corrupt image. */
     std::uint64_t count(const char *what);
@@ -341,16 +487,49 @@ class Deser
         return static_cast<T>(v);
     }
 
+    template <class T>
+    T
+    fixed()
+    {
+        need(sizeof(T));
+        const T v = loadLe<T>(data_ + pos_);
+        pos_ += sizeof(T);
+        return v;
+    }
+
+    void
+    need(std::size_t n) const
+    {
+        if (size_ - pos_ < n) [[unlikely]]
+            truncated(n);
+    }
+
+    /** vu64() one checked byte at a time (every failure is named). */
+    std::uint64_t vu64Checked();
+
+    [[noreturn]] void truncated(std::size_t n) const;
+    [[noreturn]] void truncatedTable(const char *what, std::size_t n) const;
+    [[noreturn]] static void corruptBool(unsigned raw);
     [[noreturn]] static void mismatch(const char *what, std::uint64_t image,
                                       std::uint64_t configured);
     [[noreturn]] static void corrupt(const char *what, unsigned raw);
-
-    void need(std::size_t n) const;
 
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
 };
+
+/** A 64-bit key and the word that travels with it (a line and its
+ *  table slot, an address and its value). */
+using KeyedWord = std::pair<std::uint64_t, std::uint64_t>;
+
+/**
+ * Sort @p v, whose keys are unique, into ascending key order: the
+ * order std::sort gives, by an LSD radix sort over the key bytes that
+ * differ between keys (a byte every key shares costs no pass). The
+ * directory and value-memory saves write their entries in this order.
+ */
+void sortByKey(std::vector<KeyedWord> &v);
 
 /** `io` on a Msg under its older name: hand-built directory images in
  *  the tests spell their records with these. */

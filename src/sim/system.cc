@@ -640,7 +640,14 @@ System::visit(Ar &ar)
 void
 System::save(Ser &s) const
 {
+    // A warm-up's images grow from mark to mark: reserving the last
+    // one's size and a quarter more writes the next without regrowing
+    // the buffer. Untouched capacity costs address space, not memory.
+    const std::size_t start = s.size();
+    s.reserve(start + lastImageBytes_ + lastImageBytes_ / 4);
     const_cast<System &>(*this).visit(s);
+    s.finish();
+    lastImageBytes_ = s.size() - start;
 }
 
 void

@@ -325,6 +325,10 @@ class System
     std::uint64_t hbLastMs_ = 0;
     Cycle hbLastCycle_ = 0;
     Cycle hbNextProbe_ = 0;
+
+    /** Size of the last image save() wrote: the next save reserves it
+     *  (host-side only, never in an image). */
+    mutable std::size_t lastImageBytes_ = 0;
 };
 
 } // namespace rowsim

@@ -292,7 +292,7 @@ TEST(Snapshot, GoldenDigestsMatchThisBuild)
                              10);
     };
 
-    unsigned checked = 0;
+    unsigned checked = 0, warmChecked = 0;
     std::size_t pos = json.find('[');
     while ((pos = json.find('{', pos + 1)) != std::string::npos) {
         const std::string entry =
@@ -316,13 +316,20 @@ TEST(Snapshot, GoldenDigestsMatchThisBuild)
             cfg = rowConfig(ContentionDetector::RWDir,
                             PredictorUpdate::SaturateOnContention);
         }
+        // A "mark" entry is a functional warm-up digested at the mark.
+        const bool warm = entry.find("\"mark\": ") != std::string::npos;
         auto sys = makeSystem(workload, cfg, cores, seed);
-        sys->run(quota);
+        if (warm)
+            sys->runFunctional(quota, intField(entry, "mark"));
+        else
+            sys->run(quota);
         EXPECT_EQ(sys->stateDigest(), expect)
-            << workload << "/" << config
+            << workload << "/" << config << (warm ? " (functional)" : "")
             << ": regenerate tests/golden/digests.json with "
                "tools/state_digest if this change is intentional";
         checked++;
+        warmChecked += warm;
     }
-    EXPECT_GE(checked, 15u) << "golden suite unexpectedly small";
+    EXPECT_GE(checked, 18u) << "golden suite unexpectedly small";
+    EXPECT_GE(warmChecked, 3u) << "functional warm-up points missing";
 }

@@ -4,8 +4,9 @@
  * restores into a fresh instance and re-saves to identical bytes, warm
  * and mid-flight, under lazy and RoW; and corrupted leaf images (ring
  * indices outside the queue, out-of-range enum bytes, counts larger
- * than the bytes left) are rejected with a named SnapshotError instead
- * of indexing out of bounds or attempting a huge allocation.
+ * than the bytes left, repeated value-memory addresses and directory
+ * lines) are rejected with a named SnapshotError instead of indexing
+ * out of bounds, attempting a huge allocation or merging records.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "cpu/atomic_queue.hh"
 #include "cpu/lsq.hh"
 #include "mem/cache_array.hh"
+#include "mem/memsystem.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/snapshot.hh"
@@ -345,4 +347,101 @@ TEST(Visit, CorruptedLeafImagesAreRejectedByName)
         AtomicQueue small(2), big(4);
         expectRejected(imageOf(small), big, "AQ capacity");
     }
+}
+
+TEST(Visit, BulkLeafCountsAndRepeatsAreRejectedByName)
+{
+    auto sys = makeSystem(lazyConfig(), 4, 1);
+    const auto rejection = [](const Bytes &img, auto &leaf) {
+        try {
+            Deser d(img);
+            d.io(leaf);
+        } catch (const SnapshotError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    // The value memory: a word count the bytes left cannot hold fails
+    // before anything is sized by it; a repeated address (a zero gap
+    // after the first word) is named.
+    FunctionalMemory &fmem = sys->mem().functional();
+    const auto fmemImage = [](std::uint64_t n,
+                              const std::vector<std::uint64_t> &fields) {
+        Ser s;
+        s.section("fmem");
+        s.u64(n);
+        for (std::uint64_t f : fields)
+            s.vu64(f);
+        return s.bytes();
+    };
+    EXPECT_NE(rejection(fmemImage(1ULL << 60, {8, 1}), fmem)
+                  .find("value memory: 1152921504606846976 words cannot fit"),
+              std::string::npos);
+    EXPECT_NE(rejection(fmemImage(2, {0x1000, 5, 0, 6}), fmem)
+                  .find("value memory address 0x1000 repeated"),
+              std::string::npos);
+    // A gap that wraps past 2^64 lands on an earlier address.
+    EXPECT_NE(rejection(fmemImage(3, {0x1000, 5, 8, 6, ~std::uint64_t{7}, 7}),
+                        fmem)
+                  .find("value memory address gap 0xfffffffffffffff8 after "
+                        "0x1008 wraps"),
+              std::string::npos);
+    EXPECT_EQ(rejection(fmemImage(2, {0x1000, 5, 8, 6}), fmem), "");
+    EXPECT_EQ(fmem.read64(0x1008), 6u);
+
+    // A directory bank: a repeated line, or one a wrapping gap puts
+    // back on an earlier line, would merge two records into one; the
+    // image names it. The tail (wake-ups, stall buffer, LLC
+    // array) is an empty bank's.
+    Directory &dir = sys->mem().directory(0);
+    const Bytes empty = imageOf(dir);
+    const std::size_t tail =
+        offsetAfter("directory", [](Ser &s) {
+            s.u32(0); // bank
+            s.u64(0); // entries
+        });
+    const auto dirImage = [&](std::uint64_t second_gap) {
+        // Lines 0x1000 and 0x1000 + second_gap, both Shared.
+        Ser s;
+        s.section("directory");
+        s.u32(0);
+        s.u64(2);
+        for (std::uint64_t gap : {std::uint64_t{0x1000}, second_gap}) {
+            s.vu64(gap);
+            s.u8(0x80 | static_cast<std::uint8_t>(DirState::Shared));
+            s.vu64(0b11); // sharers
+            s.vu64(0);    // no owner
+        }
+        s.raw(empty.data() + tail, empty.size() - tail);
+        return s.bytes();
+    };
+    EXPECT_NE(rejection(dirImage(0), dir)
+                  .find("directory bank 0 line 0x1000 repeated"),
+              std::string::npos);
+    EXPECT_NE(rejection(dirImage(~std::uint64_t{0xfff}), dir)
+                  .find("directory bank 0 line gap 0xfffffffffffff000 after "
+                        "line 0x1000 wraps"),
+              std::string::npos);
+    EXPECT_EQ(rejection(dirImage(0x40), dir), "");
+    EXPECT_EQ(dir.lineState(0x1040), DirState::Shared);
+
+    // A cache array's slot delta that wraps would land on an earlier
+    // slot (here slot 1 after slot 3 of a 4x2 array).
+    CacheArray arr(4, 2);
+    Ser wrapped;
+    wrapped.section("cachearray");
+    wrapped.u32(4);
+    wrapped.u32(2);
+    wrapped.u64(2);
+    for (const std::uint64_t delta : {std::uint64_t{3}, ~std::uint64_t{1}}) {
+        wrapped.vu64(delta);
+        wrapped.vu64(delta == 3 ? 1 : 4); // tag line: set 1, then set 0
+        wrapped.u8(static_cast<std::uint8_t>(CacheState::Shared));
+        wrapped.vu64(5);
+    }
+    EXPECT_NE(rejection(wrapped.bytes(), arr)
+                  .find("cache array slot 3 + 18446744073709551614 out of "
+                        "range"),
+              std::string::npos);
 }

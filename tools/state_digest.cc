@@ -10,6 +10,13 @@
  *     {"workload": "cq", "config": "eager", "cores": 4, "quota": 120,
  *      "seed": 7, "digest": "<sha256 hex>"}, ...]}
  *
+ * After the detail suite come functional warm-up points: a System run
+ * with runFunctional(quota, mark) and digested at the mark. Their
+ * entries carry a "mark" field. A warm image is made of the encodings
+ * a detail run never writes in bulk (one-byte quiescent directory
+ * records, the delta-varint value memory of a long warm-up), so these
+ * points pin those bytes as the detail suite pins the rest.
+ *
  * The digest covers only integer-valued architectural state, so the
  * same source must produce the same digests on every compiler and
  * platform. CI regenerates this suite under gcc and clang and compares
@@ -33,6 +40,7 @@
  * on interleaving, which the two modes legitimately order differently.
  *
  * Usage: state_digest [--sections|--func-check] [workload ...]
+ * (naming workloads runs only their detail entries)
  */
 
 #include <cstdio>
@@ -69,6 +77,14 @@ const std::vector<std::string> kFuncCheckWorkloads = {
 
 const std::vector<std::string> kSuiteConfigs = {"eager", "lazy", "row"};
 
+/** Functional warm-up points, under the suite's RoW config: tpcc (the
+ *  sampled benchmark's workload), canneal and pc, the three perfbench
+ *  workloads. */
+const std::vector<std::string> kFuncSuiteWorkloads = {"tpcc", "canneal",
+                                                      "pc"};
+constexpr const char *kFuncConfig = "row";
+constexpr std::uint64_t kFuncMark = kQuota / 2;
+
 /** Map a golden config key to its ExpConfig (mirrored by
  *  tests/test_snapshot.cc:goldenConfig — keep the two in sync). */
 ExpConfig
@@ -95,48 +111,55 @@ systemFor(const std::string &workload, const std::string &config)
         sp, makeStreams(profileFor(workload), kCores, kSeed));
 }
 
-std::string
-digestFor(const std::string &workload, const std::string &config)
+/** Print one suite entry: a detail run to the quota, or (when
+ *  @p mark is non-zero) a functional warm-up to @p mark. */
+void
+printEntry(const std::string &w, const std::string &cfg,
+           std::uint64_t mark, bool sections, bool first)
 {
-    auto sys = systemFor(workload, config);
-    sys->run(kQuota);
-    return sys->stateDigest();
+    auto sys = systemFor(w, cfg);
+    if (mark)
+        sys->runFunctional(kQuota, mark);
+    else
+        sys->run(kQuota);
+    std::printf("%s  {\"workload\": \"%s\", \"config\": \"%s\", "
+                "\"cores\": %u, \"quota\": %llu, \"seed\": %llu, ",
+                first ? "" : ",\n", w.c_str(), cfg.c_str(), kCores,
+                static_cast<unsigned long long>(kQuota),
+                static_cast<unsigned long long>(kSeed));
+    if (mark)
+        std::printf("\"mark\": %llu, ", static_cast<unsigned long long>(mark));
+    if (!sections) {
+        std::printf("\"digest\": \"%s\"}", sys->stateDigest().c_str());
+        return;
+    }
+    std::printf("\"sections\": {");
+    bool sfirst = true;
+    for (const auto &[name, digest] : sys->sectionDigests()) {
+        std::printf("%s\"%s\": \"%s\"", sfirst ? "" : ", ", name.c_str(),
+                    digest.c_str());
+        sfirst = false;
+    }
+    std::printf("}}");
 }
 
+/** The detail suite over @p workloads, then (with @p func_marks) the
+ *  functional warm-up points. */
 int
-runSuite(const std::vector<std::string> &workloads, bool sections)
+runSuite(const std::vector<std::string> &workloads, bool sections,
+         bool func_marks)
 {
     std::printf("{\"format\": 1, \"entries\": [\n");
     bool first = true;
     for (const auto &w : workloads) {
         for (const auto &cfg : kSuiteConfigs) {
-            if (!sections) {
-                std::printf(
-                    "%s  {\"workload\": \"%s\", \"config\": \"%s\", "
-                    "\"cores\": %u, \"quota\": %llu, \"seed\": %llu, "
-                    "\"digest\": \"%s\"}",
-                    first ? "" : ",\n", w.c_str(), cfg.c_str(), kCores,
-                    static_cast<unsigned long long>(kQuota),
-                    static_cast<unsigned long long>(kSeed),
-                    digestFor(w, cfg).c_str());
-            } else {
-                auto sys = systemFor(w, cfg);
-                sys->run(kQuota);
-                std::printf(
-                    "%s  {\"workload\": \"%s\", \"config\": \"%s\", "
-                    "\"cores\": %u, \"quota\": %llu, \"seed\": %llu, "
-                    "\"sections\": {",
-                    first ? "" : ",\n", w.c_str(), cfg.c_str(), kCores,
-                    static_cast<unsigned long long>(kQuota),
-                    static_cast<unsigned long long>(kSeed));
-                bool sfirst = true;
-                for (const auto &[name, digest] : sys->sectionDigests()) {
-                    std::printf("%s\"%s\": \"%s\"", sfirst ? "" : ", ",
-                                name.c_str(), digest.c_str());
-                    sfirst = false;
-                }
-                std::printf("}}");
-            }
+            printEntry(w, cfg, 0, sections, first);
+            first = false;
+        }
+    }
+    if (func_marks) {
+        for (const auto &w : kFuncSuiteWorkloads) {
+            printEntry(w, kFuncConfig, kFuncMark, sections, first);
             first = false;
         }
     }
@@ -222,9 +245,12 @@ cliMain(int argc, char **argv)
             workloads = kFuncCheckWorkloads;
         return runFuncCheck(workloads);
     }
-    if (workloads.empty())
+    // The golden file is the default output: the whole detail suite
+    // and the functional warm-up points.
+    const bool func_marks = workloads.empty();
+    if (func_marks)
         workloads = kSuiteWorkloads;
-    return runSuite(workloads, sections);
+    return runSuite(workloads, sections, func_marks);
 }
 
 int
