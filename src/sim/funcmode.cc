@@ -27,7 +27,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/sha256.hh"
 #include "common/trace.hh"
 #include "cpu/core.hh"
 #include "sim/snapshot.hh"
@@ -227,25 +226,18 @@ System::funcStateDigest() const
     // counters and the value memory. Everything timing-dependent
     // (cache/LRU contents, predictors, currentCycle itself) is
     // excluded — see the header comment for the contract.
-    auto &self = const_cast<System &>(*this);
     Ser s;
-    s.section("funcdigest");
-    s.u64(cores.size());
-    for (const auto &c : cores) {
-        s.u64(c->committedInstructions());
-        s.u64(c->committedAtomics());
-        s.u64(c->committedIterations());
-    }
-    self.memsys.functional().save(s);
-
-    const std::uint64_t fp = configFingerprint();
-    std::uint8_t fp_bytes[8];
-    for (unsigned i = 0; i < 8; i++)
-        fp_bytes[i] = static_cast<std::uint8_t>(fp >> (8 * i));
-    Sha256 h;
-    h.update(fp_bytes, sizeof(fp_bytes));
-    h.update(s.bytes().data(), s.bytes().size());
-    return Sha256::hex(h.digest());
+    return digestHex(s, [&] {
+        s.u64(configFingerprint());
+        s.section("funcdigest");
+        s.u64(cores.size());
+        for (const auto &c : cores) {
+            s.u64(c->committedInstructions());
+            s.u64(c->committedAtomics());
+            s.u64(c->committedIterations());
+        }
+        s.io(const_cast<System &>(*this).memsys.functional());
+    });
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -253,31 +245,24 @@ System::sectionDigests() const
 {
     auto &self = const_cast<System &>(*this);
     std::vector<std::pair<std::string, std::string>> out;
-    const auto add = [&](std::string name, Ser s) {
-        const std::vector<std::uint8_t> &bytes = s.bytes();
-        Sha256 h;
-        h.update(bytes.data(), bytes.size());
-        out.emplace_back(std::move(name), Sha256::hex(h.digest()));
-    };
-    const auto image = [](const auto &component) {
-        Ser s;
-        s.io(component);
-        return s;
+    Ser s; // one buffer for every section
+    const auto add = [&](std::string name, const auto &component) {
+        out.emplace_back(std::move(name),
+                         digestHex(s, [&] { s.io(component); }));
     };
 
-    Ser cycle;
-    cycle.u64(currentCycle);
-    add("cycle", std::move(cycle));
+    out.emplace_back("cycle",
+                     digestHex(s, [&] { s.u64(currentCycle); }));
     for (CoreId c = 0; c < cores.size(); c++)
-        add(strprintf("core%u", c), image(*cores[c]));
-    add("network", image(self.memsys.network()));
-    add("fmem", image(self.memsys.functional()));
+        add(strprintf("core%u", c), *cores[c]);
+    add("network", self.memsys.network());
+    add("fmem", self.memsys.functional());
     for (CoreId c = 0; c < cores.size(); c++)
-        add(strprintf("cache%u", c), image(self.memsys.cache(c)));
+        add(strprintf("cache%u", c), self.memsys.cache(c));
     for (unsigned b = 0; b < self.memsys.numBanks(); b++)
-        add(strprintf("dir%u", b), image(self.memsys.directory(b)));
+        add(strprintf("dir%u", b), self.memsys.directory(b));
     if (faults_)
-        add("faults", image(*faults_));
+        add("faults", *faults_);
     return out;
 }
 

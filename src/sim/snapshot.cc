@@ -75,6 +75,42 @@ Ser::grow(std::size_t n)
 }
 
 void
+Ser::hashInto(Sha256 *h)
+{
+    if (hash_)
+        drain();
+    else if (pos_)
+        ROWSIM_PANIC("Ser::hashInto on a buffering archive holding %zu "
+                     "bytes: hash from the first byte",
+                     pos_);
+    hash_ = h;
+}
+
+void
+Ser::drain()
+{
+    hash_->update(buf_.data(), pos_);
+    hashed_ += pos_;
+    pos_ = 0;
+}
+
+void
+Ser::imageNotKept(const char *what) const
+{
+    ROWSIM_PANIC("Ser::%s on a hashing archive: its image is not kept "
+                 "(%zu bytes hashed)",
+                 what, hashed_);
+}
+
+void
+Ser::patchHashed(std::size_t at) const
+{
+    ROWSIM_PANIC("Ser::patchU64 at offset %zu on a hashing archive: the "
+                 "bytes before %zu are already hashed",
+                 at, hashed_);
+}
+
+void
 Ser::unfinished() const
 {
     ROWSIM_PANIC("Ser::bytes() const on an unfinished archive (%zu bytes "

@@ -28,7 +28,9 @@
  * leaves that `io` calls (DESIGN §10 "One field list").
  * `System::save`/`System::restore` compose them, and
  * `System::stateDigest()` hashes the architectural sections into the
- * canonical golden digest CI compares across compilers.
+ * canonical golden digest CI compares across compilers. A digest
+ * writes into a hashing `Ser` (`digestHex`), which hands its bytes to
+ * SHA-256 as it goes and never holds a whole image.
  */
 
 #ifndef ROWSIM_SIM_SNAPSHOT_HH
@@ -42,6 +44,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/sha256.hh"
 
 namespace rowsim
 {
@@ -112,10 +116,18 @@ constexpr std::size_t kMaxVarintBytes = 10;
  * finish() (or bytes() on a non-const Ser) trims the slack, so a
  * finished archive holds exactly the image; only a finished Ser may be
  * read through a const reference (System::save finishes its images).
+ *
+ * A hashing Ser (hashInto) keeps no image: whenever io() returns with
+ * at least 64 KiB buffered, the buffer goes to SHA-256 and is reused.
+ * A hand-written leaf never drains midway, so a count it patches is
+ * still buffered when it patches it.
  */
 class Ser
 {
   public:
+    /** A hashing archive drains once this many bytes are buffered. */
+    static constexpr std::size_t kHashChunk = std::size_t{1} << 16;
+
     /** Archive side: visit() bodies branch on it for restore-only
      *  fixups (`if constexpr (Ar::loading)`). */
     static constexpr bool loading = false;
@@ -165,16 +177,29 @@ class Ser
      *  first misaligned field instead of yielding garbage state. */
     void section(const char *tag);
 
-    /** Bytes written so far. */
-    std::size_t size() const { return pos_; }
+    /** Bytes written so far, hashed ones included. */
+    std::size_t size() const { return hashed_ + pos_; }
 
     /** Overwrite the u64 written at offset @p at (a count known only
-     *  after the elements it counts were written). */
+     *  after the elements it counts were written). Panics if a
+     *  hashing archive has already hashed that offset. */
     void
     patchU64(std::size_t at, std::uint64_t v)
     {
-        storeLe(buf_.data() + at, v);
+        if (at < hashed_) [[unlikely]]
+            patchHashed(at);
+        storeLe(buf_.data() + (at - hashed_), v);
     }
+
+    /**
+     * Hashing mode: the bytes written from here on go to @p h, in
+     * chunks of at least kHashChunk at io() boundaries; no image is
+     * kept, so bytes() and finish() panic. Bytes still buffered for
+     * the previous hasher go to it first; hashInto(nullptr) hands over
+     * the last ones and ends the pass. Panics on a buffering archive
+     * that holds bytes. digestHex() is the usual way in.
+     */
+    void hashInto(Sha256 *h);
 
     /** Capacity hint: room for @p n bytes in all, allocated once. */
     void reserve(std::size_t n) { buf_.reserve(n); }
@@ -192,6 +217,8 @@ class Ser
             const_cast<T &>(obj).visit(*this);
         else
             obj.save(*this);
+        if (hash_ && pos_ >= kHashChunk) [[unlikely]]
+            drain();
     }
 
     /** Configured geometry: written as u32 or u64 by the width of
@@ -257,14 +284,22 @@ class Ser
     }
 
     /** Drop the slack (no reallocation): until the next write,
-     *  bytes() is exactly the image. */
-    void finish() { buf_.resize(pos_); }
+     *  bytes() is exactly the image. Panics on a hashing archive. */
+    void
+    finish()
+    {
+        if (hashing()) [[unlikely]]
+            imageNotKept("finish()");
+        buf_.resize(pos_);
+    }
 
     /** The image: every byte written, and nothing else (finishes the
      *  archive first). */
     const std::vector<std::uint8_t> &
     bytes()
     {
+        if (hashing()) [[unlikely]]
+            imageNotKept("bytes()");
         finish();
         return buf_;
     }
@@ -275,6 +310,8 @@ class Ser
     const std::vector<std::uint8_t> &
     bytes() const
     {
+        if (hashing()) [[unlikely]]
+            imageNotKept("bytes() const");
         if (buf_.size() != pos_) [[unlikely]]
             unfinished();
         return buf_;
@@ -299,13 +336,42 @@ class Ser
         return p;
     }
 
+    /** Hashing now, or hashed bytes earlier: no image is kept. */
+    bool hashing() const { return hash_ || hashed_; }
+
+    /** Hand the buffered bytes to the hasher and empty the buffer. */
+    void drain();
+
     void grow(std::size_t n);
     [[noreturn]] void unfinished() const;
+    [[noreturn]] void imageNotKept(const char *what) const;
+    [[noreturn]] void patchHashed(std::size_t at) const;
 
-    /** [0, pos_) is the image; [pos_, size()) zero-filled slack. */
+    /** [0, pos_) are the bytes from offset hashed_ on; the rest of
+     *  buf_ is slack (zero-filled unless a drain reused the buffer). */
     std::vector<std::uint8_t> buf_;
     std::size_t pos_ = 0;
+    /** Hashing mode: where the bytes go, and how many went there. */
+    Sha256 *hash_ = nullptr;
+    std::size_t hashed_ = 0;
 };
+
+/**
+ * The lowercase hex SHA-256 of what @p write writes into @p s, which
+ * it switches to hashing mode for the pass: a digest is "fingerprint
+ * bytes, then visit", with no image in between. Reusing one @p s for
+ * several digests reuses its buffer.
+ */
+template <class Fn>
+std::string
+digestHex(Ser &s, Fn &&write)
+{
+    Sha256 h;
+    s.hashInto(&h);
+    write();
+    s.hashInto(nullptr);
+    return Sha256::hex(h.digest());
+}
 
 /** Deserializer over a byte buffer; every read is bounds-checked and
  *  failures throw SnapshotError. Reads are inline, each with one bounds

@@ -9,7 +9,6 @@
 #include "common/io.hh"
 #include "common/json.hh"
 #include "common/log.hh"
-#include "common/sha256.hh"
 #include "common/trace.hh"
 #include "sim/snapshot.hh"
 
@@ -691,16 +690,11 @@ System::configFingerprint() const
 std::string
 System::stateDigest() const
 {
-    Ser arch;
-    const_cast<System &>(*this).visitArch(arch);
-    const std::uint64_t fp = configFingerprint();
-    std::uint8_t fp_bytes[8];
-    for (unsigned i = 0; i < 8; i++)
-        fp_bytes[i] = static_cast<std::uint8_t>(fp >> (8 * i));
-    Sha256 h;
-    h.update(fp_bytes, sizeof(fp_bytes));
-    h.update(arch.bytes().data(), arch.bytes().size());
-    return Sha256::hex(h.digest());
+    Ser s;
+    return digestHex(s, [&] {
+        s.u64(configFingerprint());
+        const_cast<System &>(*this).visitArch(s);
+    });
 }
 
 void

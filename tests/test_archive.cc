@@ -8,7 +8,8 @@
  * sequence of these primitives, so pinning them pins the encoding of
  * every image. Truncated images of real Systems (functional warm-up and
  * mid-flight detail) must fail with a named SnapshotError at every
- * length.
+ * length. A hashing archive digests exactly the bytes a buffering one
+ * keeps, and refuses by name what it cannot do without the image.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cctype>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <random>
@@ -27,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/sha256.hh"
+#include "mem/cache_array.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/snapshot.hh"
@@ -257,6 +261,170 @@ TEST(Archive, FinishedArchivesAreReadOnly)
     EXPECT_THROW(std::as_const(s).bytes(), std::logic_error);
     EXPECT_EQ(s.bytes(), (Bytes{4, 3, 2, 1, 5}));
     EXPECT_EQ(std::as_const(s).bytes(), (Bytes{4, 3, 2, 1, 5}));
+}
+
+namespace
+{
+
+/** A component of @p n bytes, written one field at a time. */
+struct Blob
+{
+    std::size_t n;
+    std::uint8_t seed;
+
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.section("blob");
+        for (std::size_t i = 0; i < n / 8; i++)
+            ar.u64(i * 0x9e3779b97f4a7c15ull + seed);
+        for (std::size_t i = 0; i < n % 8; i++)
+            ar.u8(static_cast<std::uint8_t>(seed + i));
+    }
+};
+
+/** Components inside components: every io() below is a drain point. */
+struct Nest
+{
+    std::vector<Blob> kids;
+    const CacheArray *array;
+
+    template <class Ar>
+    void
+    visit(Ar &ar)
+    {
+        ar.section("nest");
+        ar.list(kids, "kids", [&](const Blob &b) { ar.io(b); });
+        ar.io(*array);
+        ar.io(kids.back());
+    }
+};
+
+/** A 4096x4 array with every line valid: about 200 KiB of image. */
+CacheArray
+fullArray()
+{
+    CacheArray a(4096, 4);
+    Cycle now = Cycle{1} << 40; // six-byte LRU varints
+    for (Addr tag = 1000; tag < 1004; tag++) {
+        for (Addr set = 0; set < a.sets(); set++) {
+            const Addr line = (tag * a.sets() + set) << 6;
+            now++;
+            a.fill(a.victim(line, nullptr, now), line,
+                   CacheState::Modified, now);
+        }
+    }
+    return a;
+}
+
+/** Run @p fn and turn its panic into a death (panics throw). */
+template <class Fn>
+void
+dieOnPanic(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const std::logic_error &) {
+        std::abort();
+    }
+}
+
+} // namespace
+
+TEST(Archive, HashingArchiveHashesTheSameBytes)
+{
+    const CacheArray array = fullArray();
+    const Nest nest{{{70000, 1}, {3, 2}, {150001, 3}, {64 * 1024, 4}},
+                    &array};
+    // Each writer crosses the drain threshold several times: a
+    // component larger than a chunk, a cache array whose count is
+    // patched after 200 KiB of lines, and nested io() calls.
+    const std::vector<std::function<void(Ser &)>> writers = {
+        [](Ser &s) { s.io(Blob{200000, 9}); },
+        [&](Ser &s) {
+            s.u64(0x0123456789abcdefull);
+            s.io(Blob{100000, 5});
+            s.io(array);
+            s.io(Blob{10, 6});
+            s.io(array);
+        },
+        [&](Ser &s) {
+            s.io(nest);
+            s.str(std::string(300000, 'x'));
+            s.io(nest);
+        },
+        [](Ser &s) { s.u8(7); },
+        [](Ser &) {},
+    };
+    Ser reused;
+    for (std::size_t k = 0; k < writers.size(); k++) {
+        Ser buffered;
+        writers[k](buffered);
+        const Bytes &image = buffered.bytes();
+        const std::string want = Sha256::hashHex(image.data(), image.size());
+
+        Ser fresh;
+        std::size_t written = 0;
+        EXPECT_EQ(digestHex(fresh,
+                            [&] {
+                                writers[k](fresh);
+                                written = fresh.size();
+                            }),
+                  want)
+            << "writer " << k;
+        // Offsets stay absolute: size() counts the hashed bytes too.
+        EXPECT_EQ(written, image.size()) << "writer " << k;
+        // One archive, one digest after another, one buffer.
+        EXPECT_EQ(digestHex(reused, [&] { writers[k](reused); }), want)
+            << "writer " << k;
+    }
+}
+
+TEST(Archive, HashingArchiveRefusesWhatNeedsTheImage)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // After a component larger than a chunk, its bytes are hashed and
+    // gone: patching them cannot be honoured.
+    EXPECT_DEATH(dieOnPanic([] {
+                     Sha256 h;
+                     Ser s;
+                     s.hashInto(&h);
+                     s.u64(0);
+                     s.io(Blob{Ser::kHashChunk, 1});
+                     s.patchU64(0, 1);
+                 }),
+                 "Ser::patchU64 at offset 0 on a hashing archive: the "
+                 "bytes before [0-9]+ are already hashed");
+    EXPECT_DEATH(dieOnPanic([] {
+                     Sha256 h;
+                     Ser s;
+                     s.hashInto(&h);
+                     s.u8(1);
+                     s.bytes();
+                 }),
+                 "Ser::bytes\\(\\) on a hashing archive: its image is not "
+                 "kept");
+    EXPECT_DEATH(dieOnPanic([] {
+                     Ser s;
+                     digestHex(s, [&] { s.io(Blob{100000, 1}); });
+                     std::as_const(s).bytes();
+                 }),
+                 "Ser::bytes\\(\\) const on a hashing archive");
+    EXPECT_DEATH(dieOnPanic([] {
+                     Sha256 h;
+                     Ser s;
+                     s.hashInto(&h);
+                     s.finish();
+                 }),
+                 "Ser::finish\\(\\) on a hashing archive");
+    EXPECT_DEATH(dieOnPanic([] {
+                     Sha256 h;
+                     Ser s;
+                     s.u8(1);
+                     s.hashInto(&h);
+                 }),
+                 "Ser::hashInto on a buffering archive holding 1 bytes");
 }
 
 TEST(Archive, SortByKeyOrdersLikeStdSort)

@@ -6,10 +6,13 @@
  * checkpoint env wiring must short-circuit sweeps without changing any
  * result; damaged or mismatched checkpoint files must be rejected with
  * named errors; the state digest must react to any single perturbed
- * structure; and the committed golden digests must match this build.
+ * structure; the committed golden digests must match this build; and a
+ * digest must hash as it writes, never holding a whole image.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -332,4 +335,30 @@ TEST(Snapshot, GoldenDigestsMatchThisBuild)
     }
     EXPECT_GE(checked, 18u) << "golden suite unexpectedly small";
     EXPECT_GE(warmChecked, 3u) << "functional warm-up points missing";
+}
+
+TEST(Snapshot, DigestsHoldNoImage)
+{
+    // A 32-core canneal arch image runs to megabytes; a digest that
+    // buffered it would raise this process's peak RSS by about as much.
+    // Each test runs in its own process, so the peak is this test's.
+    auto sys = makeSystem("canneal",
+                          rowConfig(ContentionDetector::RWDir,
+                                    PredictorUpdate::SaturateOnContention),
+                          32, 1);
+    sys->run(20);
+    const auto peakKiB = [] {
+        rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        return ru.ru_maxrss;
+    };
+    const long before = peakKiB();
+    const std::string digest = sys->stateDigest();
+    const auto sections = sys->sectionDigests();
+    const long grown = peakKiB() - before;
+    EXPECT_EQ(digest.size(), 64u);
+    EXPECT_EQ(sections.size(), 1u + 32 + 2 + 32 + sys->mem().numBanks());
+    EXPECT_LT(grown, 4 * 1024)
+        << "stateDigest + sectionDigests raised peak RSS by " << grown
+        << " KiB";
 }
