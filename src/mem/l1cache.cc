@@ -71,21 +71,21 @@ PrivateCache::access(const MemAccess &a, Cycle now)
     const Addr line = lineAlign(a.addr);
     accesses_++;
 
-    auto *l2line = l2Array.lookup(line, now);
+    const CacheArray::Way l2line = l2Array.lookup(line, now);
     const bool have_perm =
-        l2line && (l2line->state == CacheState::Modified || !a.needExclusive);
+        l2line && (l2line.state() == CacheState::Modified || !a.needExclusive);
 
     if (have_perm) {
-        const bool l1hit = l1Array.lookup(line, now) != nullptr;
+        const bool l1hit = static_cast<bool>(l1Array.lookup(line, now));
         const FillSource src = l1hit ? FillSource::L1Hit : FillSource::L2Hit;
         const Cycle lat = l1hit ? params.l1HitLatency : params.l2HitLatency;
         if (!l1hit) {
             l1Misses_++;
             missLatency_.sample(static_cast<double>(lat));
-            auto *way = l1Array.victim(line,
+            const CacheArray::Way way = l1Array.victim(line,
                 [this](Addr t) { return client->lineLocked(t); }, now);
             if (way)
-                l1Array.fill(way, line, l2line->state, now);
+                l1Array.fill(way, line, l2line.state(), now);
         } else {
             l1Hits_++;
         }
@@ -161,7 +161,8 @@ void
 PrivateCache::maybePrefetch(Addr line, Cycle now)
 {
     const Addr next = line + lineBytes;
-    if (l2Array.peek(next) || mshrs.count(next) || evicting.count(next))
+    if (l2Array.peek(next) != CacheState::Invalid || mshrs.count(next) ||
+        evicting.count(next))
         return;
     if (mshrs.size() + 1 >= params.mshrs)
         return; // keep headroom for demand misses
@@ -175,10 +176,10 @@ PrivateCache::maybePrefetch(Addr line, Cycle now)
 }
 
 void
-PrivateCache::evictLine(CacheArray::Line *way, Cycle now)
+PrivateCache::evictLine(CacheArray::Way way, Cycle now)
 {
-    const Addr victim_line = way->tag;
-    if (way->state == CacheState::Modified) {
+    const Addr victim_line = way.tag();
+    if (way.state() == CacheState::Modified) {
         evicting[victim_line] = now;
         Msg m;
         m.type = MsgType::PutM;
@@ -190,7 +191,7 @@ PrivateCache::evictLine(CacheArray::Line *way, Cycle now)
         writebacks_++;
     }
     l1Array.invalidate(victim_line);
-    way->clear();
+    way.clear();
 }
 
 bool
@@ -200,21 +201,21 @@ PrivateCache::installLine(Addr line, CacheState state, Cycle now)
 
     // Upgrade fills (S -> M) must update the existing entry in place;
     // installing a second copy would leave a stale Shared duplicate.
-    if (auto *present = l2Array.lookup(line, now)) {
-        present->state = state;
+    if (const CacheArray::Way present = l2Array.lookup(line, now)) {
+        present.setState(state);
     } else {
-        auto *way = l2Array.victim(line, pinned, now);
+        const CacheArray::Way way = l2Array.victim(line, pinned, now);
         if (!way)
             return false;
-        if (way->valid())
+        if (way.valid())
             evictLine(way, now);
         l2Array.fill(way, line, state, now);
     }
 
-    if (auto *l1present = l1Array.lookup(line, now)) {
-        l1present->state = state;
+    if (const CacheArray::Way l1present = l1Array.lookup(line, now)) {
+        l1present.setState(state);
     } else {
-        auto *l1way = l1Array.victim(line, pinned, now);
+        const CacheArray::Way l1way = l1Array.victim(line, pinned, now);
         if (l1way)
             l1Array.fill(l1way, line, state, now);
     }
@@ -321,23 +322,23 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
       case MsgType::FwdGetS:
       case MsgType::FwdGetX: {
         const bool excl = msg.type == MsgType::FwdGetX;
-        auto *l2line = l2Array.lookup(line, now);
+        const CacheArray::Way l2line = l2Array.lookup(line, now);
         if (l2line) {
-            ROWSIM_ASSERT(l2line->state == CacheState::Modified,
+            ROWSIM_ASSERT(l2line.state() == CacheState::Modified,
                           "forward %s to non-owner core %u, line %#lx "
                           "(state %d, mshr %d, evicting %d)",
                           msgTypeName(msg.type), coreId,
                           static_cast<unsigned long>(line),
-                          static_cast<int>(l2line->state),
+                          static_cast<int>(l2line.state()),
                           static_cast<int>(mshrs.count(line)),
                           static_cast<int>(evicting.count(line)));
             if (excl) {
                 l1Array.invalidate(line);
                 l2Array.invalidate(line);
             } else {
-                l2line->state = CacheState::Shared;
-                if (auto *l1line = l1Array.lookup(line, now))
-                    l1line->state = CacheState::Shared;
+                l2line.setState(CacheState::Shared);
+                if (const CacheArray::Way l1line = l1Array.lookup(line, now))
+                    l1line.setState(CacheState::Shared);
             }
         } else {
             // Our PutM crossed with this forward: answer from the
@@ -526,7 +527,7 @@ bool
 PrivateCache::forceEvict(Addr line, Cycle now)
 {
     line = lineAlign(line);
-    auto *way = l2Array.lookup(line, now);
+    const CacheArray::Way way = l2Array.lookup(line, now);
     if (!way || client->lineLocked(line) || mshrs.count(line) ||
         evicting.count(line)) {
         return false;
@@ -543,13 +544,13 @@ void
 PrivateCache::testSetLineState(Addr line, CacheState state, Cycle now)
 {
     line = lineAlign(line);
-    if (auto *present = l2Array.lookup(line, now)) {
-        present->state = state;
+    bool hit;
+    const CacheArray::Way way = l2Array.lookupOrVictim(line, now, hit);
+    if (hit) {
+        way.setState(state);
         return;
     }
-    auto *way = l2Array.victim(line, nullptr, now);
-    ROWSIM_ASSERT(way != nullptr, "testSetLineState: no victim way");
-    if (way->valid())
+    if (way.valid())
         evictLine(way, now);
     l2Array.fill(way, line, state, now);
 }
@@ -559,38 +560,33 @@ PrivateCache::funcInstall(Addr line, CacheState state, Cycle now,
                           std::vector<Addr> *evicted_dirty)
 {
     line = lineAlign(line);
-    if (auto *present = l2Array.lookup(line, now)) {
-        present->state = state;
+    bool hit;
+    const CacheArray::Way way = l2Array.lookupOrVictim(line, now, hit);
+    if (hit) {
+        way.setState(state);
     } else {
-        auto *way = l2Array.victim(line, nullptr, now);
-        ROWSIM_ASSERT(way != nullptr, "funcInstall: no victim way");
-        if (way->valid()) {
-            if (way->state == CacheState::Modified && evicted_dirty)
-                evicted_dirty->push_back(way->tag);
-            l1Array.invalidate(way->tag);
-            way->clear();
+        if (way.valid()) {
+            if (way.state() == CacheState::Modified && evicted_dirty)
+                evicted_dirty->push_back(way.tag());
+            l1Array.invalidate(way.tag());
         }
         l2Array.fill(way, line, state, now);
     }
 
-    if (auto *l1present = l1Array.lookup(line, now)) {
-        l1present->state = state;
-    } else {
-        auto *l1way = l1Array.victim(line, nullptr, now);
-        if (l1way)
-            l1Array.fill(l1way, line, state, now);
-    }
+    const CacheArray::Way l1way = l1Array.lookupOrVictim(line, now, hit);
+    if (hit)
+        l1way.setState(state);
+    else
+        l1Array.fill(l1way, line, state, now);
 }
 
 CacheState
 PrivateCache::funcDropLine(Addr line)
 {
     line = lineAlign(line);
-    const CacheState was = lineState(line);
-    if (was != CacheState::Invalid) {
+    const CacheState was = l2Array.invalidate(line);
+    if (was != CacheState::Invalid)
         l1Array.invalidate(line);
-        l2Array.invalidate(line);
-    }
     return was;
 }
 
@@ -598,12 +594,12 @@ bool
 PrivateCache::funcDowngrade(Addr line, Cycle now)
 {
     line = lineAlign(line);
-    auto *present = l2Array.lookup(line, now);
+    const CacheArray::Way present = l2Array.lookup(line, now);
     if (!present)
         return false;
-    present->state = CacheState::Shared;
-    if (auto *l1present = l1Array.lookup(line, now))
-        l1present->state = CacheState::Shared;
+    present.setState(CacheState::Shared);
+    if (const CacheArray::Way l1present = l1Array.lookup(line, now))
+        l1present.setState(CacheState::Shared);
     return true;
 }
 
@@ -658,14 +654,13 @@ PrivateCache::dumpDiag(std::FILE *out, Cycle now) const
 CacheState
 PrivateCache::lineState(Addr line) const
 {
-    const auto *l = l2Array.peek(line);
-    return l ? l->state : CacheState::Invalid;
+    return l2Array.peek(line);
 }
 
 bool
 PrivateCache::inL1(Addr line) const
 {
-    return l1Array.peek(line) != nullptr;
+    return l1Array.peek(line) != CacheState::Invalid;
 }
 
 template <class Ar>

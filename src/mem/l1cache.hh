@@ -298,7 +298,7 @@ class PrivateCache : public MsgHandler
      *  @return false when every way is pinned and the fill must retry. */
     bool installLine(Addr line, CacheState state, Cycle now);
     /** Evict from the L2 (coherence) array: PutM if dirty. */
-    void evictLine(CacheArray::Line *way, Cycle now);
+    void evictLine(CacheArray::Way way, Cycle now);
     /** Issue a next-line prefetch after a demand miss. */
     void maybePrefetch(Addr line, Cycle now);
     /** Try to start pending accesses that were waiting for a free MSHR. */

@@ -85,7 +85,7 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
     }
 
     bool remote = false;
-    std::vector<Addr> dirtyVictims;
+    dirtyVictims.clear();
     const Directory::StableLine entry = home.stableLine(line);
     const bool ownedElsewhere = entry.state == DirState::Modified &&
                                 entry.owner != invalidCore &&

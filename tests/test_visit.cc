@@ -297,7 +297,7 @@ TEST(Visit, CorruptedLeafImagesAreRejectedByName)
         CacheArray arr(4, 2);
         arr.fill(arr.victim(0x40, nullptr, 0), 0x40, CacheState::Shared, 0);
         const Bytes a = imageOf(arr);
-        arr.lookup(0x40, 0)->state = CacheState::Modified;
+        arr.lookup(0x40, 0).setState(CacheState::Modified);
         Bytes img = imageOf(arr);
         img[firstDiff(a, img)] = 3;
         expectRejected(img, arr, "cache line state 3");
