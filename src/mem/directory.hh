@@ -249,6 +249,11 @@ class Directory : public MsgHandler
                         bool was_queued = false);
     /** LLC/memory access latency for this line (inserts into LLC). */
     Cycle dataLatency(Addr line, Cycle now, bool &from_memory);
+    /** Mark @p line present in the LLC: touch its LRU stamp if the
+     *  bank holds it (returns true), else install it over the LRU way.
+     *  An LLC eviction only drops presence: the data stays in
+     *  functional memory. */
+    bool touchLlc(Addr line, Cycle now);
     /** Emit the blocked line's data reply if acks and data are ready. */
     void maybeSendData(std::size_t si, Cycle now);
     /** Apply the Unblock, then drain queued requests. */

@@ -119,6 +119,34 @@ imageOf(const Directory &dir)
     return s.bytes();
 }
 
+/** Copies of @p line in the bank's LLC array, read from the array's
+ *  section of the bank image. */
+unsigned
+llcCopies(const Directory &dir, Addr line)
+{
+    const std::vector<std::uint8_t> image = imageOf(dir);
+    Ser marker;
+    marker.section("cachearray");
+    const std::vector<std::uint8_t> m = marker.bytes();
+    const auto at = std::search(image.begin(), image.end(), m.begin(),
+                                m.end());
+    EXPECT_NE(at, image.end()) << "no LLC array in the bank image";
+    if (at == image.end())
+        return 0;
+    Deser d(&*at, static_cast<std::size_t>(image.end() - at));
+    d.section("cachearray");
+    d.u32();
+    d.u32();
+    unsigned copies = 0;
+    for (std::uint64_t n = d.u64(); n > 0; n--) {
+        d.vu64();
+        copies += (d.vu64() << 6) == line;
+        d.u8();
+        d.vu64();
+    }
+    return copies;
+}
+
 } // namespace
 
 class DirectoryTest : public ::testing::Test
@@ -297,6 +325,29 @@ TEST_F(DirectoryTest, PutMFromOwnerWritesBack)
     EXPECT_TRUE(stubs[0].got(MsgType::WBAck));
     EXPECT_EQ(dir.lineState(line), DirState::Invalid);
     EXPECT_EQ(dir.stats().counterValue("writebacks"), 1u);
+}
+
+// The GetX brought the line into the LLC, so the owner's writeback
+// finds it there: it refreshes that copy instead of filling a second
+// way with the same tag.
+TEST_F(DirectoryTest, PutMOfALineInTheLlcKeepsOneCopy)
+{
+    EXPECT_EQ(llcCopies(dir, line), 0u);
+    sendToDir(MsgType::GetX, 0);
+    settle(now + 600);
+    sendToDir(MsgType::Unblock, 0);
+    settle(now + 600);
+    ASSERT_EQ(llcCopies(dir, line), 1u);
+    sendToDir(MsgType::PutM, 0);
+    settle(now + 600);
+    ASSERT_EQ(dir.stats().counterValue("writebacks"), 1u);
+    EXPECT_EQ(llcCopies(dir, line), 1u);
+
+    // The functional writeback of a line the LLC holds does the same.
+    dir.funcSetLine(line, DirState::Modified, 1, 0);
+    dir.funcWriteback(line, 1, now);
+    EXPECT_EQ(dir.lineState(line), DirState::Invalid);
+    EXPECT_EQ(llcCopies(dir, line), 1u);
 }
 
 TEST_F(DirectoryTest, StalePutMIsAckedWithoutStateChange)
