@@ -146,7 +146,8 @@ CacheArray::leastRecent(std::uint64_t *words,
 }
 
 CacheArray::Way
-CacheArray::lookupOrVictim(Addr line_addr, Cycle now, bool &hit)
+CacheArray::lookupOrVictim(Addr line_addr, Cycle now, bool &hit,
+                           const std::function<bool(Addr)> &pinned)
 {
     const Addr aligned = lineAlign(line_addr);
     const unsigned set = setIndex(aligned);
@@ -165,7 +166,7 @@ CacheArray::lookupOrVictim(Addr line_addr, Cycle now, bool &hit)
             invalid = w;
     }
     return invalid != numWays ? wayAt(words, invalid)
-                              : leastRecent(words, nullptr);
+                              : leastRecent(words, pinned);
 }
 
 void

@@ -103,10 +103,12 @@ class CacheArray
                Cycle now);
 
     /**
-     * lookup() and, on a miss, victim() with no pin, in one scan of the
-     * set: @p hit tells which one the returned way is. Never null.
+     * lookup() and, on a miss, victim() with the same @p pinned, in one
+     * scan of the set: @p hit tells which one the returned way is. Null
+     * only on a miss with every way pinned.
      */
-    Way lookupOrVictim(Addr line_addr, Cycle now, bool &hit);
+    Way lookupOrVictim(Addr line_addr, Cycle now, bool &hit,
+                       const std::function<bool(Addr)> &pinned = nullptr);
 
     /** Install @p line_addr into @p way (previously chosen by victim()
      *  or lookupOrVictim()); panics on a null way or an Invalid

@@ -1,7 +1,6 @@
 #include "mem/directory.hh"
 
 #include <algorithm>
-#include <bit>
 #include <vector>
 
 #include "common/log.hh"
@@ -20,14 +19,6 @@ coreBit(CoreId c)
     return 1ULL << c;
 }
 
-/** 2^64 / golden ratio: multiplicative hash of a line number. Lines of
- *  one bank share their low line-number bits (homeBank is lineNum modulo
- *  the core count), so the table index comes from the product's top
- *  bits, which every line-number bit feeds. */
-constexpr std::uint64_t fibonacciHash = 0x9E3779B97F4A7C15ULL;
-/** Smallest non-empty line table. */
-constexpr std::size_t minTableSlots = 16;
-constexpr std::size_t npos = ~std::size_t{0};
 } // namespace
 
 Directory::Directory(unsigned bank_index, unsigned num_cores,
@@ -72,59 +63,16 @@ Directory::dataLatency(Addr line, Cycle now, bool &from_memory)
     return params.l3HitLatency + params.memoryLatency;
 }
 
-std::size_t
-Directory::probe(Addr line) const
-{
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = (lineNum(line) * fibonacciHash) >> hashShift;
-    while (slots[i].line != line && slots[i].line != invalidAddr)
-        i = (i + 1) & mask;
-    return i;
-}
-
-std::size_t
-Directory::find(Addr line) const
-{
-    if (slots.empty())
-        return npos;
-    const std::size_t si = probe(line);
-    return slots[si].line == line ? si : npos;
-}
-
-std::size_t
-Directory::findOrInsert(Addr line)
-{
-    if ((usedSlots + 1) * 4 > slots.size() * 3)
-        resizeTable(std::max(minTableSlots, slots.size() * 2));
-    const std::size_t si = probe(line);
-    if (slots[si].line != line) {
-        slots[si].line = line;
-        usedSlots++;
-    }
-    return si;
-}
-
-void
-Directory::resizeTable(std::size_t capacity)
-{
-    std::vector<Slot> old(capacity);
-    old.swap(slots);
-    hashShift = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    for (const Slot &sl : old) {
-        if (sl.line != invalidAddr)
-            slots[probe(sl.line)] = sl;
-    }
-}
-
 std::uint32_t
 Directory::recordFor(std::size_t si)
 {
-    if (slots[si].txn == noTxn) {
+    Entry &e = lines.value(si);
+    if (e.txn == noTxn) {
         ROWSIM_ASSERT(txns.size() < noTxn, "transaction records exhausted");
-        slots[si].txn = static_cast<std::uint32_t>(txns.size());
+        e.txn = static_cast<std::uint32_t>(txns.size());
         txns.emplace_back();
     }
-    return slots[si].txn;
+    return e.txn;
 }
 
 Msg
@@ -148,15 +96,15 @@ Directory::dataMsgOf(Addr line, const Txn &t) const
 void
 Directory::maybeSendData(std::size_t si, Cycle now)
 {
-    const Slot &sl = slots[si];
-    Txn &t = txns[sl.txn];
+    const Addr line = lines.key(si);
+    Txn &t = txns[lines.value(si).txn];
     if (!t.dataPending || t.pendingAcks > 0)
         return;
     if (t.dataReady > now) {
-        wake.emplace(t.dataReady, sl.line);
+        wake.emplace(t.dataReady, line);
         return;
     }
-    net->send(dataMsgOf(sl.line, t), now);
+    net->send(dataMsgOf(line, t), now);
     t.dataPending = false;
 }
 
@@ -165,7 +113,7 @@ Directory::processRequest(std::size_t si, const Msg &msg, Cycle now,
                           bool was_queued)
 {
     Txn &t = txns[recordFor(si)];
-    Slot &e = slots[si];
+    Entry &e = lines.value(si);
     ROWSIM_ASSERT(e.state != DirState::Blocked,
                   "processRequest on blocked entry");
     const Addr line = msg.line;
@@ -267,9 +215,9 @@ void
 Directory::finishTxn(std::size_t si, Cycle now)
 {
     const std::uint32_t ti = recordFor(si);
-    Slot &e = slots[si];
+    Entry &e = lines.value(si);
     Txn &t = txns[ti];
-    const Addr line = e.line;
+    const Addr line = lines.key(si);
     ROWSIM_ASSERT(e.state == DirState::Blocked,
                   "Unblock on unblocked line %#lx",
                   static_cast<unsigned long>(line));
@@ -303,7 +251,8 @@ Directory::finishTxn(std::size_t si, Cycle now)
 
     // Each step may re-enter deliver(), so the slot and record are
     // looked up afresh every iteration instead of held by reference.
-    while (!txns[ti].queued.empty() && slots[si].state != DirState::Blocked) {
+    while (!txns[ti].queued.empty() &&
+           lines.value(si).state != DirState::Blocked) {
         std::vector<Msg> &queued = txns[ti].queued;
         const Msg next = queued.front();
         queued.erase(queued.begin());
@@ -312,7 +261,7 @@ Directory::finishTxn(std::size_t si, Cycle now)
         if (next.type == MsgType::PutM) {
             // Crossed eviction: handle with the now-current state.
             deliver(next, now);
-            si = find(line);
+            si = lines.find(line);
         } else {
             processRequest(si, next, now, true);
         }
@@ -330,8 +279,8 @@ Directory::deliver(const Msg &msg, Cycle now)
         return;
     }
 
-    const std::size_t si = findOrInsert(msg.line);
-    Slot &e = slots[si];
+    const std::size_t si = lines.findOrInsert(msg.line);
+    Entry &e = lines.value(si);
 
     switch (msg.type) {
       case MsgType::GetS:
@@ -419,9 +368,10 @@ Directory::tick(Cycle now)
     while (!wake.empty() && wake.begin()->first <= now) {
         Addr line = wake.begin()->second;
         wake.erase(wake.begin());
-        const std::size_t si = find(line);
-        if (si != npos && slots[si].state == DirState::Blocked &&
-            slots[si].txn != noTxn)
+        const std::size_t si = lines.find(line);
+        if (si != LineTable::npos &&
+            lines.value(si).state == DirState::Blocked &&
+            lines.value(si).txn != noTxn)
             maybeSendData(si, now);
     }
 }
@@ -455,7 +405,7 @@ void
 Directory::testSetLine(Addr line, DirState state, CoreId owner,
                        std::uint64_t sharers)
 {
-    Slot &e = slots[findOrInsert(lineAlign(line))];
+    Entry &e = lines[lineAlign(line)];
     if (e.state == DirState::Blocked && state != DirState::Blocked) {
         ROWSIM_ASSERT(blockedLines > 0, "blockedLines underflow");
         blockedLines--;
@@ -470,10 +420,14 @@ Directory::testSetLine(Addr line, DirState state, CoreId owner,
 Directory::StableLine
 Directory::stableLine(Addr line) const
 {
-    const std::size_t si = find(lineAlign(line));
-    if (si == npos)
-        return {};
-    const Slot &e = slots[si];
+    const std::size_t si = lines.find(lineAlign(line));
+    return si == LineTable::npos ? StableLine{} : stableAt(si);
+}
+
+Directory::StableLine
+Directory::stableAt(std::size_t slot) const
+{
+    const Entry &e = lines.value(slot);
     return {e.state, e.owner, e.sharers};
 }
 
@@ -481,11 +435,17 @@ void
 Directory::funcSetLine(Addr line, DirState state, CoreId owner,
                        std::uint64_t sharers)
 {
-    line = lineAlign(line);
-    Slot &e = slots[findOrInsert(line)];
+    funcSetAt(funcSlot(line), state, owner, sharers);
+}
+
+void
+Directory::funcSetAt(std::size_t slot, DirState state, CoreId owner,
+                     std::uint64_t sharers)
+{
+    Entry &e = lines.value(slot);
     ROWSIM_ASSERT(e.state != DirState::Blocked,
                   "funcSetLine on in-flight line %#lx",
-                  static_cast<unsigned long>(line));
+                  static_cast<unsigned long>(lines.key(slot)));
     e.state = state;
     e.owner = owner;
     e.sharers = sharers;
@@ -495,7 +455,7 @@ void
 Directory::funcWriteback(Addr line, CoreId evictor, Cycle now)
 {
     line = lineAlign(line);
-    Slot &e = slots[findOrInsert(line)];
+    Entry &e = lines[line];
     ROWSIM_ASSERT(e.state != DirState::Blocked,
                   "funcWriteback on in-flight line %#lx",
                   static_cast<unsigned long>(line));
@@ -531,18 +491,12 @@ Directory::dumpDiag(std::FILE *out, Cycle now) const
                  "\"blockedLines\":[",
                  bankIndex, blockedLines, stallBuffer.size());
     // Ascending line order: the listing must not depend on table layout.
-    std::vector<std::pair<Addr, std::size_t>> blocked;
-    for (std::size_t si = 0; si < slots.size(); si++) {
-        if (slots[si].line != invalidAddr &&
-            slots[si].state == DirState::Blocked)
-            blocked.emplace_back(slots[si].line, si);
-    }
-    std::sort(blocked.begin(), blocked.end());
     const Txn idleTxn;
     bool first = true;
-    for (const auto &[line, si] : blocked) {
-        const std::uint32_t ti = slots[si].txn;
-        const Txn &t = ti == noTxn ? idleTxn : txns[ti];
+    lines.forEachSorted([&](Addr line, const Entry &e) {
+        if (e.state != DirState::Blocked)
+            return;
+        const Txn &t = e.txn == noTxn ? idleTxn : txns[e.txn];
         std::fprintf(out,
                      "%s{\"line\":\"%#llx\",\"requester\":%u,"
                      "\"pendingAcks\":%u,\"dataPending\":%d,"
@@ -555,22 +509,22 @@ Directory::dumpDiag(std::FILE *out, Cycle now) const
                              ? 0
                              : now - t.blockedSince));
         first = false;
-    }
+    });
     std::fprintf(out, "]}");
 }
 
 DirState
 Directory::lineState(Addr line) const
 {
-    const std::size_t si = find(lineAlign(line));
-    return si == npos ? DirState::Invalid : slots[si].state;
+    const std::size_t si = lines.find(lineAlign(line));
+    return si == LineTable::npos ? DirState::Invalid : lines.value(si).state;
 }
 
 CoreId
 Directory::lineOwner(Addr line) const
 {
-    const std::size_t si = find(lineAlign(line));
-    return si == npos ? invalidCore : slots[si].owner;
+    const std::size_t si = lines.find(lineAlign(line));
+    return si == LineTable::npos ? invalidCore : lines.value(si).owner;
 }
 
 void
@@ -599,16 +553,16 @@ Directory::save(Ser &s) const
 
     // Sorted line order: images must not depend on the table layout.
     std::vector<KeyedWord> sorted;
-    sorted.reserve(usedSlots);
-    for (std::size_t si = 0; si < slots.size(); si++) {
-        if (slots[si].line != invalidAddr)
-            sorted.emplace_back(slots[si].line, si);
+    sorted.reserve(lines.size());
+    for (std::size_t si = 0; si < lines.slots().size(); si++) {
+        if (lines.key(si) != invalidAddr)
+            sorted.emplace_back(lines.key(si), si);
     }
     sortByKey(sorted);
     s.u64(sorted.size());
     Addr prevLine = 0;
     for (const auto &[line, si] : sorted) {
-        const Slot &e = slots[si];
+        const Entry &e = lines.value(si);
         s.vu64(line - prevLine);
         prevLine = line;
         // Flag byte: stable-state number, top bit = quiescent (no
@@ -665,13 +619,9 @@ Directory::restore(Deser &d)
             d.remaining()));
     }
     // Sized once for the whole image: the inserts below never grow it.
-    slots.clear();
-    usedSlots = 0;
+    lines.clear();
     txns.clear();
-    std::size_t capacity = minTableSlots;
-    while (nEntries * 4 > capacity * 3)
-        capacity *= 2;
-    resizeTable(capacity);
+    lines.reserve(nEntries);
 
     Addr prevLine = 0;
     for (std::uint64_t i = 0; i < nEntries; i++) {
@@ -699,11 +649,11 @@ Directory::restore(Deser &d)
             throw SnapshotError("corrupted directory state byte");
         const std::uint64_t sharers = d.vu64();
         const std::uint64_t owner = d.vu64();
-        const std::size_t si = findOrInsert(line);
-        slots[si].state = static_cast<DirState>(flag & 0x7f);
-        slots[si].sharers = sharers;
-        slots[si].owner = owner == 0 ? invalidCore
-                                     : static_cast<CoreId>(owner - 1);
+        const std::size_t si = lines.findOrInsert(line);
+        Entry &e = lines.value(si);
+        e.state = static_cast<DirState>(flag & 0x7f);
+        e.sharers = sharers;
+        e.owner = owner == 0 ? invalidCore : static_cast<CoreId>(owner - 1);
         if (flag & 0x80)
             continue;
         Txn &t = txns[recordFor(si)];

@@ -20,6 +20,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/addr_table.hh"
 #include "mem/cache_array.hh"
 #include "net/message.hh"
 #include "net/network.hh"
@@ -94,14 +95,14 @@ class Directory : public MsgHandler
     {
         const Txn idle;
         LineInfo info;
-        for (const Slot &sl : slots) {
-            if (sl.line == invalidAddr)
+        for (const auto &[line, e] : lines.slots()) {
+            if (line == invalidAddr)
                 continue;
-            const Txn &t = sl.txn == noTxn ? idle : txns[sl.txn];
-            info.line = sl.line;
-            info.state = sl.state;
-            info.sharers = sl.sharers;
-            info.owner = sl.owner;
+            const Txn &t = e.txn == noTxn ? idle : txns[e.txn];
+            info.line = line;
+            info.state = e.state;
+            info.sharers = e.sharers;
+            info.owner = e.owner;
             info.txnRequester = t.requester;
             info.pendingAcks = t.pendingAcks;
             info.dataPending = t.dataPending;
@@ -151,6 +152,18 @@ class Directory : public MsgHandler
      *  detail transaction is in flight). */
     void funcSetLine(Addr line, DirState state, CoreId owner,
                      std::uint64_t sharers);
+    /** Slot of @p line's entry, inserted Invalid when the bank never
+     *  saw the line: a functional miss reads (stableAt) and writes
+     *  (funcSetAt) its entry through one probe. Stale after the bank's
+     *  next insert. */
+    std::size_t
+    funcSlot(Addr line)
+    {
+        return lines.findOrInsert(lineAlign(line));
+    }
+    StableLine stableAt(std::size_t slot) const;
+    void funcSetAt(std::size_t slot, DirState state, CoreId owner,
+                   std::uint64_t sharers);
     /** Apply a clean writeback's end state (PutM from the owner):
      *  entry Invalid, data presence in the LLC array. */
     void funcWriteback(Addr line, CoreId evictor, Cycle now);
@@ -170,12 +183,12 @@ class Directory : public MsgHandler
     static constexpr std::uint32_t noTxn = ~std::uint32_t{0};
 
     /**
-     * One line's stable directory state: a 32 B slot of the line table.
-     * Every line the bank ever saw has one; lines are never removed.
+     * One line's stable directory state, the value of a 32 B line-table
+     * slot. Every line the bank ever saw has one; lines are never
+     * removed.
      */
-    struct Slot
+    struct Entry
     {
-        Addr line = invalidAddr; ///< invalidAddr marks an empty slot
         std::uint64_t sharers = 0; ///< bitmask, supports up to 64 cores
         CoreId owner = invalidCore;
         DirState state = DirState::Invalid;
@@ -183,7 +196,9 @@ class Directory : public MsgHandler
          *  line never had one (quiescent by construction). */
         std::uint32_t txn = noTxn;
     };
-    static_assert(sizeof(Slot) == 32, "line table slots are 32 B");
+    using LineTable = AddrTable<Entry, lineShift>;
+    static_assert(sizeof(LineTable::Slot) == 32,
+                  "line table slots are 32 B");
 
     /**
      * Transaction record of one line (the transient, in-flight
@@ -225,17 +240,6 @@ class Directory : public MsgHandler
         std::vector<Msg> queued;
     };
 
-    /** The slot holding @p line, or the empty slot that ends its probe
-     *  sequence (the table must be non-empty). */
-    std::size_t probe(Addr line) const;
-    /** Slot index of @p line, or npos when the bank never saw it. */
-    std::size_t find(Addr line) const;
-    /** Slot index of @p line, inserting an Invalid slot when absent.
-     *  May grow the table: slot references do not survive the call. */
-    std::size_t findOrInsert(Addr line);
-    /** Re-home every line into a table of @p capacity slots (a power
-     *  of two, larger than the line count). */
-    void resizeTable(std::size_t capacity);
     /** Record index of slot @p si, appending a fresh record when the
      *  line has none. Record references do not survive the call. */
     std::uint32_t recordFor(std::size_t si);
@@ -271,13 +275,9 @@ class Directory : public MsgHandler
     Network *net;
     OracleHook oracle;
 
-    /** Line table: open addressing, linear probing, power-of-two
-     *  capacity (or empty), Fibonacci hash of the line number. */
-    std::vector<Slot> slots;
-    std::size_t usedSlots = 0;
-    /** 64 - log2(slots.size()): the hash keeps the product's top bits. */
-    unsigned hashShift = 64;
-    /** Transaction records, append-only (Slot::txn indexes them). */
+    /** Line table: every line the bank ever saw. */
+    LineTable lines;
+    /** Transaction records, append-only (Entry::txn indexes them). */
     std::vector<Txn> txns;
     /** Lines whose data reply is waiting for the LLC/memory latency. */
     std::multimap<Cycle, Addr> wake;

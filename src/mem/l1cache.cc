@@ -76,16 +76,17 @@ PrivateCache::access(const MemAccess &a, Cycle now)
         l2line && (l2line.state() == CacheState::Modified || !a.needExclusive);
 
     if (have_perm) {
-        const bool l1hit = static_cast<bool>(l1Array.lookup(line, now));
+        bool l1hit;
+        const CacheArray::Way l1way = l1Array.lookupOrVictim(
+            line, now, l1hit,
+            [this](Addr t) { return client->lineLocked(t); });
         const FillSource src = l1hit ? FillSource::L1Hit : FillSource::L2Hit;
         const Cycle lat = l1hit ? params.l1HitLatency : params.l2HitLatency;
         if (!l1hit) {
             l1Misses_++;
             missLatency_.sample(static_cast<double>(lat));
-            const CacheArray::Way way = l1Array.victim(line,
-                [this](Addr t) { return client->lineLocked(t); }, now);
-            if (way)
-                l1Array.fill(way, line, l2line.state(), now);
+            if (l1way)
+                l1Array.fill(l1way, line, l2line.state(), now);
         } else {
             l1Hits_++;
         }
@@ -131,11 +132,10 @@ PrivateCache::access(const MemAccess &a, Cycle now)
     w.addr = a.addr;
     w.spanId = a.spanId;
 
-    auto it = mshrs.find(line);
-    if (it != mshrs.end()) {
-        if (it->second.prefetchOnly)
-            it->second.prefetchOnly = false;
-        it->second.waiters.push_back(w);
+    if (const std::size_t mi = mshrs.find(line); mi != MshrTable::npos) {
+        Mshr &m = mshrs.value(mi);
+        m.prefetchOnly = false;
+        m.waiters.push_back(w);
         mshrCoalesced_++;
         return;
     }
@@ -145,12 +145,11 @@ PrivateCache::access(const MemAccess &a, Cycle now)
         return;
     }
 
-    Mshr m;
+    Mshr &m = mshrs[line];
     m.line = line;
     m.exclusiveRequested = a.needExclusive;
     m.netIssueCycle = now;
     m.waiters.push_back(w);
-    mshrs.emplace(line, std::move(m));
     sendRequest(line, a.needExclusive, false, a.spanId, now);
 
     if (params.prefetcher && !a.isWrite && !a.isAtomic)
@@ -161,17 +160,15 @@ void
 PrivateCache::maybePrefetch(Addr line, Cycle now)
 {
     const Addr next = line + lineBytes;
-    if (l2Array.peek(next) != CacheState::Invalid || mshrs.count(next) ||
-        evicting.count(next))
+    if (l2Array.peek(next) != CacheState::Invalid || mshrs.contains(next) ||
+        evicting.contains(next))
         return;
     if (mshrs.size() + 1 >= params.mshrs)
         return; // keep headroom for demand misses
-    Mshr m;
+    Mshr &m = mshrs[next];
     m.line = next;
-    m.exclusiveRequested = false;
     m.prefetchOnly = true;
     m.netIssueCycle = now;
-    mshrs.emplace(next, std::move(m));
     sendRequest(next, false, true, 0, now);
 }
 
@@ -197,14 +194,17 @@ PrivateCache::evictLine(CacheArray::Way way, Cycle now)
 bool
 PrivateCache::installLine(Addr line, CacheState state, Cycle now)
 {
-    auto pinned = [this](Addr t) { return client->lineLocked(t); };
+    const std::function<bool(Addr)> pinned = [this](Addr t) {
+        return client->lineLocked(t);
+    };
 
     // Upgrade fills (S -> M) must update the existing entry in place;
     // installing a second copy would leave a stale Shared duplicate.
-    if (const CacheArray::Way present = l2Array.lookup(line, now)) {
-        present.setState(state);
+    bool hit;
+    const CacheArray::Way way = l2Array.lookupOrVictim(line, now, hit, pinned);
+    if (hit) {
+        way.setState(state);
     } else {
-        const CacheArray::Way way = l2Array.victim(line, pinned, now);
         if (!way)
             return false;
         if (way.valid())
@@ -212,13 +212,12 @@ PrivateCache::installLine(Addr line, CacheState state, Cycle now)
         l2Array.fill(way, line, state, now);
     }
 
-    if (const CacheArray::Way l1present = l1Array.lookup(line, now)) {
-        l1present.setState(state);
-    } else {
-        const CacheArray::Way l1way = l1Array.victim(line, pinned, now);
-        if (l1way)
-            l1Array.fill(l1way, line, state, now);
-    }
+    const CacheArray::Way l1way =
+        l1Array.lookupOrVictim(line, now, hit, pinned);
+    if (hit)
+        l1way.setState(state);
+    else if (l1way)
+        l1Array.fill(l1way, line, state, now);
     return true;
 }
 
@@ -226,10 +225,10 @@ void
 PrivateCache::handleFill(const Msg &msg, Cycle now)
 {
     const Addr line = msg.line;
-    auto it = mshrs.find(line);
-    ROWSIM_ASSERT(it != mshrs.end(), "fill without MSHR, line %#lx core %u",
+    const std::size_t mi = mshrs.find(line);
+    ROWSIM_ASSERT(mi != MshrTable::npos,
+                  "fill without MSHR, line %#lx core %u",
                   static_cast<unsigned long>(line), coreId);
-    Mshr &m = it->second;
 
     const CacheState state =
         msg.excl ? CacheState::Modified : CacheState::Shared;
@@ -265,10 +264,16 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
                  msg.fromPrivateCache ? "remote-cache"
                  : msg.fromMemory    ? "memory"
                                      : "llc",
-                 static_cast<unsigned long long>(now - m.netIssueCycle));
+                 static_cast<unsigned long long>(
+                     now - mshrs.value(mi).netIssueCycle));
 
+    // Taken out of the table: completeWaiter re-enters the core, whose
+    // access() may insert an MSHR and move every slot.
+    const Cycle netIssue = mshrs.value(mi).netIssueCycle;
+    const std::vector<MshrWaiter> waiters =
+        std::move(mshrs.value(mi).waiters);
     std::vector<MshrWaiter> still_waiting;
-    for (const auto &w : m.waiters) {
+    for (const auto &w : waiters) {
         if (w.needExclusive && state == CacheState::Shared) {
             still_waiting.push_back(w);
             continue;
@@ -276,12 +281,12 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
         missLatency_.sample(static_cast<double>(now - w.requestCycle));
         if (msg.fromPrivateCache)
             remoteFills_++;
-        completeWaiter(w, src, now, m.netIssueCycle, msg.contentionHint,
-                       now);
+        completeWaiter(w, src, now, netIssue, msg.contentionHint, now);
     }
 
     if (!still_waiting.empty()) {
         // A GetS fill cannot satisfy exclusive waiters: upgrade.
+        Mshr &m = mshrs.value(mshrs.find(line));
         m.waiters = std::move(still_waiting);
         m.exclusiveRequested = true;
         m.netIssueCycle = now;
@@ -296,7 +301,7 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
         return;
     }
 
-    mshrs.erase(it);
+    mshrs.erase(line);
     drainPending(now);
 }
 
@@ -330,8 +335,8 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
                           msgTypeName(msg.type), coreId,
                           static_cast<unsigned long>(line),
                           static_cast<int>(l2line.state()),
-                          static_cast<int>(mshrs.count(line)),
-                          static_cast<int>(evicting.count(line)));
+                          static_cast<int>(mshrs.contains(line)),
+                          static_cast<int>(evicting.contains(line)));
             if (excl) {
                 l1Array.invalidate(line);
                 l2Array.invalidate(line);
@@ -343,7 +348,7 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
         } else {
             // Our PutM crossed with this forward: answer from the
             // writeback buffer.
-            ROWSIM_ASSERT(evicting.count(line),
+            ROWSIM_ASSERT(evicting.contains(line),
                           "forward for absent line %#lx at core %u",
                           static_cast<unsigned long>(line), coreId);
         }
@@ -528,8 +533,8 @@ PrivateCache::forceEvict(Addr line, Cycle now)
 {
     line = lineAlign(line);
     const CacheArray::Way way = l2Array.lookup(line, now);
-    if (!way || client->lineLocked(line) || mshrs.count(line) ||
-        evicting.count(line)) {
+    if (!way || client->lineLocked(line) || mshrs.contains(line) ||
+        evicting.contains(line)) {
         return false;
     }
     evictLine(way, now);
@@ -610,28 +615,24 @@ PrivateCache::dumpDiag(std::FILE *out, Cycle now) const
                  "{\"cache\":\"l1d%u\",\"idle\":%s,\"mshrs\":[", coreId,
                  idle() ? "true" : "false");
     bool first = true;
-    for (const auto &kv : mshrs) {
+    forEachMshr([&](Addr line, const Mshr &m) {
         std::fprintf(out,
                      "%s{\"line\":\"%#llx\",\"excl\":%d,\"prefetch\":%d,"
                      "\"waiters\":%zu,\"age\":%llu}",
-                     first ? "" : ",",
-                     static_cast<unsigned long long>(kv.first),
-                     kv.second.exclusiveRequested ? 1 : 0,
-                     kv.second.prefetchOnly ? 1 : 0,
-                     kv.second.waiters.size(),
-                     static_cast<unsigned long long>(
-                         now - kv.second.netIssueCycle));
+                     first ? "" : ",", static_cast<unsigned long long>(line),
+                     m.exclusiveRequested ? 1 : 0, m.prefetchOnly ? 1 : 0,
+                     m.waiters.size(),
+                     static_cast<unsigned long long>(now - m.netIssueCycle));
         first = false;
-    }
+    });
     std::fprintf(out, "],\"evicting\":[");
     first = true;
-    for (const auto &kv : evicting) {
+    forEachEvicting([&](Addr line, Cycle since) {
         std::fprintf(out, "%s{\"line\":\"%#llx\",\"age\":%llu}",
-                     first ? "" : ",",
-                     static_cast<unsigned long long>(kv.first),
-                     static_cast<unsigned long long>(now - kv.second));
+                     first ? "" : ",", static_cast<unsigned long long>(line),
+                     static_cast<unsigned long long>(now - since));
         first = false;
-    }
+    });
     std::fprintf(out, "],\"stalledExternals\":[");
     first = true;
     for (const auto &s : stalledExternals) {
@@ -671,17 +672,17 @@ PrivateCache::visit(Ar &ar)
     ar.io(l1Array);
     ar.io(l2Array);
 
-    ar.list(mshrs, "MSHRs", [&](auto &kv) {
-        ar.u64(kv.first);
-        ar.io(kv.second);
+    ar.table(mshrs, "MSHRs", [&](auto &line, auto &m) {
+        ar.u64(line);
+        ar.io(m);
     });
     ar.list(pendingAccesses, "pending accesses", [&](auto &p) {
         ar.io(p.first);
         ar.u64(p.second);
     });
-    ar.list(evicting, "evicting lines", [&](auto &kv) {
-        ar.u64(kv.first);
-        ar.u64(kv.second);
+    ar.table(evicting, "evicting lines", [&](auto &line, auto &since) {
+        ar.u64(line);
+        ar.u64(since);
     });
     ar.list(stalledExternals, "stalled externals", [&](auto &e) {
         ar.io(e.msg);

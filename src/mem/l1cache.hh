@@ -16,12 +16,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/addr_table.hh"
 #include "mem/cache_array.hh"
 #include "mem/mshr.hh"
 #include "net/message.hh"
@@ -178,31 +178,35 @@ class PrivateCache : public MsgHandler
     // ---- invariant-checker / diagnostics probes (read-only) ----
 
     /** True when a miss for @p line is outstanding. */
-    bool hasMshr(Addr line) const { return mshrs.count(lineAlign(line)); }
+    bool
+    hasMshr(Addr line) const
+    {
+        return mshrs.contains(lineAlign(line));
+    }
     /** True when a PutM for @p line is in flight (writeback buffer). */
     bool
     isEvicting(Addr line) const
     {
-        return evicting.count(lineAlign(line));
+        return evicting.contains(lineAlign(line));
     }
     std::size_t mshrCount() const { return mshrs.size(); }
 
-    /** Apply @p fn(line, putmSentCycle) to every in-flight writeback. */
+    /** Apply @p fn(line, putmSentCycle) to every in-flight writeback,
+     *  in ascending line order. */
     template <typename Fn>
     void
     forEachEvicting(Fn &&fn) const
     {
-        for (const auto &kv : evicting)
-            fn(kv.first, kv.second);
+        evicting.forEachSorted(fn);
     }
 
-    /** Apply @p fn(line, mshr) to every outstanding MSHR. */
+    /** Apply @p fn(line, mshr) to every outstanding MSHR, in ascending
+     *  line order. */
     template <typename Fn>
     void
     forEachMshr(Fn &&fn) const
     {
-        for (const auto &kv : mshrs)
-            fn(kv.first, kv.second);
+        mshrs.forEachSorted(fn);
     }
 
     /** Apply @p fn(line, state) to every valid coherence (L2) line. */
@@ -313,11 +317,12 @@ class PrivateCache : public MsgHandler
     CacheArray l1Array;
     CacheArray l2Array; ///< the coherence array
 
-    std::unordered_map<Addr, Mshr> mshrs;
+    using MshrTable = AddrTable<Mshr, lineShift>;
+    MshrTable mshrs;
     std::deque<std::pair<MemAccess, Cycle>> pendingAccesses;
     /** Dirty lines with a PutM in flight; they still answer forwards.
      *  Maps line -> cycle the PutM was sent (leak detection). */
-    std::unordered_map<Addr, Cycle> evicting;
+    AddrTable<Cycle, lineShift> evicting;
     std::vector<StalledExternal> stalledExternals;
     /** Fills that could not find an unpinned victim, retried each tick. */
     std::vector<Msg> deferredFills;

@@ -86,7 +86,10 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
 
     bool remote = false;
     dirtyVictims.clear();
-    const Directory::StableLine entry = home.stableLine(line);
+    // One probe of the home bank: nothing below inserts into it before
+    // the end state is written, the victims' writebacks after may.
+    const std::size_t slot = home.funcSlot(line);
+    const Directory::StableLine entry = home.stableAt(slot);
     const bool ownedElsewhere = entry.state == DirState::Modified &&
                                 entry.owner != invalidCore &&
                                 entry.owner != c;
@@ -109,7 +112,7 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
             home.funcTouchLlc(line, now);
         caches[c]->funcInstall(line, CacheState::Modified, now,
                                &dirtyVictims);
-        home.funcSetLine(line, DirState::Modified, c, 0);
+        home.funcSetAt(slot, DirState::Modified, c, 0);
     } else {
         // GetS end state: an M owner is downgraded and becomes a
         // sharer (FwdGetS), otherwise data comes from the LLC/memory.
@@ -122,7 +125,7 @@ MemSystem::funcAccess(CoreId c, Addr addr, bool exclusive, Cycle now)
             home.funcTouchLlc(line, now);
         caches[c]->funcInstall(line, CacheState::Shared, now,
                                &dirtyVictims);
-        home.funcSetLine(line, DirState::Shared, invalidCore, sharers);
+        home.funcSetAt(slot, DirState::Shared, invalidCore, sharers);
     }
 
     // Dirty victims of the install: apply the PutM end state at each
@@ -142,7 +145,12 @@ FunctionalMemory::save(Ser &s) const
     // node), then delta-varint encoding — address gaps are mostly one
     // word (streams touch consecutive addresses) and data words are
     // mostly small, so an entry costs ~2-4 bytes instead of 16.
-    std::vector<KeyedWord> sorted(words.begin(), words.end());
+    std::vector<KeyedWord> sorted;
+    sorted.reserve(words.size());
+    for (const Words::Slot &w : words.slots()) {
+        if (w.key != invalidAddr)
+            sorted.emplace_back(w.key, w.value);
+    }
     sortByKey(sorted);
     s.u64(sorted.size());
     Addr prev = 0;
@@ -170,14 +178,15 @@ FunctionalMemory::restore(Deser &d)
     Addr prev = 0;
     for (std::uint64_t i = 0; i < n; i++) {
         // Addresses strictly ascend: a zero gap repeats one, and a gap
-        // that wraps past 2^64 lands on or before an earlier one.
+        // that wraps past 2^64 lands on or before an earlier one (or on
+        // invalidAddr, the empty-slot marker).
         const std::uint64_t gap = d.vu64();
         if (i > 0 && gap == 0) {
             throw SnapshotError(strprintf(
                 "value memory address %#llx repeated",
                 static_cast<unsigned long long>(prev)));
         }
-        if (gap > ~prev) {
+        if (gap >= invalidAddr - prev) {
             throw SnapshotError(strprintf(
                 "value memory address gap %#llx after %#llx wraps",
                 static_cast<unsigned long long>(gap),

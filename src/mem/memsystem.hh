@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/types.hh"
+#include "mem/addr_table.hh"
 #include "mem/directory.hh"
 #include "mem/l1cache.hh"
 #include "net/network.hh"
@@ -27,15 +27,16 @@
 namespace rowsim
 {
 
-/** Word-granular (8-byte) value store backing the whole address space. */
+/** Word-granular (8-byte) value store backing the whole address space.
+ *  A word never written reads 0; a word written 0 keeps its entry. */
 class FunctionalMemory
 {
   public:
     std::uint64_t
     read64(Addr addr) const
     {
-        auto it = words.find(addr & ~7ULL);
-        return it == words.end() ? 0 : it->second;
+        const std::size_t i = words.find(addr & ~7ULL);
+        return i == Words::npos ? 0 : words.value(i);
     }
 
     void
@@ -44,12 +45,13 @@ class FunctionalMemory
         words[addr & ~7ULL] = value;
     }
 
-    /** Serialized in sorted address order (hash order never leaks). */
+    /** Serialized in sorted address order (table order never leaks). */
     void save(Ser &s) const;
     void restore(Deser &d);
 
   private:
-    std::unordered_map<Addr, std::uint64_t> words;
+    using Words = AddrTable<std::uint64_t, 3>;
+    Words words;
 };
 
 /**

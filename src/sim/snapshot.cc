@@ -238,6 +238,13 @@ Deser::corrupt(const char *what, unsigned raw)
 }
 
 void
+Deser::unorderedKey(const char *what, std::uint64_t key)
+{
+    throw SnapshotError(strprintf("%s key %#llx out of order", what,
+                                  static_cast<unsigned long long>(key)));
+}
+
+void
 sortByKey(std::vector<KeyedWord> &v)
 {
     const std::size_t n = v.size();

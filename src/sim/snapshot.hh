@@ -36,7 +36,6 @@
 #ifndef ROWSIM_SIM_SNAPSHOT_HH
 #define ROWSIM_SIM_SNAPSHOT_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -258,29 +257,25 @@ class Ser
             storeLe(out + i * sizeof(T), p[i]);
     }
 
-    /** A container: u64 count, then @p fn on each element in order. A
-     *  hash map goes in sorted key order, so images never depend on
-     *  the hash-table layout. */
+    /** A container: u64 count, then @p fn on each element in order. */
     template <class C, class Fn>
     void
     list(const C &c, const char *, Fn &&fn)
     {
         u64(c.size());
-        if constexpr (requires { typename C::hasher; }) {
-            std::vector<const typename C::value_type *> sorted;
-            sorted.reserve(c.size());
-            for (const auto &kv : c)
-                sorted.push_back(&kv);
-            std::sort(sorted.begin(), sorted.end(),
-                      [](const auto *a, const auto *b) {
-                          return a->first < b->first;
-                      });
-            for (const auto *kv : sorted)
-                fn(*kv);
-        } else {
-            for (const auto &e : c)
-                fn(e);
-        }
+        for (const auto &e : c)
+            fn(e);
+    }
+
+    /** An address table (mem/addr_table.hh): u64 count, then
+     *  @p fn(key, value) on each entry in its ascending-key walk, so
+     *  images never depend on the table layout. */
+    template <class T, class Fn>
+    void
+    table(const T &t, const char *, Fn &&fn)
+    {
+        u64(t.size());
+        t.forEachSorted(fn);
     }
 
     /** Drop the slack (no reallocation): until the next write,
@@ -529,6 +524,28 @@ class Deser
         }
     }
 
+    /** Replace address table @p t's entries: count(), then @p fn fills
+     *  each entry's key and value. Keys strictly ascend, as Ser::table
+     *  writes them, so none repeats or is the empty-slot marker. */
+    template <class T, class Fn>
+    void
+    table(T &t, const char *what, Fn &&fn)
+    {
+        const std::uint64_t n = count(what);
+        t.clear();
+        std::uint64_t prev = 0;
+        for (std::uint64_t i = 0; i < n; i++) {
+            std::uint64_t key = 0;
+            typename T::mapped_type value{};
+            fn(key, value);
+            if ((i > 0 && key <= prev) || key == ~std::uint64_t{0})
+                [[unlikely]]
+                unorderedKey(what, key);
+            prev = key;
+            t[key] = std::move(value);
+        }
+    }
+
   private:
     template <class C>
     struct ElemOf
@@ -579,6 +596,8 @@ class Deser
     [[noreturn]] static void mismatch(const char *what, std::uint64_t image,
                                       std::uint64_t configured);
     [[noreturn]] static void corrupt(const char *what, unsigned raw);
+    [[noreturn]] static void unorderedKey(const char *what,
+                                          std::uint64_t key);
 
     const std::uint8_t *data_;
     std::size_t size_;

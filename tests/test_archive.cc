@@ -25,11 +25,11 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/sha256.hh"
+#include "mem/addr_table.hh"
 #include "mem/cache_array.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
@@ -177,19 +177,21 @@ TEST(Archive, StringsSectionsListsAndTables)
     EXPECT_EQ(bytesOf([](Ser &s) { s.section("x"); }),
               (Bytes{0xa5, 1, 0, 0, 0, 0, 0, 0, 0, 'x'}));
 
-    // A list is a u64 count and its elements; a hash map goes in key
-    // order.
+    // A list is a u64 count and its elements; an address table goes
+    // in key order.
     const std::vector<std::uint32_t> v = {1, 0x01020304};
     EXPECT_EQ(bytesOf([&](Ser &s) {
                   s.list(v, "v", [&](std::uint32_t e) { s.u32(e); });
               }),
               (Bytes{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 4, 3, 2, 1}));
-    const std::unordered_map<std::uint64_t, std::uint8_t> m = {
-        {300, 3}, {1, 1}, {20, 2}};
+    AddrTable<std::uint8_t, 0> m;
+    m[300] = 3;
+    m[1] = 1;
+    m[20] = 2;
     EXPECT_EQ(bytesOf([&](Ser &s) {
-                  s.list(m, "m", [&](const auto &kv) {
-                      s.vu64(kv.first);
-                      s.u8(kv.second);
+                  s.table(m, "m", [&](const auto &key, const auto &value) {
+                      s.vu64(key);
+                      s.u8(value);
                   });
               }),
               (Bytes{3, 0, 0, 0, 0, 0, 0, 0, 1, 1, 20, 2, 0xac, 0x02, 3}));

@@ -279,6 +279,19 @@ differentialOps(CacheArray &a, RefArray &ref, Rng &r, unsigned n,
     const auto randomState = [&] {
         return r.chance(0.5) ? CacheState::Shared : CacheState::Modified;
     };
+    // No pin, a random pin mask over the tags, or every way pinned.
+    const auto randomPin = [&]() -> std::function<bool(Addr)> {
+        const auto mode = r.below(3);
+        if (mode == 1) {
+            const std::uint64_t mask = r.below(~std::uint64_t{0});
+            return [mask, sets](Addr t) {
+                return (mask >> (lineNum(t) / sets % 64)) & 1;
+            };
+        }
+        if (mode == 2)
+            return [](Addr) { return true; };
+        return nullptr;
+    };
     for (unsigned k = 0; k < n; k++) {
         SCOPED_TRACE(k);
         if (r.chance(0.5))
@@ -310,18 +323,7 @@ differentialOps(CacheArray &a, RefArray &ref, Rng &r, unsigned n,
           case 3: {
             if (ref.peek(line) != CacheState::Invalid)
                 break; // victim() is only asked for absent lines
-            // No pin, a random pin mask over the tags, or every way
-            // pinned.
-            std::function<bool(Addr)> pinned;
-            const auto mode = r.below(3);
-            if (mode == 1) {
-                const std::uint64_t mask = r.below(~std::uint64_t{0});
-                pinned = [mask, sets](Addr t) {
-                    return (mask >> (lineNum(t) / sets % 64)) & 1;
-                };
-            } else if (mode == 2) {
-                pinned = [](Addr) { return true; };
-            }
+            const std::function<bool(Addr)> pinned = randomPin();
             const CacheArray::Way w = a.victim(line, pinned, now);
             RefArray::Line *l = ref.victim(line, pinned);
             ASSERT_EQ(static_cast<bool>(w), l != nullptr);
@@ -340,17 +342,23 @@ differentialOps(CacheArray &a, RefArray &ref, Rng &r, unsigned n,
           }
           case 4:
           case 5: {
+            // A pinned miss must choose exactly victim()'s way.
+            const std::function<bool(Addr)> pinned = randomPin();
             bool hit = false;
-            const CacheArray::Way w = a.lookupOrVictim(line, now, hit);
+            const CacheArray::Way w =
+                a.lookupOrVictim(line, now, hit, pinned);
             RefArray::Line *l = ref.lookup(line, now);
             ASSERT_EQ(hit, l != nullptr);
-            ASSERT_TRUE(w);
             if (hit) {
+                ASSERT_TRUE(w);
                 EXPECT_EQ(wayOf(a, line), ref.wayOf(l, line));
                 EXPECT_EQ(w.state(), l->state);
                 break;
             }
-            l = ref.victim(line, nullptr);
+            l = ref.victim(line, pinned);
+            ASSERT_EQ(static_cast<bool>(w), l != nullptr);
+            if (!l)
+                break;
             ASSERT_EQ(w.valid(), l->valid());
             if (l->valid()) {
                 EXPECT_EQ(w.tag(), l->tag);
@@ -588,8 +596,8 @@ TEST(CacheArray, RestoreRejectsRepeatedSlot)
 }
 
 // CacheArray against the reference model of the unpacked array over
-// seeded random lookups, peeks, victims (with and without pins, all
-// ways pinned included), lookupOrVictim, fills, state changes and
+// seeded random lookups, peeks, victims and lookupOrVictim (each with
+// and without pins, all ways pinned included), fills, state changes and
 // invalidations, on several geometries; then the image restored into
 // a fresh array keeps answering as the reference does.
 TEST(CacheArray, MatchesReferenceModel)

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mem/memsystem.hh"
@@ -281,4 +284,55 @@ TEST_F(PrivateCacheTest, SystemQuiescesAfterTraffic)
     }
     run(3000);
     EXPECT_TRUE(mem->idle());
+}
+
+// A crash dump lists MSHRs and in-flight writebacks in ascending line
+// order, whatever order they were allocated in and however the tables
+// lay them out.
+TEST_F(PrivateCacheTest, DumpDiagListsLinesInAscendingOrder)
+{
+    // Dirty lines, then all evicted at once: their PutMs are in flight.
+    std::vector<Addr> dirty;
+    for (unsigned i = 0; i < 6; i++)
+        dirty.push_back(0x40000 + (5 - i) * 0x1040);
+    for (Addr a : dirty) {
+        mem->cache(0).access(store(a, 1, a), now);
+        run(600);
+    }
+    for (Addr a : dirty)
+        ASSERT_TRUE(mem->cache(0).forceEvict(a, now));
+    // Misses outstanding, issued in descending line order.
+    for (unsigned i = 0; i < 16; i++)
+        mem->cache(0).access(load(0x80000 + (15 - i) * 0x2040, 200 + i), now);
+
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    mem->cache(0).dumpDiag(f, now);
+    std::rewind(f);
+    std::string dump;
+    for (int c; (c = std::fgetc(f)) != EOF;)
+        dump.push_back(static_cast<char>(c));
+    std::fclose(f);
+
+    const auto linesIn = [&](const std::string &from, const std::string &to) {
+        const std::size_t begin = dump.find(from);
+        const std::size_t end = dump.find(to, begin);
+        EXPECT_NE(begin, std::string::npos) << dump;
+        EXPECT_NE(end, std::string::npos) << dump;
+        std::vector<Addr> out;
+        const std::string key = "\"line\":\"";
+        for (std::size_t at = dump.find(key, begin); at < end;
+             at = dump.find(key, at + 1))
+            out.push_back(
+                std::stoull(dump.substr(at + key.size()), nullptr, 16));
+        return out;
+    };
+    const std::vector<Addr> mshrs = linesIn("\"mshrs\":[", "\"evicting\"");
+    const std::vector<Addr> evicting =
+        linesIn("\"evicting\":[", "\"stalledExternals\"");
+    EXPECT_EQ(mshrs.size(), mem->cache(0).mshrCount());
+    EXPECT_GE(mshrs.size(), 16u);
+    EXPECT_TRUE(std::is_sorted(mshrs.begin(), mshrs.end())) << dump;
+    std::sort(dirty.begin(), dirty.end());
+    EXPECT_EQ(evicting, dirty) << dump;
 }
